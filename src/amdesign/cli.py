@@ -20,7 +20,6 @@ from .gf2core import (
     doubly_even_subcode,
     dual,
     format_generator,
-    minimum_distance,
     read_generator_file,
     weight_distribution,
 )
@@ -38,15 +37,14 @@ from .harmonic import (
     zcf,
 )
 from .designs import (
+    _t_design_check,
     design_to_json,
     intersection_profile,
-    is_t_design,
     complement_design,
     lambda_i,
     mendelsohn_solve,
     read_design_file,
     support_design,
-    t_design_violation,
 )
 from .catalog import (
     BUILTIN_NAMES,
@@ -116,7 +114,7 @@ def _cmd_code_info(args) -> int:
     c = _load_code(args)
     wd = weight_distribution(c)
     cls = classify(c)
-    dist = minimum_distance(c) if c.dimension else None
+    dist = wd.min_nonzero() if c.dimension else None
     payload = {
         "length": c.n,
         "dimension": c.dimension,
@@ -172,12 +170,11 @@ def _cmd_code_subcode(args) -> int:
 
 def _cmd_design_check(args) -> int:
     d = read_design_file(args.design)
-    lam = is_t_design(d, args.t)
+    lam, violation = _t_design_check(d, args.t)
     payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
                "lambda": lam, "violation": None}
     lines = [f"v={d.v} k={d.k} b={d.b}"]
     if lam is None:
-        violation = t_design_violation(d, args.t)
         payload["violation"] = exact_json(violation)
         pts1, c1, pts2, c2 = violation
         lines.append(f"not a {args.t}-design: {pts1} covered {c1} times, "

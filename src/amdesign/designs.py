@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -49,6 +50,8 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.v):
+            raise ValueError("point count must be an integer")
         if self.v < 1:
             raise ValueError("point count must be positive")
         if not self.blocks:
@@ -56,6 +59,8 @@ class Design:
         norm = []
         size = None
         for block in self.blocks:
+            if not all(_is_int(p) for p in block):
+                raise ValueError("block points must be integers")
             b = tuple(sorted(block))
             if len(set(b)) != len(b):
                 raise ValueError("block has a repeated point")
@@ -76,6 +81,10 @@ class Design:
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _block_mask(block: Sequence[int]) -> int:
@@ -104,39 +113,57 @@ def union(d1: Design, d2: Design) -> Design:
     return Design(d1.v, d1.blocks + d2.blocks)
 
 
-def _coverage_scan(d: Design, t: int):
-    masks = [_block_mask(b) for b in d.blocks]
-    for pts in combinations(range(1, d.v + 1), t):
-        m = _block_mask(pts)
-        yield pts, sum(1 for bm in masks if bm & m == m)
+def _coverage_counts(d: Design, t: int) -> Counter:
+    """How many blocks contain each t-subset, keyed by the subset's point
+    mask (bit p-1 for point p). Only subsets inside some block appear, so a
+    missing key counts 0; the work is b * C(k, t), not b * C(v, t)."""
+    if t < 0 or t > d.k:
+        raise ValueError("t out of range")
+    counts: Counter = Counter()
+    for block in d.blocks:
+        counts.update(map(sum, combinations([1 << (p - 1) for p in block], t)))
+    return counts
+
+
+def _constant_count(d: Design, t: int, counts: Counter) -> int | None:
+    values = set(counts.values())
+    if len(counts) < comb(d.v, t):
+        values.add(0)
+    return values.pop() if len(values) == 1 else None
+
+
+def _t_design_check(
+    d: Design, t: int
+) -> tuple[int | None, tuple[tuple[int, ...], int, tuple[int, ...], int] | None]:
+    """(lambda, violation) from one count: exactly one of the two is None.
+
+    The violation is the witness of t_design_violation: the lexicographically
+    first t-subset with its coverage, then the first t-subset after it whose
+    coverage differs."""
+    counts = _coverage_counts(d, t)
+    lam = _constant_count(d, t, counts)
+    if lam is not None:
+        return lam, None
+    bits = [1 << (p - 1) for p in range(1, d.v + 1)]
+    walk = zip(combinations(range(1, d.v + 1), t), map(sum, combinations(bits, t)))
+    first, mask = next(walk)
+    first_count = counts[mask]
+    for pts, mask in walk:
+        if counts[mask] != first_count:
+            return None, (first, first_count, pts, counts[mask])
+    raise AssertionError("coverage varies but no differing subset was found")
 
 
 def is_t_design(d: Design, t: int) -> int | None:
     """The constant t-subset coverage count, or None when coverage varies."""
-    if t < 0 or t > d.k:
-        raise ValueError("t out of range")
-    lam = None
-    for _, count in _coverage_scan(d, t):
-        if lam is None:
-            lam = count
-        elif count != lam:
-            return None
-    return lam
+    return _constant_count(d, t, _coverage_counts(d, t))
 
 
 def t_design_violation(
     d: Design, t: int
 ) -> tuple[tuple[int, ...], int, tuple[int, ...], int] | None:
     """First pair of t-subsets with differing coverage, or None for a design."""
-    if t < 0 or t > d.k:
-        raise ValueError("t out of range")
-    first = None
-    for pts, count in _coverage_scan(d, t):
-        if first is None:
-            first = (pts, count)
-        elif count != first[1]:
-            return (first[0], first[1], pts, count)
-    return None
+    return _t_design_check(d, t)[1]
 
 
 def design_strength(d: Design, t_max: int) -> int:
@@ -286,9 +313,12 @@ def design_to_json(d: Design) -> dict:
 
 
 def design_from_json(obj: Mapping) -> Design:
-    if "v" not in obj or "blocks" not in obj:
+    if not isinstance(obj, Mapping) or "v" not in obj or "blocks" not in obj:
         raise ValueError("design JSON needs 'v' and 'blocks'")
-    return Design(int(obj["v"]), tuple(tuple(b) for b in obj["blocks"]))
+    blocks = obj["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ValueError("design JSON 'blocks' must be a list of lists")
+    return Design(obj["v"], tuple(tuple(b) for b in blocks))
 
 
 def read_design_file(path: str | Path) -> Design:

@@ -18,13 +18,13 @@ from .gf2core import (
 )
 from .designs import (
     Design,
+    _t_design_check,
     code_from_design,
     complement_design,
     design_strength,
     is_self_orthogonal_design,
     is_t_design,
     support_design,
-    t_design_violation,
     union,
 )
 from .harmonic import delsarte_design_check, harm_basis, harmonic_weight_enumerator
@@ -167,17 +167,17 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     weights = [w for w in sorted(wd.counts) if 0 < w < c.n]
 
     lambdas = {}
-    failures = []
+    first_violation = None
     for w in weights:
         if cls.self_dual:
             d = support_design(c, w)
         else:
             d = union(support_design(c, w), support_design(dual_code, w))
-        lam = is_t_design(d, 1)
+        lam, violation = _t_design_check(d, 1)
         lambdas[w] = lam
-        if lam is None:
-            failures.append(w)
-    counting_ok = not failures
+        if violation and first_violation is None:
+            first_violation = (w, violation)
+    counting_ok = first_violation is None
 
     nonzero = []
     for idx, f in enumerate(harm_basis(c.n, 1)):
@@ -194,15 +194,8 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
         "counting_route": counting_ok,
         "harmonic_route": harmonic_ok,
     }
-    if failures:
-        w = failures[0]
-        d = (
-            support_design(c, w)
-            if cls.self_dual
-            else union(support_design(c, w), support_design(dual_code, w))
-        )
-        witnesses["violation_weight"] = w
-        witnesses["violation"] = t_design_violation(d, 1)
+    if first_violation:
+        witnesses["violation_weight"], witnesses["violation"] = first_violation
     if nonzero:
         witnesses["nonzero_enumerator_indices"] = nonzero
     return report("thm1.1", counting_ok and harmonic_ok, witnesses)
@@ -228,7 +221,7 @@ def verify_thm_1_2_type1(
     _require_type1_16(c)
     if c6 is None:
         c6 = support_design(c, 6)
-    lam = is_t_design(c6, 2)
+    lam, violation = _t_design_check(c6, 2)
     counting_ok = lam == 8
     delsarte_ok = delsarte_design_check(c6.blocks, c.n, 2)
     complement_ok = complement_design(c6) == support_design(c, 10)
@@ -248,7 +241,7 @@ def verify_thm_1_2_type1(
         "strength_2_weights": gap_weights,
     }
     if not counting_ok:
-        witnesses["violation"] = t_design_violation(c6, 2)
+        witnesses["violation"] = violation
     return report("thm1.2-1", passed, witnesses)
 
 
@@ -277,12 +270,12 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     passed = True
     for w in (6, 10):
         u = union(support_design(c, w), support_design(dual_code, w))
-        lam = is_t_design(u, 2)
+        lam, violation = _t_design_check(u, 2)
         lambdas[w] = lam
         if lam is None:
             passed = False
             witnesses["violation_weight"] = w
-            witnesses["violation"] = t_design_violation(u, 2)
+            witnesses["violation"] = violation
     witnesses["lambda_2_per_weight"] = lambdas
     return report("thm1.2-2", passed, witnesses)
 

@@ -207,3 +207,22 @@ def test_code_weights_text(capsys, type1_file):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "0 1"
     assert "6 64" in lines
+
+
+@pytest.mark.parametrize("body", [
+    {"v": 16, "blocks": [["1", "2"], [3, 4]]},   # string points
+    {"v": 16, "blocks": [[1.0, 2], [3, 4]]},     # float points
+    {"v": 16, "blocks": [[True, 2], [3, 4]]},    # bool points
+    {"v": 16, "blocks": [[1, 2], 3]},            # a block that is not a list
+    {"v": 16, "blocks": [1, 2]},                 # blocks that are not lists
+    {"v": 16, "blocks": {"1": [1, 2]}},          # 'blocks' not a list
+    {"v": "16", "blocks": [[1, 2], [3, 4]]},     # string point count
+    {"v": True, "blocks": [[1]]},                # bool point count
+    [16, [[1, 2]]],                              # not an object
+])
+def test_malformed_design_file_is_input_error(capsys, tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert run(["design", "check", "-d", str(path), "--t", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,116 @@
+"""The per-block t-subset count against the full C(v,t)*b scan it replaced."""
+
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from amdesign import verify
+from amdesign.designs import (
+    Design,
+    _coverage_counts,
+    design_strength,
+    is_t_design,
+    support_design,
+    t_design_violation,
+)
+from amdesign.gf2core import code_from_rows
+
+SETTINGS = settings(max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def small_designs(draw):
+    v = draw(st.integers(1, 10))
+    k = draw(st.integers(1, v))
+    block = st.lists(st.integers(1, v), min_size=k, max_size=k, unique=True)
+    blocks = draw(st.lists(block, min_size=1, max_size=12))
+    blocks += draw(st.lists(st.sampled_from(blocks), max_size=4))  # repeats
+    return Design(v, tuple(map(tuple, blocks)))
+
+
+def one_point_swap(d, data):
+    i = data.draw(st.integers(0, d.b - 1))
+    block = d.blocks[i]
+    out = data.draw(st.sampled_from(block))
+    into = data.draw(st.sampled_from([p for p in range(1, d.v + 1) if p not in block]))
+    swapped = tuple(sorted(set(block) - {out} | {into}))
+    return Design(d.v, d.blocks[:i] + (swapped,) + d.blocks[i + 1:])
+
+
+def assert_matches_oracle(d, ts):
+    for t in ts:
+        assert is_t_design(d, t) == oracles.is_t_design(d, t)
+        assert t_design_violation(d, t) == oracles.t_design_violation(d, t)
+    assert design_strength(d, max(ts)) == oracles.design_strength(d, max(ts))
+
+
+@SETTINGS
+@given(small_designs())
+def test_random_designs_match_the_scan(d):
+    assert_matches_oracle(d, range(d.k + 1))
+
+
+@SETTINGS
+@given(small_designs(), st.data())
+def test_counts_sum_to_b_times_c_k_t(d, data):
+    t = data.draw(st.integers(0, d.k))
+    counts = _coverage_counts(d, t)
+    assert sum(counts.values()) == d.b * comb(d.k, t)
+    assert len(counts) <= min(comb(d.v, t), d.b * comb(d.k, t))
+    assert all(mask.bit_count() == t for mask in counts)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_c6_mutants_match_the_scan(c6, data):
+    mutant = one_point_swap(c6, data)
+    assert_matches_oracle(mutant, range(4))
+    assert is_t_design(mutant, 2) is None
+
+
+@pytest.fixture(scope="module")
+def golay():
+    # Extended Golay [24,12,8]: the 12 shifts of g(x) = 1+x^2+x^4+x^5+x^6+x^10+x^11
+    # in length 23, each extended by an overall parity bit.
+    g = sum(1 << e for e in (0, 2, 4, 5, 6, 10, 11))
+    rows = [(g << s) | (((g << s).bit_count() & 1) << 23) for s in range(12)]
+    return code_from_rows(rows, 24)
+
+
+def test_golay_support_designs(golay):
+    c8 = support_design(golay, 8)
+    c12 = support_design(golay, 12)
+    assert (c8.b, c12.b) == (759, 2576)
+    assert is_t_design(c8, 5) == 1
+    assert is_t_design(c12, 5) == 48
+    assert t_design_violation(c8, 5) is None
+    assert is_t_design(c8, 6) is None
+    pts1, c1, pts2, c2 = t_design_violation(c8, 6)
+    covers = lambda pts: sum(1 for b in c8.blocks if set(pts) <= set(b))
+    assert pts1 == (1, 2, 3, 4, 5, 6) and c1 != c2
+    assert (covers(pts1), covers(pts2)) == (c1, c2)
+    assert design_strength(c8, 8) == 5
+
+
+def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
+    real = verify.support_design
+    broken = {}
+
+    def with_mutants(c, w):
+        d = real(c, w)
+        if w in (6, 10):
+            block = d.blocks[0]
+            into = min(set(range(1, d.v + 1)) - set(block))
+            d = broken[w] = Design(d.v, ((into,) + block[1:],) + d.blocks[1:])
+        return d
+
+    monkeypatch.setattr(verify, "support_design", with_mutants)
+    rep = verify.verify_thm_1_1(type1)
+    assert not rep.passed
+    assert rep.witnesses["lambda_1_per_weight"]["6"] is None
+    assert rep.witnesses["lambda_1_per_weight"]["10"] is None
+    assert rep.witnesses["violation_weight"] == "6"
+    assert rep.witnesses["violation"] == verify.exact_json(
+        oracles.t_design_violation(broken[6], 1))

@@ -110,6 +110,8 @@ def test_t_design_violation(type1):
     covers = lambda pts: sum(1 for b in c4.blocks if set(pts) <= set(b))
     assert covers(pts1) == c1 and covers(pts2) == c2
     assert t_design_violation(support_design(type1, 6), 2) is None
+    with pytest.raises(ValueError):
+        t_design_violation(c4, 5)
 
 
 def test_design_strength(type1, c6):
