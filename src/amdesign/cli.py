@@ -388,9 +388,6 @@ def _cmd_verify_profile(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is "
-                             "single-process and deterministic")
     common.add_argument("--seed", type=int, default=0)
 
     code_input = argparse.ArgumentParser(add_help=False)

@@ -1,4 +1,8 @@
-"""Discrete harmonic functions on k-subsets and harmonic weight enumerators."""
+"""Discrete harmonic functions on k-subsets and harmonic weight enumerators.
+
+A function on the k-subsets of {1..n} is stored sparsely as
+{point mask: value}, with bit p-1 set for point p.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +11,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
-from . import ratlin
 from .gf2core import BinaryCode, EnumerationGuardError, iter_codewords, support
 from .polyring import HomPoly
 
 __all__ = [
     "SUBSET_GUARD",
     "HarmonicFunction",
-    "subset_rank",
-    "subset_unrank",
-    "ksubsets",
     "gamma",
     "harm_dimension",
     "harm_basis",
@@ -32,84 +33,59 @@ __all__ = [
 SUBSET_GUARD = 20_000
 
 
-def subset_rank(subset: Sequence[int]) -> int:
-    """Colexicographic rank of a strictly increasing tuple of 1-based points."""
-    return sum(comb(e - 1, i + 1) for i, e in enumerate(subset))
-
-
-def subset_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of subset_rank for k-subsets."""
-    out = [0] * k
-    for i in range(k, 0, -1):
-        # largest e with C(e-1, i) <= rank
-        e = i
-        while comb(e, i) <= rank:
-            e += 1
-        out[i - 1] = e
-        rank -= comb(e - 1, i)
-    return tuple(out)
-
-
-def ksubsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of {1..n} in colexicographic order."""
-    if k < 0 or k > n:
-        raise ValueError("k out of range")
-    if k == 0:
-        yield ()
-        return
-    for top in range(k, n + 1):
-        for rest in ksubsets(top - 1, k - 1):
-            yield rest + (top,)
+def _mask(points: Iterable[int]) -> int:
+    return sum(1 << (p - 1) for p in points)
 
 
 @dataclass(frozen=True)
 class HarmonicFunction:
-    """A rational-valued function on the k-subsets of {1..n}.
+    """An exact-valued function on the k-subsets of {1..n}.
 
-    Values are stored densely in colexicographic rank order. Instances
-    returned by harm_basis lie in the kernel of gamma; the constructor itself
-    accepts any values so that gamma images can be represented too.
+    ``terms`` maps the point mask of each k-subset with a nonzero value to
+    that value; absent subsets are 0. Instances returned by harm_basis lie in
+    the kernel of gamma; the constructor itself accepts any values so that
+    gamma images and linear combinations are represented the same way.
     """
 
     n: int
     k: int
-    values: tuple[Fraction, ...]
+    terms: Mapping[int, int | Fraction]
 
     def __post_init__(self) -> None:
         if self.k < 0 or self.k > self.n:
             raise ValueError("k out of range")
-        if len(self.values) != comb(self.n, self.k):
-            raise ValueError("value vector has the wrong length")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        for m in self.terms:
+            if not 0 <= m < 1 << self.n or m.bit_count() != self.k:
+                raise ValueError(f"mask {m:#x} is not a {self.k}-subset of 1..{self.n}")
+        object.__setattr__(
+            self, "terms", MappingProxyType({m: v for m, v in self.terms.items() if v}))
 
-    def value_on(self, subset: Sequence[int]) -> Fraction:
+    def value_on(self, subset: Sequence[int]) -> int | Fraction:
         if len(subset) != self.k:
             raise ValueError("subset has the wrong size")
-        return self.values[subset_rank(tuple(subset))]
+        return self.terms.get(_mask(subset), 0)
 
-    def tilde(self, points: Iterable[int]) -> Fraction:
+    def tilde(self, points: Iterable[int]) -> int | Fraction:
         """Sum of the function over all k-subsets of the given point set."""
-        total = Fraction(0)
-        for z in combinations(sorted(points), self.k):
-            total += self.values[subset_rank(z)]
-        return total
+        block = _mask(points)
+        return sum(v for m, v in self.terms.items() if m & block == m)
 
     def is_harmonic(self) -> bool:
-        if self.k == 0:
-            return True
-        return not any(gamma(self).values)
+        return self.k == 0 or not gamma(self).terms
 
     def __add__(self, other: "HarmonicFunction") -> "HarmonicFunction":
         if not isinstance(other, HarmonicFunction):
             return NotImplemented
         if (self.n, self.k) != (other.n, other.k):
             raise ValueError("domain mismatch")
-        return HarmonicFunction(
-            self.n, self.k, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        out = dict(self.terms)
+        for m, v in other.terms.items():
+            out[m] = out.get(m, 0) + v
+        return HarmonicFunction(self.n, self.k, out)
 
     def __mul__(self, scalar: int | Fraction) -> "HarmonicFunction":
-        return HarmonicFunction(self.n, self.k, tuple(v * scalar for v in self.values))
+        return HarmonicFunction(
+            self.n, self.k, {m: v * scalar for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -118,47 +94,64 @@ def gamma(f: HarmonicFunction) -> HarmonicFunction:
     """Down-shift operator: (gamma f)(y) = sum of f over k-subsets covering y."""
     if f.k == 0:
         raise ValueError("gamma is undefined below degree 1")
-    out = [Fraction(0)] * comb(f.n, f.k - 1)
-    for z, val in zip(ksubsets(f.n, f.k), f.values):
-        if not val:
-            continue
-        for y in combinations(z, f.k - 1):
-            out[subset_rank(y)] += val
-    return HarmonicFunction(f.n, f.k - 1, tuple(out))
+    out: dict[int, int | Fraction] = {}
+    for z, val in f.terms.items():
+        rest = z
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            out[z ^ bit] = out.get(z ^ bit, 0) + val
+    return HarmonicFunction(f.n, f.k - 1, out)
 
 
 def harm_dimension(n: int, k: int) -> int:
-    if k == 0:
-        return 1
-    return comb(n, k) - comb(n, k - 1)
+    """dim Harm_k(n): C(n,k) - C(n,k-1) for k <= n/2, 1 at k = 0, and 0 for
+    n/2 < k <= n."""
+    if k < 0 or k > n:
+        raise ValueError("k out of range")
+    if 2 * k > n:
+        return 0
+    return comb(n, k) - comb(n, k - 1) if k else 1
 
 
 @lru_cache(maxsize=None)
 def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
-    """Deterministic basis of the harmonic space: the kernel of gamma on
-    degree-k functions, computed by exact rational elimination."""
+    """Basis of the harmonic space Harm_k(n): the standard polytabloids of
+    shape (n-k, k), one per second row b_1 < ... < b_k with b_i >= 2i, in
+    lexicographic order of the row.
+
+    Column i pairs b_i with a_i, the i-th smallest point outside the row
+    (a_i < b_i). The polytabloid is +-1 on each k-subset that meets every
+    pair once, with sign (-1)^(number of a_i taken), and 0 elsewhere; so its
+    tilde on a block B is prod_i (1_B(b_i) - 1_B(a_i)). Gamma kills it,
+    because each (k-1)-subset misses some pair and the two ways of completing
+    it there cancel; the polytabloids are independent and span the kernel
+    (James, LNM 682, the standard basis of the Specht module S^(n-k,k)).
+    """
     if k < 0 or k > n:
         raise ValueError("k out of range")
     if comb(n, k) > SUBSET_GUARD:
         raise EnumerationGuardError(
             f"C({n},{k}) exceeds the subset guard {SUBSET_GUARD}"
         )
-    if k == 0:
-        return (HarmonicFunction(n, 0, (Fraction(1),)),)
-    nrows = comb(n, k - 1)
-    matrix = [[Fraction(0)] * comb(n, k) for _ in range(nrows)]
-    for col, z in enumerate(ksubsets(n, k)):
-        for y in combinations(z, k - 1):
-            matrix[subset_rank(y)][col] = Fraction(1)
-    kernel = ratlin.nullspace(matrix)
-    return tuple(HarmonicFunction(n, k, tuple(vec)) for vec in kernel)
+    basis = []
+    for row in combinations(range(1, n + 1), k):
+        if any(b < 2 * i for i, b in enumerate(row, 1)):
+            continue
+        outside = [p for p in range(1, n + 1) if p not in row]
+        terms = {0: 1}
+        for a, b in zip(outside, row):
+            terms = {m | bit: s * v for m, v in terms.items()
+                     for bit, s in ((1 << (b - 1), 1), (1 << (a - 1), -1))}
+        basis.append(HarmonicFunction(n, k, terms))
+    return tuple(basis)
 
 
 def harmonic_weight_enumerator(c: BinaryCode, f: HarmonicFunction) -> HomPoly:
     """Sum over codewords of f~(support) x^(n-wt) y^wt."""
     if f.n != c.n:
         raise ValueError("code length and function ground set differ")
-    coeffs = [Fraction(0)] * (c.n + 1)
+    coeffs = [0] * (c.n + 1)
     for word in iter_codewords(c):
         w = word.bit_count()
         if w < f.k:
@@ -202,12 +195,13 @@ def delsarte_design_check(
         raise ValueError("block size exceeds the ground set")
     if t < 0 or t > m:
         raise ValueError("t out of range")
-    sorted_blocks = [tuple(sorted(b)) for b in blocks]
+    for b in blocks:
+        if len(set(b)) != m:
+            raise ValueError(f"block {list(b)} repeats a point")
+        if not all(1 <= p <= n for p in b):
+            raise ValueError(f"block {list(b)} has a point outside 1..{n}")
     for k in range(1, t + 1):
         for f in harm_basis(n, k):
-            total = Fraction(0)
-            for b in sorted_blocks:
-                total += f.tilde(b)
-            if total:
+            if sum(f.tilde(b) for b in blocks):
                 return False
     return True

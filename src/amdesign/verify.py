@@ -221,6 +221,8 @@ def verify_thm_1_2_type1(
     _require_type1_16(c)
     if c6 is None:
         c6 = support_design(c, 6)
+    elif c6.v != c.n:
+        raise PreconditionError(f"substitute design has v={c6.v}, not 16")
     lam, violation = _t_design_check(c6, 2)
     counting_ok = lam == 8
     delsarte_ok = delsarte_design_check(c6.blocks, c.n, 2)

@@ -91,21 +91,19 @@ def test_verify_json_round_trips(capsys, type1_file, type1):
     assert rep == verify_thm_1_2_type1(type1)
 
 
-def test_threads_flag_is_inert(capsys, type1_file):
-    outs = []
-    for threads in ("1", "4"):
-        code, payload = run_json(capsys, [
-            "verify", "cor1.5", "-g", type1_file,
-            "--format", "json", "--threads", threads])
-        assert code == 0
-        payload.pop("timings")
-        outs.append(json.dumps(payload, sort_keys=True))
-    assert outs[0] == outs[1]
-
-
 def test_verify_precondition_is_usage_error(capsys):
     assert run(["verify", "thm1.2-1", "-b", "e8+e8"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v", [12, 17, 20])
+def test_substitute_design_must_live_on_16_points(capsys, tmp_path, c6, v):
+    path = tmp_path / "c6.json"
+    blocks = c6.blocks if v > 16 else (tuple(range(1, 7)), tuple(range(7, 13)))
+    write_design_file(path, Design(v, blocks))
+    assert run(["verify", "thm1.2-1", "-b", "type1_16", "-d", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"v={v}, not 16" in err and "Traceback" not in err
 
 
 def test_verify_guard_exit_code(capsys, tmp_path):
@@ -165,11 +163,20 @@ def test_harmonic_commands(capsys, type1_file):
         "harmonic", "basis-dim", "--n", "16", "--k", "2", "--format", "json"])
     assert code == 0 and payload["dimension"] == 104
     code, payload = run_json(capsys, [
+        "harmonic", "basis-dim", "--n", "4", "--k", "3", "--format", "json"])
+    assert code == 0 and payload["dimension"] == 0
+    code, payload = run_json(capsys, [
         "harmonic", "wenum", "-g", type1_file, "--k", "1", "--index", "3",
         "--format", "json"])
     assert code == 0 and payload["zero"] is True
     assert run(["harmonic", "transform-check", "-b", "e8", "--k", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])
+def test_basis_dim_out_of_range_is_usage_error(capsys, n, k):
+    assert run(["harmonic", "basis-dim", "--n", str(n), "--k", str(k)]) == 2
+    assert "k out of range" in capsys.readouterr().err
 
 
 def test_poly_gleason(capsys, type1_file):

@@ -6,7 +6,9 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from amdesign import ratlin
 from amdesign.gf2core import (
     EnumerationGuardError,
     code_from_rows,
@@ -22,47 +24,38 @@ from amdesign.harmonic import (
     harm_basis,
     harm_dimension,
     harmonic_weight_enumerator,
-    ksubsets,
-    subset_rank,
-    subset_unrank,
     zcf,
 )
 from amdesign.polyring import HomPoly, weight_enumerator_poly
 
 
-def test_ksubsets_colex_order():
-    assert list(ksubsets(4, 2)) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
-    assert list(ksubsets(3, 0)) == [()]
-    with pytest.raises(ValueError):
-        list(ksubsets(3, 4))
-
-
-def test_subset_rank_unrank_round_trip():
-    for n, k in [(6, 1), (7, 3), (9, 4)]:
-        for i, z in enumerate(ksubsets(n, k)):
-            assert subset_rank(z) == i
-            assert subset_unrank(i, k) == z
+def mask(*points):
+    return sum(1 << (p - 1) for p in points)
 
 
 def test_harmonic_function_validation():
     with pytest.raises(ValueError):
-        HarmonicFunction(3, 4, ())
+        HarmonicFunction(3, 4, {})
     with pytest.raises(ValueError):
-        HarmonicFunction(3, 1, (1, 2))
-    f = HarmonicFunction(3, 1, (1, -1, 0))
+        HarmonicFunction(3, 1, {mask(1, 2): 1})
+    with pytest.raises(ValueError):
+        HarmonicFunction(3, 1, {mask(4): 1})
+    f = HarmonicFunction(3, 1, {mask(1): 1, mask(2): -1, mask(3): 0})
+    assert f.terms == {mask(1): 1, mask(2): -1}
     assert f.value_on((2,)) == -1
+    assert f.value_on((3,)) == 0
     with pytest.raises(ValueError):
         f.value_on((1, 2))
 
 
 def test_gamma_examples():
-    ones = HarmonicFunction(3, 2, (1, 1, 1))
-    assert gamma(ones).values == (2, 2, 2)
+    ones = HarmonicFunction(3, 2, {mask(1, 2): 1, mask(1, 3): 1, mask(2, 3): 1})
+    assert gamma(ones).terms == {mask(1): 2, mask(2): 2, mask(3): 2}
     for f in harm_basis(3, 1):
-        assert gamma(f).values == (0,)
+        assert gamma(f).terms == {}
         assert f.is_harmonic()
     with pytest.raises(ValueError):
-        gamma(HarmonicFunction(3, 0, (1,)))
+        gamma(HarmonicFunction(3, 0, {0: 1}))
 
 
 def test_harm_dimension():
@@ -72,6 +65,12 @@ def test_harm_dimension():
     for n, k in [(4, 1), (5, 2), (6, 2), (6, 3)]:
         assert harm_dimension(n, k) == comb(n, k) - comb(n, k - 1)
         assert len(harm_basis(n, k)) == harm_dimension(n, k)
+    for n, k in [(4, 3), (4, 4), (5, 3), (7, 4), (1, 1)]:
+        assert harm_dimension(n, k) == 0
+        assert harm_basis(n, k) == ()
+    for n, k in [(3, 5), (4, -1), (0, 1)]:
+        with pytest.raises(ValueError):
+            harm_dimension(n, k)
 
 
 def test_harm_basis_is_harmonic_and_independent():
@@ -79,7 +78,7 @@ def test_harm_basis_is_harmonic_and_independent():
     for f in basis:
         assert f.is_harmonic()
     # independence: the value matrix has full rank over the rationals
-    rows = [list(f.values) for f in basis]
+    rows = [[f.value_on(z) for z in combinations(range(1, 7), 2)] for f in basis]
     rank = 0
     for col in range(len(rows[0])):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -93,6 +92,80 @@ def test_harm_basis_is_harmonic_and_independent():
                 rows[i] = [a - scale * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     assert rank == len(basis)
+
+
+def _nullspace_oracle(n, k):
+    """Harm_k(n) by rational elimination: the kernel of the C(n,k-1) x C(n,k)
+    inclusion matrix, columns in lexicographic order of the k-subsets."""
+    if k == 0:
+        return [[1]]
+    cols = list(combinations(range(1, n + 1), k))
+    rows = list(combinations(range(1, n + 1), k - 1))
+    matrix = [[int(set(y) <= set(z)) for z in cols] for y in rows]
+    return ratlin.nullspace(matrix)
+
+
+@pytest.mark.parametrize("n, k", [
+    (1, 0), (4, 0), (2, 1), (5, 1), (4, 2), (5, 2), (6, 2), (7, 3), (6, 3),
+    (8, 3), (8, 4), (4, 3), (5, 3), (5, 5), (9, 4),
+])
+def test_polytabloids_span_the_nullspace(n, k):
+    basis = harm_basis(n, k)
+    dim = harm_dimension(n, k)
+    assert len(basis) == dim
+    assert all(f.is_harmonic() for f in basis)
+    dense = [[f.value_on(z) for z in combinations(range(1, n + 1), k)] for f in basis]
+    kernel = _nullspace_oracle(n, k)
+    assert len(kernel) == dim
+    assert len(ratlin.rref(dense)[1]) == dim
+    assert len(ratlin.rref(dense + kernel)[1]) == dim
+
+
+def test_second_rows_are_standard_and_in_lexicographic_order():
+    # Harm_2(5): second rows 24 25 34 35 45, whose i-th points pair with the
+    # i-th smallest points outside them: 13 13 12 12 12.
+    tableaux = [((2, 4), (1, 3)), ((2, 5), (1, 3)), ((3, 4), (1, 2)),
+                ((3, 5), (1, 2)), ((4, 5), (1, 2))]
+    basis = harm_basis(5, 2)
+    assert len(basis) == len(tableaux)
+    for f, ((b1, b2), (a1, a2)) in zip(basis, tableaux):
+        assert f.terms == {mask(b1, b2): 1, mask(a1, b2): -1,
+                           mask(b1, a2): -1, mask(a1, a2): 1}
+
+
+@pytest.mark.parametrize("blocks, n", [
+    ([(1, 1, 2)], 5),
+    ([(1, 2, 3), (2, 4, 4)], 5),
+    ([(0, 1, 2)], 5),
+    ([(1, 2, 6)], 5),
+    ([(1, 2, 3), (3, 4, 20)], 16),
+])
+def test_delsarte_rejects_bad_points(blocks, n):
+    with pytest.raises(ValueError):
+        delsarte_design_check(blocks, n, 1)
+
+
+@st.composite
+def functions_and_blocks(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(0, n))
+    subsets = list(combinations(range(1, n + 1), k))
+    chosen = draw(st.lists(st.sampled_from(subsets), max_size=12))
+    values = draw(st.lists(st.fractions(max_denominator=5) | st.integers(-5, 5),
+                           min_size=len(chosen), max_size=len(chosen)))
+    f = HarmonicFunction(n, k, {mask(*z): v for z, v in zip(chosen, values)})
+    basis = harm_basis(n, k)
+    if basis:
+        f = f + draw(st.integers(-3, 3)) * basis[draw(st.integers(0, len(basis) - 1))]
+    block = draw(st.sets(st.integers(1, n)))
+    return f, sorted(block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(functions_and_blocks())
+def test_tilde_is_the_sum_over_k_subsets(case):
+    f, block = case
+    assert f.tilde(block) == sum(f.value_on(z) for z in combinations(block, f.k))
 
 
 def test_harm_basis_guard():
