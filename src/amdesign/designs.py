@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -113,50 +112,58 @@ def union(d1: Design, d2: Design) -> Design:
     return Design(d1.v, d1.blocks + d2.blocks)
 
 
-def _coverage_counts(d: Design, t: int) -> Counter:
-    """How many blocks contain each t-subset, keyed by the subset's point
-    mask (bit p-1 for point p). Only subsets inside some block appear, so a
-    missing key counts 0; the work is b * C(k, t), not b * C(v, t)."""
-    if t < 0 or t > d.k:
-        raise ValueError("t out of range")
-    counts: Counter = Counter()
-    for block in d.blocks:
-        counts.update(map(sum, combinations([1 << (p - 1) for p in block], t)))
-    return counts
-
-
-def _constant_count(d: Design, t: int, counts: Counter) -> int | None:
-    values = set(counts.values())
-    if len(counts) < comb(d.v, t):
-        values.add(0)
-    return values.pop() if len(values) == 1 else None
-
-
 def _t_design_check(
     d: Design, t: int
 ) -> tuple[int | None, tuple[tuple[int, ...], int, tuple[int, ...], int] | None]:
-    """(lambda, violation) from one count: exactly one of the two is None.
+    """(lambda, violation) from one walk: exactly one of the two is None.
 
-    The violation is the witness of t_design_violation: the lexicographically
-    first t-subset with its coverage, then the first t-subset after it whose
-    coverage differs."""
-    counts = _coverage_counts(d, t)
-    lam = _constant_count(d, t, counts)
-    if lam is not None:
+    Each point gets a b-bit incidence mask (bit i for block i), and the cover
+    of a t-subset is the popcount of the AND of its points' masks. The
+    t-subsets are walked in lexicographic order, each prefix's AND shared by
+    the subsets below it, until one's cover differs from the first subset's.
+    That pair is the violation, the witness of t_design_violation: the
+    lexicographically first t-subset with its cover, then the first t-subset
+    after it whose cover differs."""
+    if t < 0 or t > d.k:
+        raise ValueError("t out of range")
+    if t == 0:
+        return d.b, None
+    v = d.v
+    incidence = [0] * (v + 1)
+    for i, block in enumerate(d.blocks):
+        for p in block:
+            incidence[p] |= 1 << i
+    every_block = (1 << d.b) - 1
+    first = tuple(range(1, t + 1))
+    cover = every_block
+    for p in first:
+        cover &= incidence[p]
+    lam = cover.bit_count()
+
+    def differing(prefix: tuple[int, ...], cover: int, start: int):
+        # The first t-subset extending prefix by points >= start whose
+        # cover is not lam, with that cover; None when there is none.
+        if len(prefix) == t - 1:
+            for q in range(start, v + 1):
+                count = (cover & incidence[q]).bit_count()
+                if count != lam:
+                    return prefix + (q,), count
+            return None
+        for q in range(start, v - t + len(prefix) + 2):
+            found = differing(prefix + (q,), cover & incidence[q], q + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = differing((), every_block, 1)
+    if found is None:
         return lam, None
-    bits = [1 << (p - 1) for p in range(1, d.v + 1)]
-    walk = zip(combinations(range(1, d.v + 1), t), map(sum, combinations(bits, t)))
-    first, mask = next(walk)
-    first_count = counts[mask]
-    for pts, mask in walk:
-        if counts[mask] != first_count:
-            return None, (first, first_count, pts, counts[mask])
-    raise AssertionError("coverage varies but no differing subset was found")
+    return None, (first, lam, *found)
 
 
 def is_t_design(d: Design, t: int) -> int | None:
     """The constant t-subset coverage count, or None when coverage varies."""
-    return _constant_count(d, t, _coverage_counts(d, t))
+    return _t_design_check(d, t)[0]
 
 
 def t_design_violation(

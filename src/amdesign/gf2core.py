@@ -172,13 +172,17 @@ def is_subcode(a: BinaryCode, b: BinaryCode) -> bool:
     return all(b.contains(row) for row in a.basis)
 
 
-def iter_codewords(c: BinaryCode) -> Iterator[int]:
-    """All 2^k codewords in Gray-code order, one basis XOR per step."""
+def _check_guard(c: BinaryCode) -> None:
     if c.dimension > ENUMERATION_GUARD_K:
         raise EnumerationGuardError(
             f"dimension {c.dimension} exceeds the enumeration guard "
             f"k <= {ENUMERATION_GUARD_K}"
         )
+
+
+def iter_codewords(c: BinaryCode) -> Iterator[int]:
+    """All 2^k codewords in Gray-code order, one basis XOR per step."""
+    _check_guard(c)
     word = 0
     yield word
     for m in range(1, 1 << c.dimension):
@@ -218,11 +222,65 @@ class WeightDistribution:
         return all(w % 2 == 0 for w in self.counts)
 
 
+# weight_distribution bit-slices this many basis rows into one chunk of 2^16-bit columns.
+_SLICE_K = 16
+
+
+def _row_pattern(r: int, size: int) -> int:
+    """The size-bit integer whose bit i is bit r of i."""
+    block, width = ((1 << (1 << r)) - 1) << (1 << r), 2 << r
+    while width < size:
+        block |= block << width
+        width <<= 1
+    return block
+
+
 def weight_distribution(c: BinaryCode) -> WeightDistribution:
-    """Weight distribution by Gray-code enumeration (guard: k <= 28)."""
+    """Weight distribution by bit-sliced counting (guard: k <= 28).
+
+    The first m = min(k, 16) basis rows span a chunk of 2^m words. Column j
+    of the chunk is one 2^m-bit integer whose bit i is coordinate j of the
+    word sum of the rows picked by the bits of i. A ripple-carry adder over
+    the n columns gives the binary planes of every word's weight, and the
+    count of weight w is the popcount of the planes' intersection selected
+    by the bits of w. The code is the chunk translated by each word of the
+    span of the remaining rows; those offsets come from one Gray walk of
+    2^(k-m) words, and an offset complements the columns where it has a 1.
+    """
+    _check_guard(c)
+    head, tail = c.basis[:_SLICE_K], c.basis[_SLICE_K:]
+    size = 1 << len(head)
+    full = (1 << size) - 1
+    columns = [0] * c.n
+    for r, row in enumerate(head):
+        pattern = _row_pattern(r, size)
+        for j in support(row):
+            columns[j - 1] ^= pattern
     counts = [0] * (c.n + 1)
-    for word in iter_codewords(c):
-        counts[word.bit_count()] += 1
+    for offset in iter_codewords(BinaryCode(c.n, tail)):
+        planes: list[int] = []
+        for j, col in enumerate(columns):
+            carry = col ^ full if (offset >> j) & 1 else col
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        # Split the chunk by the planes, highest first: leaf w holds the
+        # words of weight w.
+        leaves = [full]
+        for plane in reversed(planes):
+            split = []
+            for leaf in leaves:
+                high = leaf & plane
+                split += (leaf ^ high, high)
+            leaves = split
+        for w, leaf in enumerate(leaves):
+            if leaf:
+                counts[w] += leaf.bit_count()
     return WeightDistribution({w: a for w, a in enumerate(counts) if a})
 
 
@@ -303,7 +361,9 @@ def classify(c: BinaryCode) -> CodeClass:
     doubly = is_doubly_even(c)
     self_orth = is_self_orthogonal(c)
     self_dual = self_orth and 2 * c.dimension == c.n
-    fsd = weight_distribution(c) == weight_distribution(dual(c))
+    # |C| = |C^perp| is necessary, and spares enumerating a large dual.
+    fsd = (2 * c.dimension == c.n
+           and weight_distribution(c) == weight_distribution(dual(c)))
     if even and fsd and c.dimension > 0:
         extremality = mallows_sloane(c.n, minimum_distance(c))
     else:

@@ -121,6 +121,8 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     """Hypothesis test for the classical weight-count criterion: at most
     d_dual - t nonzero weights of C are <= n - t. A pass lists the weights
     whose support designs the criterion promises to be t-designs."""
+    if t < 1:
+        raise PreconditionError("t must be at least 1")
     d = minimum_distance(c)
     if t >= d:
         raise PreconditionError("t must be less than the minimum distance")

@@ -2,11 +2,26 @@
 
 The t-design checks below are the original C(v,t)*b coverage scan: every
 t-subset of the point set is tested against every block, in lexicographic
-order. amdesign.designs counts the C(k,t) t-subsets of each block instead,
-and must agree with these exactly, witnesses included.
+order. coverage_counts is the per-block count that replaced it: a Counter
+over the C(k,t) t-subsets of each block. amdesign.designs walks the t-subsets
+through per-point block-incidence bitsets instead, and must agree with these
+exactly, witnesses included.
+
+weight_distribution is the Gray walk that gf2core's bit-sliced count
+replaced: one codeword per step, one weight tally per codeword.
 """
 
+from collections import Counter
 from itertools import combinations
+
+from amdesign.gf2core import WeightDistribution, iter_codewords
+
+
+def weight_distribution(c):
+    counts = [0] * (c.n + 1)
+    for word in iter_codewords(c):
+        counts[word.bit_count()] += 1
+    return WeightDistribution({w: a for w, a in enumerate(counts) if a})
 
 
 def _mask(points):
@@ -56,3 +71,14 @@ def design_strength(d, t_max):
             break
         strength = t
     return strength
+
+
+def coverage_counts(d, t):
+    """How many blocks contain each t-subset, keyed by the subset's point
+    mask (bit p-1 for point p); a missing key counts 0."""
+    if t < 0 or t > d.k:
+        raise ValueError("t out of range")
+    counts = Counter()
+    for block in d.blocks:
+        counts.update(map(sum, combinations([1 << (p - 1) for p in block], t)))
+    return counts

@@ -1,6 +1,7 @@
 """Command-line behavior: payloads, exit codes, JSON round-trips."""
 
 import json
+from math import comb
 
 import pytest
 
@@ -94,6 +95,9 @@ def test_verify_json_round_trips(capsys, type1_file, type1):
 def test_verify_precondition_is_usage_error(capsys):
     assert run(["verify", "thm1.2-1", "-b", "e8+e8"]) == 2
     assert "error:" in capsys.readouterr().err
+    for t in ("0", "-1"):
+        assert run(["verify", "am", "-b", "type1_16", "--t", t]) == 2
+        assert "t must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("v", [12, 17, 20])
@@ -104,6 +108,25 @@ def test_substitute_design_must_live_on_16_points(capsys, tmp_path, c6, v):
     assert run(["verify", "thm1.2-1", "-b", "type1_16", "-d", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"v={v}, not 16" in err and "Traceback" not in err
+
+
+def test_code_info_skips_the_dual_when_2k_is_not_n(capsys, tmp_path):
+    # Four disjoint blocks of ten; the dual has 2^36 words, beyond the guard.
+    thin = tmp_path / "n40k4.gm"
+    thin.write_text("".join("0" * (10 * i) + "1" * 10 + "0" * (30 - 10 * i) + "\n"
+                            for i in range(4)))
+    code, payload = run_json(capsys, ["code", "info", "-g", str(thin),
+                                      "--format", "json"])
+    assert code == 0
+    assert payload["dimension"] == 4
+    assert payload["class"]["formally_self_dual"] is False
+    assert payload["weight_distribution"] == {
+        str(10 * j): comb(4, j) for j in range(5)}
+    wide = tmp_path / "n30k29.gm"
+    wide.write_text("".join("0" * i + "11" + "0" * (28 - i) + "\n"
+                            for i in range(29)))
+    assert run(["code", "info", "-g", str(wide)]) == 3
+    assert "resource guard" in capsys.readouterr().err
 
 
 def test_verify_guard_exit_code(capsys, tmp_path):

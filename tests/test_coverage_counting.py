@@ -1,4 +1,5 @@
-"""The per-block t-subset count against the full C(v,t)*b scan it replaced."""
+"""The incidence-bitset t-design walk against the C(v,t)*b scan and the
+per-block t-subset count it replaced."""
 
 from math import comb
 
@@ -9,7 +10,6 @@ import oracles
 from amdesign import verify
 from amdesign.designs import (
     Design,
-    _coverage_counts,
     design_strength,
     is_t_design,
     support_design,
@@ -56,10 +56,19 @@ def test_random_designs_match_the_scan(d):
 @given(small_designs(), st.data())
 def test_counts_sum_to_b_times_c_k_t(d, data):
     t = data.draw(st.integers(0, d.k))
-    counts = _coverage_counts(d, t)
+    counts = oracles.coverage_counts(d, t)
     assert sum(counts.values()) == d.b * comb(d.k, t)
     assert len(counts) <= min(comb(d.v, t), d.b * comb(d.k, t))
     assert all(mask.bit_count() == t for mask in counts)
+
+
+@SETTINGS
+@given(small_designs(), st.data())
+def test_walk_agrees_with_the_per_block_count(d, data):
+    t = data.draw(st.integers(0, d.k))
+    counts = oracles.coverage_counts(d, t)
+    covers = set(counts.values()) | ({0} if len(counts) < comb(d.v, t) else set())
+    assert is_t_design(d, t) == (covers.pop() if len(covers) == 1 else None)
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -91,8 +91,9 @@ def test_assmus_mattson_not_applicable(type1):
         assert w["nonzero_weights_at_most_n_minus_t"] == \
             ["4", "6", "8", "10", "12"]
         assert int(w["weight_count"]) > int(w["bound"])
-    with pytest.raises(PreconditionError):
-        assmus_mattson_check(type1, 4)
+    for t in (4, 0, -1):
+        with pytest.raises(PreconditionError):
+            assmus_mattson_check(type1, t)
 
 
 def test_thm_1_1_self_dual_cases(type1):
