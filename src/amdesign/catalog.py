@@ -16,6 +16,7 @@ from .gf2core import (
     code_from_strings,
     dual,
     format_generator,
+    mallows_sloane,
     parse_generator_text,
     weight_distribution,
 )
@@ -144,10 +145,10 @@ def search_even_fsd(n: int, d: int, cfg: SearchConfig = SearchConfig()) -> Binar
 
     Candidates are systematic generator matrices [I | A] whose rows are
     repaired to even weight; each survivor's spectrum is compared exactly with
-    its dual's. Deterministic given the seed.
+    its dual's. Deterministic given the seed. An (n, d) that no such code
+    has (odd, or above the Mallows-Sloane bound) is refused before searching.
     """
-    if n < 2 or n % 2:
-        raise ValueError("length must be a positive even integer")
+    mallows_sloane(n, d)
     half = n // 2
     rng = random.Random(cfg.seed)
     for _ in range(cfg.max_iterations):

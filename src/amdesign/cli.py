@@ -61,6 +61,7 @@ from .verify import (
     PreconditionError,
     assmus_mattson_check,
     exact_json,
+    report,
     strength_profile,
     verify_cor_1_5,
     verify_thm_1_1,
@@ -95,11 +96,24 @@ def _print_payload(args, payload: dict, text_lines) -> None:
             print(line)
 
 
+def _print_code(args, c: BinaryCode, payload: dict) -> int:
+    """The generator rows as text, or the payload as one line of JSON."""
+    if args.format == "json":
+        print(json.dumps(payload))
+    else:
+        sys.stdout.write(format_generator(c))
+    return 0
+
+
 def _emit_report(args, rep, started: float) -> int:
     envelope = rep.to_dict()
     envelope["timings"] = {"total_ms": (time.perf_counter() - started) * 1000.0}
     if args.format == "json":
         print(json.dumps(envelope, indent=2))
+    elif rep.scenario == "profile":
+        w = rep.witnesses
+        print("per weight: " + " ".join(f"{k}:{t}" for k, t in w["per_weight"].items()))
+        print(f"delta = {w['delta']}, s = {w['s']}")
     else:
         print(f"scenario: {rep.scenario}")
         print(f"verdict: {rep.verdict}")
@@ -140,11 +154,7 @@ def _cmd_code_info(args) -> int:
 
 def _cmd_code_dual(args) -> int:
     c = dual(_load_code(args))
-    if args.format == "json":
-        print(json.dumps({"length": c.n, "rows": format_generator(c).split()}))
-    else:
-        sys.stdout.write(format_generator(c))
-    return 0
+    return _print_code(args, c, {"length": c.n, "rows": format_generator(c).split()})
 
 
 def _cmd_code_weights(args) -> int:
@@ -157,12 +167,8 @@ def _cmd_code_weights(args) -> int:
 
 def _cmd_code_subcode(args) -> int:
     c = doubly_even_subcode(_load_code(args))
-    if args.format == "json":
-        print(json.dumps({"length": c.n, "dimension": c.dimension,
-                          "rows": format_generator(c).split()}))
-    else:
-        sys.stdout.write(format_generator(c))
-    return 0
+    return _print_code(args, c, {"length": c.n, "dimension": c.dimension,
+                                 "rows": format_generator(c).split()})
 
 
 # ---------------------------------------------------------------- design
@@ -251,12 +257,10 @@ def _cmd_harmonic_wenum(args) -> int:
 def _cmd_harmonic_transform_check(args) -> int:
     c = _load_code(args)
     dual_code = dual(c)
-    mismatches = []
-    for idx, f in enumerate(harm_basis(c.n, args.k)):
-        lhs = bachoc_transform(zcf(c, f), args.k, c.size, c.n)
-        if lhs != zcf(dual_code, f):
-            mismatches.append(idx)
-    count = len(harm_basis(c.n, args.k))
+    basis = harm_basis(c.n, args.k)
+    mismatches = [idx for idx, f in enumerate(basis)
+                  if bachoc_transform(zcf(c, f), args.k, c.size, c.n) != zcf(dual_code, f)]
+    count = len(basis)
     payload = {"k": args.k, "functions": count, "mismatches": mismatches}
     _print_payload(args, payload, [
         f"{count} basis function(s), {len(mismatches)} mismatch(es)"])
@@ -303,16 +307,12 @@ def _cmd_poly_lemma41(args) -> int:
 
 def _search_payload(args, c: BinaryCode) -> int:
     wd = weight_distribution(c)
-    if args.format == "json":
-        print(json.dumps({
-            "length": c.n,
-            "dimension": c.dimension,
-            "rows": format_generator(c).split(),
-            "weight_distribution": {str(w): a for w, a in sorted(wd.counts.items())},
-        }))
-    else:
-        sys.stdout.write(format_generator(c))
-    return 0
+    return _print_code(args, c, {
+        "length": c.n,
+        "dimension": c.dimension,
+        "rows": format_generator(c).split(),
+        "weight_distribution": {str(w): a for w, a in sorted(wd.counts.items())},
+    })
 
 
 def _cmd_search_type1(args) -> int:
@@ -328,58 +328,33 @@ def _cmd_search_fsd(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _cmd_verify_am(args) -> int:
-    started = time.perf_counter()
-    return _emit_report(args, assmus_mattson_check(_load_code(args), args.t), started)
-
-
-def _cmd_verify_thm11(args) -> int:
-    started = time.perf_counter()
-    return _emit_report(args, verify_thm_1_1(_load_code(args)), started)
-
-
-def _cmd_verify_thm121(args) -> int:
-    started = time.perf_counter()
+def _verify_thm121(args):
     c6 = read_design_file(args.design) if args.design else None
-    return _emit_report(args, verify_thm_1_2_type1(_load_code(args), c6), started)
+    return verify_thm_1_2_type1(_load_code(args), c6)
 
 
-def _cmd_verify_thm122(args) -> int:
-    started = time.perf_counter()
-    return _emit_report(args, verify_thm_1_2_fsd(_load_code(args)), started)
-
-
-def _cmd_verify_thm14(args) -> int:
-    started = time.perf_counter()
-    return _emit_report(args, verify_thm_1_4_pipeline(read_design_file(args.design)),
-                        started)
-
-
-def _cmd_verify_cor15(args) -> int:
-    started = time.perf_counter()
-    return _emit_report(args, verify_cor_1_5(_load_code(args)), started)
-
-
-def _cmd_verify_profile(args) -> int:
-    started = time.perf_counter()
+def _verify_profile(args):
     prof = strength_profile(_load_code(args), args.t_cap)
-    envelope = {
-        "scenario": "profile",
-        "verdict": "pass",
-        "witnesses": exact_json({
-            "per_weight": prof.per_weight,
-            "delta": prof.delta,
-            "s": prof.s,
-        }),
-        "timings": {"total_ms": (time.perf_counter() - started) * 1000.0},
-    }
-    if args.format == "json":
-        print(json.dumps(envelope, indent=2))
-    else:
-        print("per weight: " + " ".join(
-            f"{w}:{t}" for w, t in sorted(prof.per_weight.items())))
-        print(f"delta = {prof.delta}, s = {prof.s}")
-    return 0
+    return report("profile", True,
+                  {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})
+
+
+# The report of each verify subcommand. Names are looked up when the command
+# runs, so a rebinding of a verifier in this module takes effect.
+_VERIFIERS = {
+    "am": lambda args: assmus_mattson_check(_load_code(args), args.t),
+    "thm1.1": lambda args: verify_thm_1_1(_load_code(args)),
+    "thm1.2-1": _verify_thm121,
+    "thm1.2-2": lambda args: verify_thm_1_2_fsd(_load_code(args)),
+    "thm1.4": lambda args: verify_thm_1_4_pipeline(read_design_file(args.design)),
+    "cor1.5": lambda args: verify_cor_1_5(_load_code(args)),
+    "profile": _verify_profile,
+}
+
+
+def _cmd_verify(args) -> int:
+    started = time.perf_counter()
+    return _emit_report(args, _VERIFIERS[args.subcommand](args), started)
 
 
 # ---------------------------------------------------------------- wiring
@@ -480,25 +455,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search_fsd)
 
     verify = top.add_parser("verify", help="theorem scenarios")
+    verify.set_defaults(func=_cmd_verify)
     sub = verify.add_subparsers(dest="subcommand", required=True)
     p = sub.add_parser("am", parents=[common, code_input])
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_verify_am)
-    sub.add_parser("thm1.1", parents=[common, code_input]).set_defaults(
-        func=_cmd_verify_thm11)
+    sub.add_parser("thm1.1", parents=[common, code_input])
     p = sub.add_parser("thm1.2-1", parents=[common, code_input])
     p.add_argument("-d", "--design", metavar="FILE", default=None,
                    help="substitute block multiset for the weight-6 design")
-    p.set_defaults(func=_cmd_verify_thm121)
-    sub.add_parser("thm1.2-2", parents=[common, code_input]).set_defaults(
-        func=_cmd_verify_thm122)
-    sub.add_parser("thm1.4", parents=[common, design_input]).set_defaults(
-        func=_cmd_verify_thm14)
-    sub.add_parser("cor1.5", parents=[common, code_input]).set_defaults(
-        func=_cmd_verify_cor15)
+    sub.add_parser("thm1.2-2", parents=[common, code_input])
+    sub.add_parser("thm1.4", parents=[common, design_input])
+    sub.add_parser("cor1.5", parents=[common, code_input])
     p = sub.add_parser("profile", parents=[common, code_input])
     p.add_argument("--t-cap", type=int, default=3)
-    p.set_defaults(func=_cmd_verify_profile)
 
     return parser
 

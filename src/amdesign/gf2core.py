@@ -222,7 +222,7 @@ class WeightDistribution:
         return all(w % 2 == 0 for w in self.counts)
 
 
-# weight_distribution bit-slices this many basis rows into one chunk of 2^16-bit columns.
+# _weight_leaves bit-slices this many basis rows into one chunk of 2^16-bit columns.
 _SLICE_K = 16
 
 
@@ -235,32 +235,33 @@ def _row_pattern(r: int, size: int) -> int:
     return block
 
 
-def weight_distribution(c: BinaryCode) -> WeightDistribution:
-    """Weight distribution by bit-sliced counting (guard: k <= 28).
+def _weight_leaves(c: BinaryCode) -> Iterator[tuple[tuple[int, ...], int, list, list]]:
+    """The code as bit-sliced chunks split by word weight (guard: k <= 28).
 
     The first m = min(k, 16) basis rows span a chunk of 2^m words. Column j
     of the chunk is one 2^m-bit integer whose bit i is coordinate j of the
-    word sum of the rows picked by the bits of i. A ripple-carry adder over
-    the n columns gives the binary planes of every word's weight, and the
-    count of weight w is the popcount of the planes' intersection selected
-    by the bits of w. The code is the chunk translated by each word of the
-    span of the remaining rows; those offsets come from one Gray walk of
-    2^(k-m) words, and an offset complements the columns where it has a 1.
+    word sum of the rows picked by the bits of i. The code is the chunk
+    translated by each word of the span of the remaining rows; those offsets
+    come from one Gray walk of 2^(k-m) words, and an offset complements the
+    columns where it has a 1. A ripple-carry adder over the n columns gives
+    the binary planes of every word's weight, and splitting the chunk by the
+    planes gives leaf w, the 2^m-bit set of chunk words of weight w.
+
+    Yields (head rows, offset, columns, leaves[0..n]) per chunk.
     """
     _check_guard(c)
     head, tail = c.basis[:_SLICE_K], c.basis[_SLICE_K:]
     size = 1 << len(head)
     full = (1 << size) - 1
-    columns = [0] * c.n
+    base = [0] * c.n
     for r, row in enumerate(head):
         pattern = _row_pattern(r, size)
         for j in support(row):
-            columns[j - 1] ^= pattern
-    counts = [0] * (c.n + 1)
+            base[j - 1] ^= pattern
     for offset in iter_codewords(BinaryCode(c.n, tail)):
+        columns = [col ^ full if (offset >> j) & 1 else col for j, col in enumerate(base)]
         planes: list[int] = []
-        for j, col in enumerate(columns):
-            carry = col ^ full if (offset >> j) & 1 else col
+        for carry in columns:
             for i, plane in enumerate(planes):
                 planes[i] = plane ^ carry
                 carry &= plane
@@ -269,8 +270,7 @@ def weight_distribution(c: BinaryCode) -> WeightDistribution:
             else:
                 if carry:
                     planes.append(carry)
-        # Split the chunk by the planes, highest first: leaf w holds the
-        # words of weight w.
+        # Split by the planes, highest first.
         leaves = [full]
         for plane in reversed(planes):
             split = []
@@ -278,9 +278,30 @@ def weight_distribution(c: BinaryCode) -> WeightDistribution:
                 high = leaf & plane
                 split += (leaf ^ high, high)
             leaves = split
+        yield head, offset, columns, (leaves + [0] * c.n)[:c.n + 1]
+
+
+def _leaf_words(head: tuple[int, ...], offset: int, leaf: int) -> Iterator[int]:
+    """The chunk words at the set bits of a leaf; low[i] is the sum of the
+    rows of head[:8] picked by the bits of i, high[i] that of head[8:]."""
+    low, high = [0], [0]
+    for r, row in enumerate(head):
+        span = low if r < 8 else high
+        span += [x ^ row for x in span]
+    bits = f"{leaf:b}"[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield low[i & 255] ^ high[i >> 8] ^ offset
+        i = bits.find("1", i + 1)
+
+
+def weight_distribution(c: BinaryCode) -> WeightDistribution:
+    """Weight distribution by bit-sliced counting: the popcounts of the
+    weight leaves of every chunk (guard: k <= 28)."""
+    counts = [0] * (c.n + 1)
+    for _, _, _, leaves in _weight_leaves(c):
         for w, leaf in enumerate(leaves):
-            if leaf:
-                counts[w] += leaf.bit_count()
+            counts[w] += leaf.bit_count()
     return WeightDistribution({w: a for w, a in enumerate(counts) if a})
 
 
@@ -295,7 +316,8 @@ def codewords_of_weight(c: BinaryCode, w: int) -> list[int]:
     """All codewords of Hamming weight w, ascending as integers."""
     if w < 0 or w > c.n:
         raise ValueError("weight out of range")
-    return sorted(x for x in iter_codewords(c) if x.bit_count() == w)
+    return sorted(x for head, offset, _, leaves in _weight_leaves(c)
+                  for x in _leaf_words(head, offset, leaves[w]))
 
 
 def is_even(c: BinaryCode) -> bool:
@@ -391,7 +413,8 @@ def doubly_even_subcode(c: BinaryCode) -> BinaryCode:
         raise ValueError("code is not even")
     if is_doubly_even(c):
         return c
-    words = [w for w in iter_codewords(c) if w.bit_count() % 4 == 0]
+    words = [x for head, offset, _, leaves in _weight_leaves(c)
+             for x in _leaf_words(head, offset, sum(leaves[::4]))]  # disjoint: sum is OR
     sub = code_from_rows(words, c.n)
     if sub.size != len(words):
         raise ValueError("the doubly-even words do not form a subcode")

@@ -14,7 +14,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .gf2core import BinaryCode, EnumerationGuardError, iter_codewords, support
+from .gf2core import BinaryCode, EnumerationGuardError, _weight_leaves, support
 from .polyring import HomPoly
 
 __all__ = [
@@ -148,15 +148,20 @@ def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
 
 
 def harmonic_weight_enumerator(c: BinaryCode, f: HarmonicFunction) -> HomPoly:
-    """Sum over codewords of f~(support) x^(n-wt) y^wt."""
+    """Sum over codewords of f~(support) x^(n-wt) y^wt. The coefficient of
+    y^w sums v * |weight-w words containing m| over the terms (m, v) of f;
+    per bit-sliced chunk, the popcount of leaf w ANDed with m's columns."""
     if f.n != c.n:
         raise ValueError("code length and function ground set differ")
     coeffs = [0] * (c.n + 1)
-    for word in iter_codewords(c):
-        w = word.bit_count()
-        if w < f.k:
-            continue
-        coeffs[w] += f.tilde(support(word))
+    for _, _, columns, leaves in _weight_leaves(c):
+        live = [(w, leaf) for w, leaf in enumerate(leaves) if leaf]
+        for m, v in f.terms.items():
+            cover = -1  # all ones: the AND over no points
+            for p in support(m):
+                cover &= columns[p - 1]
+            for w, leaf in live:
+                coeffs[w] += v * (leaf & cover).bit_count()
     return HomPoly(c.n, tuple(coeffs))
 
 

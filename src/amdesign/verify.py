@@ -107,11 +107,12 @@ class StrengthProfile:
 
 
 def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
+    """Strength of each C_w up to min(t_cap, w): a block of size w bounds t."""
     wd = weight_distribution(c)
     per = {}
     for w in sorted(wd.counts):
         if 0 < w < c.n:
-            per[w] = design_strength(support_design(c, w), t_cap)
+            per[w] = design_strength(support_design(c, w), min(t_cap, w))
     if not per:
         raise ValueError("no weights strictly between 0 and n")
     return StrengthProfile(per)

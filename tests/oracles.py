@@ -7,14 +7,18 @@ over the C(k,t) t-subsets of each block. amdesign.designs walks the t-subsets
 through per-point block-incidence bitsets instead, and must agree with these
 exactly, witnesses included.
 
-weight_distribution is the Gray walk that gf2core's bit-sliced count
-replaced: one codeword per step, one weight tally per codeword.
+weight_distribution, codewords_of_weight, doubly_even_subcode and
+harmonic_weight_enumerator are the Gray walks that gf2core's bit-sliced
+weight leaves replaced: one codeword per step, and for the enumerator one
+tilde of the word's support per codeword.
 """
 
 from collections import Counter
 from itertools import combinations
 
-from amdesign.gf2core import WeightDistribution, iter_codewords
+from amdesign.gf2core import (
+    WeightDistribution, code_from_rows, is_doubly_even, is_even, iter_codewords, support)
+from amdesign.polyring import HomPoly
 
 
 def weight_distribution(c):
@@ -22,6 +26,36 @@ def weight_distribution(c):
     for word in iter_codewords(c):
         counts[word.bit_count()] += 1
     return WeightDistribution({w: a for w, a in enumerate(counts) if a})
+
+
+def codewords_of_weight(c, w):
+    if w < 0 or w > c.n:
+        raise ValueError("weight out of range")
+    return sorted(x for x in iter_codewords(c) if x.bit_count() == w)
+
+
+def doubly_even_subcode(c):
+    if not is_even(c):
+        raise ValueError("code is not even")
+    if is_doubly_even(c):
+        return c
+    words = [w for w in iter_codewords(c) if w.bit_count() % 4 == 0]
+    sub = code_from_rows(words, c.n)
+    if sub.size != len(words):
+        raise ValueError("the doubly-even words do not form a subcode")
+    return sub
+
+
+def harmonic_weight_enumerator(c, f):
+    if f.n != c.n:
+        raise ValueError("code length and function ground set differ")
+    coeffs = [0] * (c.n + 1)
+    for word in iter_codewords(c):
+        w = word.bit_count()
+        if w < f.k:
+            continue
+        coeffs[w] += f.tilde(support(word))
+    return HomPoly(c.n, tuple(coeffs))
 
 
 def _mask(points):

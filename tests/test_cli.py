@@ -256,3 +256,40 @@ def test_malformed_design_file_is_input_error(capsys, tmp_path, body):
     assert run(["design", "check", "-d", str(path), "--t", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_profile_text_and_json(capsys):
+    assert run(["verify", "profile", "-b", "type1_16", "--t-cap", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "per weight: 4:1 6:2 8:1 10:2 12:1\ndelta = 1, s = 2\n")
+    code, payload = run_json(capsys, [
+        "verify", "profile", "-b", "type1_16", "--t-cap", "3", "--format", "json"])
+    assert code == 0
+    assert list(payload) == ["scenario", "verdict", "witnesses", "timings"]
+    assert payload["scenario"] == "profile" and payload["verdict"] == "pass"
+    assert payload["witnesses"] == {
+        "per_weight": {"4": "1", "6": "2", "8": "1", "10": "2", "12": "1"},
+        "delta": "1", "s": "2"}
+
+
+def test_verify_profile_caps_t_at_each_block_size(capsys):
+    # C_4 has blocks of size 4, so a cap of 5 tests it only up to t = 4.
+    outputs = []
+    for cap in ("4", "5"):
+        code, payload = run_json(capsys, [
+            "verify", "profile", "-b", "type1_16", "--t-cap", cap, "--format", "json"])
+        assert code == 0
+        outputs.append(payload["witnesses"])
+    assert outputs[0] == outputs[1]
+    assert run(["verify", "profile", "-b", "type1_16", "--t-cap", "-1"]) == 2
+    assert "t_max out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "16", "--d", "3", "--max-iterations", "50"],   # odd distance
+    ["--d", "8"],                                          # above 2*floor(16/8)+2 = 6
+])
+def test_search_fsd_refuses_impossible_distances(capsys, argv):
+    assert run(["search", "fsd", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

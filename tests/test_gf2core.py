@@ -248,6 +248,9 @@ def test_doubly_even_subcode(type1):
     assert is_subcode(t0, type1)
     with pytest.raises(ValueError):
         doubly_even_subcode(code_from_strings(["10"]))
+    # The rows meet once, so their sum has weight 6: not closed.
+    with pytest.raises(ValueError, match="do not form a subcode"):
+        doubly_even_subcode(code_from_strings(["11110000", "10001110"]))
 
 
 def test_self_dual_is_even():

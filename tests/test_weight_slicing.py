@@ -1,33 +1,67 @@
-"""The bit-sliced weight count against the Gray walk it replaced."""
+"""The bit-sliced weight leaves against the Gray walks they replaced: the
+weight count, the words of one weight, the doubly-even subcode and the
+harmonic weight enumerators."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from amdesign import gf2core
-from amdesign.gf2core import code_from_rows, dual, weight_distribution
+from amdesign.gf2core import (
+    code_from_rows, code_from_strings, codewords_of_weight, doubly_even_subcode, dual,
+    weight_distribution)
+from amdesign.harmonic import HarmonicFunction, gamma, harm_basis, harmonic_weight_enumerator
 from amdesign.polyring import macwilliams_transform_classical
 
 
-def random_code(seed, n, k, all_ones=False):
-    """A random [n, k] code; its first generator is the all-ones word when asked."""
+def random_code(seed, n, k, all_ones=False, even=False):
+    """A random [n, k] code; its first generator is the all-ones word when
+    asked, and every generator has even weight when asked."""
     rng = random.Random(seed)
     c = code_from_rows([(1 << n) - 1] if all_ones else [], n)
     while c.dimension < k:
-        c = code_from_rows(c.basis + (rng.getrandbits(n),), n)
+        row = rng.getrandbits(n)
+        c = code_from_rows(c.basis + (row ^ (even and row.bit_count() & 1),), n)
     return c
 
 
 @st.composite
-def codes(draw):
-    n = draw(st.integers(1, 48))
-    k = draw(st.integers(0, min(n, 20)))
+def codes(draw, max_n=48, max_k=20):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, min(n, max_k)))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
     if rows and draw(st.booleans()):
         rows[0] = (1 << n) - 1
     return code_from_rows(rows, n)
+
+
+def evened(c):
+    """The code spanned by c's generators with their parity bit cleared."""
+    return code_from_rows([r ^ (r.bit_count() & 1) for r in c.basis], c.n)
+
+
+def some_functions(n, seed):
+    """Harm_1 and Harm_2 basis functions, the gamma image of a random
+    function on 3-subsets, and a Fraction-weighted combination."""
+    rng = random.Random(seed)
+    ones, twos = harm_basis(n, 1), harm_basis(n, 2) if n >= 2 else ()
+    fs = [rng.choice(b) for b in (ones, twos) if b]
+    if n >= 3:
+        terms = {sum(1 << p for p in rng.sample(range(n), 3)): rng.randint(-3, 3)
+                 for _ in range(6)}
+        fs.append(gamma(HarmonicFunction(n, 3, terms)))
+    if len(ones) >= 2:
+        fs.append(Fraction(1, 3) * ones[0] + Fraction(-5, 2) * ones[-1])
+    return fs
+
+
+# Two chunks: k = 16 fills one, k = 17 takes a second offset.
+TWO_CHUNKS = [random_code(7, 18, 16), random_code(8, 18, 17, all_ones=True),
+              random_code(9, 20, 17, even=True)]
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -52,8 +86,67 @@ def test_dual_spectrum_is_the_macwilliams_transform(k):
     assert dual_wd == macwilliams_transform_classical(wd, 44, k)
 
 
-@pytest.mark.parametrize("k", [8, 16, 20, 24])
-def test_one_walk_of_the_offsets_per_call(monkeypatch, k):
+@settings(max_examples=60, deadline=None, database=None)
+@given(codes(max_k=12))
+@example(TWO_CHUNKS[0])
+@example(TWO_CHUNKS[1])
+def test_words_of_each_weight_match_the_walk(c):
+    for w in range(c.n + 1):
+        assert codewords_of_weight(c, w) == oracles.codewords_of_weight(c, w)
+
+
+# span{11110000, 10001110}: the two weight-4 rows meet once, so their sum
+# has weight 6 and the weight-0 mod 4 words are not closed under addition.
+NOT_CLOSED = code_from_strings(["11110000", "10001110"])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(codes(max_k=12).map(evened))
+@example(NOT_CLOSED)
+@example(code_from_strings(["10"]))
+@example(evened(TWO_CHUNKS[0]))
+@example(TWO_CHUNKS[2])
+def test_doubly_even_subcode_matches_the_walk(c):
+    try:
+        expected = oracles.doubly_even_subcode(c)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            doubly_even_subcode(c)
+    else:
+        assert doubly_even_subcode(c) == expected
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(codes(max_n=14, max_k=10), st.integers(0, 2**32))
+@example(TWO_CHUNKS[0], 1)
+@example(TWO_CHUNKS[1], 2)
+def test_harmonic_enumerators_match_the_walk(c, seed):
+    for f in some_functions(c.n, seed):
+        assert harmonic_weight_enumerator(c, f) == oracles.harmonic_weight_enumerator(c, f)
+
+
+def _subcode(c):
+    try:
+        doubly_even_subcode(c)
+    except ValueError:
+        pass  # a random even code's weight-0 mod 4 words rarely close
+
+
+CONSUMERS = {
+    "weight_distribution": weight_distribution,
+    "codewords_of_weight": lambda c: codewords_of_weight(c, 10),
+    "doubly_even_subcode": _subcode,
+    "harmonic_weight_enumerator": lambda c: harmonic_weight_enumerator(
+        c, harm_basis(c.n, 1)[0] + harm_basis(c.n, 1)[-1]),
+}
+
+
+# doubly_even_subcode is left out at k = 24: it reduces the 2^23 words it finds.
+@pytest.mark.parametrize("consumer, k", [
+    pytest.param(name, k, id=str(k) if name == "weight_distribution" else f"{name}-{k}")
+    for name in CONSUMERS for k in (8, 16, 20, 24)
+    if (name, k) != ("doubly_even_subcode", 24)])
+def test_one_walk_of_the_offsets_per_call(monkeypatch, consumer, k):
     real = gf2core.iter_codewords
     walks, words = [], []
 
@@ -64,6 +157,7 @@ def test_one_walk_of_the_offsets_per_call(monkeypatch, k):
             yield word
 
     monkeypatch.setattr(gf2core, "iter_codewords", counted)
-    weight_distribution(random_code(k, 40, k))
+    # doubly_even_subcode walks only an even code that is not doubly even.
+    CONSUMERS[consumer](random_code(k, 40, k, even=consumer == "doubly_even_subcode"))
     assert len(walks) == 1
     assert len(words) == 1 << max(0, k - 16)
