@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .gf2core import (
     BinaryCode,
+    Record,
     code_from_rows,
     code_from_strings,
     dual,
@@ -42,10 +42,11 @@ class SearchBudgetError(Exception):
     """A randomized search ran out of its iteration budget."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    seed: int = 0
-    max_iterations: int = 1_000_000
+class SearchConfig(Record):
+    __slots__ = ("seed", "max_iterations")
+
+    def __init__(self, seed: int = 0, max_iterations: int = 1_000_000) -> None:
+        self._set(seed, max_iterations)
 
 
 def _i2() -> BinaryCode:

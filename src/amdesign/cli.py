@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 
 from .gf2core import (
     BinaryCode,
@@ -134,7 +133,7 @@ def _cmd_code_info(args) -> int:
         "dimension": c.dimension,
         "size": c.size,
         "minimum_distance": dist,
-        "class": asdict(cls),
+        "class": cls.fields(),
         "weight_distribution": {str(w): a for w, a in sorted(wd.counts.items())},
     }
     flags = [name for name in (
@@ -360,126 +359,109 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
+# Options as (flags, add_argument keywords): those of every subcommand, those
+# of the subcommands that read a code or a design, and a required integer.
+_COMMON = (("--format", {"choices": ("text", "json"), "default": "text"}),
+           ("--seed", {"type": int, "default": 0}))
+_CODE = _COMMON + (
+    ("-g --generator", {"metavar": "FILE", "help": "generator matrix file"}),
+    ("-b --builtin", {"metavar": "NAME",
+                      "help": "builtin ('+'-composed) or stored code name"}))
+_DESIGN = _COMMON + (
+    ("-d --design", {"metavar": "FILE", "required": True, "help": "design JSON file"}),)
+_INT = {"type": int, "required": True}
 
-    code_input = argparse.ArgumentParser(add_help=False)
-    code_input.add_argument("-g", "--generator", metavar="FILE",
-                            help="generator matrix file")
-    code_input.add_argument("-b", "--builtin", metavar="NAME",
-                            help="builtin ('+'-composed) or stored code name")
+# group -> (help, {subcommand -> (command function, options)}). The functions
+# are named, not held: run() looks the name up in this module when it
+# dispatches, so a rebinding of a _cmd_* function takes effect.
+_COMMANDS = {
+    "code": ("code-level operations", {
+        "info": ("_cmd_code_info", _CODE),
+        "dual": ("_cmd_code_dual", _CODE),
+        "weights": ("_cmd_code_weights", _CODE),
+        "subcode": ("_cmd_code_subcode", _CODE),
+    }),
+    "design": ("design-level operations", {
+        "check": ("_cmd_design_check", _DESIGN + (("--t", _INT),)),
+        "from-code": ("_cmd_design_from_code", _CODE + (("--w", _INT),)),
+        "complement": ("_cmd_design_complement", _DESIGN),
+        "intersections": ("_cmd_design_intersections",
+                          _DESIGN + (("--block", {"type": int, "default": 0}),)),
+        "mendelsohn": ("_cmd_design_mendelsohn", _COMMON + (
+            ("--t", _INT), ("--v", _INT), ("--k", _INT), ("--lam", _INT), ("--m", _INT),
+            ("--allowed", {"required": True, "metavar": "I,J,...",
+                           "help": "comma-separated intersection sizes"}),
+            ("--fixed", {"action": "append", "metavar": "I=N",
+                         "help": "fix n_I to N (repeatable)"}),
+            ("--limit", {"type": int}))),
+    }),
+    "harmonic": ("harmonic-function operations", {
+        "basis-dim": ("_cmd_harmonic_basis_dim", _COMMON + (("--n", _INT), ("--k", _INT))),
+        "wenum": ("_cmd_harmonic_wenum", _CODE + (
+            ("--k", _INT), ("--index", {"type": int, "default": 0}))),
+        "transform-check": ("_cmd_harmonic_transform_check", _CODE + (("--k", _INT),)),
+    }),
+    "poly": ("invariant-polynomial operations", {
+        "gleason": ("_cmd_poly_gleason", _CODE + (
+            ("--t", {"type": int, "default": 0,
+                     "help": "0: classical enumerator; else harmonic degree"}),
+            ("--index", {"type": int, "default": 0}))),
+        "lemma4.1": ("_cmd_poly_lemma41", _COMMON + (
+            ("--alpha-max", {"type": int, "default": 16}),)),
+    }),
+    "search": ("randomized seeded code searches", {
+        "type1-16": ("_cmd_search_type1", _COMMON + (
+            ("--max-iterations", {"type": int, "default": 1_000_000}),)),
+        "fsd": ("_cmd_search_fsd", _COMMON + (
+            ("--n", {"type": int, "default": 16}), ("--d", {"type": int, "default": 4}),
+            ("--max-iterations", {"type": int, "default": 1_000_000}))),
+    }),
+    "verify": ("theorem scenarios", {
+        "am": ("_cmd_verify", _CODE + (("--t", _INT),)),
+        "thm1.1": ("_cmd_verify", _CODE),
+        "thm1.2-1": ("_cmd_verify", _CODE + (
+            ("-d --design", {"metavar": "FILE", "default": None,
+                             "help": "substitute block multiset for the weight-6 design"}),)),
+        "thm1.2-2": ("_cmd_verify", _CODE),
+        "thm1.4": ("_cmd_verify", _DESIGN),
+        "cor1.5": ("_cmd_verify", _CODE),
+        "profile": ("_cmd_verify", _CODE + (("--t-cap", {"type": int, "default": 3}),)),
+    }),
+}
 
-    design_input = argparse.ArgumentParser(add_help=False)
-    design_input.add_argument("-d", "--design", metavar="FILE", required=True,
-                              help="design JSON file")
 
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the branch that argv[:2] names when they name a known
+    group and subcommand, else of the whole table. The fixed usage line keeps
+    the top-level usage of both the same."""
     parser = argparse.ArgumentParser(
-        prog="amdesign",
+        prog="amdesign", usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
         description="Exact tooling for binary codes, harmonic enumerators, "
                     "and the block designs they support.")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    code = top.add_parser("code", help="code-level operations")
-    sub = code.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("info", parents=[common, code_input]).set_defaults(
-        func=_cmd_code_info)
-    sub.add_parser("dual", parents=[common, code_input]).set_defaults(
-        func=_cmd_code_dual)
-    sub.add_parser("weights", parents=[common, code_input]).set_defaults(
-        func=_cmd_code_weights)
-    sub.add_parser("subcode", parents=[common, code_input]).set_defaults(
-        func=_cmd_code_subcode)
-
-    design = top.add_parser("design", help="design-level operations")
-    sub = design.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("check", parents=[common, design_input])
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_design_check)
-    p = sub.add_parser("from-code", parents=[common, code_input])
-    p.add_argument("--w", type=int, required=True)
-    p.set_defaults(func=_cmd_design_from_code)
-    sub.add_parser("complement", parents=[common, design_input]).set_defaults(
-        func=_cmd_design_complement)
-    p = sub.add_parser("intersections", parents=[common, design_input])
-    p.add_argument("--block", type=int, default=0)
-    p.set_defaults(func=_cmd_design_intersections)
-    p = sub.add_parser("mendelsohn", parents=[common])
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lam", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--allowed", required=True, metavar="I,J,...",
-                   help="comma-separated intersection sizes")
-    p.add_argument("--fixed", action="append", metavar="I=N",
-                   help="fix n_I to N (repeatable)")
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=_cmd_design_mendelsohn)
-
-    harmonic = top.add_parser("harmonic", help="harmonic-function operations")
-    sub = harmonic.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("basis-dim", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_harmonic_basis_dim)
-    p = sub.add_parser("wenum", parents=[common, code_input])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=_cmd_harmonic_wenum)
-    p = sub.add_parser("transform-check", parents=[common, code_input])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_harmonic_transform_check)
-
-    poly = top.add_parser("poly", help="invariant-polynomial operations")
-    sub = poly.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("gleason", parents=[common, code_input])
-    p.add_argument("--t", type=int, default=0,
-                   help="0: classical enumerator; else harmonic degree")
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=_cmd_poly_gleason)
-    p = sub.add_parser("lemma4.1", parents=[common])
-    p.add_argument("--alpha-max", type=int, default=16)
-    p.set_defaults(func=_cmd_poly_lemma41)
-
-    search = top.add_parser("search", help="randomized seeded code searches")
-    sub = search.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("type1-16", parents=[common])
-    p.add_argument("--max-iterations", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_search_type1)
-    p = sub.add_parser("fsd", parents=[common])
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--max-iterations", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_search_fsd)
-
-    verify = top.add_parser("verify", help="theorem scenarios")
-    verify.set_defaults(func=_cmd_verify)
-    sub = verify.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("am", parents=[common, code_input])
-    p.add_argument("--t", type=int, required=True)
-    sub.add_parser("thm1.1", parents=[common, code_input])
-    p = sub.add_parser("thm1.2-1", parents=[common, code_input])
-    p.add_argument("-d", "--design", metavar="FILE", default=None,
-                   help="substitute block multiset for the weight-6 design")
-    sub.add_parser("thm1.2-2", parents=[common, code_input])
-    sub.add_parser("thm1.4", parents=[common, design_input])
-    sub.add_parser("cor1.5", parents=[common, code_input])
-    p = sub.add_parser("profile", parents=[common, code_input])
-    p.add_argument("--t-cap", type=int, default=3)
-
+    top = parser.add_subparsers(dest="command", required=True, prog="amdesign")
+    table = _COMMANDS
+    group, name = (*argv[:2], None, None)[:2]
+    if group in _COMMANDS and name in _COMMANDS[group][1]:
+        table = {group: (_COMMANDS[group][0], {name: _COMMANDS[group][1][name]})}
+    for group, (help_text, commands) in table.items():
+        sub = top.add_parser(group, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (func, options) in commands.items():
+            p = sub.add_parser(name)
+            for flags, keywords in options:
+                p.add_argument(*flags.split(), **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (EnumerationGuardError, SearchBudgetError) as err:
         print(f"resource guard: {err}", file=sys.stderr)
         return 3

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .gf2core import BinaryCode, code_from_rows, codewords_of_weight, support
+from .gf2core import BinaryCode, Record, code_from_rows, codewords_of_weight, support
 
 __all__ = [
     "Design",
@@ -37,27 +36,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(Record):
     """A multiset of equal-size blocks on the point set {1..v}.
 
     Blocks are stored sorted (each block internally and the block list), so
     equality is multiset equality.
     """
 
-    v: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("v", "blocks")
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.v):
+    def __init__(self, v: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        if not _is_int(v):
             raise ValueError("point count must be an integer")
-        if self.v < 1:
+        if v < 1:
             raise ValueError("point count must be positive")
-        if not self.blocks:
+        if not blocks:
             raise ValueError("a design needs at least one block")
         norm = []
         size = None
-        for block in self.blocks:
+        for block in blocks:
             if not all(_is_int(p) for p in block):
                 raise ValueError("block points must be integers")
             b = tuple(sorted(block))
@@ -67,11 +64,11 @@ class Design:
                 size = len(b)
             elif len(b) != size:
                 raise ValueError("blocks must share one size")
-            if not b or b[0] < 1 or b[-1] > self.v:
+            if not b or b[0] < 1 or b[-1] > v:
                 raise ValueError("block point out of range")
             norm.append(b)
         norm.sort()
-        object.__setattr__(self, "blocks", tuple(norm))
+        self._set(v, tuple(norm))
 
     @property
     def k(self) -> int:
@@ -205,16 +202,15 @@ def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> Fraction:
     return Fraction(lam * comb(v - i, t - i), comb(k - i, t - i))
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(Record):
     """Counts m_i of blocks meeting a reference block in exactly i points."""
 
-    k: int
-    counts: tuple[int, ...]
+    __slots__ = ("k", "counts")
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.k + 1:
+    def __init__(self, k: int, counts: tuple[int, ...]) -> None:
+        if len(counts) != k + 1:
             raise ValueError("profile must have k+1 entries")
+        self._set(k, counts)
 
     def as_dict(self) -> dict[int, int]:
         return {i: m for i, m in enumerate(self.counts) if m}
@@ -282,6 +278,8 @@ def mendelsohn_solve(
     if any(val < 0 for val in fixed.values()):
         raise ValueError("fixed values must be nonnegative")
     coeff = {i: [comb(i, j) for j in range(t + 1)] for i in allowed}
+    last_free = max((idx for idx, i in enumerate(allowed) if i not in fixed), default=-1)
+    fixed_after = sum(fixed[i] for i in allowed[last_free + 1:])
     solutions: list[tuple[int, ...]] = []
     assignment = [0] * len(allowed)
 
@@ -296,6 +294,10 @@ def mendelsohn_solve(
         ci = coeff[i]
         if i in fixed:
             lo = hi = fixed[i]
+        elif idx == last_free:
+            # Every C(i, 0) is 1, so the j = 0 row leaves one value to try.
+            hi = rhs[0] - partial[0] - fixed_after
+            lo = max(hi, 0)
         else:
             lo, hi = 0, lambdas[0]
         for val in range(lo, hi + 1):

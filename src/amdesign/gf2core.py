@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -13,6 +12,7 @@ __all__ = [
     "NEITHER",
     "NOT_APPLICABLE",
     "EnumerationGuardError",
+    "Record",
     "BinaryCode",
     "WeightDistribution",
     "CodeClass",
@@ -50,6 +50,47 @@ NOT_APPLICABLE = "not_applicable"
 
 class EnumerationGuardError(Exception):
     """An operation would exceed the desk-scale enumeration guard."""
+
+
+class Record:
+    """An immutable value: the fields are the names in ``__slots__``, which
+    the subclass's ``__init__`` sets once through ``_set``. Equality and the
+    hash go by the fields; instances of different classes never compare equal.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def fields(self) -> dict:
+        """Field name -> value, in declaration order."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in self.fields().items())
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def pack_row(bits: str | Iterable[int]) -> int:
@@ -95,24 +136,22 @@ def _rref(rows: Iterable[int]) -> list[int]:
     return reduced
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(Record):
     """A binary linear code; the stored basis is the canonical reduced form.
 
     Any row set passed in is reduced on construction, so two values describing
     the same subspace of GF(2)^n compare equal.
     """
 
-    n: int
-    basis: tuple[int, ...] = ()
+    __slots__ = ("n", "basis")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, basis: tuple[int, ...] = ()) -> None:
+        if n < 1:
             raise ValueError("code length must be positive")
-        for row in self.basis:
-            if row < 0 or row >> self.n:
+        for row in basis:
+            if row < 0 or row >> n:
                 raise ValueError("generator row does not fit the code length")
-        object.__setattr__(self, "basis", tuple(_rref(self.basis)))
+        self._set(n, tuple(_rref(basis)))
 
     @property
     def dimension(self) -> int:
@@ -190,21 +229,20 @@ def iter_codewords(c: BinaryCode) -> Iterator[int]:
         yield word
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(Record):
     """Exact codeword counts by Hamming weight; zero counts are dropped."""
 
-    counts: dict[int, int]
+    __slots__ = ("counts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, counts: dict[int, int]) -> None:
         clean: dict[int, int] = {}
-        for w in sorted(self.counts):
-            a = self.counts[w]
+        for w in sorted(counts):
+            a = counts[w]
             if w < 0 or a < 0:
                 raise ValueError("weights and counts must be nonnegative")
             if a:
                 clean[int(w)] = int(a)
-        object.__setattr__(self, "counts", clean)
+        self._set(clean)
 
     def count(self, w: int) -> int:
         return self.counts.get(w, 0)
@@ -365,16 +403,15 @@ def mallows_sloane(n: int, d: int) -> str:
     return NEITHER
 
 
-@dataclass(frozen=True)
-class CodeClass:
-    even: bool
-    doubly_even: bool
-    self_orthogonal: bool
-    self_dual: bool
-    formally_self_dual: bool
-    type_one: bool
-    type_two: bool
-    extremality: str
+class CodeClass(Record):
+    __slots__ = ("even", "doubly_even", "self_orthogonal", "self_dual",
+                 "formally_self_dual", "type_one", "type_two", "extremality")
+
+    def __init__(self, even: bool, doubly_even: bool, self_orthogonal: bool,
+                 self_dual: bool, formally_self_dual: bool, type_one: bool,
+                 type_two: bool, extremality: str) -> None:
+        self._set(even, doubly_even, self_orthogonal, self_dual,
+                  formally_self_dual, type_one, type_two, extremality)
 
 
 def classify(c: BinaryCode) -> CodeClass:
@@ -403,7 +440,7 @@ def classify(c: BinaryCode) -> CodeClass:
 
 
 def doubly_even_subcode(c: BinaryCode) -> BinaryCode:
-    """Subcode of words with weight divisible by 4; requires an even code.
+    """Subcode W of the words with weight divisible by 4; requires an even code.
 
     For an even self-orthogonal code this is the whole code or an index-2
     subcode. For even codes where the weight-0 mod 4 words are not closed
@@ -413,10 +450,22 @@ def doubly_even_subcode(c: BinaryCode) -> BinaryCode:
         raise ValueError("code is not even")
     if is_doubly_even(c):
         return c
-    words = [x for head, offset, _, leaves in _weight_leaves(c)
-             for x in _leaf_words(head, offset, sum(leaves[::4]))]  # disjoint: sum is OR
-    sub = code_from_rows(words, c.n)
-    if sub.size != len(words):
+    count, picks = 0, []
+    for j, (head, offset, _, leaves) in enumerate(_weight_leaves(c)):
+        leaf = sum(leaves[::4])  # disjoint leaves: sum is OR
+        count += leaf.bit_count()
+        # If W is a subspace, it is spanned by the first chunk's lowest word
+        # at each top index bit and by one word of each later chunk.
+        cuts = [1 << b for b in range(len(head) + 1)] if j == 0 else [1 << len(head)]
+        mask = 0
+        for lo, hi in zip([0] + cuts, cuts):
+            part = leaf & ((1 << hi) - (1 << lo))
+            mask |= part & -part
+        picks += _leaf_words(head, offset, mask)
+    # The picks lie in W, so their span S is W exactly when |S| = |W| and
+    # every word of S is doubly even.
+    sub = code_from_rows(picks, c.n)
+    if sub.size != count or not is_doubly_even(sub):
         raise ValueError("the doubly-even words do not form a subcode")
     return sub
 

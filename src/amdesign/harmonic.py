@@ -6,7 +6,6 @@ A function on the k-subsets of {1..n} is stored sparsely as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -14,7 +13,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .gf2core import BinaryCode, EnumerationGuardError, _weight_leaves, support
+from .gf2core import BinaryCode, EnumerationGuardError, Record, _weight_leaves, support
 from .polyring import HomPoly
 
 __all__ = [
@@ -37,8 +36,7 @@ def _mask(points: Iterable[int]) -> int:
     return sum(1 << (p - 1) for p in points)
 
 
-@dataclass(frozen=True)
-class HarmonicFunction:
+class HarmonicFunction(Record):
     """An exact-valued function on the k-subsets of {1..n}.
 
     ``terms`` maps the point mask of each k-subset with a nonzero value to
@@ -47,18 +45,15 @@ class HarmonicFunction:
     gamma images and linear combinations are represented the same way.
     """
 
-    n: int
-    k: int
-    terms: Mapping[int, int | Fraction]
+    __slots__ = ("n", "k", "terms")
 
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.k > self.n:
+    def __init__(self, n: int, k: int, terms: Mapping[int, int | Fraction]) -> None:
+        if k < 0 or k > n:
             raise ValueError("k out of range")
-        for m in self.terms:
-            if not 0 <= m < 1 << self.n or m.bit_count() != self.k:
-                raise ValueError(f"mask {m:#x} is not a {self.k}-subset of 1..{self.n}")
-        object.__setattr__(
-            self, "terms", MappingProxyType({m: v for m, v in self.terms.items() if v}))
+        for m in terms:
+            if not 0 <= m < 1 << n or m.bit_count() != k:
+                raise ValueError(f"mask {m:#x} is not a {k}-subset of 1..{n}")
+        self._set(n, k, MappingProxyType({m: v for m, v in terms.items() if v}))
 
     def value_on(self, subset: Sequence[int]) -> int | Fraction:
         if len(subset) != self.k:

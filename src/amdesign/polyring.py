@@ -3,12 +3,11 @@ ring machinery used to decompose weight enumerators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import ratlin
-from .gf2core import WeightDistribution
+from .gf2core import Record, WeightDistribution
 
 __all__ = [
     "HomPoly",
@@ -27,22 +26,20 @@ __all__ = [
 Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class HomPoly:
+class HomPoly(Record):
     """A homogeneous polynomial in x, y with rational coefficients.
 
     ``coeffs[j]`` is the coefficient of x^(degree-j) y^j; the vector is dense.
     """
 
-    degree: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("degree", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, degree: int, coeffs: tuple[Fraction, ...]) -> None:
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if len(self.coeffs) != self.degree + 1:
+        if len(coeffs) != degree + 1:
             raise ValueError("coefficient vector has the wrong length")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        self._set(degree, tuple(Fraction(c) for c in coeffs))
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":

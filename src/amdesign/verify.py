@@ -3,13 +3,13 @@ properties of near-extremal self-dual and formally self-dual codes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2core import (
     NEAR_EXTREMAL,
     BinaryCode,
     EnumerationGuardError,
+    Record,
     classify,
     doubly_even_subcode,
     dual,
@@ -63,13 +63,13 @@ def exact_json(value):
     raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one scenario: verdict plus exact witness values."""
 
-    scenario: str
-    passed: bool
-    witnesses: dict
+    __slots__ = ("scenario", "passed", "witnesses")
+
+    def __init__(self, scenario: str, passed: bool, witnesses: dict) -> None:
+        self._set(scenario, passed, witnesses)
 
     @property
     def verdict(self) -> str:
@@ -91,11 +91,13 @@ def report(scenario: str, passed: bool, witnesses: dict) -> VerificationReport:
     return VerificationReport(scenario, passed, exact_json(witnesses))
 
 
-@dataclass(frozen=True)
-class StrengthProfile:
+class StrengthProfile(Record):
     """Design strength of every nonempty support design C_w, 0 < w < n."""
 
-    per_weight: dict
+    __slots__ = ("per_weight",)
+
+    def __init__(self, per_weight: dict) -> None:
+        self._set(per_weight)
 
     @property
     def delta(self) -> int:

@@ -11,13 +11,19 @@ weight_distribution, codewords_of_weight, doubly_even_subcode and
 harmonic_weight_enumerator are the Gray walks that gf2core's bit-sliced
 weight leaves replaced: one codeword per step, and for the enumerator one
 tilde of the word's support per codeword.
+
+mendelsohn_solve is the search that tried every value 0..lambda_0 for each
+free unknown, the last one included; amdesign.designs takes the last free
+unknown's value from the j = 0 row.
 """
 
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 from amdesign.gf2core import (
     WeightDistribution, code_from_rows, is_doubly_even, is_even, iter_codewords, support)
+from amdesign.designs import lambda_i
 from amdesign.polyring import HomPoly
 
 
@@ -116,3 +122,50 @@ def coverage_counts(d, t):
     for block in d.blocks:
         counts.update(map(sum, combinations([1 << (p - 1) for p in block], t)))
     return counts
+
+
+def mendelsohn_solve(t, v, k, lam, m, allowed_i, fixed=None, limit=None):
+    allowed = sorted(set(allowed_i))
+    if not allowed:
+        raise ValueError("allowed_i is empty")
+    if allowed[0] < 0 or allowed[-1] > min(k, m):
+        raise ValueError("allowed intersections must lie in 0..min(k, m)")
+    lambdas = []
+    for j in range(t + 1):
+        lj = lambda_i(t, v, k, lam, j)
+        if lj.denominator != 1:
+            raise ValueError(f"lambda_{j} = {lj} is not an integer")
+        lambdas.append(int(lj))
+    rhs = [lambdas[j] * comb(m, j) for j in range(t + 1)]
+    fixed = dict(fixed or {})
+    if any(i not in allowed for i in fixed):
+        raise ValueError("fixed index outside allowed_i")
+    if any(val < 0 for val in fixed.values()):
+        raise ValueError("fixed values must be nonnegative")
+    coeff = {i: [comb(i, j) for j in range(t + 1)] for i in allowed}
+    solutions = []
+    assignment = [0] * len(allowed)
+
+    def extend(idx, partial):
+        if limit is not None and len(solutions) >= limit:
+            return
+        if idx == len(allowed):
+            if partial == rhs:
+                solutions.append(tuple(assignment))
+            return
+        i = allowed[idx]
+        ci = coeff[i]
+        if i in fixed:
+            lo = hi = fixed[i]
+        else:
+            lo, hi = 0, lambdas[0]
+        for val in range(lo, hi + 1):
+            nxt = [partial[j] + ci[j] * val for j in range(t + 1)]
+            if any(nxt[j] > rhs[j] for j in range(t + 1)):
+                break
+            assignment[idx] = val
+            extend(idx + 1, nxt)
+        assignment[idx] = 0
+
+    extend(0, [0] * (t + 1))
+    return solutions

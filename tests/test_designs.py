@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+import oracles
 
 from amdesign.catalog import builtin
 from amdesign.designs import (
@@ -206,6 +209,43 @@ def test_mendelsohn_infeasible_and_errors():
 def test_mendelsohn_limit():
     sols = mendelsohn_solve(0, 8, 3, 4, 3, (0, 1, 2, 3), limit=5)
     assert len(sols) == 5
+
+
+@st.composite
+def block_count_systems(draw):
+    """Small t <= 3 systems, mostly with integral lambda_j; some allowed
+    indices above m and some negative fixed values reach the errors."""
+    t = draw(st.integers(0, 3))
+    k = draw(st.integers(max(t, 1), 7))
+    v = draw(st.integers(k, k + 5))
+    m = draw(st.integers(0, k))
+    base = lcm(*(comb(k - j, t - j) for j in range(t + 1)))
+    lam = draw(st.sampled_from([base, 2 * base]) | st.integers(0, 6))
+    assume(lam * comb(v, t) <= 40 * comb(k, t))  # lambda_0 <= 40: the oracle is slow
+    top = draw(st.sampled_from((m, m, m, m + 1)))
+    allowed = draw(st.lists(st.integers(0, top), min_size=1, max_size=5, unique=True))
+    fixed = draw(st.dictionaries(st.sampled_from(allowed), st.integers(-1, 8), max_size=3))
+    limit = draw(st.none() | st.integers(0, 4))
+    return t, v, k, lam, m, allowed, fixed, limit
+
+
+def _outcome(solve, system):
+    t, v, k, lam, m, allowed, fixed, limit = system
+    try:
+        return solve(t, v, k, lam, m, allowed, fixed, limit=limit)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(block_count_systems())
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {6: 1}, None))
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {}, 3))
+@example((0, 8, 3, 4, 3, [0, 1, 2, 3], {}, 5))
+@example((1, 6, 3, 2, 3, [0, 3], {3: 1}, None))
+@example((0, 8, 3, 3, 3, [0, 1], {1: 5}, None))  # the j = 0 row asks n_0 = -2
+def test_mendelsohn_matches_the_full_search(system):
+    assert _outcome(mendelsohn_solve, system) == _outcome(oracles.mendelsohn_solve, system)
 
 
 def test_code_from_design(type1, c6):

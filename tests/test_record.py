@@ -1,0 +1,192 @@
+"""The Record base of the library's value classes: equality, hashing, repr,
+immutability, and each class's validation, normalisation and keywords."""
+
+import copy
+import json
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from amdesign.catalog import SearchConfig
+from amdesign.cli import run
+from amdesign.designs import Design, IntersectionProfile
+from amdesign.gf2core import (
+    BinaryCode, CodeClass, Record, WeightDistribution, _rref, classify)
+from amdesign.harmonic import HarmonicFunction
+from amdesign.polyring import HomPoly
+from amdesign.verify import StrengthProfile, VerificationReport
+
+CLASS_FLAGS = ("even", "doubly_even", "self_orthogonal", "self_dual",
+               "formally_self_dual", "type_one", "type_two")
+
+# One keyword-built instance of each class.
+SAMPLES = [
+    BinaryCode(n=4, basis=(0b0011, 0b0110)),
+    WeightDistribution(counts={0: 1, 2: 3}),
+    CodeClass(**dict.fromkeys(CLASS_FLAGS, False), extremality="neither"),
+    Design(v=4, blocks=((1, 2), (3, 4))),
+    IntersectionProfile(k=2, counts=(1, 0, 1)),
+    HomPoly(degree=1, coeffs=(1, 2)),
+    HarmonicFunction(n=3, k=1, terms={0b001: 1, 0b010: -1}),
+    VerificationReport(scenario="am", passed=True, witnesses={"t": "1"}),
+    StrengthProfile(per_weight={4: 1, 6: 2}),
+    SearchConfig(seed=3, max_iterations=10),
+]
+
+
+def _id(x):
+    return type(x).__name__
+
+
+def test_every_value_class_is_a_record():
+    assert len({type(x) for x in SAMPLES}) == 10
+    assert all(isinstance(x, Record) for x in SAMPLES)
+
+
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
+def test_fields_are_the_slots_in_order(x):
+    assert list(x.fields()) == list(type(x).__slots__)
+    assert not hasattr(x, "__dict__")
+
+
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
+def test_assignment_and_deletion_raise(x):
+    name = type(x).__slots__[0]
+    before = getattr(x, name)
+    with pytest.raises(AttributeError):
+        setattr(x, name, before)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert getattr(x, name) is before
+
+
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
+def test_equal_to_a_copy_of_its_fields(x):
+    twin = type(x)(*x.fields().values())
+    assert twin == x and not twin != x
+    assert copy.copy(x) == x
+    if not isinstance(x, HarmonicFunction):  # a mappingproxy does not pickle
+        assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_equality_goes_by_fields():
+    assert BinaryCode(4, (0b0011, 0b0110)) == BinaryCode(4, (0b0101, 0b0011))
+    assert BinaryCode(4, (0b0011,)) != BinaryCode(5, (0b0011,))
+    assert SearchConfig() == SearchConfig(0, 1_000_000) != SearchConfig(seed=1)
+
+
+def test_instances_of_different_classes_are_never_equal():
+    # The same field values in two classes.
+    assert WeightDistribution({4: 1}) != StrengthProfile({4: 1})
+    assert not WeightDistribution({4: 1}) == StrengthProfile({4: 1})
+    assert IntersectionProfile(1, (2, 3)) != (1, (2, 3))
+    assert Record.__eq__(SearchConfig(), (0, 1_000_000)) is NotImplemented
+
+
+def test_hash_is_the_hash_of_the_fields():
+    a, b = BinaryCode(4, (0b0011, 0b0110)), BinaryCode(4, (0b0101, 0b0011))
+    assert hash(a) == hash(b) == hash((4, a.basis))
+    assert len({a, b, BinaryCode(4)}) == 2
+    assert hash(SearchConfig(seed=2)) == hash((2, 1_000_000))
+    with pytest.raises(TypeError):
+        hash(WeightDistribution({0: 1}))  # a dict field is unhashable
+
+
+def test_repr_shows_the_fields():
+    assert repr(BinaryCode(3, (0b110, 0b011))) == "BinaryCode(n=3, basis=(5, 6))"
+    assert repr(SearchConfig()) == "SearchConfig(seed=0, max_iterations=1000000)"
+    assert repr(IntersectionProfile(1, (0, 2))) == "IntersectionProfile(k=1, counts=(0, 2))"
+
+
+def test_binary_code_validates_and_reduces():
+    with pytest.raises(ValueError, match="code length must be positive"):
+        BinaryCode(0)
+    with pytest.raises(ValueError, match="generator row does not fit"):
+        BinaryCode(2, (0b100,))
+    with pytest.raises(ValueError, match="generator row does not fit"):
+        BinaryCode(2, (-1,))
+    rows = [0b1110, 0b0111, 0b1001]
+    c = BinaryCode(n=4, basis=rows)
+    assert c.basis == tuple(_rref(rows)) and isinstance(c.basis, tuple)
+    assert BinaryCode(3).basis == ()
+
+
+def test_weight_distribution_validates_and_sorts():
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeightDistribution({-1: 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeightDistribution({2: -1})
+    wd = WeightDistribution(counts={8: 2, 0: 1, 4: 0})
+    assert list(wd.counts.items()) == [(0, 1), (8, 2)]
+
+
+def test_code_class_keywords_and_json_order(capsys):
+    cls = classify(BinaryCode(2, (0b11,)))
+    assert cls == CodeClass(even=True, doubly_even=False, self_orthogonal=True,
+                            self_dual=True, formally_self_dual=True, type_one=True,
+                            type_two=False, extremality="extremal")
+    assert run(["code", "info", "-b", "type1_16", "--format", "json"]) == 0
+    block = json.loads(capsys.readouterr().out)["class"]
+    assert list(block) == [*CLASS_FLAGS, "extremality"]
+
+
+def test_design_validates_and_sorts():
+    for v, blocks, message in [
+        (1.5, ((1,),), "must be an integer"),
+        (0, ((1,),), "must be positive"),
+        (3, (), "at least one block"),
+        (3, ((1, 1),), "repeated point"),
+        (3, ((1, 2), (3,)), "share one size"),
+        (3, ((1, 4),), "out of range"),
+        (3, ((1, 2.0),), "must be integers"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Design(v, blocks)
+    d = Design(v=4, blocks=[(4, 2), (3, 1), (2, 1)])
+    assert d.blocks == ((1, 2), (1, 3), (2, 4))
+
+
+def test_intersection_profile_validates():
+    with pytest.raises(ValueError, match="k\\+1 entries"):
+        IntersectionProfile(2, (1, 1))
+    assert IntersectionProfile(k=1, counts=(0, 2)).as_dict() == {1: 2}
+
+
+def test_hom_poly_validates_and_makes_fractions():
+    with pytest.raises(ValueError, match="nonnegative"):
+        HomPoly(-1, ())
+    with pytest.raises(ValueError, match="wrong length"):
+        HomPoly(2, (1, 0))
+    p = HomPoly(degree=2, coeffs=[1, Fraction(1, 2), 0])
+    assert p.coeffs == (1, Fraction(1, 2), 0)
+    assert all(type(x) is Fraction for x in p.coeffs) and isinstance(p.coeffs, tuple)
+
+
+def test_harmonic_function_validates_and_drops_zeros():
+    with pytest.raises(ValueError, match="k out of range"):
+        HarmonicFunction(2, 3, {})
+    with pytest.raises(ValueError, match="is not a 1-subset"):
+        HarmonicFunction(3, 1, {0b011: 1})
+    with pytest.raises(ValueError, match="is not a 1-subset"):
+        HarmonicFunction(3, 1, {0b1000: 1})
+    f = HarmonicFunction(n=3, k=1, terms={0b001: 0, 0b010: 5, 0b100: Fraction(0)})
+    assert dict(f.terms) == {0b010: 5}
+    with pytest.raises(TypeError):
+        f.terms[0b001] = 1
+
+
+def test_reports_and_profiles_by_keyword():
+    rep = VerificationReport(scenario="thm1.1", passed=False, witnesses={"w": "6"})
+    assert rep.verdict == "fail"
+    assert VerificationReport.from_dict(rep.to_dict()) == rep
+    prof = StrengthProfile(per_weight={4: 1, 6: 3})
+    assert (prof.delta, prof.s) == (1, 3)
+
+
+def test_search_config_defaults():
+    cfg = SearchConfig(max_iterations=5)
+    assert (cfg.seed, cfg.max_iterations) == (0, 5)
+    assert SearchConfig().fields() == {"seed": 0, "max_iterations": 1_000_000}
