@@ -12,6 +12,7 @@ from typing import Callable
 from .gf2core import (
     BinaryCode,
     Record,
+    _check_guard,
     code_from_rows,
     code_from_strings,
     dual,
@@ -46,6 +47,8 @@ class SearchConfig(Record):
     __slots__ = ("seed", "max_iterations")
 
     def __init__(self, seed: int = 0, max_iterations: int = 1_000_000) -> None:
+        if max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
         self._set(seed, max_iterations)
 
 
@@ -148,17 +151,28 @@ def search_even_fsd(n: int, d: int, cfg: SearchConfig = SearchConfig()) -> Binar
     repaired to even weight; each survivor's spectrum is compared exactly with
     its dual's. Deterministic given the seed. An (n, d) that no such code
     has (odd, or above the Mallows-Sloane bound) is refused before searching.
+
+    A hit contains the all-ones word (it is even, and so is its dual, which
+    has its spectrum), and in [I | A] form that word is the sum of all rows:
+    a candidate whose A rows do not XOR to all ones is dropped uncounted.
     """
     mallows_sloane(n, d)
     half = n // 2
+    if cfg.max_iterations:
+        # weight_distribution's guard, checked up front: almost no candidate
+        # passes the filter to trip it.
+        _check_guard(half)
     rng = random.Random(cfg.seed)
     for _ in range(cfg.max_iterations):
-        a_rows = []
+        a_rows, total = [], 0
         for _ in range(half):
             a = rng.getrandbits(half)
             if a.bit_count() % 2 == 0:
                 a ^= 1 << rng.randrange(half)
             a_rows.append(a)
+            total ^= a
+        if total != (1 << half) - 1:
+            continue
         rows = [(1 << i) | (a << half) for i, a in enumerate(a_rows)]
         c = code_from_rows(rows, n)
         wd = weight_distribution(c)

@@ -11,6 +11,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import ratlin
 from .gf2core import BinaryCode, Record, code_from_rows, codewords_of_weight, support
 
 __all__ = [
@@ -256,9 +257,13 @@ def mendelsohn_solve(
 
         sum_i C(i, j) n_i = lambda_j C(m, j)   for j = 0..t,
 
-    with i restricted to allowed_i and optional fixed assignments. Free
-    variables are bounded by lambda_0. Solutions come back as tuples aligned
-    with sorted(allowed_i); pass ``limit`` to stop after that many.
+    with i restricted to allowed_i and optional fixed assignments. The last
+    s = min(#free, t + 1) free unknowns are solved exactly from rows 0..s-1
+    (over distinct i, [C(i, j)] is a Vandermonde matrix up to row
+    operations, so it is invertible) and the other rows are checked; the
+    earlier free unknowns are searched over 0..lambda_0. Solutions come back
+    in lexicographic order as tuples aligned with sorted(allowed_i); pass
+    ``limit`` to stop after that many.
     """
     allowed = sorted(set(allowed_i))
     if not allowed:
@@ -277,38 +282,41 @@ def mendelsohn_solve(
         raise ValueError("fixed index outside allowed_i")
     if any(val < 0 for val in fixed.values()):
         raise ValueError("fixed values must be nonnegative")
-    coeff = {i: [comb(i, j) for j in range(t + 1)] for i in allowed}
-    last_free = max((idx for idx, i in enumerate(allowed) if i not in fixed), default=-1)
-    fixed_after = sum(fixed[i] for i in allowed[last_free + 1:])
+    coeff = [[comb(i, j) for j in range(t + 1)] for i in allowed]
+    free = [idx for idx, i in enumerate(allowed) if i not in fixed]
+    s = min(len(free), t + 1)
+    searched, solved = free[:len(free) - s], free[len(free) - s:]
+    # inverse[j] is column j of the inverse of [C(i, j)] over the solved i, j < s.
+    inverse = [ratlin.solve_columns([coeff[idx][:s] for idx in solved],
+                                    [int(r == j) for r in range(s)])[0]
+               for j in range(s)]
     solutions: list[tuple[int, ...]] = []
-    assignment = [0] * len(allowed)
+    assignment = [fixed.get(i, 0) for i in allowed]
 
-    def extend(idx: int, partial: list[int]) -> None:
+    def extend(depth: int, partial: list[int]) -> None:
         if limit is not None and len(solutions) >= limit:
             return
-        if idx == len(allowed):
-            if partial == rhs:
-                solutions.append(tuple(assignment))
+        if depth == len(searched):
+            rest = [r - p for r, p in zip(rhs, partial)]
+            x = [sum(col[a] * rest[j] for j, col in enumerate(inverse)) for a in range(s)]
+            if any(val < 0 or val.denominator != 1 for val in x) or any(
+                sum(coeff[idx][j] * val for idx, val in zip(solved, x)) != rest[j]
+                for j in range(s, t + 1)
+            ):
+                return
+            for idx, val in zip(solved, x):
+                assignment[idx] = int(val)
+            solutions.append(tuple(assignment))
             return
-        i = allowed[idx]
-        ci = coeff[i]
-        if i in fixed:
-            lo = hi = fixed[i]
-        elif idx == last_free:
-            # Every C(i, 0) is 1, so the j = 0 row leaves one value to try.
-            hi = rhs[0] - partial[0] - fixed_after
-            lo = max(hi, 0)
-        else:
-            lo, hi = 0, lambdas[0]
-        for val in range(lo, hi + 1):
-            nxt = [partial[j] + ci[j] * val for j in range(t + 1)]
+        idx = searched[depth]
+        for val in range(lambdas[0] + 1):
+            nxt = [partial[j] + coeff[idx][j] * val for j in range(t + 1)]
             if any(nxt[j] > rhs[j] for j in range(t + 1)):
                 break
             assignment[idx] = val
-            extend(idx + 1, nxt)
-        assignment[idx] = 0
+            extend(depth + 1, nxt)
 
-    extend(0, [0] * (t + 1))
+    extend(0, [sum(c[j] * val for c, val in zip(coeff, assignment)) for j in range(t + 1)])
     return solutions
 
 

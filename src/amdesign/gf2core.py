@@ -211,17 +211,17 @@ def is_subcode(a: BinaryCode, b: BinaryCode) -> bool:
     return all(b.contains(row) for row in a.basis)
 
 
-def _check_guard(c: BinaryCode) -> None:
-    if c.dimension > ENUMERATION_GUARD_K:
+def _check_guard(k: int) -> None:
+    if k > ENUMERATION_GUARD_K:
         raise EnumerationGuardError(
-            f"dimension {c.dimension} exceeds the enumeration guard "
+            f"dimension {k} exceeds the enumeration guard "
             f"k <= {ENUMERATION_GUARD_K}"
         )
 
 
 def iter_codewords(c: BinaryCode) -> Iterator[int]:
     """All 2^k codewords in Gray-code order, one basis XOR per step."""
-    _check_guard(c)
+    _check_guard(c.dimension)
     word = 0
     yield word
     for m in range(1, 1 << c.dimension):
@@ -287,7 +287,7 @@ def _weight_leaves(c: BinaryCode) -> Iterator[tuple[tuple[int, ...], int, list, 
 
     Yields (head rows, offset, columns, leaves[0..n]) per chunk.
     """
-    _check_guard(c)
+    _check_guard(c.dimension)
     head, tail = c.basis[:_SLICE_K], c.basis[_SLICE_K:]
     size = 1 << len(head)
     full = (1 << size) - 1

@@ -13,16 +13,24 @@ weight leaves replaced: one codeword per step, and for the enumerator one
 tilde of the word's support per codeword.
 
 mendelsohn_solve is the search that tried every value 0..lambda_0 for each
-free unknown, the last one included; amdesign.designs takes the last free
-unknown's value from the j = 0 row.
+free unknown, the last one included; amdesign.designs solves the last t+1
+free unknowns from the system instead.
+
+search_even_fsd is the search that counted the spectrum of every candidate;
+amdesign.catalog first drops every candidate that does not contain the
+all-ones word, which every hit contains.
 """
 
+import random
 from collections import Counter
 from itertools import combinations
 from math import comb
 
+from amdesign import gf2core
+from amdesign.catalog import SearchBudgetError, SearchConfig
 from amdesign.gf2core import (
-    WeightDistribution, code_from_rows, is_doubly_even, is_even, iter_codewords, support)
+    WeightDistribution, code_from_rows, dual, is_doubly_even, is_even, iter_codewords,
+    mallows_sloane, support)
 from amdesign.designs import lambda_i
 from amdesign.polyring import HomPoly
 
@@ -169,3 +177,31 @@ def mendelsohn_solve(t, v, k, lam, m, allowed_i, fixed=None, limit=None):
 
     extend(0, [0] * (t + 1))
     return solutions
+
+
+def search_even_fsd(n, d, cfg=SearchConfig()):
+    mallows_sloane(n, d)
+    half = n // 2
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.max_iterations):
+        a_rows = []
+        for _ in range(half):
+            a = rng.getrandbits(half)
+            if a.bit_count() % 2 == 0:
+                a ^= 1 << rng.randrange(half)
+            a_rows.append(a)
+        rows = [(1 << i) | (a << half) for i, a in enumerate(a_rows)]
+        c = code_from_rows(rows, n)
+        wd = gf2core.weight_distribution(c)
+        if wd.min_nonzero() != d:
+            continue
+        cd = dual(c)
+        if c == cd:
+            continue
+        if wd != gf2core.weight_distribution(cd):
+            continue
+        return c
+    raise SearchBudgetError(
+        f"no even formally self-dual [{n},{half},{d}] code found in "
+        f"{cfg.max_iterations} iterations"
+    )

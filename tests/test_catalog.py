@@ -3,6 +3,10 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import amdesign.catalog
+import oracles
 
 from amdesign.catalog import (
     BUILTIN_NAMES,
@@ -21,6 +25,7 @@ from amdesign.catalog import (
 )
 from amdesign.gf2core import (
     classify,
+    code_from_rows,
     dual,
     minimum_distance,
     weight_distribution,
@@ -116,6 +121,53 @@ def test_search_many_seeds_succeed_quickly():
         except SearchBudgetError:
             pass
     assert hits >= 95
+
+
+def _search_outcome(search, n, d, cfg):
+    try:
+        return search(n, d, cfg)
+    except SearchBudgetError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(8, 2), (12, 4), (14, 4), (16, 4), (20, 4)]),
+    st.integers(0, 300) | st.just(5000),
+)
+def test_search_even_fsd_matches_the_full_search(seed, nd, budget):
+    cfg = SearchConfig(seed=seed, max_iterations=budget)
+    assert _search_outcome(search_even_fsd, *nd, cfg) == \
+        _search_outcome(oracles.search_even_fsd, *nd, cfg)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(lambda half: st.tuples(
+    st.just(2 * half),
+    st.lists(st.integers(0, 4**half - 1), min_size=half, max_size=half))))
+def test_even_codes_with_their_duals_spectrum_contain_all_ones(case):
+    n, words = case
+    c = code_from_rows([w ^ (w.bit_count() % 2) for w in words], n)
+    assume(2 * c.dimension == n)
+    if weight_distribution(c) == weight_distribution(dual(c)):
+        assert c.contains((1 << n) - 1)
+
+
+def test_search_fsd_counts_only_spectra_of_codes_with_all_ones(monkeypatch):
+    seen = []
+
+    def counted(c):
+        assert c.contains((1 << c.n) - 1)
+        seen.append(c)
+        return weight_distribution(c)
+
+    monkeypatch.setattr(amdesign.catalog, "weight_distribution", counted)
+    c = search_even_fsd(16, 4)
+    # The full search counts 75 spectra for seed 0; its first candidate with
+    # the all-ones word is the hit, so only it and its dual are counted.
+    assert seen == [c, dual(c)]
+    assert c == oracles.search_even_fsd(16, 4)
 
 
 def test_store_round_trip(tmp_path, monkeypatch):

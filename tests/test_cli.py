@@ -232,6 +232,28 @@ def test_search_budget_guard(capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "fsd", "--max-iterations", "-5"],
+    ["search", "type1-16", "--max-iterations", "-1"],
+])
+def test_negative_search_budget_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: max_iterations must be nonnegative\n"
+    assert run([*argv[:-1], "0"]) == 3
+    assert "found in 0 iterations" in capsys.readouterr().err
+
+
+def test_search_fsd_beyond_the_enumeration_guard(capsys):
+    # Almost no candidate at n = 64 passes the all-ones filter, so the guard
+    # is checked before the first draw, as the first spectrum once tripped it.
+    assert run(["search", "fsd", "--n", "64", "--d", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "resource guard: dimension 32 exceeds the enumeration guard k <= 28\n")
+    assert run(["search", "fsd", "--n", "64", "--d", "4", "--max-iterations", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "resource guard: no even formally self-dual [64,32,4] code found in 0 iterations\n")
+
+
 def test_code_weights_text(capsys, type1_file):
     assert run(["code", "weights", "-g", type1_file]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

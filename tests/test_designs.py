@@ -239,11 +239,22 @@ def _outcome(solve, system):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(block_count_systems())
+# Exactly t+1 free unknowns: all of them are solved, none searched.
 @example((2, 16, 6, 8, 6, [0, 2, 4, 6], {6: 1}, None))
+@example((0, 8, 3, 3, 3, [0, 1], {1: 5}, None))  # the j = 0 row asks n_0 = -2
+@example((3, 8, 4, 1, 4, [0, 1, 2, 3], {}, None))
+@example((1, 6, 3, 2, 3, [0, 1, 2], {1: 1}, None))  # n_2 = 5/2
+# More than t+1: the first ones are searched.
 @example((2, 16, 6, 8, 6, [0, 2, 4, 6], {}, 3))
 @example((0, 8, 3, 4, 3, [0, 1, 2, 3], {}, 5))
+@example((1, 8, 4, 3, 4, [0, 1, 2, 3, 4], {}, None))
+# Fewer than t+1: a square subsystem is solved and the other rows checked.
 @example((1, 6, 3, 2, 3, [0, 3], {3: 1}, None))
-@example((0, 8, 3, 3, 3, [0, 1], {1: 5}, None))  # the j = 0 row asks n_0 = -2
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {4: 9, 6: 1}, None))
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {4: 8, 6: 1}, None))  # the j = 2 row fails
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {0: 3, 4: 9, 6: 1}, None))
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {0: 3, 2: 51, 4: 9, 6: 1}, None))
+@example((2, 16, 6, 8, 6, [0, 2, 4, 6], {0: 3, 2: 50, 4: 9, 6: 1}, None))
 def test_mendelsohn_matches_the_full_search(system):
     assert _outcome(mendelsohn_solve, system) == _outcome(oracles.mendelsohn_solve, system)
 

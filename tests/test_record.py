@@ -190,3 +190,10 @@ def test_search_config_defaults():
     cfg = SearchConfig(max_iterations=5)
     assert (cfg.seed, cfg.max_iterations) == (0, 5)
     assert SearchConfig().fields() == {"seed": 0, "max_iterations": 1_000_000}
+
+
+def test_search_config_rejects_a_negative_budget():
+    assert SearchConfig(max_iterations=0).max_iterations == 0
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_iterations must be nonnegative"):
+            SearchConfig(seed=1, max_iterations=bad)
