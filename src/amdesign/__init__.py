@@ -1,88 +1,24 @@
 """Exact arithmetic for binary linear codes, harmonic weight enumerators,
-and the combinatorial designs supported by their codewords."""
+and the combinatorial designs supported by their codewords.
 
-from .gf2core import (
-    EXTREMAL,
-    NEAR_EXTREMAL,
-    NEITHER,
-    NOT_APPLICABLE,
-    BinaryCode,
-    CodeClass,
-    EnumerationGuardError,
-    WeightDistribution,
-    classify,
-    code_from_rows,
-    code_from_strings,
-    codewords_of_weight,
-    doubly_even_subcode,
-    dual,
-    mallows_sloane,
-    minimum_distance,
-    read_generator_file,
-    weight_distribution,
-    write_generator_file,
-)
-from .polyring import (
-    HomPoly,
-    SpanError,
-    check_relative_invariance,
-    gleason_basis,
-    gleason_decompose,
-    macwilliams_transform_classical,
-    vanishing_coefficient_search,
-    weight_enumerator_poly,
-)
-from .harmonic import (
-    HarmonicFunction,
-    bachoc_transform,
-    delsarte_design_check,
-    harm_basis,
-    harm_dimension,
-    harmonic_weight_enumerator,
-    zcf,
-)
-from .designs import (
-    Design,
-    IntersectionProfile,
-    code_from_design,
-    complement_design,
-    design_strength,
-    intersection_profile,
-    is_self_orthogonal_design,
-    is_t_design,
-    lambda_i,
-    mendelsohn_solve,
-    non_self_orthogonal_2_design,
-    read_design_file,
-    support_design,
-    t_design_violation,
-    union,
-    write_design_file,
-)
-from .catalog import (
-    SearchBudgetError,
-    SearchConfig,
-    builtin,
-    direct_sum,
-    load_code,
-    pinned_even_fsd_16,
-    pinned_type_i_16,
-    save_code,
-    search_even_fsd,
-    search_type_i_16,
-    stored_names,
-)
-from .verify import (
-    PreconditionError,
-    StrengthProfile,
-    VerificationReport,
-    assmus_mattson_check,
-    strength_profile,
-    verify_cor_1_5,
-    verify_thm_1_1,
-    verify_thm_1_2_fsd,
-    verify_thm_1_2_type1,
-    verify_thm_1_4_pipeline,
-)
+Each layer is registered in ``sys.modules`` and as an attribute of this
+package without being run: its module is compiled and executed when one of
+its attributes is first read, so a command loads only the layers it uses.
+Import names from the layer modules (``from amdesign.gf2core import dual``).
+"""
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
+
+_LAYERS = ("gf2core", "ratlin", "polyring", "harmonic", "designs", "catalog", "verify")
+
+for _name in _LAYERS:
+    _spec = find_spec(f"{__name__}.{_name}")
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = module_from_spec(_spec)
+    sys.modules[_spec.name] = _module
+    _spec.loader.exec_module(_module)
+    globals()[_name] = _module
+del _name, _spec, _module

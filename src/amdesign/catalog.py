@@ -12,6 +12,7 @@ from typing import Callable
 from .gf2core import (
     BinaryCode,
     Record,
+    SearchBudgetError,
     _check_guard,
     code_from_rows,
     code_from_strings,
@@ -37,10 +38,6 @@ __all__ = [
     "pinned_type_i_16",
     "pinned_even_fsd_16",
 ]
-
-
-class SearchBudgetError(Exception):
-    """A randomized search ran out of its iteration budget."""
 
 
 class SearchConfig(Record):

@@ -12,9 +12,15 @@ import json
 import sys
 import time
 
+# Every command needs gf2core. The other layers load on their first attribute
+# read (see amdesign/__init__.py), so they are called through the module and
+# a command loads only the layers it runs.
+from . import catalog, designs, harmonic, polyring, verify
 from .gf2core import (
     BinaryCode,
     EnumerationGuardError,
+    PreconditionError,
+    SearchBudgetError,
     classify,
     doubly_even_subcode,
     dual,
@@ -22,56 +28,12 @@ from .gf2core import (
     read_generator_file,
     weight_distribution,
 )
-from .polyring import (
-    SpanError,
-    gleason_decompose,
-    vanishing_coefficient_search,
-    weight_enumerator_poly,
-)
-from .harmonic import (
-    bachoc_transform,
-    harm_basis,
-    harm_dimension,
-    harmonic_weight_enumerator,
-    zcf,
-)
-from .designs import (
-    _t_design_check,
-    design_to_json,
-    intersection_profile,
-    complement_design,
-    lambda_i,
-    mendelsohn_solve,
-    read_design_file,
-    support_design,
-)
-from .catalog import (
-    BUILTIN_NAMES,
-    SearchBudgetError,
-    SearchConfig,
-    builtin,
-    load_code,
-    pinned_even_fsd_16,
-    pinned_type_i_16,
-    search_even_fsd,
-    search_type_i_16,
-)
-from .verify import (
-    PreconditionError,
-    assmus_mattson_check,
-    exact_json,
-    report,
-    strength_profile,
-    verify_cor_1_5,
-    verify_thm_1_1,
-    verify_thm_1_2_fsd,
-    verify_thm_1_2_type1,
-    verify_thm_1_4_pipeline,
-)
 
 __all__ = ["main", "run"]
 
-_PINNED = {"type1_16": pinned_type_i_16, "fsd_16": pinned_even_fsd_16}
+# Names, not functions: reading a catalog attribute here would load catalog
+# for every command.
+_PINNED = {"type1_16": "pinned_type_i_16", "fsd_16": "pinned_even_fsd_16"}
 
 
 def _load_code(args) -> BinaryCode:
@@ -80,10 +42,10 @@ def _load_code(args) -> BinaryCode:
     if args.builtin:
         name = args.builtin
         if name in _PINNED:
-            return _PINNED[name]()
-        if all(part in BUILTIN_NAMES for part in name.split("+")):
-            return builtin(name)
-        return load_code(name)
+            return getattr(catalog, _PINNED[name])()
+        if all(part in catalog.BUILTIN_NAMES for part in name.split("+")):
+            return catalog.builtin(name)
+        return catalog.load_code(name)
     raise PreconditionError("a code is required: pass -g FILE or -b NAME")
 
 
@@ -174,13 +136,13 @@ def _cmd_code_subcode(args) -> int:
 
 
 def _cmd_design_check(args) -> int:
-    d = read_design_file(args.design)
-    lam, violation = _t_design_check(d, args.t)
+    d = designs.read_design_file(args.design)
+    lam, violation = designs._t_design_check(d, args.t)
     payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
                "lambda": lam, "violation": None}
     lines = [f"v={d.v} k={d.k} b={d.b}"]
     if lam is None:
-        payload["violation"] = exact_json(violation)
+        payload["violation"] = designs.exact_json(violation)
         pts1, c1, pts2, c2 = violation
         lines.append(f"not a {args.t}-design: {pts1} covered {c1} times, "
                      f"{pts2} covered {c2} times")
@@ -191,20 +153,20 @@ def _cmd_design_check(args) -> int:
 
 
 def _cmd_design_from_code(args) -> int:
-    d = support_design(_load_code(args), args.w)
-    print(json.dumps(design_to_json(d)))
+    d = designs.support_design(_load_code(args), args.w)
+    print(json.dumps(designs.design_to_json(d)))
     return 0
 
 
 def _cmd_design_complement(args) -> int:
-    d = complement_design(read_design_file(args.design))
-    print(json.dumps(design_to_json(d)))
+    d = designs.complement_design(designs.read_design_file(args.design))
+    print(json.dumps(designs.design_to_json(d)))
     return 0
 
 
 def _cmd_design_intersections(args) -> int:
-    d = read_design_file(args.design)
-    profile = intersection_profile(d, args.block)
+    d = designs.read_design_file(args.design)
+    profile = designs.intersection_profile(d, args.block)
     nonzero = {i: m for i, m in profile.as_dict().items() if m}
     payload = {"block": args.block, "profile": {str(i): m for i, m in nonzero.items()}}
     _print_payload(args, payload,
@@ -218,9 +180,9 @@ def _cmd_design_mendelsohn(args) -> int:
     for item in args.fixed or ():
         key, _, value = item.partition("=")
         fixed[int(key)] = int(value)
-    solutions = mendelsohn_solve(args.t, args.v, args.k, args.lam, args.m,
-                                 allowed, fixed or None, limit=args.limit)
-    lambdas = [str(lambda_i(args.t, args.v, args.k, args.lam, j))
+    solutions = designs.mendelsohn_solve(args.t, args.v, args.k, args.lam, args.m,
+                                         allowed, fixed or None, limit=args.limit)
+    lambdas = [str(designs.lambda_i(args.t, args.v, args.k, args.lam, j))
                for j in range(args.t + 1)]
     payload = {"allowed": allowed, "lambda_j": lambdas,
                "solutions": [list(s) for s in solutions]}
@@ -235,18 +197,18 @@ def _cmd_design_mendelsohn(args) -> int:
 
 
 def _cmd_harmonic_basis_dim(args) -> int:
-    dim = harm_dimension(args.n, args.k)
+    dim = harmonic.harm_dimension(args.n, args.k)
     _print_payload(args, {"n": args.n, "k": args.k, "dimension": dim}, [str(dim)])
     return 0
 
 
 def _cmd_harmonic_wenum(args) -> int:
     c = _load_code(args)
-    basis = harm_basis(c.n, args.k)
+    basis = harmonic.harm_basis(c.n, args.k)
     if not 0 <= args.index < len(basis):
         raise PreconditionError(
             f"index out of range: Harm_{args.k}({c.n}) has {len(basis)} basis functions")
-    w = harmonic_weight_enumerator(c, basis[args.index])
+    w = harmonic.harmonic_weight_enumerator(c, basis[args.index])
     payload = {"k": args.k, "index": args.index, "degree": w.degree,
                "coefficients": [str(x) for x in w.coeffs], "zero": w.is_zero}
     _print_payload(args, payload, [str(w)])
@@ -256,9 +218,12 @@ def _cmd_harmonic_wenum(args) -> int:
 def _cmd_harmonic_transform_check(args) -> int:
     c = _load_code(args)
     dual_code = dual(c)
-    basis = harm_basis(c.n, args.k)
-    mismatches = [idx for idx, f in enumerate(basis)
-                  if bachoc_transform(zcf(c, f), args.k, c.size, c.n) != zcf(dual_code, f)]
+    basis = harmonic.harm_basis(c.n, args.k)
+    images = [harmonic.bachoc_transform(w.divide_xy(args.k), args.k, c.size, c.n)
+              for w in harmonic.harmonic_weight_enumerators(c, basis)]
+    mismatches = [idx for idx, (image, w) in enumerate(
+                      zip(images, harmonic.harmonic_weight_enumerators(dual_code, basis)))
+                  if image != w.divide_xy(args.k)]
     count = len(basis)
     payload = {"k": args.k, "functions": count, "mismatches": mismatches}
     _print_payload(args, payload, [
@@ -272,16 +237,16 @@ def _cmd_harmonic_transform_check(args) -> int:
 def _cmd_poly_gleason(args) -> int:
     c = _load_code(args)
     if args.t == 0:
-        p = weight_enumerator_poly(weight_distribution(c), c.n)
+        p = polyring.weight_enumerator_poly(weight_distribution(c), c.n)
     else:
-        basis = harm_basis(c.n, args.t)
+        basis = harmonic.harm_basis(c.n, args.t)
         if not 0 <= args.index < len(basis):
             raise PreconditionError(
                 f"index out of range: Harm_{args.t}({c.n}) has {len(basis)} basis functions")
-        p = zcf(c, basis[args.index])
+        p = harmonic.zcf(c, basis[args.index])
     try:
-        coeffs = gleason_decompose(p, args.t, c.n)
-    except SpanError as err:
+        coeffs = polyring.gleason_decompose(p, args.t, c.n)
+    except polyring.SpanError as err:
         payload = {"t": args.t, "in_span": False,
                    "residual": [str(x) for x in err.residual.coeffs]}
         _print_payload(args, payload, [f"outside the invariant span: {err}"])
@@ -294,7 +259,7 @@ def _cmd_poly_gleason(args) -> int:
 
 
 def _cmd_poly_lemma41(args) -> int:
-    pairs = vanishing_coefficient_search(args.alpha_max)
+    pairs = polyring.vanishing_coefficient_search(args.alpha_max)
     payload = {"alpha_max": args.alpha_max, "pairs": [list(p) for p in pairs]}
     _print_payload(args, payload,
                    [f"alpha={a} i={i}" for a, i in pairs])
@@ -315,38 +280,39 @@ def _search_payload(args, c: BinaryCode) -> int:
 
 
 def _cmd_search_type1(args) -> int:
-    cfg = SearchConfig(seed=args.seed, max_iterations=args.max_iterations)
-    return _search_payload(args, search_type_i_16(cfg))
+    cfg = catalog.SearchConfig(seed=args.seed, max_iterations=args.max_iterations)
+    return _search_payload(args, catalog.search_type_i_16(cfg))
 
 
 def _cmd_search_fsd(args) -> int:
-    cfg = SearchConfig(seed=args.seed, max_iterations=args.max_iterations)
-    return _search_payload(args, search_even_fsd(args.n, args.d, cfg))
+    cfg = catalog.SearchConfig(seed=args.seed, max_iterations=args.max_iterations)
+    return _search_payload(args, catalog.search_even_fsd(args.n, args.d, cfg))
 
 
 # ---------------------------------------------------------------- verify
 
 
 def _verify_thm121(args):
-    c6 = read_design_file(args.design) if args.design else None
-    return verify_thm_1_2_type1(_load_code(args), c6)
+    c6 = designs.read_design_file(args.design) if args.design else None
+    return verify.verify_thm_1_2_type1(_load_code(args), c6)
 
 
 def _verify_profile(args):
-    prof = strength_profile(_load_code(args), args.t_cap)
-    return report("profile", True,
-                  {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})
+    prof = verify.strength_profile(_load_code(args), args.t_cap)
+    return verify.report("profile", True,
+                         {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})
 
 
-# The report of each verify subcommand. Names are looked up when the command
-# runs, so a rebinding of a verifier in this module takes effect.
+# The report of each verify subcommand. Verifiers are looked up in verify when
+# the command runs, so a rebinding of a verifier there takes effect.
 _VERIFIERS = {
-    "am": lambda args: assmus_mattson_check(_load_code(args), args.t),
-    "thm1.1": lambda args: verify_thm_1_1(_load_code(args)),
+    "am": lambda args: verify.assmus_mattson_check(_load_code(args), args.t),
+    "thm1.1": lambda args: verify.verify_thm_1_1(_load_code(args)),
     "thm1.2-1": _verify_thm121,
-    "thm1.2-2": lambda args: verify_thm_1_2_fsd(_load_code(args)),
-    "thm1.4": lambda args: verify_thm_1_4_pipeline(read_design_file(args.design)),
-    "cor1.5": lambda args: verify_cor_1_5(_load_code(args)),
+    "thm1.2-2": lambda args: verify.verify_thm_1_2_fsd(_load_code(args)),
+    "thm1.4": lambda args: verify.verify_thm_1_4_pipeline(
+        designs.read_design_file(args.design)),
+    "cor1.5": lambda args: verify.verify_cor_1_5(_load_code(args)),
     "profile": _verify_profile,
 }
 

@@ -29,6 +29,7 @@ __all__ = [
     "mendelsohn_solve",
     "code_from_design",
     "design_to_json",
+    "exact_json",
     "design_from_json",
     "read_design_file",
     "write_design_file",
@@ -323,6 +324,20 @@ def mendelsohn_solve(
 def code_from_design(d: Design) -> BinaryCode:
     """GF(2) span of the block characteristic vectors."""
     return code_from_rows((_block_mask(b) for b in d.blocks), d.v)
+
+
+def exact_json(value):
+    """Recursively convert witness values to JSON-native data, rendering
+    integers and rationals as strings so reports diff bit-exactly."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): exact_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact_json(v) for v in value]
+    raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
 def design_to_json(d: Design) -> dict:

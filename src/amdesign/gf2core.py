@@ -12,6 +12,8 @@ __all__ = [
     "NEITHER",
     "NOT_APPLICABLE",
     "EnumerationGuardError",
+    "PreconditionError",
+    "SearchBudgetError",
     "Record",
     "BinaryCode",
     "WeightDistribution",
@@ -50,6 +52,14 @@ NOT_APPLICABLE = "not_applicable"
 
 class EnumerationGuardError(Exception):
     """An operation would exceed the desk-scale enumeration guard."""
+
+
+class SearchBudgetError(Exception):
+    """A randomized search ran out of its iteration budget."""
+
+
+class PreconditionError(ValueError):
+    """A scenario's hypotheses do not hold for the given input."""
 
 
 class Record:

@@ -23,6 +23,7 @@ __all__ = [
     "harm_dimension",
     "harm_basis",
     "harmonic_weight_enumerator",
+    "harmonic_weight_enumerators",
     "zcf",
     "bachoc_transform",
     "delsarte_design_check",
@@ -143,21 +144,36 @@ def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
 
 
 def harmonic_weight_enumerator(c: BinaryCode, f: HarmonicFunction) -> HomPoly:
-    """Sum over codewords of f~(support) x^(n-wt) y^wt. The coefficient of
-    y^w sums v * |weight-w words containing m| over the terms (m, v) of f;
-    per bit-sliced chunk, the popcount of leaf w ANDed with m's columns."""
-    if f.n != c.n:
-        raise ValueError("code length and function ground set differ")
-    coeffs = [0] * (c.n + 1)
+    """Sum over codewords of f~(support) x^(n-wt) y^wt."""
+    return harmonic_weight_enumerators(c, (f,))[0]
+
+
+def harmonic_weight_enumerators(
+    c: BinaryCode, fs: Sequence[HarmonicFunction]
+) -> list[HomPoly]:
+    """The harmonic weight enumerator of c for each f in fs, from one pass
+    over the weight leaves. The coefficient of y^w sums v * |weight-w words
+    containing m| over the terms (m, v) of f; per bit-sliced chunk, the
+    popcount of leaf w ANDed with m's columns, counted once per mask."""
+    for f in fs:
+        if f.n != c.n:
+            raise ValueError("code length and function ground set differ")
+    if not fs:
+        return []
+    coeffs = [[0] * (c.n + 1) for _ in fs]
     for _, _, columns, leaves in _weight_leaves(c):
         live = [(w, leaf) for w, leaf in enumerate(leaves) if leaf]
-        for m, v in f.terms.items():
-            cover = -1  # all ones: the AND over no points
-            for p in support(m):
-                cover &= columns[p - 1]
-            for w, leaf in live:
-                coeffs[w] += v * (leaf & cover).bit_count()
-    return HomPoly(c.n, tuple(coeffs))
+        counts: dict[int, list[tuple[int, int]]] = {}
+        for f, out in zip(fs, coeffs):
+            for m, v in f.terms.items():
+                if m not in counts:
+                    cover = -1  # all ones: the AND over no points
+                    for p in support(m):
+                        cover &= columns[p - 1]
+                    counts[m] = [(w, (leaf & cover).bit_count()) for w, leaf in live]
+                for w, a in counts[m]:
+                    out[w] += v * a
+    return [HomPoly(c.n, tuple(out)) for out in coeffs]
 
 
 def zcf(c: BinaryCode, f: HarmonicFunction) -> HomPoly:
@@ -184,7 +200,11 @@ def delsarte_design_check(
     blocks: Sequence[Sequence[int]], n: int, t: int
 ) -> bool:
     """Design test through harmonic spaces: the block multiset is a t-design
-    exactly when sum_b f~(b) vanishes for every f in harm_basis(n, k), k=1..t."""
+    exactly when sum_b f~(b) vanishes for every f in harm_basis(n, k), k=1..t.
+
+    Each point gets a b-bit incidence mask (bit i for block i, so repeated
+    blocks keep their multiplicity), and sum_b f~(b) is the sum over the
+    terms (m, v) of f of v times the popcount of the AND of m's masks."""
     if not blocks:
         raise ValueError("no blocks given")
     sizes = {len(b) for b in blocks}
@@ -200,8 +220,18 @@ def delsarte_design_check(
             raise ValueError(f"block {list(b)} repeats a point")
         if not all(1 <= p <= n for p in b):
             raise ValueError(f"block {list(b)} has a point outside 1..{n}")
+    incidence = [0] * (n + 1)
+    for i, b in enumerate(blocks):
+        for p in b:
+            incidence[p] |= 1 << i
     for k in range(1, t + 1):
         for f in harm_basis(n, k):
-            if sum(f.tilde(b) for b in blocks):
+            total = 0
+            for m, v in f.terms.items():
+                cover = -1  # all ones: the AND over no points
+                for p in support(m):
+                    cover &= incidence[p]
+                total += v * cover.bit_count()
+            if total:
                 return False
     return True

@@ -3,12 +3,12 @@ properties of near-extremal self-dual and formally self-dual codes."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from . import harmonic
 from .gf2core import (
     NEAR_EXTREMAL,
     BinaryCode,
     EnumerationGuardError,
+    PreconditionError,
     Record,
     classify,
     doubly_even_subcode,
@@ -22,12 +22,12 @@ from .designs import (
     code_from_design,
     complement_design,
     design_strength,
+    exact_json,
     is_self_orthogonal_design,
     is_t_design,
     support_design,
     union,
 )
-from .harmonic import delsarte_design_check, harm_basis, harmonic_weight_enumerator
 
 __all__ = [
     "PreconditionError",
@@ -43,24 +43,6 @@ __all__ = [
     "verify_thm_1_2_type1",
     "verify_thm_1_4_pipeline",
 ]
-
-
-class PreconditionError(ValueError):
-    """A scenario's hypotheses do not hold for the given input."""
-
-
-def exact_json(value):
-    """Recursively convert witness values to JSON-native data, rendering
-    integers and rationals as strings so reports diff bit-exactly."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): exact_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [exact_json(v) for v in value]
-    raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
 class VerificationReport(Record):
@@ -184,13 +166,12 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
             first_violation = (w, violation)
     counting_ok = first_violation is None
 
-    nonzero = []
-    for idx, f in enumerate(harm_basis(c.n, 1)):
-        w_sum = harmonic_weight_enumerator(c, f)
-        if not cls.self_dual:
-            w_sum = w_sum + harmonic_weight_enumerator(dual_code, f)
-        if not w_sum.is_zero:
-            nonzero.append(idx)
+    basis = harmonic.harm_basis(c.n, 1)
+    sums = harmonic.harmonic_weight_enumerators(c, basis)
+    if not cls.self_dual:
+        sums = [a + b for a, b in zip(
+            sums, harmonic.harmonic_weight_enumerators(dual_code, basis))]
+    nonzero = [idx for idx, w_sum in enumerate(sums) if not w_sum.is_zero]
     harmonic_ok = not nonzero
 
     witnesses = {
@@ -230,7 +211,7 @@ def verify_thm_1_2_type1(
         raise PreconditionError(f"substitute design has v={c6.v}, not 16")
     lam, violation = _t_design_check(c6, 2)
     counting_ok = lam == 8
-    delsarte_ok = delsarte_design_check(c6.blocks, c.n, 2)
+    delsarte_ok = harmonic.delsarte_design_check(c6.blocks, c.n, 2)
     complement_ok = complement_design(c6) == support_design(c, 10)
     prof = strength_profile(c, 3)
     gap_weights = sorted(w for w, t in prof.per_weight.items() if t >= 2)

@@ -1,6 +1,7 @@
 import pytest
 
-from amdesign import pinned_even_fsd_16, pinned_type_i_16, support_design
+from amdesign.catalog import pinned_even_fsd_16, pinned_type_i_16
+from amdesign.designs import support_design
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@ exactly, witnesses included.
 weight_distribution, codewords_of_weight, doubly_even_subcode and
 harmonic_weight_enumerator are the Gray walks that gf2core's bit-sliced
 weight leaves replaced: one codeword per step, and for the enumerator one
-tilde of the word's support per codeword.
+tilde of the word's support per codeword. delsarte_design_check is the
+harmonic design test that summed one tilde per block per basis function;
+amdesign.harmonic counts each term's blocks by per-point incidence bitsets.
 
 mendelsohn_solve is the search that tried every value 0..lambda_0 for each
 free unknown, the last one included; amdesign.designs solves the last t+1
@@ -32,6 +34,7 @@ from amdesign.gf2core import (
     WeightDistribution, code_from_rows, dual, is_doubly_even, is_even, iter_codewords,
     mallows_sloane, support)
 from amdesign.designs import lambda_i
+from amdesign.harmonic import harm_basis
 from amdesign.polyring import HomPoly
 
 
@@ -70,6 +73,29 @@ def harmonic_weight_enumerator(c, f):
             continue
         coeffs[w] += f.tilde(support(word))
     return HomPoly(c.n, tuple(coeffs))
+
+
+def delsarte_design_check(blocks, n, t):
+    if not blocks:
+        raise ValueError("no blocks given")
+    sizes = {len(b) for b in blocks}
+    if len(sizes) != 1:
+        raise ValueError("blocks must share one size")
+    (m,) = sizes
+    if m > n:
+        raise ValueError("block size exceeds the ground set")
+    if t < 0 or t > m:
+        raise ValueError("t out of range")
+    for b in blocks:
+        if len(set(b)) != m:
+            raise ValueError(f"block {list(b)} repeats a point")
+        if not all(1 <= p <= n for p in b):
+            raise ValueError(f"block {list(b)} has a point outside 1..{n}")
+    for k in range(1, t + 1):
+        for f in harm_basis(n, k):
+            if sum(f.tilde(b) for b in blocks):
+                return False
+    return True
 
 
 def _mask(points):

@@ -196,6 +196,29 @@ def test_harmonic_commands(capsys, type1_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, passes", [
+    (["harmonic", "transform-check", "-b", "e8+e8", "--k", "2"], 2),
+    (["harmonic", "transform-check", "-b", "d4+d4+e8", "--k", "9"], 0),
+    (["verify", "thm1.1", "-b", "type1_16"], 1),
+    (["verify", "thm1.1", "-b", "fsd_16"], 2),
+], ids=["transform-check", "transform-check-empty-basis", "thm1.1-type1", "thm1.1-fsd"])
+def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, passes):
+    """Every basis function's enumerator of a code comes from one pass over
+    its weight leaves: one for the code, one for the dual where it is read."""
+    import amdesign.harmonic as harmonic
+
+    real, codes = harmonic._weight_leaves, []
+
+    def counted(c):
+        codes.append(c)
+        return real(c)
+
+    monkeypatch.setattr(harmonic, "_weight_leaves", counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(codes) == passes
+
+
 @pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])
 def test_basis_dim_out_of_range_is_usage_error(capsys, n, k):
     assert run(["harmonic", "basis-dim", "--n", str(n), "--k", str(k)]) == 2

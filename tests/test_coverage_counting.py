@@ -1,5 +1,8 @@
 """The incidence-bitset t-design walk against the C(v,t)*b scan and the
-per-block t-subset count it replaced."""
+per-block t-subset count it replaced, and the incidence-bitset Delsarte test
+against the per-block tilde sum."""
+
+import re
 
 from math import comb
 
@@ -16,6 +19,7 @@ from amdesign.designs import (
     t_design_violation,
 )
 from amdesign.gf2core import code_from_rows
+from amdesign.harmonic import delsarte_design_check
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
@@ -123,3 +127,43 @@ def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
     assert rep.witnesses["violation_weight"] == "6"
     assert rep.witnesses["violation"] == verify.exact_json(
         oracles.t_design_violation(broken[6], 1))
+
+
+def assert_delsarte_matches_oracle(blocks, n, t):
+    try:
+        expected = oracles.delsarte_design_check(blocks, n, t)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            delsarte_design_check(blocks, n, t)
+    else:
+        assert delsarte_design_check(blocks, n, t) == expected
+
+
+@SETTINGS
+@given(small_designs(), st.integers(1, 3))
+def test_delsarte_matches_the_tilde_sum(d, t):
+    assert_delsarte_matches_oracle(d.blocks, d.v, t)
+    if t <= d.k:
+        assert delsarte_design_check(d.blocks, d.v, t) == (is_t_design(d, t) is not None)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data(), st.integers(1, 3))
+def test_delsarte_on_c6_mutants_matches_the_tilde_sum(c6, data, t):
+    assert_delsarte_matches_oracle(one_point_swap(c6, data).blocks, 16, t)
+    assert_delsarte_matches_oracle(c6.blocks + one_point_swap(c6, data).blocks[:5], 16, t)
+
+
+@pytest.mark.parametrize("blocks, n, t", [
+    ([], 5, 1),
+    ([(1, 2), (1, 2, 3)], 5, 1),
+    ([(1, 2, 3, 4, 5, 6)], 5, 1),
+    ([(1, 2)], 5, 3),
+    ([(1, 1, 2)], 5, 1),
+    ([(1, 2, 3), (0, 1, 2)], 5, 1),
+    ([(1, 2, 3), (3, 4, 20)], 16, 1),
+    ([(1, 2), (1, 2), (3, 4), (3, 4)], 4, 1),
+    ([(1, 2), (1, 2), (3, 4)], 4, 1),
+])
+def test_delsarte_edge_cases_match_the_tilde_sum(blocks, n, t):
+    assert_delsarte_matches_oracle(blocks, n, t)

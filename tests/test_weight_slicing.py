@@ -15,7 +15,9 @@ from amdesign.catalog import builtin
 from amdesign.gf2core import (
     code_from_rows, code_from_strings, codewords_of_weight, doubly_even_subcode, dual,
     support, weight_distribution)
-from amdesign.harmonic import HarmonicFunction, gamma, harm_basis, harmonic_weight_enumerator
+from amdesign.harmonic import (
+    HarmonicFunction, gamma, harm_basis, harmonic_weight_enumerator,
+    harmonic_weight_enumerators)
 from amdesign.polyring import macwilliams_transform_classical
 
 
@@ -158,8 +160,16 @@ def test_doubly_even_subcode_of_self_orthogonal_sums_matches_the_walk(c):
 @example(TWO_CHUNKS[0], 1)
 @example(TWO_CHUNKS[1], 2)
 def test_harmonic_enumerators_match_the_walk(c, seed):
-    for f in some_functions(c.n, seed):
+    fs = some_functions(c.n, seed)
+    for f in fs:
         assert harmonic_weight_enumerator(c, f) == oracles.harmonic_weight_enumerator(c, f)
+    assert harmonic_weight_enumerators(c, fs) == [
+        harmonic_weight_enumerator(c, f) for f in fs]
+
+
+def test_enumerators_of_no_functions_need_no_walk():
+    # Above the enumeration guard: a walk would raise.
+    assert harmonic_weight_enumerators(random_code(0, 40, 30), ()) == []
 
 
 def _subcode(c):
@@ -175,6 +185,8 @@ CONSUMERS = {
     "doubly_even_subcode": _subcode,
     "harmonic_weight_enumerator": lambda c: harmonic_weight_enumerator(
         c, harm_basis(c.n, 1)[0] + harm_basis(c.n, 1)[-1]),
+    "harmonic_weight_enumerators": lambda c: harmonic_weight_enumerators(
+        c, harm_basis(c.n, 1)[:4] + harm_basis(c.n, 2)[:4]),
 }
 
 
