@@ -179,7 +179,10 @@ def _cmd_design_mendelsohn(args) -> int:
     fixed = {}
     for item in args.fixed or ():
         key, _, value = item.partition("=")
-        fixed[int(key)] = int(value)
+        i = int(key)
+        if i in fixed:
+            raise ValueError(f"--fixed gives n_{i} twice")
+        fixed[i] = int(value)
     solutions = designs.mendelsohn_solve(args.t, args.v, args.k, args.lam, args.m,
                                          allowed, fixed or None, limit=args.limit)
     lambdas = [str(designs.lambda_i(args.t, args.v, args.k, args.lam, j))

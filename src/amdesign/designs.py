@@ -4,9 +4,7 @@ intersection numbers, and the block-count linear system."""
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -33,8 +31,6 @@ __all__ = [
     "design_from_json",
     "read_design_file",
     "write_design_file",
-    "non_self_orthogonal_2_design",
-    "perturb_2_design",
 ]
 
 
@@ -262,10 +258,15 @@ def mendelsohn_solve(
     s = min(#free, t + 1) free unknowns are solved exactly from rows 0..s-1
     (over distinct i, [C(i, j)] is a Vandermonde matrix up to row
     operations, so it is invertible) and the other rows are checked; the
-    earlier free unknowns are searched over 0..lambda_0. Solutions come back
+    earlier free unknowns are searched over 0..lambda_0, each loop stopping
+    once a partial row sum exceeds its total. Solutions come back
     in lexicographic order as tuples aligned with sorted(allowed_i); pass
     ``limit`` to stop after that many.
     """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     allowed = sorted(set(allowed_i))
     if not allowed:
         raise ValueError("allowed_i is empty")
@@ -284,6 +285,13 @@ def mendelsohn_solve(
     if any(val < 0 for val in fixed.values()):
         raise ValueError("fixed values must be nonnegative")
     coeff = [[comb(i, j) for j in range(t + 1)] for i in allowed]
+    if t >= 2:
+        # Rows 0..2 fix sum_i (i - a)(i - a - 1) n_i, and every term is >= 0
+        # at integer i: one more row that bounds the search like the others.
+        a = rhs[1] // rhs[0] if rhs[0] else 0
+        rhs.append(2 * rhs[2] - 2 * a * rhs[1] + a * (a + 1) * rhs[0])
+        for i, row in zip(allowed, coeff):
+            row.append((i - a) * (i - a - 1))
     free = [idx for idx, i in enumerate(allowed) if i not in fixed]
     s = min(len(free), t + 1)
     searched, solved = free[:len(free) - s], free[len(free) - s:]
@@ -311,13 +319,13 @@ def mendelsohn_solve(
             return
         idx = searched[depth]
         for val in range(lambdas[0] + 1):
-            nxt = [partial[j] + coeff[idx][j] * val for j in range(t + 1)]
-            if any(nxt[j] > rhs[j] for j in range(t + 1)):
+            nxt = [p + c * val for p, c in zip(partial, coeff[idx])]
+            if any(n > r for n, r in zip(nxt, rhs)):
                 break
             assignment[idx] = val
             extend(depth + 1, nxt)
 
-    extend(0, [sum(c[j] * val for c, val in zip(coeff, assignment)) for j in range(t + 1)])
+    extend(0, [sum(c[j] * val for c, val in zip(coeff, assignment)) for j in range(len(rhs))])
     return solutions
 
 
@@ -359,119 +367,3 @@ def read_design_file(path: str | Path) -> Design:
 
 def write_design_file(path: str | Path, d: Design) -> None:
     Path(path).write_text(json.dumps(design_to_json(d), indent=1) + "\n")
-
-
-def _climb_once(base: Design, lam: int, rng: random.Random, kicks: int,
-                max_steps: int) -> Design | None:
-    v, k = base.v, base.k
-    points = list(range(1, v + 1))
-    blocks = [set(b) for b in base.blocks]
-
-    def key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    cover: dict[tuple[int, int], int] = {
-        pair: 0 for pair in combinations(points, 2)
-    }
-    for b in blocks:
-        for pair in combinations(sorted(b), 2):
-            cover[pair] += 1
-
-    def swap_delta(block: set[int], out: int, into: int) -> int:
-        delta = 0
-        for z in block:
-            if z == out:
-                continue
-            c = cover[key(out, z)]
-            delta += (c - 1 - lam) ** 2 - (c - lam) ** 2
-            c = cover[key(into, z)]
-            delta += (c + 1 - lam) ** 2 - (c - lam) ** 2
-        return delta
-
-    def apply_swap(idx: int, out: int, into: int) -> None:
-        block = blocks[idx]
-        for z in block:
-            if z == out:
-                continue
-            cover[key(out, z)] -= 1
-            cover[key(into, z)] += 1
-        block.discard(out)
-        block.add(into)
-
-    for _ in range(kicks):
-        idx = rng.randrange(len(blocks))
-        for pair in combinations(sorted(blocks[idx]), 2):
-            cover[pair] -= 1
-        blocks[idx] = set(rng.sample(points, k))
-        for pair in combinations(sorted(blocks[idx]), 2):
-            cover[pair] += 1
-    cost = sum((c - lam) ** 2 for c in cover.values())
-
-    for _ in range(max_steps):
-        if cost == 0:
-            return Design(v, tuple(tuple(sorted(b)) for b in blocks))
-        over = [pair for pair, c in cover.items() if c > lam]
-        p, q = over[rng.randrange(len(over))]
-        holders = [i for i, b in enumerate(blocks) if p in b and q in b]
-        best = None
-        for i in holders:
-            block = blocks[i]
-            for out in (p, q):
-                for into in points:
-                    if into in block:
-                        continue
-                    d = swap_delta(block, out, into)
-                    if best is None or d < best[0]:
-                        best = (d, i, out, into)
-        d, i, out, into = best
-        if d > 0:
-            # no improving repair for this pair: take a random swap instead
-            i = holders[rng.randrange(len(holders))]
-            out = (p, q)[rng.randrange(2)]
-            into = rng.choice([x for x in points if x not in blocks[i]])
-            d = swap_delta(blocks[i], out, into)
-        apply_swap(i, out, into)
-        cost += d
-    return None
-
-
-def perturb_2_design(
-    base: Design,
-    lam: int,
-    seed: int,
-    kicks: int = 3,
-    max_steps: int = 200,
-    restarts: int = 200,
-) -> Design:
-    """Seeded hill climb to a different 2-design with the same parameters.
-
-    Starting from ``base``, ``kicks`` random blocks are replaced by random
-    k-subsets, then the pair-coverage error is driven back to zero: each step
-    picks a random over-covered pair and applies the best single-point swap
-    among the blocks holding that pair (falling back to a random swap when no
-    improving one exists). Climbs that stall are restarted with fresh kicks.
-    Raises RuntimeError when every restart runs out of budget.
-    """
-    rng = random.Random(seed)
-    for _ in range(restarts):
-        d = _climb_once(base, lam, rng, kicks, max_steps)
-        if d is not None and d != base:
-            return d
-    raise RuntimeError("hill climb did not recover a 2-design in budget")
-
-
-def non_self_orthogonal_2_design(base: Design, lam: int, seed: int = 0,
-                                 attempts: int = 100) -> Design:
-    """Perturb ``base`` into a 2-design with some odd block intersection.
-
-    Runs perturb_2_design over derived seeds until the result fails the
-    self-orthogonality parity test, re-validating the 2-design property of
-    the winner exactly.
-    """
-    for sub in range(attempts):
-        d = perturb_2_design(base, lam, seed * attempts + sub)
-        if not is_self_orthogonal_design(d):
-            if is_t_design(d, 2) != lam:
-                raise RuntimeError("perturbed design lost the 2-design property")
-            return d
-    raise RuntimeError("no parity-breaking perturbation found in budget")

@@ -268,16 +268,6 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     return report("thm1.2-2", passed, witnesses)
 
 
-_PIPELINE_STEPS = (
-    "even_self_orthogonal",
-    "dual_minimum_distance",
-    "count_bound",
-    "self_dual",
-    "classification",
-    "support_design_match",
-)
-
-
 def verify_thm_1_4_pipeline(d: Design) -> VerificationReport:
     """Uniqueness pipeline: a self-orthogonal 2-(16,6,8) design generates the
     near-extremal Type I [16,8,4] code and is recovered as its C_6."""
@@ -314,9 +304,7 @@ def verify_thm_1_4_pipeline(d: Design) -> VerificationReport:
         "counted_words_0_6_10_16": word_count,
     }
     if not passed:
-        witnesses["failing_step"] = next(
-            name for name in _PIPELINE_STEPS if not steps[name]
-        )
+        witnesses["failing_step"] = next(name for name, ok in steps.items() if not ok)
     return report("thm1.4", passed, witnesses)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from amdesign.catalog import pinned_even_fsd_16, pinned_type_i_16
-from amdesign.designs import support_design
+from amdesign.designs import Design, support_design
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +17,17 @@ def fsd16():
 @pytest.fixture(scope="session")
 def c6(type1):
     return support_design(type1, 6)
+
+
+@pytest.fixture(scope="session")
+def bent_design():
+    """A 2-(16,6,8) design that is not self-orthogonal.
+
+    The 2-(16,6,2) biplane of translates of the difference set
+    {0,1,2,4,8,15} in Z_2^4 (point p is the group element p - 1), taken
+    twice as is and twice with points 1 and 2 swapped. A swap preserves
+    the 2-design property, and the union of the two copies has blocks
+    meeting in an odd number of points."""
+    biplane = [tuple((x ^ s) + 1 for s in (0, 1, 2, 4, 8, 15)) for x in range(16)]
+    swapped = [tuple({1: 2, 2: 1}.get(p, p) for p in block) for block in biplane]
+    return Design(16, tuple(2 * biplane + 2 * swapped))

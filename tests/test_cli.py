@@ -266,6 +266,31 @@ def test_negative_search_budget_is_usage_error(capsys, argv):
     assert "found in 0 iterations" in capsys.readouterr().err
 
 
+MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",
+              "--lam", "8", "--m", "6", "--allowed", "0,2,4,6"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--limit", "-1"], "limit must be nonnegative"),
+    (["--t", "-1"], "t must be nonnegative"),
+    (["--fixed", "6=1", "--fixed", "6=3"], "--fixed gives n_6 twice"),
+])
+def test_mendelsohn_bad_input_is_usage_error(capsys, extra, message):
+    assert run(MENDELSOHN + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_thm_1_4_rejects_a_non_self_orthogonal_design(capsys, tmp_path,
+                                                             bent_design):
+    path = tmp_path / "bent.json"
+    write_design_file(path, bent_design)
+    assert run(["verify", "thm1.4", "-d", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: self-orthogonality: odd block intersection found\n")
+
+
 def test_search_fsd_beyond_the_enumeration_guard(capsys):
     # Almost no candidate at n = 64 passes the all-ones filter, so the guard
     # is checked before the first draw, as the first spectrum once tripped it.

@@ -23,8 +23,6 @@ from amdesign.designs import (
     is_t_design,
     lambda_i,
     mendelsohn_solve,
-    non_self_orthogonal_2_design,
-    perturb_2_design,
     read_design_file,
     support_design,
     t_design_violation,
@@ -255,6 +253,10 @@ def _outcome(solve, system):
 @example((2, 16, 6, 8, 6, [0, 2, 4, 6], {0: 3, 4: 9, 6: 1}, None))
 @example((2, 16, 6, 8, 6, [0, 2, 4, 6], {0: 3, 2: 51, 4: 9, 6: 1}, None))
 @example((2, 16, 6, 8, 6, [0, 2, 4, 6], {0: 3, 2: 50, 4: 9, 6: 1}, None))
+# The second-moment row stops a loop that rows 0..t let run on: the Fano
+# plane relative to a block, and the 3-(8,4,1) design.
+@example((2, 7, 3, 1, 3, [0, 1, 2, 3], {}, None))
+@example((3, 8, 4, 1, 4, [0, 1, 2, 3, 4], {}, None))
 def test_mendelsohn_matches_the_full_search(system):
     assert _outcome(mendelsohn_solve, system) == _outcome(oracles.mendelsohn_solve, system)
 
@@ -298,19 +300,8 @@ def test_design_json_round_trip(tmp_path, c6):
         design_from_json({"v": 5})
 
 
-def test_perturb_preserves_parameters(c6):
-    for seed in range(3):
-        d = perturb_2_design(c6, 8, seed)
-        assert d != c6
-        assert d.v == 16 and d.k == 6 and d.b == 64
-        assert is_t_design(d, 2) == 8
-    assert perturb_2_design(c6, 8, 1) == perturb_2_design(c6, 8, 1)
-
-
-def test_non_self_orthogonal_2_design(c6):
-    for seed in range(3):
-        d = non_self_orthogonal_2_design(c6, 8, seed)
-        assert is_t_design(d, 2) == 8
-        assert not is_self_orthogonal_design(d)
-    assert non_self_orthogonal_2_design(c6, 8, 0) == \
-        non_self_orthogonal_2_design(c6, 8, 0)
+def test_bent_design_is_a_2_design_with_odd_intersections(bent_design, c6):
+    assert bent_design.v == 16 and bent_design.k == 6 and bent_design.b == 64
+    assert is_t_design(bent_design, 2) == 8
+    assert not is_self_orthogonal_design(bent_design)
+    assert bent_design != c6

@@ -1,8 +1,9 @@
 """The table-driven parser and the import cost of the command line: a parser
 built for one branch parses as the whole table does, help lists every name,
-dispatch looks the command up by name, and the import pulls in no
-dataclass machinery."""
+dispatch looks the command up by name, the import pulls in no
+dataclass machinery, and every module's __all__ names only defined names."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import amdesign
 import amdesign.cli as cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -135,3 +137,9 @@ def test_import_loads_no_dataclass_machinery():
 def test_no_source_module_imports_dataclasses():
     for path in (SRC / "amdesign").glob("*.py"):
         assert "dataclasses" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("name", [*amdesign._LAYERS, "cli"])
+def test_every_exported_name_is_defined(name):
+    module = importlib.import_module(f"amdesign.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -9,10 +9,9 @@ from amdesign.catalog import builtin, direct_sum
 from amdesign.designs import (
     Design,
     is_t_design,
-    non_self_orthogonal_2_design,
     support_design,
 )
-from amdesign.gf2core import BinaryCode, EnumerationGuardError, code_from_rows
+from amdesign.gf2core import BinaryCode, EnumerationGuardError, classify, code_from_rows
 from amdesign.verify import (
     PreconditionError,
     VerificationReport,
@@ -201,16 +200,28 @@ def test_thm_1_4_pipeline_pass(type1, c6):
     assert code_from_design(c6) == type1
 
 
-def test_thm_1_4_pipeline_preconditions(c6):
+def test_thm_1_4_pipeline_preconditions(c6, bent_design):
     with pytest.raises(PreconditionError, match="v = 16"):
         verify_thm_1_4_pipeline(Design(15, ((1, 2, 3, 4, 5, 6),)))
     with pytest.raises(PreconditionError, match="k = 6"):
         verify_thm_1_4_pipeline(Design(16, ((1, 2, 3, 4, 5),)))
     with pytest.raises(PreconditionError, match="lambda = 8"):
         verify_thm_1_4_pipeline(drop_block(c6, 0))
-    bent = non_self_orthogonal_2_design(c6, 8, seed=0)
     with pytest.raises(PreconditionError, match="odd block intersection"):
-        verify_thm_1_4_pipeline(bent)
+        verify_thm_1_4_pipeline(bent_design)
+
+
+def test_thm_1_4_pipeline_names_the_first_failing_step(monkeypatch, c6):
+    def not_type_one(c):
+        cls = classify(c)
+        return type(cls)(**{**cls.fields(), "type_one": False})
+
+    monkeypatch.setattr("amdesign.verify.classify", not_type_one)
+    rep = verify_thm_1_4_pipeline(c6)
+    assert not rep.passed
+    assert [name for name, ok in rep.witnesses["steps"].items() if not ok] == \
+        ["classification"]
+    assert rep.witnesses["failing_step"] == "classification"
 
 
 def test_cor_1_5(type1):
