@@ -175,14 +175,23 @@ def _cmd_design_intersections(args) -> int:
 
 
 def _cmd_design_mendelsohn(args) -> int:
-    allowed = sorted(int(x) for x in args.allowed.split(","))
+    try:
+        allowed = sorted(int(x) for x in args.allowed.split(","))
+    except ValueError:
+        raise ValueError(f"--allowed expects I,J,..., got {args.allowed!r}") from None
+    for i, j in zip(allowed, allowed[1:]):
+        if i == j:
+            raise ValueError(f"--allowed gives {i} twice")
     fixed = {}
     for item in args.fixed or ():
         key, _, value = item.partition("=")
-        i = int(key)
+        try:
+            i, n_i = int(key), int(value)
+        except ValueError:
+            raise ValueError(f"--fixed expects I=N, got {item!r}") from None
         if i in fixed:
             raise ValueError(f"--fixed gives n_{i} twice")
-        fixed[i] = int(value)
+        fixed[i] = n_i
     solutions = designs.mendelsohn_solve(args.t, args.v, args.k, args.lam, args.m,
                                          allowed, fixed or None, limit=args.limit)
     lambdas = [str(designs.lambda_i(args.t, args.v, args.k, args.lam, j))

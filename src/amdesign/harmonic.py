@@ -1,7 +1,8 @@
 """Discrete harmonic functions on k-subsets and harmonic weight enumerators.
 
-A function on the k-subsets of {1..n} is stored sparsely as
-{point mask: value}, with bit p-1 set for point p.
+The functions are the standard polytabloids of shape (n-k, k), each stored
+as its k column pairs (a_i, b_i): its tilde on a point set B is
+prod_i (1_B(b_i) - 1_B(a_i)).
 """
 
 from __future__ import annotations
@@ -10,16 +11,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .gf2core import BinaryCode, EnumerationGuardError, Record, _weight_leaves, support
+from .gf2core import BinaryCode, EnumerationGuardError, Record, _weight_leaves
 from .polyring import HomPoly
 
 __all__ = [
     "SUBSET_GUARD",
     "HarmonicFunction",
-    "gamma",
     "harm_dimension",
     "harm_basis",
     "harmonic_weight_enumerator",
@@ -33,71 +32,49 @@ __all__ = [
 SUBSET_GUARD = 20_000
 
 
-def _mask(points: Iterable[int]) -> int:
-    return sum(1 << (p - 1) for p in points)
-
-
 class HarmonicFunction(Record):
-    """An exact-valued function on the k-subsets of {1..n}.
+    """The polytabloid on the k-subsets of {1..n} with column pairs
+    (a_i, b_i), k = len(pairs): +-1 on each k-subset that meets every pair
+    once, with sign (-1)^(number of a_i taken), and 0 elsewhere. The pairs
+    are disjoint."""
 
-    ``terms`` maps the point mask of each k-subset with a nonzero value to
-    that value; absent subsets are 0. Instances returned by harm_basis lie in
-    the kernel of gamma; the constructor itself accepts any values so that
-    gamma images and linear combinations are represented the same way.
-    """
+    __slots__ = ("n", "pairs")
 
-    __slots__ = ("n", "k", "terms")
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = tuple((a, b) for a, b in pairs)
+        points = [p for pair in pairs for p in pair]
+        for p in points:
+            if not 1 <= p <= n:
+                raise ValueError(f"point {p} is outside 1..{n}")
+        if len(set(points)) != len(points):
+            raise ValueError("the column pairs overlap")
+        self._set(n, pairs)
 
-    def __init__(self, n: int, k: int, terms: Mapping[int, int | Fraction]) -> None:
-        if k < 0 or k > n:
-            raise ValueError("k out of range")
-        for m in terms:
-            if not 0 <= m < 1 << n or m.bit_count() != k:
-                raise ValueError(f"mask {m:#x} is not a {k}-subset of 1..{n}")
-        self._set(n, k, MappingProxyType({m: v for m, v in terms.items() if v}))
+    @property
+    def k(self) -> int:
+        return len(self.pairs)
 
-    def value_on(self, subset: Sequence[int]) -> int | Fraction:
-        if len(subset) != self.k:
-            raise ValueError("subset has the wrong size")
-        return self.terms.get(_mask(subset), 0)
-
-    def tilde(self, points: Iterable[int]) -> int | Fraction:
+    def tilde(self, points: Iterable[int]) -> int:
         """Sum of the function over all k-subsets of the given point set."""
-        block = _mask(points)
-        return sum(v for m, v in self.terms.items() if m & block == m)
-
-    def is_harmonic(self) -> bool:
-        return self.k == 0 or not gamma(self).terms
-
-    def __add__(self, other: "HarmonicFunction") -> "HarmonicFunction":
-        if not isinstance(other, HarmonicFunction):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("domain mismatch")
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            out[m] = out.get(m, 0) + v
-        return HarmonicFunction(self.n, self.k, out)
-
-    def __mul__(self, scalar: int | Fraction) -> "HarmonicFunction":
-        return HarmonicFunction(
-            self.n, self.k, {m: v * scalar for m, v in self.terms.items()})
-
-    __rmul__ = __mul__
+        block = set(points)
+        value = 1
+        for a, b in self.pairs:
+            value *= (b in block) - (a in block)
+        return value
 
 
-def gamma(f: HarmonicFunction) -> HarmonicFunction:
-    """Down-shift operator: (gamma f)(y) = sum of f over k-subsets covering y."""
-    if f.k == 0:
-        raise ValueError("gamma is undefined below degree 1")
-    out: dict[int, int | Fraction] = {}
-    for z, val in f.terms.items():
-        rest = z
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            out[z ^ bit] = out.get(z ^ bit, 0) + val
-    return HarmonicFunction(f.n, f.k - 1, out)
+def _fold(pairs: Sequence[tuple[int, int]], columns: Sequence[int]) -> tuple[int, int]:
+    """f~ on a set of items, where columns[p-1] is the bitset of the items
+    that contain point p: the items that meet every pair once, on which f~
+    is +-1, and those of them that take an odd number of the a_i, on which
+    it is -1. The sum of f~ over a bitset S of items is therefore
+    popcount(S & meet) - 2 * popcount(S & odd)."""
+    meet, odd = -1, 0  # all ones: the product over no pairs
+    for a, b in pairs:
+        ca = columns[a - 1]
+        meet &= ca ^ columns[b - 1]
+        odd = (odd ^ ca) & meet
+    return meet, odd
 
 
 def harm_dimension(n: int, k: int) -> int:
@@ -117,12 +94,11 @@ def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
     lexicographic order of the row.
 
     Column i pairs b_i with a_i, the i-th smallest point outside the row
-    (a_i < b_i). The polytabloid is +-1 on each k-subset that meets every
-    pair once, with sign (-1)^(number of a_i taken), and 0 elsewhere; so its
-    tilde on a block B is prod_i (1_B(b_i) - 1_B(a_i)). Gamma kills it,
-    because each (k-1)-subset misses some pair and the two ways of completing
-    it there cancel; the polytabloids are independent and span the kernel
-    (James, LNM 682, the standard basis of the Specht module S^(n-k,k)).
+    (a_i < b_i). The polytabloid is harmonic: its sum over the k-subsets
+    that cover any (k-1)-subset is 0, because that subset misses some pair
+    and the two ways of completing it there cancel. The polytabloids are
+    independent and span the harmonic space (James, LNM 682, the standard
+    basis of the Specht module S^(n-k,k)).
     """
     if k < 0 or k > n:
         raise ValueError("k out of range")
@@ -135,11 +111,7 @@ def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
         if any(b < 2 * i for i, b in enumerate(row, 1)):
             continue
         outside = [p for p in range(1, n + 1) if p not in row]
-        terms = {0: 1}
-        for a, b in zip(outside, row):
-            terms = {m | bit: s * v for m, v in terms.items()
-                     for bit, s in ((1 << (b - 1), 1), (1 << (a - 1), -1))}
-        basis.append(HarmonicFunction(n, k, terms))
+        basis.append(HarmonicFunction(n, zip(outside, row)))
     return tuple(basis)
 
 
@@ -152,9 +124,9 @@ def harmonic_weight_enumerators(
     c: BinaryCode, fs: Sequence[HarmonicFunction]
 ) -> list[HomPoly]:
     """The harmonic weight enumerator of c for each f in fs, from one pass
-    over the weight leaves. The coefficient of y^w sums v * |weight-w words
-    containing m| over the terms (m, v) of f; per bit-sliced chunk, the
-    popcount of leaf w ANDed with m's columns, counted once per mask."""
+    over the weight leaves. Per bit-sliced chunk, f's pairs fold the chunk's
+    columns into the words where f~ is nonzero and those where it is -1; the
+    coefficient of y^w reads both sets ANDed with leaf w."""
     for f in fs:
         if f.n != c.n:
             raise ValueError("code length and function ground set differ")
@@ -163,16 +135,10 @@ def harmonic_weight_enumerators(
     coeffs = [[0] * (c.n + 1) for _ in fs]
     for _, _, columns, leaves in _weight_leaves(c):
         live = [(w, leaf) for w, leaf in enumerate(leaves) if leaf]
-        counts: dict[int, list[tuple[int, int]]] = {}
         for f, out in zip(fs, coeffs):
-            for m, v in f.terms.items():
-                if m not in counts:
-                    cover = -1  # all ones: the AND over no points
-                    for p in support(m):
-                        cover &= columns[p - 1]
-                    counts[m] = [(w, (leaf & cover).bit_count()) for w, leaf in live]
-                for w, a in counts[m]:
-                    out[w] += v * a
+            meet, odd = _fold(f.pairs, columns)
+            for w, leaf in live:
+                out[w] += (leaf & meet).bit_count() - 2 * (leaf & odd).bit_count()
     return [HomPoly(c.n, tuple(out)) for out in coeffs]
 
 
@@ -203,8 +169,9 @@ def delsarte_design_check(
     exactly when sum_b f~(b) vanishes for every f in harm_basis(n, k), k=1..t.
 
     Each point gets a b-bit incidence mask (bit i for block i, so repeated
-    blocks keep their multiplicity), and sum_b f~(b) is the sum over the
-    terms (m, v) of f of v times the popcount of the AND of m's masks."""
+    blocks keep their multiplicity); f's pairs fold those masks into the
+    blocks where f~ is nonzero and those where it is -1, and sum_b f~(b)
+    vanishes when the first set has twice as many blocks as the second."""
     if not blocks:
         raise ValueError("no blocks given")
     sizes = {len(b) for b in blocks}
@@ -220,18 +187,13 @@ def delsarte_design_check(
             raise ValueError(f"block {list(b)} repeats a point")
         if not all(1 <= p <= n for p in b):
             raise ValueError(f"block {list(b)} has a point outside 1..{n}")
-    incidence = [0] * (n + 1)
+    incidence = [0] * n
     for i, b in enumerate(blocks):
         for p in b:
-            incidence[p] |= 1 << i
+            incidence[p - 1] |= 1 << i
     for k in range(1, t + 1):
         for f in harm_basis(n, k):
-            total = 0
-            for m, v in f.terms.items():
-                cover = -1  # all ones: the AND over no points
-                for p in support(m):
-                    cover &= incidence[p]
-                total += v * cover.bit_count()
-            if total:
+            meet, odd = _fold(f.pairs, incidence)
+            if meet.bit_count() != 2 * odd.bit_count():
                 return False
     return True

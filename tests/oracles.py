@@ -12,7 +12,12 @@ harmonic_weight_enumerator are the Gray walks that gf2core's bit-sliced
 weight leaves replaced: one codeword per step, and for the enumerator one
 tilde of the word's support per codeword. delsarte_design_check is the
 harmonic design test that summed one tilde per block per basis function;
-amdesign.harmonic counts each term's blocks by per-point incidence bitsets.
+amdesign.harmonic folds each function's column pairs over per-point
+incidence bitsets instead.
+
+expand is the {point mask: +-1} table of a polytabloid's values on the
+k-subsets of its points, which amdesign.harmonic stored for every basis
+function before it kept only the column pairs.
 
 mendelsohn_solve is the search that tried every value 0..lambda_0 for each
 free unknown, the last one included; amdesign.designs solves the last t+1
@@ -73,6 +78,17 @@ def harmonic_weight_enumerator(c, f):
             continue
         coeffs[w] += f.tilde(support(word))
     return HomPoly(c.n, tuple(coeffs))
+
+
+def expand(f):
+    """f's nonzero values by the point mask of their k-subset (bit p-1 for
+    point p): one subset per choice of one point from each column pair, with
+    sign (-1)^(number of a_i taken)."""
+    terms = {0: 1}
+    for a, b in f.pairs:
+        terms = {m | bit: s * v for m, v in terms.items()
+                 for bit, s in ((1 << (b - 1), 1), (1 << (a - 1), -1))}
+    return terms
 
 
 def delsarte_design_check(blocks, n, t):

@@ -31,6 +31,8 @@ def test_every_traced_name_exists():
         cls = getattr(importlib.import_module(f"amdesign.{layer}"), cls_name)
         assert callable(cls.__dict__.get(name)), f"{cls_name}.{name}"
     assert callable(importlib.import_module("amdesign.gf2core").iter_codewords)
+    # The shim counts basis builds by the cache misses of harm_basis.
+    assert callable(importlib.import_module("amdesign.harmonic").harm_basis.cache_info)
     assert [n for n in vars(amdesign.cli) if n.startswith(shim.CLI_COMMAND_PREFIX)]
 
 

@@ -274,6 +274,9 @@ MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",
     (["--limit", "-1"], "limit must be nonnegative"),
     (["--t", "-1"], "t must be nonnegative"),
     (["--fixed", "6=1", "--fixed", "6=3"], "--fixed gives n_6 twice"),
+    (["--allowed", "0,2,2,4,6", "--fixed", "6=1"], "--allowed gives 2 twice"),
+    (["--fixed", "6"], "--fixed expects I=N, got '6'"),
+    (["--allowed", "0,x"], "--allowed expects I,J,..., got '0,x'"),
 ])
 def test_mendelsohn_bad_input_is_usage_error(capsys, extra, message):
     assert run(MENDELSOHN + extra) == 2
