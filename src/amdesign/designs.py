@@ -267,6 +267,10 @@ def mendelsohn_solve(
         raise ValueError("t must be nonnegative")
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if not 0 <= m <= v:
+        raise ValueError(f"m must lie in 0..{v}")
     allowed = sorted(set(allowed_i))
     if not allowed:
         raise ValueError("allowed_i is empty")

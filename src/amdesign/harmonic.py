@@ -13,8 +13,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
+from . import polyring
 from .gf2core import BinaryCode, EnumerationGuardError, Record, _weight_leaves
-from .polyring import HomPoly
 
 __all__ = [
     "SUBSET_GUARD",
@@ -115,14 +115,14 @@ def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
     return tuple(basis)
 
 
-def harmonic_weight_enumerator(c: BinaryCode, f: HarmonicFunction) -> HomPoly:
+def harmonic_weight_enumerator(c: BinaryCode, f: HarmonicFunction) -> polyring.HomPoly:
     """Sum over codewords of f~(support) x^(n-wt) y^wt."""
     return harmonic_weight_enumerators(c, (f,))[0]
 
 
 def harmonic_weight_enumerators(
     c: BinaryCode, fs: Sequence[HarmonicFunction]
-) -> list[HomPoly]:
+) -> list[polyring.HomPoly]:
     """The harmonic weight enumerator of c for each f in fs, from one pass
     over the weight leaves. Per bit-sliced chunk, f's pairs fold the chunk's
     columns into the words where f~ is nonzero and those where it is -1; the
@@ -139,16 +139,18 @@ def harmonic_weight_enumerators(
             meet, odd = _fold(f.pairs, columns)
             for w, leaf in live:
                 out[w] += (leaf & meet).bit_count() - 2 * (leaf & odd).bit_count()
-    return [HomPoly(c.n, tuple(out)) for out in coeffs]
+    return [polyring.HomPoly(c.n, tuple(out)) for out in coeffs]
 
 
-def zcf(c: BinaryCode, f: HarmonicFunction) -> HomPoly:
+def zcf(c: BinaryCode, f: HarmonicFunction) -> polyring.HomPoly:
     """The harmonic enumerator with its forced (xy)^k factor divided out."""
     enum = harmonic_weight_enumerator(c, f)
     return enum.divide_xy(f.k)
 
 
-def bachoc_transform(z: HomPoly, k: int, code_size: int, n: int) -> HomPoly:
+def bachoc_transform(
+    z: polyring.HomPoly, k: int, code_size: int, n: int
+) -> polyring.HomPoly:
     """Image of a degree n-2k quotient enumerator under the dual transform
     (-1)^k (2^k / code_size) z(x+y, x-y); the radical-2 scaling folds into an
     exact power of two because the two half-degree exponents cancel."""

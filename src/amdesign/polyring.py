@@ -1,10 +1,13 @@
-"""Homogeneous bivariate polynomials over exact rationals, and the invariant
-ring machinery used to decompose weight enumerators."""
+"""Homogeneous bivariate polynomials with exact integer or rational
+coefficients, and the invariant ring machinery used to decompose weight
+enumerators."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import mul
 
 from . import ratlin
 from .gf2core import Record, WeightDistribution
@@ -26,38 +29,51 @@ __all__ = [
 Scalar = int | Fraction
 
 
+@lru_cache(maxsize=None)
+def _sum_diff_matrix(d: int) -> tuple[tuple[int, ...], ...]:
+    """Row j is the coefficient vector of (x+y)^(d-j) (x-y)^j, the image of
+    x^(d-j) y^j under the substitution: its entries are Krawtchouk values."""
+    return tuple(
+        tuple(sum(comb(d - j, r) * comb(j, m - r) * (-1) ** (m - r)
+                  for r in range(max(0, m - j), min(d - j, m) + 1))
+              for m in range(d + 1))
+        for j in range(d + 1))
+
+
 class HomPoly(Record):
-    """A homogeneous polynomial in x, y with rational coefficients.
+    """A homogeneous polynomial in x, y with exact coefficients.
 
     ``coeffs[j]`` is the coefficient of x^(degree-j) y^j; the vector is dense.
+    Coefficients are kept as given, so integer work stays in ``int`` and a
+    ``Fraction`` appears only where a division produces one.
     """
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: tuple[Fraction, ...]) -> None:
+    def __init__(self, degree: int, coeffs: tuple[Scalar, ...]) -> None:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != degree + 1:
             raise ValueError("coefficient vector has the wrong length")
-        self._set(degree, tuple(Fraction(c) for c in coeffs))
+        self._set(degree, tuple(coeffs))
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
-        return cls(degree, (Fraction(0),) * (degree + 1))
+        return cls(degree, (0,) * (degree + 1))
 
     @classmethod
     def monomial(cls, xdeg: int, ydeg: int, coeff: Scalar = 1) -> "HomPoly":
         if xdeg < 0 or ydeg < 0:
             raise ValueError("exponents must be nonnegative")
-        coeffs = [Fraction(0)] * (xdeg + ydeg + 1)
-        coeffs[ydeg] = Fraction(coeff)
+        coeffs = [0] * (xdeg + ydeg + 1)
+        coeffs[ydeg] = coeff
         return cls(xdeg + ydeg, tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def coefficient(self, ydeg: int) -> Fraction:
+    def coefficient(self, ydeg: int) -> Scalar:
         """Coefficient of x^(degree-ydeg) y^ydeg."""
         if ydeg < 0 or ydeg > self.degree:
             raise ValueError("exponent out of range")
@@ -90,7 +106,7 @@ class HomPoly(Record):
         if not isinstance(other, HomPoly):
             return NotImplemented
         deg = self.degree + other.degree
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -105,26 +121,18 @@ class HomPoly(Record):
     def __pow__(self, exponent: int) -> "HomPoly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = HomPoly(0, (Fraction(1),))
+        result = HomPoly(0, (1,))
         for _ in range(exponent):
             result = result * self
         return result
 
     def substitute_sum_diff(self) -> "HomPoly":
-        """Return p(x+y, x-y), expanded exactly."""
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        for j, cj in enumerate(self.coeffs):
-            if not cj:
-                continue
-            a = d - j
-            for m in range(d + 1):
-                s = 0
-                for r in range(max(0, m - j), min(a, m) + 1):
-                    s += comb(a, r) * comb(j, m - r) * (-1) ** (m - r)
-                if s:
-                    out[m] += cj * s
-        return HomPoly(d, tuple(out))
+        """Return p(x+y, x-y), expanded exactly: the coefficient vector times
+        the degree's cached sum-difference matrix."""
+        columns = zip(*_sum_diff_matrix(self.degree))
+        return HomPoly(
+            self.degree, tuple(sum(map(mul, self.coeffs, col)) for col in columns)
+        )
 
     def substitute_negate_y(self) -> "HomPoly":
         """Return p(x, -y)."""
@@ -256,11 +264,11 @@ def vanishing_coefficient_search(alpha_max: int) -> list[tuple[int, int]]:
 
 def weight_enumerator_poly(wd: WeightDistribution, n: int) -> HomPoly:
     """The enumerator sum A_w x^(n-w) y^w as a degree-n polynomial."""
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for w, a in wd.counts.items():
         if w > n:
             raise ValueError("weight exceeds the stated length")
-        coeffs[w] = Fraction(a)
+        coeffs[w] = a
     return HomPoly(n, tuple(coeffs))
 
 
@@ -276,9 +284,9 @@ def macwilliams_transform_classical(
     size = 1 << k
     counts: dict[int, int] = {}
     for w, c in enumerate(transformed.coeffs):
-        q = c / size
-        if q < 0 or q.denominator != 1:
+        q, r = divmod(c, size)
+        if q < 0 or r:
             raise ValueError(f"transform is not a weight distribution at w={w}")
         if q:
-            counts[w] = int(q)
+            counts[w] = q
     return WeightDistribution(counts)

@@ -54,10 +54,7 @@ def solve_columns(
     """
     ncols = len(columns)
     nrows = len(target)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(nrows)
-    ]
+    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
     red, pivots = rref(aug, pivot_limit=ncols)
     x = [Fraction(0)] * ncols
     for row, col in zip(red, pivots):

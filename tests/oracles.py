@@ -26,6 +26,10 @@ free unknowns from the system instead.
 search_even_fsd is the search that counted the spectrum of every candidate;
 amdesign.catalog first drops every candidate that does not contain the
 all-ones word, which every hit contains.
+
+substitute_sum_diff expands p(x+y, x-y) by summing binomial products afresh
+for every coefficient of every polynomial; HomPoly.substitute_sum_diff
+multiplies by one cached integer matrix per degree instead.
 """
 
 import random
@@ -78,6 +82,22 @@ def harmonic_weight_enumerator(c, f):
             continue
         coeffs[w] += f.tilde(support(word))
     return HomPoly(c.n, tuple(coeffs))
+
+
+def substitute_sum_diff(p):
+    d = p.degree
+    out = [0] * (d + 1)
+    for j, cj in enumerate(p.coeffs):
+        if not cj:
+            continue
+        a = d - j
+        for m in range(d + 1):
+            s = 0
+            for r in range(max(0, m - j), min(a, m) + 1):
+                s += comb(a, r) * comb(j, m - r) * (-1) ** (m - r)
+            if s:
+                out[m] += cj * s
+    return HomPoly(d, tuple(out))
 
 
 def expand(f):

@@ -71,6 +71,8 @@ def inputs(tmp_path_factory):
     (root / "e8.gm").write_text("11111111\n00001111\n00110011\n01010101\n")
     # pair {1, 2} is covered once, pair {1, 4} never
     (root / "mutant.json").write_text(json.dumps({"v": 4, "blocks": [[1, 2], [1, 3]]}))
+    (root / "type1_16.gm").write_text(
+        (ROOT / "src" / "amdesign" / "data" / "type1_16.gm").read_text())
     return root
 
 
@@ -79,7 +81,12 @@ def inputs(tmp_path_factory):
     (["search", "fsd"], 0, ["catalog", "gf2core"]),
     (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs", "gf2core"]),
     (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["designs", "gf2core", "verify"]),
-], ids=["code-info", "search-fsd", "design-check-violation", "verify-am"])
+    # harmonic loads polyring only when it builds an enumerator
+    (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0,
+     ["designs", "gf2core", "harmonic", "verify"]),
+    (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["gf2core", "harmonic"]),
+], ids=["code-info", "search-fsd", "design-check-violation", "verify-am",
+        "verify-thm1.2-1", "harmonic-basis-dim"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, executed):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", _LAYERS_SCRIPT, *argv], env=env,

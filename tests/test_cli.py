@@ -277,6 +277,8 @@ MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",
     (["--allowed", "0,2,2,4,6", "--fixed", "6=1"], "--allowed gives 2 twice"),
     (["--fixed", "6"], "--fixed expects I=N, got '6'"),
     (["--allowed", "0,x"], "--allowed expects I,J,..., got '0,x'"),
+    (["--lam", "-8"], "lambda must be nonnegative"),
+    (["--m", "99"], "m must lie in 0..16"),
 ])
 def test_mendelsohn_bad_input_is_usage_error(capsys, extra, message):
     assert run(MENDELSOHN + extra) == 2

@@ -1,9 +1,13 @@
-"""Homogeneous rational polynomials, invariant decompositions, MacWilliams."""
+"""Homogeneous exact polynomials, invariant decompositions, MacWilliams."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from amdesign.gf2core import (
     WeightDistribution,
@@ -55,6 +59,49 @@ def test_substitutions():
     with pytest.raises(ValueError):
         (X**2 + Y**2).divide_xy(1)
     assert str(X**2 - Y**2) == "x^2 - y^2"
+
+
+@st.composite
+def polys(draw):
+    """A HomPoly of degree 0..40 with all-int or all-Fraction coefficients."""
+    d = draw(st.integers(0, 40))
+    scalars = st.integers(-10**6, 10**6)
+    if draw(st.booleans()):
+        scalars = st.fractions(max_denominator=1000)
+    return HomPoly(d, tuple(draw(st.lists(scalars, min_size=d + 1, max_size=d + 1))))
+
+
+def _is_int_poly(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(polys())
+@example(HomPoly(0, (7,)))
+@example(HomPoly(40, (1,) * 41))
+@example(HomPoly(40, (0,) * 40 + (Fraction(-3, 7),)))
+def test_sum_diff_matrix_matches_the_loop(p):
+    image = p.substitute_sum_diff()
+    assert image == oracles.substitute_sum_diff(p)
+    assert _is_int_poly(image) == _is_int_poly(p)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(polys())
+@example(HomPoly(40, tuple(range(-20, 21))))
+def test_sum_diff_matrix_matches_sympy(p):
+    # Set x = 1: p is homogeneous, so the coefficient of y^m in
+    # sum_j c_j (1+y)^(d-j) (1-y)^j is that of x^(d-m) y^m in p(x+y, x-y).
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    d = p.degree
+    expanded = sympy.Poly(0, y, domain="QQ")
+    for j, c in enumerate(p.coeffs):
+        term = sympy.Poly(1 + y, y, domain="QQ") ** (d - j) * sympy.Poly(1 - y, y) ** j
+        expanded += term.mul_ground(sympy.Rational(c.numerator, c.denominator))
+    want = [expanded.coeff_monomial(y**m) for m in range(d + 1)]
+    assert p.substitute_sum_diff().coeffs == tuple(
+        Fraction(int(w.p), int(w.q)) for w in want)
 
 
 def test_q8_coefficients():
@@ -186,3 +233,9 @@ def test_macwilliams_input_validation():
         macwilliams_transform_classical(WeightDistribution({0: 1, 1: 2}), 2, 0)
     with pytest.raises(ValueError):
         macwilliams_transform_classical(WeightDistribution({1: 1}), 2, 0)
+    # x^4 + 3x^3y maps to 4x^4 + 10x^3y + ...: 10/4 at w = 1 is not an integer.
+    with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
+        macwilliams_transform_classical(WeightDistribution({0: 1, 1: 3}), 4, 2)
+    # x^2 + 3y^2 maps to 4x^2 - 4xy + 4y^2: -4/4 at w = 1 is a negative count.
+    with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
+        macwilliams_transform_classical(WeightDistribution({0: 1, 2: 3}), 2, 2)

@@ -154,14 +154,20 @@ def test_intersection_profile_validates():
     assert IntersectionProfile(k=1, counts=(0, 2)).as_dict() == {1: 2}
 
 
-def test_hom_poly_validates_and_makes_fractions():
+def test_hom_poly_validates_and_keeps_exact_coefficients():
     with pytest.raises(ValueError, match="nonnegative"):
         HomPoly(-1, ())
     with pytest.raises(ValueError, match="wrong length"):
         HomPoly(2, (1, 0))
     p = HomPoly(degree=2, coeffs=[1, Fraction(1, 2), 0])
-    assert p.coeffs == (1, Fraction(1, 2), 0)
-    assert all(type(x) is Fraction for x in p.coeffs) and isinstance(p.coeffs, tuple)
+    assert p.coeffs == (1, Fraction(1, 2), 0) and isinstance(p.coeffs, tuple)
+    assert [type(x) for x in p.coeffs] == [int, Fraction, int]
+    ints, fractions = HomPoly(1, (1, 2)), HomPoly(1, (Fraction(1), Fraction(2)))
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert str(ints) == str(fractions) == "x + 2*y"
+    for q in (p, ints, fractions):
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and [type(x) for x in back.coeffs] == [type(x) for x in q.coeffs]
 
 
 def test_harmonic_function_validates_and_makes_tuples():
