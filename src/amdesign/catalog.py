@@ -228,34 +228,11 @@ def save_code(name: str, c: BinaryCode, provenance: dict) -> None:
     _index_path().write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
 
 
-def _pinned(name: str, factory: Callable[[], BinaryCode], provenance: dict) -> BinaryCode:
-    try:
-        return load_code(name)
-    except KeyError:
-        pass
-    c = factory()
-    try:
-        save_code(name, c, provenance)
-    except OSError:
-        pass  # read-only install: fall back to the fresh derivation
-    return c
-
-
 def pinned_type_i_16() -> BinaryCode:
-    """The stored Type I [16,8,4] code, searched and pinned on first use."""
-    cfg = SearchConfig()
-    return _pinned(
-        "type1_16",
-        lambda: search_type_i_16(cfg),
-        {"kind": "search", "target": "type1-16", "seed": cfg.seed},
-    )
+    """The stored Type I [16,8,4] code (`search type1-16`, seed 0)."""
+    return load_code("type1_16")
 
 
 def pinned_even_fsd_16() -> BinaryCode:
-    """The stored even fsd non-self-dual [16,8,4] code, pinned on first use."""
-    cfg = SearchConfig()
-    return _pinned(
-        "fsd_16",
-        lambda: search_even_fsd(16, 4, cfg),
-        {"kind": "search", "target": "fsd", "n": 16, "d": 4, "seed": cfg.seed},
-    )
+    """The stored even fsd non-self-dual [16,8,4] code (`search fsd`, seed 0)."""
+    return load_code("fsd_16")

@@ -31,18 +31,14 @@ from .gf2core import (
 
 __all__ = ["main", "run"]
 
-# Names, not functions: reading a catalog attribute here would load catalog
-# for every command.
-_PINNED = {"type1_16": "pinned_type_i_16", "fsd_16": "pinned_even_fsd_16"}
-
 
 def _load_code(args) -> BinaryCode:
+    if args.generator and args.builtin:
+        raise PreconditionError("pass either -g FILE or -b NAME, not both")
     if args.generator:
         return read_generator_file(args.generator)
     if args.builtin:
         name = args.builtin
-        if name in _PINNED:
-            return getattr(catalog, _PINNED[name])()
         if all(part in catalog.BUILTIN_NAMES for part in name.split("+")):
             return catalog.builtin(name)
         return catalog.load_code(name)
@@ -98,10 +94,7 @@ def _cmd_code_info(args) -> int:
         "class": cls.fields(),
         "weight_distribution": {str(w): a for w, a in sorted(wd.counts.items())},
     }
-    flags = [name for name in (
-        "even", "doubly_even", "self_orthogonal", "self_dual",
-        "formally_self_dual", "type_one", "type_two",
-    ) if getattr(cls, name)]
+    flags = [name for name, value in cls.fields().items() if value is True]
     _print_payload(args, payload, [
         f"length: {c.n}",
         f"dimension: {c.dimension}",
@@ -337,17 +330,21 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-# Options as (flags, add_argument keywords): those of every subcommand, those
-# of the subcommands that read a code or a design, and a required integer.
-_COMMON = (("--format", {"choices": ("text", "json"), "default": "text"}),
-           ("--seed", {"type": int, "default": 0}))
-_CODE = _COMMON + (
+# Options as (flags, add_argument keywords): the output format, the inputs of
+# the subcommands that read a code or a design, those inputs with the format,
+# a required integer, and the options every search reads. A subcommand takes
+# only the options it reads.
+_FORMAT = (("--format", {"choices": ("text", "json"), "default": "text"}),)
+_CODE_IN = (
     ("-g --generator", {"metavar": "FILE", "help": "generator matrix file"}),
     ("-b --builtin", {"metavar": "NAME",
                       "help": "builtin ('+'-composed) or stored code name"}))
-_DESIGN = _COMMON + (
+_DESIGN_IN = (
     ("-d --design", {"metavar": "FILE", "required": True, "help": "design JSON file"}),)
+_CODE = _FORMAT + _CODE_IN
+_DESIGN = _FORMAT + _DESIGN_IN
 _INT = {"type": int, "required": True}
+_SEARCH = _FORMAT + (("--seed", {"type": int, "default": 0}),)
 
 # group -> (help, {subcommand -> (command function, options)}). The functions
 # are named, not held: run() looks the name up in this module when it
@@ -361,11 +358,11 @@ _COMMANDS = {
     }),
     "design": ("design-level operations", {
         "check": ("_cmd_design_check", _DESIGN + (("--t", _INT),)),
-        "from-code": ("_cmd_design_from_code", _CODE + (("--w", _INT),)),
-        "complement": ("_cmd_design_complement", _DESIGN),
+        "from-code": ("_cmd_design_from_code", _CODE_IN + (("--w", _INT),)),
+        "complement": ("_cmd_design_complement", _DESIGN_IN),
         "intersections": ("_cmd_design_intersections",
                           _DESIGN + (("--block", {"type": int, "default": 0}),)),
-        "mendelsohn": ("_cmd_design_mendelsohn", _COMMON + (
+        "mendelsohn": ("_cmd_design_mendelsohn", _FORMAT + (
             ("--t", _INT), ("--v", _INT), ("--k", _INT), ("--lam", _INT), ("--m", _INT),
             ("--allowed", {"required": True, "metavar": "I,J,...",
                            "help": "comma-separated intersection sizes"}),
@@ -374,7 +371,7 @@ _COMMANDS = {
             ("--limit", {"type": int}))),
     }),
     "harmonic": ("harmonic-function operations", {
-        "basis-dim": ("_cmd_harmonic_basis_dim", _COMMON + (("--n", _INT), ("--k", _INT))),
+        "basis-dim": ("_cmd_harmonic_basis_dim", _FORMAT + (("--n", _INT), ("--k", _INT))),
         "wenum": ("_cmd_harmonic_wenum", _CODE + (
             ("--k", _INT), ("--index", {"type": int, "default": 0}))),
         "transform-check": ("_cmd_harmonic_transform_check", _CODE + (("--k", _INT),)),
@@ -384,13 +381,13 @@ _COMMANDS = {
             ("--t", {"type": int, "default": 0,
                      "help": "0: classical enumerator; else harmonic degree"}),
             ("--index", {"type": int, "default": 0}))),
-        "lemma4.1": ("_cmd_poly_lemma41", _COMMON + (
+        "lemma4.1": ("_cmd_poly_lemma41", _FORMAT + (
             ("--alpha-max", {"type": int, "default": 16}),)),
     }),
     "search": ("randomized seeded code searches", {
-        "type1-16": ("_cmd_search_type1", _COMMON + (
+        "type1-16": ("_cmd_search_type1", _SEARCH + (
             ("--max-iterations", {"type": int, "default": 1_000_000}),)),
-        "fsd": ("_cmd_search_fsd", _COMMON + (
+        "fsd": ("_cmd_search_fsd", _SEARCH + (
             ("--n", {"type": int, "default": 16}), ("--d", {"type": int, "default": 4}),
             ("--max-iterations", {"type": int, "default": 1_000_000}))),
     }),
@@ -444,7 +441,9 @@ def run(argv=None) -> int:
         print(f"resource guard: {err}", file=sys.stderr)
         return 3
     except (ValueError, LookupError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
-from .gf2core import BinaryCode, Record, code_from_rows, codewords_of_weight, support
+from .gf2core import (BinaryCode, Record, SearchBudgetError, code_from_rows,
+                      codewords_of_weight, support)
 
 __all__ = [
     "Design",
@@ -24,6 +25,7 @@ __all__ = [
     "IntersectionProfile",
     "intersection_profile",
     "is_self_orthogonal_design",
+    "MENDELSOHN_NODE_BUDGET",
     "mendelsohn_solve",
     "code_from_design",
     "design_to_json",
@@ -240,6 +242,10 @@ def is_self_orthogonal_design(d: Design) -> bool:
     )
 
 
+# mendelsohn_solve gives up after this many nodes of its search tree.
+MENDELSOHN_NODE_BUDGET = 250_000
+
+
 def mendelsohn_solve(
     t: int,
     v: int,
@@ -261,7 +267,8 @@ def mendelsohn_solve(
     earlier free unknowns are searched over 0..lambda_0, each loop stopping
     once a partial row sum exceeds its total. Solutions come back
     in lexicographic order as tuples aligned with sorted(allowed_i); pass
-    ``limit`` to stop after that many.
+    ``limit`` to stop after that many. A search that visits more than
+    MENDELSOHN_NODE_BUDGET nodes raises SearchBudgetError.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -305,8 +312,14 @@ def mendelsohn_solve(
                for j in range(s)]
     solutions: list[tuple[int, ...]] = []
     assignment = [fixed.get(i, 0) for i in allowed]
+    nodes = 0
 
     def extend(depth: int, partial: list[int]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MENDELSOHN_NODE_BUDGET:
+            raise SearchBudgetError(
+                f"the block-count search exceeds {MENDELSOHN_NODE_BUDGET} nodes")
         if limit is not None and len(solutions) >= limit:
             return
         if depth == len(searched):

@@ -385,14 +385,7 @@ def is_self_orthogonal(c: BinaryCode) -> bool:
 def is_doubly_even(c: BinaryCode) -> bool:
     # wt(x+y) = wt(x) + wt(y) - 2|x&y|, so divisibility by 4 propagates from a
     # basis of weight-0 mod 4 rows with pairwise even intersections.
-    rows = c.basis
-    if any(row.bit_count() % 4 for row in rows):
-        return False
-    return all(
-        (rows[i] & rows[j]).bit_count() % 2 == 0
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-    )
+    return all(row.bit_count() % 4 == 0 for row in c.basis) and is_self_orthogonal(c)
 
 
 def mallows_sloane(n: int, d: int) -> str:

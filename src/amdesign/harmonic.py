@@ -126,7 +126,9 @@ def harmonic_weight_enumerators(
     """The harmonic weight enumerator of c for each f in fs, from one pass
     over the weight leaves. Per bit-sliced chunk, f's pairs fold the chunk's
     columns into the words where f~ is nonzero and those where it is -1; the
-    coefficient of y^w reads both sets ANDed with leaf w."""
+    coefficient of y^w reads both sets ANDed with leaf w. A word with f~
+    nonzero holds one point of each of f's k pairs, so only the leaves
+    k <= w <= n - k are read."""
     for f in fs:
         if f.n != c.n:
             raise ValueError("code length and function ground set differ")
@@ -137,8 +139,10 @@ def harmonic_weight_enumerators(
         live = [(w, leaf) for w, leaf in enumerate(leaves) if leaf]
         for f, out in zip(fs, coeffs):
             meet, odd = _fold(f.pairs, columns)
+            k = f.k
             for w, leaf in live:
-                out[w] += (leaf & meet).bit_count() - 2 * (leaf & odd).bit_count()
+                if k <= w <= c.n - k:
+                    out[w] += (leaf & meet).bit_count() - 2 * (leaf & odd).bit_count()
     return [polyring.HomPoly(c.n, tuple(out)) for out in coeffs]
 
 

@@ -184,16 +184,21 @@ def test_store_round_trip(tmp_path, monkeypatch):
         load_code("missing")
 
 
-def test_pinned_codes_search_then_load(tmp_path, monkeypatch):
-    monkeypatch.setenv("AMDESIGN_DATA", str(tmp_path))
-    first = pinned_type_i_16()
-    assert stored_names() == ["type1_16"]
-    assert pinned_type_i_16() == first
-    assert first == search_type_i_16()
-    second = pinned_even_fsd_16()
-    assert second == search_even_fsd(16, 4)
-    assert stored_names() == ["fsd_16", "type1_16"]
-    index = json.loads((tmp_path / "index.json").read_text())
-    assert index["type1_16"]["provenance"] == {
-        "kind": "search", "target": "type1-16", "seed": 0,
-    }
+# The recorded search target -> the search it names.
+_SEARCHES = {
+    "type1-16": lambda prov, cfg: search_type_i_16(cfg),
+    "fsd": lambda prov, cfg: search_even_fsd(prov["n"], prov["d"], cfg),
+}
+
+
+def test_pinned_codes_are_their_recorded_searches():
+    index = json.loads((data_dir() / "index.json").read_text())
+    searched = {name for name, entry in index.items()
+                if entry["provenance"]["kind"] == "search"}
+    assert searched == {"type1_16", "fsd_16"}
+    for name in searched:
+        prov = index[name]["provenance"]
+        cfg = SearchConfig(seed=prov["seed"])
+        assert _SEARCHES[prov["target"]](prov, cfg) == load_code(name), name
+    assert pinned_type_i_16() == load_code("type1_16")
+    assert pinned_even_fsd_16() == load_code("fsd_16")

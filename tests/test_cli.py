@@ -50,6 +50,42 @@ def test_code_info_builtin_and_pinned(capsys):
     assert payload["class"]["self_dual"] is True
 
 
+def test_pinned_codes_come_only_from_the_store(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("AMDESIGN_DATA", str(tmp_path))
+    assert run(["code", "info", "-b", "type1_16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no stored code named 'type1_16'\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_code_name_is_usage_error(capsys):
+    assert run(["code", "info", "-b", "zz"]) == 2
+    assert capsys.readouterr().err == "error: no stored code named 'zz'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "info", "-b", "d4", "--seed", "1"],
+    ["verify", "thm1.1", "-b", "type1_16", "--seed", "1"],
+    ["design", "check", "-d", "x.json", "--t", "2", "--seed", "1"],
+    ["design", "from-code", "-b", "d4", "--w", "2", "--format", "json"],
+    ["design", "complement", "-d", "x.json", "--format", "text"],
+], ids=["seed-code-info", "seed-verify", "seed-design-check", "format-from-code",
+        "format-complement"])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --" in captured.err
+    assert captured.out == ""
+
+
+def test_generator_and_builtin_together_are_usage_error(capsys, type1_file):
+    assert run(["code", "info", "-g", type1_file, "-b", "type1_16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pass either -g FILE or -b NAME, not both\n"
+    assert captured.out == ""
+
+
 def test_code_requires_input(capsys):
     assert run(["code", "info"]) == 2
     assert "a code is required" in capsys.readouterr().err
@@ -268,6 +304,19 @@ def test_negative_search_budget_is_usage_error(capsys, argv):
 
 MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",
               "--lam", "8", "--m", "6", "--allowed", "0,2,4,6"]
+
+
+def test_mendelsohn_search_budget_exits_3(capsys, monkeypatch):
+    import amdesign.designs as designs
+
+    # The paper's system solves at the root; freeing n_6 takes 10 nodes.
+    monkeypatch.setattr(designs, "MENDELSOHN_NODE_BUDGET", 4)
+    assert run(MENDELSOHN + ["--fixed", "6=1"]) == 0
+    capsys.readouterr()
+    assert run(MENDELSOHN) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource guard: the block-count search exceeds 4 nodes\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("extra, message", [
