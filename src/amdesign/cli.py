@@ -147,13 +147,13 @@ def _cmd_design_check(args) -> int:
 
 def _cmd_design_from_code(args) -> int:
     d = designs.support_design(_load_code(args), args.w)
-    print(json.dumps(designs.design_to_json(d)))
+    print(designs.format_design(d))
     return 0
 
 
 def _cmd_design_complement(args) -> int:
     d = designs.complement_design(designs.read_design_file(args.design))
-    print(json.dumps(designs.design_to_json(d)))
+    print(designs.format_design(d))
     return 0
 
 

@@ -28,7 +28,7 @@ __all__ = [
     "MENDELSOHN_NODE_BUDGET",
     "mendelsohn_solve",
     "code_from_design",
-    "design_to_json",
+    "format_design",
     "exact_json",
     "design_from_json",
     "read_design_file",
@@ -45,7 +45,7 @@ class Design(Record):
 
     __slots__ = ("v", "blocks")
 
-    def __init__(self, v: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, v: int, blocks: Sequence[Sequence[int]]) -> None:
         if not _is_int(v):
             raise ValueError("point count must be an integer")
         if v < 1:
@@ -55,8 +55,12 @@ class Design(Record):
         norm = []
         size = None
         for block in blocks:
-            if not all(_is_int(p) for p in block):
-                raise ValueError("block points must be integers")
+            if not _INT_ONLY.issuperset(map(type, block)):
+                # The slow path admits int subclasses other than bool, stored
+                # as plain ints so that format_design prints them as numbers.
+                if not all(map(_is_int, block)):
+                    raise ValueError("block points must be integers")
+                block = map(int, block)
             b = tuple(sorted(block))
             if len(set(b)) != len(b):
                 raise ValueError("block has a repeated point")
@@ -68,7 +72,7 @@ class Design(Record):
                 raise ValueError("block point out of range")
             norm.append(b)
         norm.sort()
-        self._set(v, tuple(norm))
+        self._set(int(v), tuple(norm))
 
     @property
     def k(self) -> int:
@@ -77,6 +81,9 @@ class Design(Record):
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+
+_INT_ONLY = frozenset({int})
 
 
 def _is_int(x) -> bool:
@@ -365,8 +372,11 @@ def exact_json(value):
     raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
-def design_to_json(d: Design) -> dict:
-    return {"v": d.v, "blocks": [list(b) for b in d.blocks]}
+def format_design(d: Design) -> str:
+    """The design JSON {"v": v, "blocks": [[...], ...]} in json.dumps's
+    default spacing, joined from one string per block instead of the
+    encoder's chunk per number and separator."""
+    return f'{{"v": {d.v}, "blocks": [' + ", ".join(map(str, map(list, d.blocks))) + "]}"
 
 
 def design_from_json(obj: Mapping) -> Design:
@@ -375,12 +385,16 @@ def design_from_json(obj: Mapping) -> Design:
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("design JSON 'blocks' must be a list of lists")
-    return Design(obj["v"], tuple(tuple(b) for b in blocks))
+    return Design(obj["v"], blocks)
 
 
 def read_design_file(path: str | Path) -> Design:
-    return design_from_json(json.loads(Path(path).read_text()))
+    try:
+        obj = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("design JSON nests too deeply") from None
+    return design_from_json(obj)
 
 
 def write_design_file(path: str | Path, d: Design) -> None:
-    Path(path).write_text(json.dumps(design_to_json(d), indent=1) + "\n")
+    Path(path).write_text(format_design(d) + "\n")

@@ -157,15 +157,21 @@ def bachoc_transform(
 ) -> polyring.HomPoly:
     """Image of a degree n-2k quotient enumerator under the dual transform
     (-1)^k (2^k / code_size) z(x+y, x-y); the radical-2 scaling folds into an
-    exact power of two because the two half-degree exponents cancel."""
+    exact power of two because the two half-degree exponents cancel. The
+    integer image is divided by code_size coefficient by coefficient, so a
+    coefficient is a Fraction only where code_size does not divide it."""
     if k < 0 or code_size < 1:
         raise ValueError("bad transform parameters")
     if z.degree != n - 2 * k:
         raise ValueError(f"expected degree {n - 2 * k}, got {z.degree}")
     if n % 2:
         raise ValueError("odd length: the 2-power exponents are not integral")
-    scale = Fraction((-1) ** k * (1 << k), code_size)
-    return z.substitute_sum_diff() * scale
+    scaled = z.substitute_sum_diff() * ((-1) ** k * (1 << k))
+    coeffs = []
+    for c in scaled.coeffs:
+        q, r = divmod(c, code_size)
+        coeffs.append(Fraction(c, code_size) if r else q)
+    return polyring.HomPoly(z.degree, tuple(coeffs))
 
 
 def delsarte_design_check(

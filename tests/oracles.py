@@ -30,6 +30,15 @@ all-ones word, which every hit contains.
 substitute_sum_diff expands p(x+y, x-y) by summing binomial products afresh
 for every coefficient of every polynomial; HomPoly.substitute_sum_diff
 multiplies by one cached integer matrix per degree instead.
+
+design_blocks is the validation loop of Design that tested every point with
+a Python-level isinstance call; Design tests the points' types in one set
+operation and falls back to the per-point test only for a block holding
+something other than a plain int.
+
+design_to_json is the design as a JSON object for json.dumps, whose C
+encoder keeps one string chunk per number and separator; format_design
+joins one string per block into the same text.
 """
 
 import random
@@ -132,6 +141,41 @@ def delsarte_design_check(blocks, n, t):
             if sum(f.tilde(b) for b in blocks):
                 return False
     return True
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def design_blocks(v, blocks):
+    """(v, sorted blocks) of Design(v, blocks), or its ValueError."""
+    if not _is_int(v):
+        raise ValueError("point count must be an integer")
+    if v < 1:
+        raise ValueError("point count must be positive")
+    if not blocks:
+        raise ValueError("a design needs at least one block")
+    norm = []
+    size = None
+    for block in blocks:
+        if not all(_is_int(p) for p in block):
+            raise ValueError("block points must be integers")
+        b = tuple(sorted(block))
+        if len(set(b)) != len(b):
+            raise ValueError("block has a repeated point")
+        if size is None:
+            size = len(b)
+        elif len(b) != size:
+            raise ValueError("blocks must share one size")
+        if not b or b[0] < 1 or b[-1] > v:
+            raise ValueError("block point out of range")
+        norm.append(b)
+    norm.sort()
+    return v, tuple(norm)
+
+
+def design_to_json(d):
+    return {"v": d.v, "blocks": [list(b) for b in d.blocks]}
 
 
 def _mask(points):

@@ -80,12 +80,13 @@ def inputs(tmp_path_factory):
     (["code", "info", "-g", "e8.gm"], 0, ["gf2core"]),
     (["search", "fsd"], 0, ["catalog", "gf2core"]),
     (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs", "gf2core"]),
+    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, ["designs", "gf2core"]),
     (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["designs", "gf2core", "verify"]),
     # harmonic loads polyring only when it builds an enumerator
     (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0,
      ["designs", "gf2core", "harmonic", "verify"]),
     (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["gf2core", "harmonic"]),
-], ids=["code-info", "search-fsd", "design-check-violation", "verify-am",
+], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
         "verify-thm1.2-1", "harmonic-basis-dim"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, executed):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

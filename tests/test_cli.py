@@ -4,6 +4,7 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdesign.cli import run
 from amdesign.designs import Design, support_design, write_design_file
@@ -380,6 +381,75 @@ def test_malformed_design_file_is_input_error(capsys, tmp_path, body):
     assert run(["design", "check", "-d", str(path), "--t", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_deeply_nested_design_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run(["design", "check", "-d", str(path), "--t", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: design JSON nests too deeply\n")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+_POINT = st.integers(-1, 18) | st.integers(1, 16) | _JSON
+# Design-shaped objects, either key possibly missing: a v, and blocks that
+# are lists of points, other JSON values, or not a list at all.
+_DESIGN_OBJECTS = st.fixed_dictionaries({}, optional={
+    "v": st.integers(-1, 18) | st.integers(4, 16) | _JSON,
+    "blocks": st.lists(st.lists(_POINT, max_size=5) | _JSON, max_size=8) | _JSON,
+})
+
+
+@st.composite
+def _designs_one_point_off(draw):
+    """A valid design object, or one with a point replaced by any value."""
+    v = draw(st.integers(2, 10))
+    k = draw(st.integers(1, v))
+    blocks = draw(st.lists(st.lists(st.integers(1, v), min_size=k, max_size=k, unique=True),
+                           min_size=1, max_size=8))
+    if draw(st.booleans()):
+        block = draw(st.sampled_from(blocks))
+        block[draw(st.integers(0, k - 1))] = draw(_POINT)
+    return {"v": v, "blocks": blocks}
+
+
+_DESIGN_FILES = st.one_of(
+    st.text(max_size=20),                                   # mostly not JSON
+    st.binary(max_size=12),                                 # mostly not UTF-8
+    _JSON.map(json.dumps),                                  # any top level
+    _DESIGN_OBJECTS.map(json.dumps),
+    _designs_one_point_off().map(json.dumps),
+    _DESIGN_OBJECTS.map(json.dumps).flatmap(                # cut off
+        lambda text: st.integers(0, len(text)).map(lambda i: text[:i])),
+)
+
+
+@pytest.mark.parametrize("command", [["check", "--t", "2"], ["complement"]])
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_DESIGN_FILES)
+def test_malformed_design_files_keep_the_exit_code_contract(capsys, tmp_path, command, body):
+    path = tmp_path / "design.json"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
+    code = run(["design", command[0], "-d", str(path), *command[1:]])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    elif command[0] == "check":
+        verdict = out.splitlines()[-1]
+        assert err == "" and verdict.startswith("2-design" if code == 0 else "not a 2-design")
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out)["v"] == json.loads(path.read_text())["v"]
 
 
 def test_verify_profile_text_and_json(capsys):

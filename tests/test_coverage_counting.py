@@ -18,7 +18,6 @@ from amdesign.designs import (
     support_design,
     t_design_violation,
 )
-from amdesign.gf2core import code_from_rows
 from amdesign.harmonic import delsarte_design_check
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
@@ -81,15 +80,6 @@ def test_c6_mutants_match_the_scan(c6, data):
     mutant = one_point_swap(c6, data)
     assert_matches_oracle(mutant, range(4))
     assert is_t_design(mutant, 2) is None
-
-
-@pytest.fixture(scope="module")
-def golay():
-    # Extended Golay [24,12,8]: the 12 shifts of g(x) = 1+x^2+x^4+x^5+x^6+x^10+x^11
-    # in length 23, each extended by an overall parity bit.
-    g = sum(1 << e for e in (0, 2, 4, 5, 6, 10, 11))
-    rows = [(g << s) | (((g << s).bit_count() & 1) << 23) for s in range(12)]
-    return code_from_rows(rows, 24)
 
 
 def test_golay_support_designs(golay):

@@ -1,6 +1,9 @@
 """Block multisets: design tests, complements, intersections, Mendelsohn."""
 
+import json
 import random
+import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -17,7 +20,7 @@ from amdesign.designs import (
     complement_design,
     design_from_json,
     design_strength,
-    design_to_json,
+    format_design,
     intersection_profile,
     is_self_orthogonal_design,
     is_t_design,
@@ -47,6 +50,94 @@ def test_design_validation():
         Design(4, ((1, 2), (1, 2, 3)))
     with pytest.raises(ValueError):
         Design(4, ((3, 5),))
+
+
+class Point(IntEnum):
+    ONE = 1
+    TWO = 2
+    NINE = 9
+
+
+# Points Design rejects or ranges it rejects, drawn for about half of the
+# collections so that the other half can pass every check.
+_ODD_POINTS = st.one_of(
+    st.integers(-1, 0), st.integers(10, 11), st.booleans(),
+    st.floats(allow_nan=False, min_value=-1, max_value=9),
+    st.text(max_size=2), st.lists(st.integers(1, 4), max_size=2),
+)
+
+
+@st.composite
+def design_inputs(draw):
+    """(v, blocks): blocks as lists or tuples, of one size or mixed sizes,
+    empty ones included, with plain or IntEnum points and, for some, odd
+    ones; v is mostly a valid count, and for some draws the points reach v+1."""
+    v = draw(st.sampled_from([*range(1, 10)] * 3 + [-1, 0, True, Point.NINE, 9.0]))
+    top = v if type(v) is int and v > 0 else 9
+    top += draw(st.integers(0, 1))
+    good = st.one_of(st.integers(1, top), st.sampled_from([p for p in Point if p <= top]))
+    point = st.one_of(good, _ODD_POINTS) if draw(st.booleans()) else good
+    # Under str, as under ==, an IntEnum member is its value.
+    distinct = str if draw(st.booleans()) else None
+    k = draw(st.integers(1, min(4, top)))
+    size = st.integers(0, min(5, top)) if draw(st.booleans()) else st.just(k)
+    block = size.flatmap(
+        lambda m: st.lists(point, min_size=m, max_size=m, unique_by=distinct))
+    empty = draw(st.sampled_from([False] * 7 + [True]))
+    blocks = draw(st.lists(st.one_of(block, block.map(tuple)), min_size=1 - empty,
+                           max_size=0 if empty else 6))
+    return v, tuple(blocks) if draw(st.booleans()) else blocks
+
+
+def _validated(build):
+    try:
+        return "ok", build()
+    except ValueError as err:
+        return "error", str(err)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(design_inputs())
+def test_design_validation_matches_the_oracle(inputs):
+    v, blocks = inputs
+    expected = _validated(lambda: oracles.design_blocks(v, blocks))
+    got = _validated(lambda: Design(v, blocks))
+    if expected[0] == "error":
+        assert got == expected
+    else:
+        d = got[1]
+        assert (d.v, d.blocks) == expected[1]
+        # Points are stored as plain ints, whatever int type they came in.
+        assert type(d.v) is int
+        assert all(type(p) is int for block in d.blocks for p in block)
+
+
+@st.composite
+def designs(draw):
+    v = draw(st.integers(1, 12))
+    k = draw(st.integers(1, v))
+    points = st.sampled_from([*range(1, v + 1), *(p for p in Point if p <= v)])
+    block = st.lists(points, min_size=k, max_size=k, unique_by=int)
+    return Design(v, draw(st.lists(block, min_size=1, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(designs())
+def test_format_design_is_the_json_encoding(d):
+    assert format_design(d) == json.dumps(oracles.design_to_json(d))
+
+
+def test_format_design_holds_no_chunk_per_number(golay):
+    d = support_design(golay, 12)
+    tracemalloc.start()
+    try:
+        text = format_design(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(oracles.design_to_json(d))
+    # The text is 117 KB; json.dumps peaks at about 2.6 MiB on the same design.
+    assert peak < 1 << 20
 
 
 def test_design_is_a_sorted_multiset():
@@ -289,13 +380,13 @@ def test_delsarte_agrees_with_counting_on_random_multisets():
 
 
 def test_design_json_round_trip(tmp_path, c6):
-    obj = design_to_json(c6)
+    obj = oracles.design_to_json(c6)
     assert design_from_json(obj) == c6
     path = tmp_path / "c6.json"
     write_design_file(path, c6)
     assert read_design_file(path) == c6
     doubled = Design(5, ((1, 2), (1, 2)))
-    assert design_from_json(design_to_json(doubled)) == doubled
+    assert design_from_json(oracles.design_to_json(doubled)) == doubled
     with pytest.raises(ValueError):
         design_from_json({"v": 5})
 

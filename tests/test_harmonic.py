@@ -219,6 +219,9 @@ def test_bachoc_transform_examples():
     z = zcf(e8, const)
     assert bachoc_transform(z, 0, e8.size, 8) == z
     assert bachoc_transform(HomPoly.zero(6), 1, 16, 8).is_zero
+    # -2 * z(x+y, x-y) / code_size: a Fraction only where the division leaves one.
+    assert bachoc_transform(HomPoly(0, (1,)), 1, 4, 2).coeffs == (Fraction(-1, 2),)
+    assert type(bachoc_transform(HomPoly(0, (1,)), 1, 2, 2).coeffs[0]) is int
     with pytest.raises(ValueError):
         bachoc_transform(z, 1, e8.size, 8)
     with pytest.raises(ValueError):
@@ -236,7 +239,9 @@ def test_bachoc_identity_random_codes():
         deg = rng.randrange(0, 3)
         basis = harm_basis(n, deg)
         f = basis[rng.randrange(len(basis))]
-        assert bachoc_transform(zcf(c, f), deg, c.size, n) == zcf(d, f)
+        image = bachoc_transform(zcf(c, f), deg, c.size, n)
+        assert image == zcf(d, f)
+        assert all(type(x) is int for x in image.coeffs)
         checked += 1
 
 
