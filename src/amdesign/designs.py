@@ -4,14 +4,16 @@ intersection numbers, and the block-count linear system."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import ratlin
-from .gf2core import (BinaryCode, Record, SearchBudgetError, code_from_rows,
-                      codewords_of_weight, support)
+from .gf2core import (BinaryCode, EnumerationGuardError, Record, SearchBudgetError,
+                      code_from_rows, codewords_of_weight, support)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Design",
@@ -21,6 +23,7 @@ __all__ = [
     "t_design_violation",
     "design_strength",
     "complement_design",
+    "DESIGN_GUARD",
     "lambda_i",
     "IntersectionProfile",
     "intersection_profile",
@@ -40,7 +43,9 @@ class Design(Record):
     """A multiset of equal-size blocks on the point set {1..v}.
 
     Blocks are stored sorted (each block internally and the block list), so
-    equality is multiset equality.
+    equality is multiset equality. A block given as a sorted tuple of plain
+    ints is stored as it is, so a design built from such tuples holds each
+    block once.
     """
 
     __slots__ = ("v", "blocks")
@@ -55,13 +60,16 @@ class Design(Record):
         norm = []
         size = None
         for block in blocks:
-            if not _INT_ONLY.issuperset(map(type, block)):
+            if _INT_ONLY.issuperset(map(type, block)):
+                b = tuple(sorted(block))
+                if type(block) is tuple and b == block:
+                    b = block
+            else:
                 # The slow path admits int subclasses other than bool, stored
                 # as plain ints so that format_design prints them as numbers.
                 if not all(map(_is_int, block)):
                     raise ValueError("block points must be integers")
-                block = map(int, block)
-            b = tuple(sorted(block))
+                b = tuple(sorted(map(int, block)))
             if len(set(b)) != len(b):
                 raise ValueError("block has a repeated point")
             if size is None:
@@ -116,6 +124,12 @@ def union(d1: Design, d2: Design) -> Design:
     return Design(d1.v, d1.blocks + d2.blocks)
 
 
+# t-design checks are refused when C(v, t) exceeds this, and complements when
+# v*b does: the check walks C(v, t) t-subsets with a list of v masks, and the
+# complement holds up to v*b points.
+DESIGN_GUARD = 2_000_000
+
+
 def _t_design_check(
     d: Design, t: int
 ) -> tuple[int | None, tuple[tuple[int, ...], int, tuple[int, ...], int] | None]:
@@ -127,12 +141,16 @@ def _t_design_check(
     the subsets below it, until one's cover differs from the first subset's.
     That pair is the violation, the witness of t_design_violation: the
     lexicographically first t-subset with its cover, then the first t-subset
-    after it whose cover differs."""
+    after it whose cover differs. C(v, t) above DESIGN_GUARD raises
+    EnumerationGuardError before anything is allocated."""
     if t < 0 or t > d.k:
         raise ValueError("t out of range")
     if t == 0:
         return d.b, None
     v = d.v
+    if comb(v, t) > DESIGN_GUARD:
+        raise EnumerationGuardError(
+            f"C({v},{t}) exceeds the design guard {DESIGN_GUARD}")
     incidence = [0] * (v + 1)
     for i, block in enumerate(d.blocks):
         for p in block:
@@ -190,9 +208,13 @@ def design_strength(d: Design, t_max: int) -> int:
 
 
 def complement_design(d: Design) -> Design:
-    """Blockwise complement inside the same point set."""
+    """Blockwise complement inside the same point set; v*b above DESIGN_GUARD
+    raises EnumerationGuardError."""
     if d.k == d.v:
         raise ValueError("complement blocks would be empty")
+    if d.v * d.b > DESIGN_GUARD:
+        raise EnumerationGuardError(
+            f"v*b = {d.v * d.b} exceeds the design guard {DESIGN_GUARD}")
     full = set(range(1, d.v + 1))
     return Design(d.v, tuple(tuple(sorted(full - set(b))) for b in d.blocks))
 
@@ -206,6 +228,8 @@ def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> Fraction:
         raise ValueError("bad parameters")
     if t > k:
         raise ValueError("t exceeds the block size")
+    from fractions import Fraction
+
     return Fraction(lam * comb(v - i, t - i), comb(k - i, t - i))
 
 
@@ -360,15 +384,20 @@ def code_from_design(d: Design) -> BinaryCode:
 
 def exact_json(value):
     """Recursively convert witness values to JSON-native data, rendering
-    integers and rationals as strings so reports diff bit-exactly."""
+    integers and rationals (numbers.Rational, such as Fraction) as strings
+    so reports diff bit-exactly."""
     if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, dict):
         return {str(k): exact_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [exact_json(v) for v in value]
+    import numbers
+
+    if isinstance(value, numbers.Rational):
+        return str(value)
     raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
@@ -379,12 +408,18 @@ def format_design(d: Design) -> str:
     return f'{{"v": {d.v}, "blocks": [' + ", ".join(map(str, map(list, d.blocks))) + "]}"
 
 
-def design_from_json(obj: Mapping) -> Design:
+def _json_blocks(obj) -> list:
+    """The block list of design JSON, once its shape is checked."""
     if not isinstance(obj, Mapping) or "v" not in obj or "blocks" not in obj:
         raise ValueError("design JSON needs 'v' and 'blocks'")
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("design JSON 'blocks' must be a list of lists")
+    return blocks
+
+
+def design_from_json(obj: Mapping) -> Design:
+    blocks = _json_blocks(obj)
     return Design(obj["v"], blocks)
 
 
@@ -393,7 +428,12 @@ def read_design_file(path: str | Path) -> Design:
         obj = json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError("design JSON nests too deeply") from None
-    return design_from_json(obj)
+    blocks = _json_blocks(obj)
+    # The parsed object is not shared: each block list becomes a tuple in
+    # place, which Design keeps when it is sorted, so no block is held twice.
+    for i, block in enumerate(blocks):
+        blocks[i] = tuple(block)
+    return Design(obj["v"], blocks)
 
 
 def write_design_file(path: str | Path, d: Design) -> None:

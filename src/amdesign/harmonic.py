@@ -7,7 +7,6 @@ prod_i (1_B(b_i) - 1_B(a_i)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -170,7 +169,11 @@ def bachoc_transform(
     coeffs = []
     for c in scaled.coeffs:
         q, r = divmod(c, code_size)
-        coeffs.append(Fraction(c, code_size) if r else q)
+        if r:
+            from fractions import Fraction
+
+            q = Fraction(c, code_size)
+        coeffs.append(q)
     return polyring.HomPoly(z.degree, tuple(coeffs))
 
 

@@ -4,13 +4,16 @@ enumerators."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
+from typing import TYPE_CHECKING
 
 from . import ratlin
-from .gf2core import Record, WeightDistribution
+from .gf2core import EnumerationGuardError, Record, WeightDistribution
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "HomPoly",
@@ -21,12 +24,11 @@ __all__ = [
     "gleason_basis",
     "gleason_decompose",
     "check_relative_invariance",
+    "ALPHA_MAX_GUARD",
     "vanishing_coefficient_search",
     "weight_enumerator_poly",
     "macwilliams_transform_classical",
 ]
-
-Scalar = int | Fraction
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +52,7 @@ class HomPoly(Record):
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: tuple[Scalar, ...]) -> None:
+    def __init__(self, degree: int, coeffs: tuple[int | Fraction, ...]) -> None:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != degree + 1:
@@ -62,7 +64,7 @@ class HomPoly(Record):
         return cls(degree, (0,) * (degree + 1))
 
     @classmethod
-    def monomial(cls, xdeg: int, ydeg: int, coeff: Scalar = 1) -> "HomPoly":
+    def monomial(cls, xdeg: int, ydeg: int, coeff: int | Fraction = 1) -> "HomPoly":
         if xdeg < 0 or ydeg < 0:
             raise ValueError("exponents must be nonnegative")
         coeffs = [0] * (xdeg + ydeg + 1)
@@ -73,7 +75,7 @@ class HomPoly(Record):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def coefficient(self, ydeg: int) -> Scalar:
+    def coefficient(self, ydeg: int) -> int | Fraction:
         """Coefficient of x^(degree-ydeg) y^ydeg."""
         if ydeg < 0 or ydeg > self.degree:
             raise ValueError("exponent out of range")
@@ -100,11 +102,15 @@ class HomPoly(Record):
     def __neg__(self) -> "HomPoly":
         return HomPoly(self.degree, tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other: "HomPoly | Scalar") -> "HomPoly":
-        if isinstance(other, (int, Fraction)):
-            return HomPoly(self.degree, tuple(a * other for a in self.coeffs))
+    def __mul__(self, other: "HomPoly | int | Fraction") -> "HomPoly":
         if not isinstance(other, HomPoly):
-            return NotImplemented
+            # An exact scalar: an int, or else any numbers.Rational (Fraction).
+            if not isinstance(other, int):
+                import numbers
+
+                if not isinstance(other, numbers.Rational):
+                    return NotImplemented
+            return HomPoly(self.degree, tuple(a * other for a in self.coeffs))
         deg = self.degree + other.degree
         out = [0] * (deg + 1)
         for i, a in enumerate(self.coeffs):
@@ -115,7 +121,7 @@ class HomPoly(Record):
                     out[i + j] += a * b
         return HomPoly(deg, tuple(out))
 
-    def __rmul__(self, other: Scalar) -> "HomPoly":
+    def __rmul__(self, other: int | Fraction) -> "HomPoly":
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "HomPoly":
@@ -243,14 +249,23 @@ def check_relative_invariance(p: HomPoly, t: int) -> bool:
     return p.substitute_sum_diff() == scaled and p.substitute_negate_y() == expect
 
 
+# vanishing_coefficient_search refuses a larger alpha_max: its cost grows as
+# alpha_max^3 (about half a second at the guard).
+ALPHA_MAX_GUARD = 1024
+
+
 def vanishing_coefficient_search(alpha_max: int) -> list[tuple[int, int]]:
     """Scan R = (x^4 + 2x^2y^2 + y^4)(x^2 - y^2)^alpha for alpha < alpha_max.
 
     Reports every (alpha, i) with 0 <= i <= (alpha+2)/2 whose coefficient of
-    x^(2*alpha+4-2i) y^(2i) in R is exactly zero.
+    x^(2*alpha+4-2i) y^(2i) in R is exactly zero. An alpha_max above
+    ALPHA_MAX_GUARD raises EnumerationGuardError.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be positive")
+    if alpha_max > ALPHA_MAX_GUARD:
+        raise EnumerationGuardError(
+            f"alpha_max {alpha_max} exceeds the guard {ALPHA_MAX_GUARD}")
     diff = X**2 - Y**2
     r = (X**2 + Y**2) ** 2
     pairs = []

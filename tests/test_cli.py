@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from amdesign.cli import run
 from amdesign.designs import Design, support_design, write_design_file
 from amdesign.gf2core import write_generator_file
+from amdesign.polyring import ALPHA_MAX_GUARD
 from amdesign.verify import VerificationReport, verify_thm_1_2_type1
 
 
@@ -277,6 +278,14 @@ def test_poly_lemma41(capsys):
     assert payload["pairs"] == [[2, 1], [7, 3], [14, 6]]
 
 
+def test_poly_lemma41_refuses_an_oversize_alpha_max(capsys):
+    # The scan's cost is cubic in --alpha-max: 1024 takes about half a second.
+    for alpha_max in (ALPHA_MAX_GUARD + 1, 10**9):
+        assert run(["poly", "lemma4.1", "--alpha-max", str(alpha_max)]) == 3
+        assert capsys.readouterr() == (
+            "", f"resource guard: alpha_max {alpha_max} exceeds the guard 1024\n")
+
+
 def test_search_commands_deterministic(capsys):
     assert run(["search", "type1-16", "--format", "json"]) == 0
     first = json.loads(capsys.readouterr().out)
@@ -450,6 +459,16 @@ def test_malformed_design_files_keep_the_exit_code_contract(capsys, tmp_path, co
     else:
         assert code == 0 and err == ""
         assert json.loads(out)["v"] == json.loads(path.read_text())["v"]
+
+
+@pytest.mark.parametrize("command", [["check", "--t", "1"], ["complement"]])
+@pytest.mark.parametrize("point", [1, 10**10])
+def test_a_huge_point_count_exits_3_before_allocating(capsys, tmp_path, command, point):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"v": 10**10, "blocks": [[point]]}))
+    assert run(["design", command[0], "-d", str(path), *command[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource guard: ")
 
 
 def test_verify_profile_text_and_json(capsys):

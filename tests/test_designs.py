@@ -1,12 +1,16 @@
 """Block multisets: design tests, complements, intersections, Mendelsohn."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,6 +19,7 @@ import oracles
 
 from amdesign.catalog import builtin
 from amdesign.designs import (
+    DESIGN_GUARD,
     Design,
     code_from_design,
     complement_design,
@@ -32,6 +37,7 @@ from amdesign.designs import (
     union,
     write_design_file,
 )
+from amdesign.gf2core import EnumerationGuardError
 from amdesign.harmonic import delsarte_design_check
 
 
@@ -98,18 +104,66 @@ def _validated(build):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(design_inputs())
-def test_design_validation_matches_the_oracle(inputs):
+def test_design_validation_matches_the_oracle(tmp_path_factory, inputs):
     v, blocks = inputs
     expected = _validated(lambda: oracles.design_blocks(v, blocks))
-    got = _validated(lambda: Design(v, blocks))
-    if expected[0] == "error":
-        assert got == expected
-    else:
-        d = got[1]
-        assert (d.v, d.blocks) == expected[1]
-        # Points are stored as plain ints, whatever int type they came in.
-        assert type(d.v) is int
-        assert all(type(p) is int for block in d.blocks for p in block)
+    # The same input through a file: JSON writes an IntEnum as its value, and
+    # read_design_file turns each parsed list into a tuple before Design.
+    path = tmp_path_factory.getbasetemp() / "oracle_design.json"
+    path.write_text(json.dumps({"v": v, "blocks": blocks}))
+    for build in (lambda: Design(v, blocks), lambda: read_design_file(path)):
+        got = _validated(build)
+        if expected[0] == "error":
+            assert got == expected
+        else:
+            d = got[1]
+            assert (d.v, d.blocks) == expected[1]
+            # Points are stored as plain ints, whatever int type they came in.
+            assert type(d.v) is int
+            assert all(type(p) is int for block in d.blocks for p in block)
+
+
+def test_design_keeps_sorted_int_tuples():
+    sorted_block, unsorted_block = (1, 2, 9), (9, 1, 2)
+    d = Design(9, [unsorted_block, sorted_block])
+    assert d.blocks == (sorted_block, sorted_block)
+    assert d.blocks[0] is not unsorted_block and d.blocks[1] is sorted_block
+    enum_block = (Point.ONE, Point.TWO, Point.NINE)
+    d = Design(9, [enum_block])
+    assert d.blocks == (sorted_block,) and d.blocks[0] is not enum_block
+    assert [type(p) for p in d.blocks[0]] == [int, int, int]
+
+
+def _traced(expr, golay):
+    """(peak, retained) bytes traced while a new interpreter evaluates expr,
+    with support_design, read_design_file and the code golay in scope. In a
+    test process, the free lists hold the tuples of earlier tests, and a
+    block built from them is not traced."""
+    script = ("import sys, tracemalloc\n"
+              "from amdesign.designs import read_design_file, support_design\n"
+              "from amdesign.gf2core import code_from_rows\n"
+              "golay = code_from_rows(map(int, sys.argv[2:]), 24)\n"
+              "call = eval('lambda: ' + sys.argv[1])\n"
+              "tracemalloc.start()\n"
+              "kept = call()\n"
+              "current, peak = tracemalloc.get_traced_memory()\n"
+              "print(peak, current)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script, expr, *map(str, golay.basis)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    return tuple(map(int, out.split()))
+
+
+def test_a_design_holds_its_blocks_once(tmp_path, golay):
+    # Golay C_12: 2576 blocks of 12 points; as tuples they take about 360 KiB.
+    peak, retained = _traced("support_design(golay, 12)", golay)
+    assert peak < 600 << 10 and retained <= 400 << 10
+    path = tmp_path / "c12.json"
+    write_design_file(path, support_design(golay, 12))
+    # The parsed lists peak at about 600 KiB; lists and tuples together at 870.
+    peak, _ = _traced(f"read_design_file({str(path)!r})", golay)
+    assert peak < 700 << 10
 
 
 @st.composite
@@ -221,6 +275,20 @@ def test_complement_design(type1, c6):
     assert is_t_design(c10, 2) == 24
     one = Design(4, ((1, 3),))
     assert complement_design(one).blocks == ((2, 4),)
+
+
+def test_design_guard(golay):
+    # Golay C_8 at t = 5 walks C(24, 5) = 42504 subsets, inside the guard.
+    assert is_t_design(support_design(golay, 8), 5) == 1
+    huge = Design(10**10, ((1,), (10**10,)))
+    with pytest.raises(EnumerationGuardError, match="design guard"):
+        is_t_design(huge, 1)
+    assert is_t_design(huge, 0) == 2
+    with pytest.raises(EnumerationGuardError, match="design guard"):
+        complement_design(huge)
+    wide = Design(DESIGN_GUARD + 1, ((1,),))
+    with pytest.raises(EnumerationGuardError):
+        complement_design(wide)
 
 
 def test_lambda_i():
@@ -382,6 +450,7 @@ def test_delsarte_agrees_with_counting_on_random_multisets():
 def test_design_json_round_trip(tmp_path, c6):
     obj = oracles.design_to_json(c6)
     assert design_from_json(obj) == c6
+    assert obj == oracles.design_to_json(c6)  # design_from_json leaves obj as it was
     path = tmp_path / "c6.json"
     write_design_file(path, c6)
     assert read_design_file(path) == c6

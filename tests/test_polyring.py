@@ -1,6 +1,7 @@
 """Homogeneous exact polynomials, invariant decompositions, MacWilliams."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -50,6 +51,20 @@ def test_arithmetic():
         p.coefficient(6)
     with pytest.raises(ValueError):
         HomPoly(2, (1, 0))
+
+
+def test_scalar_products_take_exact_scalars_only():
+    p = X**2 - 3 * Y**2
+    for scalar, coeffs in [(2, (2, 0, -6)), (True, (1, 0, -3)), (False, (0, 0, 0)),
+                           (Fraction(1, 3), (Fraction(1, 3), 0, -1))]:
+        assert (p * scalar).coeffs == coeffs == (scalar * p).coeffs
+    assert [type(c) for c in (p * 2).coeffs] == [int, int, int]
+    for inexact in (0.5, 2.0, Decimal("0.5"), Decimal(2)):
+        assert p.__mul__(inexact) is NotImplemented
+        with pytest.raises(TypeError):
+            p * inexact
+        with pytest.raises(TypeError):
+            inexact * p
 
 
 def test_substitutions():

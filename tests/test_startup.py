@@ -1,7 +1,8 @@
 """The table-driven parser and the import cost of the command line: a parser
 built for one branch parses as the whole table does, help lists every name,
 dispatch looks the command up by name, the import pulls in no
-dataclass machinery, and every module's __all__ names only defined names."""
+dataclass machinery, only a command that divides imports fractions, and
+every module's __all__ names only defined names."""
 
 import importlib
 import json
@@ -143,3 +144,46 @@ def test_no_source_module_imports_dataclasses():
 def test_every_exported_name_is_defined(name):
     module = importlib.import_module(f"amdesign.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+# Commands that build no Fraction, and commands that divide.
+_EXACT_INT = [
+    ["code", "info", "-b", "type1_16"],
+    ["design", "check", "-d", "c6.json", "--t", "2"],
+    ["design", "from-code", "-b", "type1_16", "--w", "6"],
+    ["verify", "am", "-b", "e8", "--t", "3"],
+    ["verify", "thm1.1", "-b", "type1_16"],
+    ["verify", "thm1.2-1", "-b", "type1_16"],
+    ["harmonic", "basis-dim", "--n", "16", "--k", "2"],
+    ["harmonic", "transform-check", "-b", "type1_16", "--k", "1"],
+]
+_DIVIDING = [
+    ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8",
+     "--m", "6", "--allowed", "0,2,4,6", "--fixed", "6=1"],
+    ["poly", "gleason", "-b", "type1_16"],
+]
+
+
+@pytest.fixture(scope="module")
+def c6_dir(tmp_path_factory, c6):
+    from amdesign.designs import write_design_file
+
+    path = tmp_path_factory.mktemp("startup")
+    write_design_file(path / "c6.json", c6)
+    return path
+
+
+@pytest.mark.parametrize("argv", _EXACT_INT + _DIVIDING, ids=" ".join)
+def test_fractions_load_only_where_a_fraction_is_made(c6_dir, argv):
+    script = ("import sys; from amdesign.cli import run; code = run(sys.argv[1:]); "
+              "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), "
+              "file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    err = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=c6_dir,
+                         capture_output=True, text=True, check=True).stderr
+    code, loaded = err.rstrip("\n").split(" ", 1)
+    assert code == "0"
+    if argv in _DIVIDING:
+        assert "fractions" in loaded
+    else:
+        assert loaded == "[]"

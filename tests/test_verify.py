@@ -1,6 +1,7 @@
 """Scenario verifiers: reports, witnesses, preconditions, mutation checks."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -38,8 +39,10 @@ def test_exact_json():
     assert exact_json(Fraction(3, 2)) == "3/2"
     assert exact_json({4: Fraction(1, 3)}) == {"4": "1/3"}
     assert exact_json((1, [2, False])) == ["1", ["2", False]]
-    with pytest.raises(TypeError):
-        exact_json(1.5)
+    assert exact_json([True, 0, Fraction(-4, 2)]) == [True, "0", "-2"]
+    for inexact in (1.5, 2.0, Decimal("1.5"), Decimal(3), [1, 0.5], {1: Decimal(2)}):
+        with pytest.raises(TypeError):
+            exact_json(inexact)
 
 
 def test_report_round_trip():
