@@ -34,7 +34,6 @@ __all__ = [
     "data_dir",
     "load_code",
     "save_code",
-    "stored_names",
     "pinned_type_i_16",
     "pinned_even_fsd_16",
 ]
@@ -204,10 +203,6 @@ def _read_index() -> dict:
     if not path.exists():
         return {}
     return json.loads(path.read_text())
-
-
-def stored_names() -> list[str]:
-    return sorted(_read_index())
 
 
 def load_code(name: str) -> BinaryCode:

@@ -24,6 +24,7 @@ from .gf2core import (
     classify,
     doubly_even_subcode,
     dual,
+    exact_json,
     format_generator,
     read_generator_file,
     weight_distribution,
@@ -135,7 +136,7 @@ def _cmd_design_check(args) -> int:
                "lambda": lam, "violation": None}
     lines = [f"v={d.v} k={d.k} b={d.b}"]
     if lam is None:
-        payload["violation"] = designs.exact_json(violation)
+        payload["violation"] = exact_json(violation)
         pts1, c1, pts2, c2 = violation
         lines.append(f"not a {args.t}-design: {pts1} covered {c1} times, "
                      f"{pts2} covered {c2} times")

@@ -32,10 +32,7 @@ __all__ = [
     "mendelsohn_solve",
     "code_from_design",
     "format_design",
-    "exact_json",
-    "design_from_json",
     "read_design_file",
-    "write_design_file",
 ]
 
 
@@ -382,25 +379,6 @@ def code_from_design(d: Design) -> BinaryCode:
     return code_from_rows((_block_mask(b) for b in d.blocks), d.v)
 
 
-def exact_json(value):
-    """Recursively convert witness values to JSON-native data, rendering
-    integers and rationals (numbers.Rational, such as Fraction) as strings
-    so reports diff bit-exactly."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): exact_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [exact_json(v) for v in value]
-    import numbers
-
-    if isinstance(value, numbers.Rational):
-        return str(value)
-    raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
-
-
 def format_design(d: Design) -> str:
     """The design JSON {"v": v, "blocks": [[...], ...]} in json.dumps's
     default spacing, joined from one string per block instead of the
@@ -418,11 +396,6 @@ def _json_blocks(obj) -> list:
     return blocks
 
 
-def design_from_json(obj: Mapping) -> Design:
-    blocks = _json_blocks(obj)
-    return Design(obj["v"], blocks)
-
-
 def read_design_file(path: str | Path) -> Design:
     try:
         obj = json.loads(Path(path).read_text())
@@ -434,7 +407,3 @@ def read_design_file(path: str | Path) -> Design:
     for i, block in enumerate(blocks):
         blocks[i] = tuple(block)
     return Design(obj["v"], blocks)
-
-
-def write_design_file(path: str | Path, d: Design) -> None:
-    Path(path).write_text(format_design(d) + "\n")

@@ -15,6 +15,7 @@ __all__ = [
     "PreconditionError",
     "SearchBudgetError",
     "Record",
+    "exact_json",
     "BinaryCode",
     "WeightDistribution",
     "CodeClass",
@@ -24,7 +25,6 @@ __all__ = [
     "code_from_rows",
     "code_from_strings",
     "dual",
-    "is_subcode",
     "iter_codewords",
     "weight_distribution",
     "minimum_distance",
@@ -38,7 +38,6 @@ __all__ = [
     "parse_generator_text",
     "format_generator",
     "read_generator_file",
-    "write_generator_file",
 ]
 
 # Full enumeration of 2^k codewords is refused above this dimension.
@@ -101,6 +100,25 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def exact_json(value):
+    """Recursively convert witness values to JSON-native data, rendering
+    integers and rationals (numbers.Rational, such as Fraction) as strings
+    so reports diff bit-exactly."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): exact_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact_json(v) for v in value]
+    import numbers
+
+    if isinstance(value, numbers.Rational):
+        return str(value)
+    raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
 def pack_row(bits: str | Iterable[int]) -> int:
@@ -171,15 +189,6 @@ class BinaryCode(Record):
     def size(self) -> int:
         return 1 << len(self.basis)
 
-    def contains(self, word: int) -> bool:
-        """Membership test by reduction against the echelon basis."""
-        if word < 0 or word >> self.n:
-            raise ValueError("word does not fit the code length")
-        for row in self.basis:
-            if word & (row & -row):
-                word ^= row
-        return word == 0
-
 
 def code_from_rows(rows: Iterable[int], n: int) -> BinaryCode:
     """Code spanned by bit-packed rows inside GF(2)^n."""
@@ -213,12 +222,6 @@ def dual(c: BinaryCode) -> BinaryCode:
                 v |= 1 << p
         rows.append(v)
     return BinaryCode(c.n, tuple(rows))
-
-
-def is_subcode(a: BinaryCode, b: BinaryCode) -> bool:
-    if a.n != b.n:
-        raise ValueError("length mismatch")
-    return all(b.contains(row) for row in a.basis)
 
 
 def _check_guard(k: int) -> None:
@@ -265,9 +268,6 @@ class WeightDistribution(Record):
         if not weights:
             raise ValueError("no nonzero weight is present")
         return min(weights)
-
-    def is_even(self) -> bool:
-        return all(w % 2 == 0 for w in self.counts)
 
 
 # _weight_leaves bit-slices this many basis rows into one chunk of 2^16-bit columns.
@@ -492,7 +492,3 @@ def format_generator(c: BinaryCode) -> str:
 
 def read_generator_file(path: str | Path) -> BinaryCode:
     return parse_generator_text(Path(path).read_text())
-
-
-def write_generator_file(path: str | Path, c: BinaryCode) -> None:
-    Path(path).write_text(format_generator(c))

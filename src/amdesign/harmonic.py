@@ -17,6 +17,7 @@ from .gf2core import BinaryCode, EnumerationGuardError, Record, _weight_leaves
 
 __all__ = [
     "SUBSET_GUARD",
+    "DIMENSION_DIGITS_GUARD",
     "HarmonicFunction",
     "harm_dimension",
     "harm_basis",
@@ -29,6 +30,10 @@ __all__ = [
 
 # Harmonic-space computations are refused when C(n, k) exceeds this.
 SUBSET_GUARD = 20_000
+
+# harm_dimension refuses a dimension longer than this many decimal digits,
+# the most that Python prints of an int by default.
+DIMENSION_DIGITS_GUARD = 4300
 
 
 class HarmonicFunction(Record):
@@ -78,12 +83,25 @@ def _fold(pairs: Sequence[tuple[int, int]], columns: Sequence[int]) -> tuple[int
 
 def harm_dimension(n: int, k: int) -> int:
     """dim Harm_k(n): C(n,k) - C(n,k-1) for k <= n/2, 1 at k = 0, and 0 for
-    n/2 < k <= n."""
+    n/2 < k <= n. A dimension of more than DIMENSION_DIGITS_GUARD decimal
+    digits raises EnumerationGuardError."""
     if k < 0 or k > n:
         raise ValueError("k out of range")
     if 2 * k > n:
         return 0
-    return comb(n, k) - comb(n, k - 1) if k else 1
+    if not k:
+        return 1
+    # The dimension is C(n,k) (n-2k+1)/(n-k+1) >= (n//k)^k / (n+1), so a
+    # dimension that this bound already puts past the guard is refused before
+    # C(n,k) is computed (C(10^6, 5*10^5) takes seconds).
+    limit = 10 ** DIMENSION_DIGITS_GUARD
+    if k * ((n // k).bit_length() - 1) < (limit * (n + 1)).bit_length():
+        dim = comb(n, k) - comb(n, k - 1)
+        if dim < limit:
+            return dim
+    raise EnumerationGuardError(
+        f"dim Harm_{k}({n}) exceeds the dimension guard of "
+        f"{DIMENSION_DIGITS_GUARD} decimal digits")
 
 
 @lru_cache(maxsize=None)

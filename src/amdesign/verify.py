@@ -3,7 +3,9 @@ properties of near-extremal self-dual and formally self-dual codes."""
 
 from __future__ import annotations
 
-from . import harmonic
+# designs and harmonic are lazy layers (see amdesign/__init__.py), called
+# through the module so that a scenario loads only the layers it runs.
+from . import designs, harmonic
 from .gf2core import (
     NEAR_EXTREMAL,
     BinaryCode,
@@ -13,20 +15,9 @@ from .gf2core import (
     classify,
     doubly_even_subcode,
     dual,
+    exact_json,
     minimum_distance,
     weight_distribution,
-)
-from .designs import (
-    Design,
-    _t_design_check,
-    code_from_design,
-    complement_design,
-    design_strength,
-    exact_json,
-    is_self_orthogonal_design,
-    is_t_design,
-    support_design,
-    union,
 )
 
 __all__ = [
@@ -64,10 +55,6 @@ class VerificationReport(Record):
             "witnesses": self.witnesses,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "VerificationReport":
-        return cls(obj["scenario"], obj["verdict"] == "pass", obj["witnesses"])
-
 
 def report(scenario: str, passed: bool, witnesses: dict) -> VerificationReport:
     return VerificationReport(scenario, passed, exact_json(witnesses))
@@ -96,7 +83,7 @@ def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     per = {}
     for w in sorted(wd.counts):
         if 0 < w < c.n:
-            per[w] = design_strength(support_design(c, w), min(t_cap, w))
+            per[w] = designs.design_strength(designs.support_design(c, w), min(t_cap, w))
     if not per:
         raise ValueError("no weights strictly between 0 and n")
     return StrengthProfile(per)
@@ -157,10 +144,11 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     first_violation = None
     for w in weights:
         if cls.self_dual:
-            d = support_design(c, w)
+            d = designs.support_design(c, w)
         else:
-            d = union(support_design(c, w), support_design(dual_code, w))
-        lam, violation = _t_design_check(d, 1)
+            d = designs.union(designs.support_design(c, w),
+                              designs.support_design(dual_code, w))
+        lam, violation = designs._t_design_check(d, 1)
         lambdas[w] = lam
         if violation and first_violation is None:
             first_violation = (w, violation)
@@ -199,20 +187,20 @@ def _require_type1_16(c: BinaryCode):
 
 
 def verify_thm_1_2_type1(
-    c: BinaryCode, c6: Design | None = None
+    c: BinaryCode, c6: designs.Design | None = None
 ) -> VerificationReport:
     """C_6 is a 2-(16,6,8) design (counting and harmonic routes), C_10 is its
     complement, and the strength gap delta=1 < s=2 sits exactly at w in
     {6, 10}. A substitute block multiset may be supplied for mutation tests."""
     _require_type1_16(c)
     if c6 is None:
-        c6 = support_design(c, 6)
+        c6 = designs.support_design(c, 6)
     elif c6.v != c.n:
         raise PreconditionError(f"substitute design has v={c6.v}, not 16")
-    lam, violation = _t_design_check(c6, 2)
+    lam, violation = designs._t_design_check(c6, 2)
     counting_ok = lam == 8
     delsarte_ok = harmonic.delsarte_design_check(c6.blocks, c.n, 2)
-    complement_ok = complement_design(c6) == support_design(c, 10)
+    complement_ok = designs.complement_design(c6) == designs.support_design(c, 10)
     prof = strength_profile(c, 3)
     gap_weights = sorted(w for w, t in prof.per_weight.items() if t >= 2)
     profile_ok = prof.delta == 1 and prof.s == 2 and gap_weights == [6, 10]
@@ -257,8 +245,9 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     witnesses = {"self_dual": cls.self_dual}
     passed = True
     for w in (6, 10):
-        u = union(support_design(c, w), support_design(dual_code, w))
-        lam, violation = _t_design_check(u, 2)
+        u = designs.union(designs.support_design(c, w),
+                          designs.support_design(dual_code, w))
+        lam, violation = designs._t_design_check(u, 2)
         lambdas[w] = lam
         if lam is None:
             passed = False
@@ -268,19 +257,19 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     return report("thm1.2-2", passed, witnesses)
 
 
-def verify_thm_1_4_pipeline(d: Design) -> VerificationReport:
+def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
     """Uniqueness pipeline: a self-orthogonal 2-(16,6,8) design generates the
     near-extremal Type I [16,8,4] code and is recovered as its C_6."""
     if d.v != 16:
         raise PreconditionError("points: expected v = 16")
     if d.k != 6:
         raise PreconditionError("block size: expected k = 6")
-    if is_t_design(d, 2) != 8:
+    if designs.is_t_design(d, 2) != 8:
         raise PreconditionError("2-design: expected lambda = 8")
-    if not is_self_orthogonal_design(d):
+    if not designs.is_self_orthogonal_design(d):
         raise PreconditionError("self-orthogonality: odd block intersection found")
 
-    c = code_from_design(d)
+    c = designs.code_from_design(d)
     wd = weight_distribution(c)
     word_count = sum(wd.count(w) for w in (0, 6, 10, 16))
     cls = classify(c)
@@ -294,7 +283,7 @@ def verify_thm_1_4_pipeline(d: Design) -> VerificationReport:
             and cls.extremality == NEAR_EXTREMAL
             and minimum_distance(c) == 4
         ),
-        "support_design_match": support_design(c, 6) == d,
+        "support_design_match": designs.support_design(c, 6) == d,
     }
     passed = all(steps.values())
     witnesses = {

@@ -7,23 +7,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdesign.cli import run
-from amdesign.designs import Design, support_design, write_design_file
-from amdesign.gf2core import write_generator_file
+from amdesign.designs import Design, format_design, support_design
+from amdesign.gf2core import format_generator
 from amdesign.polyring import ALPHA_MAX_GUARD
-from amdesign.verify import VerificationReport, verify_thm_1_2_type1
+from amdesign.verify import verify_thm_1_2_type1
 
 
 @pytest.fixture()
 def type1_file(tmp_path, type1):
     path = tmp_path / "type1.gm"
-    write_generator_file(path, type1)
+    path.write_text(format_generator(type1))
     return str(path)
 
 
 @pytest.fixture()
 def c6_file(tmp_path, c6):
     path = tmp_path / "c6.json"
-    write_design_file(path, c6)
+    path.write_text(format_design(c6) + "\n")
     return str(path)
 
 
@@ -113,7 +113,7 @@ def test_verify_pass_and_fail_exit_codes(capsys, type1_file, tmp_path, c6):
     assert run(["verify", "thm1.2-1", "-g", type1_file]) == 0
     capsys.readouterr()
     broken = tmp_path / "broken.json"
-    write_design_file(broken, Design(c6.v, c6.blocks[1:]))
+    broken.write_text(format_design(Design(c6.v, c6.blocks[1:])) + "\n")
     assert run(["verify", "thm1.2-1", "-g", type1_file,
                 "-d", str(broken)]) == 1
     out = capsys.readouterr().out
@@ -126,8 +126,7 @@ def test_verify_json_round_trips(capsys, type1_file, type1):
     assert code == 0
     assert "timings" in payload and "total_ms" in payload["timings"]
     payload.pop("timings")
-    rep = VerificationReport.from_dict(payload)
-    assert rep == verify_thm_1_2_type1(type1)
+    assert payload == verify_thm_1_2_type1(type1).to_dict()
 
 
 def test_verify_precondition_is_usage_error(capsys):
@@ -142,7 +141,7 @@ def test_verify_precondition_is_usage_error(capsys):
 def test_substitute_design_must_live_on_16_points(capsys, tmp_path, c6, v):
     path = tmp_path / "c6.json"
     blocks = c6.blocks if v > 16 else (tuple(range(1, 7)), tuple(range(7, 13)))
-    write_design_file(path, Design(v, blocks))
+    path.write_text(format_design(Design(v, blocks)) + "\n")
     assert run(["verify", "thm1.2-1", "-b", "type1_16", "-d", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"v={v}, not 16" in err and "Traceback" not in err
@@ -181,7 +180,7 @@ def test_design_check(capsys, c6_file, tmp_path):
     assert payload["lambda"] == 8
     assert payload["violation"] is None
     lopsided = tmp_path / "bad.json"
-    write_design_file(lopsided, Design(4, ((1, 2), (1, 3))))
+    lopsided.write_text(format_design(Design(4, ((1, 2), (1, 3)))) + "\n")
     code, payload = run_json(capsys, [
         "design", "check", "-d", str(lopsided), "--t", "1",
         "--format", "json"])
@@ -223,6 +222,8 @@ def test_harmonic_commands(capsys, type1_file):
     code, payload = run_json(capsys, [
         "harmonic", "basis-dim", "--n", "16", "--k", "2", "--format", "json"])
     assert code == 0 and payload["dimension"] == 104
+    assert run(["harmonic", "basis-dim", "--n", "16", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "104\n"
     code, payload = run_json(capsys, [
         "harmonic", "basis-dim", "--n", "4", "--k", "3", "--format", "json"])
     assert code == 0 and payload["dimension"] == 0
@@ -255,6 +256,14 @@ def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, pa
     assert run(argv) == 0
     capsys.readouterr()
     assert len(codes) == passes
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_basis_dim_past_the_digit_guard_exits_3(capsys, fmt):
+    assert run(["harmonic", "basis-dim", "--n", "100000", "--k", "50000",
+                "--format", fmt]) == 3
+    assert capsys.readouterr() == ("", "resource guard: dim Harm_50000(100000) exceeds "
+                                       "the dimension guard of 4300 decimal digits\n")
 
 
 @pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])
@@ -349,7 +358,7 @@ def test_mendelsohn_bad_input_is_usage_error(capsys, extra, message):
 def test_verify_thm_1_4_rejects_a_non_self_orthogonal_design(capsys, tmp_path,
                                                              bent_design):
     path = tmp_path / "bent.json"
-    write_design_file(path, bent_design)
+    path.write_text(format_design(bent_design) + "\n")
     assert run(["verify", "thm1.4", "-d", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: self-orthogonality: odd block intersection found\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from amdesign import verify
+from amdesign import designs, verify
 from amdesign.designs import (
     Design,
     design_strength,
@@ -98,7 +98,7 @@ def test_golay_support_designs(golay):
 
 
 def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
-    real = verify.support_design
+    real = designs.support_design
     broken = {}
 
     def with_mutants(c, w):
@@ -109,7 +109,7 @@ def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
             d = broken[w] = Design(d.v, ((into,) + block[1:],) + d.blocks[1:])
         return d
 
-    monkeypatch.setattr(verify, "support_design", with_mutants)
+    monkeypatch.setattr(designs, "support_design", with_mutants)
     rep = verify.verify_thm_1_1(type1)
     assert not rep.passed
     assert rep.witnesses["lambda_1_per_weight"]["6"] is None

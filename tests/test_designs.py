@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +22,6 @@ from amdesign.designs import (
     Design,
     code_from_design,
     complement_design,
-    design_from_json,
     design_strength,
     format_design,
     intersection_profile,
@@ -35,7 +33,6 @@ from amdesign.designs import (
     support_design,
     t_design_violation,
     union,
-    write_design_file,
 )
 from amdesign.gf2core import EnumerationGuardError
 from amdesign.harmonic import delsarte_design_check
@@ -134,22 +131,26 @@ def test_design_keeps_sorted_int_tuples():
     assert [type(p) for p in d.blocks[0]] == [int, int, int]
 
 
-def _traced(expr, golay):
+def _traced(expr, golay, setup=""):
     """(peak, retained) bytes traced while a new interpreter evaluates expr,
-    with support_design, read_design_file and the code golay in scope. In a
-    test process, the free lists hold the tuples of earlier tests, and a
-    block built from them is not traced."""
+    with format_design, support_design, read_design_file and the code golay
+    in scope, after running the untraced statement setup. In a test process,
+    the free lists hold the tuples of earlier tests, and a block built from
+    them is not traced."""
     script = ("import sys, tracemalloc\n"
-              "from amdesign.designs import read_design_file, support_design\n"
+              "from amdesign.designs import format_design, read_design_file, "
+              "support_design\n"
               "from amdesign.gf2core import code_from_rows\n"
-              "golay = code_from_rows(map(int, sys.argv[2:]), 24)\n"
+              "golay = code_from_rows(map(int, sys.argv[3:]), 24)\n"
+              "exec(sys.argv[2])\n"
               "call = eval('lambda: ' + sys.argv[1])\n"
               "tracemalloc.start()\n"
               "kept = call()\n"
               "current, peak = tracemalloc.get_traced_memory()\n"
               "print(peak, current)\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", script, expr, *map(str, golay.basis)],
+    out = subprocess.run([sys.executable, "-c", script, expr, setup,
+                          *map(str, golay.basis)],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     return tuple(map(int, out.split()))
@@ -160,7 +161,7 @@ def test_a_design_holds_its_blocks_once(tmp_path, golay):
     peak, retained = _traced("support_design(golay, 12)", golay)
     assert peak < 600 << 10 and retained <= 400 << 10
     path = tmp_path / "c12.json"
-    write_design_file(path, support_design(golay, 12))
+    path.write_text(format_design(support_design(golay, 12)) + "\n")
     # The parsed lists peak at about 600 KiB; lists and tuples together at 870.
     peak, _ = _traced(f"read_design_file({str(path)!r})", golay)
     assert peak < 700 << 10
@@ -183,14 +184,9 @@ def test_format_design_is_the_json_encoding(d):
 
 def test_format_design_holds_no_chunk_per_number(golay):
     d = support_design(golay, 12)
-    tracemalloc.start()
-    try:
-        text = format_design(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text == json.dumps(oracles.design_to_json(d))
+    assert format_design(d) == json.dumps(oracles.design_to_json(d))
     # The text is 117 KB; json.dumps peaks at about 2.6 MiB on the same design.
+    peak, _ = _traced("format_design(d)", golay, setup="d = support_design(golay, 12)")
     assert peak < 1 << 20
 
 
@@ -448,16 +444,13 @@ def test_delsarte_agrees_with_counting_on_random_multisets():
 
 
 def test_design_json_round_trip(tmp_path, c6):
-    obj = oracles.design_to_json(c6)
-    assert design_from_json(obj) == c6
-    assert obj == oracles.design_to_json(c6)  # design_from_json leaves obj as it was
     path = tmp_path / "c6.json"
-    write_design_file(path, c6)
-    assert read_design_file(path) == c6
-    doubled = Design(5, ((1, 2), (1, 2)))
-    assert design_from_json(oracles.design_to_json(doubled)) == doubled
+    for d in (c6, Design(5, ((1, 2), (1, 2)))):
+        path.write_text(format_design(d) + "\n")
+        assert read_design_file(path) == d
+    path.write_text(json.dumps({"v": 5}))
     with pytest.raises(ValueError):
-        design_from_json({"v": 5})
+        read_design_file(path)
 
 
 def test_bent_design_is_a_2_design_with_odd_intersections(bent_design, c6):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from amdesign.gf2core import (
 )
 from amdesign.catalog import builtin
 from amdesign.harmonic import (
+    DIMENSION_DIGITS_GUARD,
     HarmonicFunction,
     bachoc_transform,
     delsarte_design_check,
@@ -86,6 +87,34 @@ def test_harm_dimension():
         assert harm_basis(n, k) == ()
     for n, k in [(3, 5), (4, -1), (0, 1)]:
         with pytest.raises(ValueError):
+            harm_dimension(n, k)
+
+
+def test_harm_dimension_guard_edge_is_exact():
+    # At k = 2 the dimension is n(n-3)/2; edge is the least n where it has
+    # more than DIMENSION_DIGITS_GUARD digits.
+    limit = 10**DIMENSION_DIGITS_GUARD
+    edge = (3 + isqrt(9 + 8 * limit)) // 2
+    while edge * (edge - 3) // 2 < limit:
+        edge += 1
+    assert harm_dimension(edge - 1, 2) == (edge - 1) * (edge - 4) // 2 < limit
+    with pytest.raises(EnumerationGuardError, match="dimension guard of 4300 decimal"):
+        harm_dimension(edge, 2)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(2, 40_000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n // 2) | st.integers(1, 1500))))
+def test_harm_dimension_refuses_exactly_the_dimensions_past_the_guard(case):
+    # Most draws trip the bound checked before C(n, k) is computed; either
+    # way the refusal must match the exact digit count.
+    n, k = case
+    k = min(k, n // 2)
+    dim = comb(n, k) - comb(n, k - 1)
+    if dim < 10**DIMENSION_DIGITS_GUARD:
+        assert harm_dimension(n, k) == dim
+    else:
+        with pytest.raises(EnumerationGuardError):
             harm_dimension(n, k)
 
 

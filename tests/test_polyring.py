@@ -254,3 +254,78 @@ def test_macwilliams_input_validation():
     # x^2 + 3y^2 maps to 4x^2 - 4xy + 4y^2: -4/4 at w = 1 is a negative count.
     with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
         macwilliams_transform_classical(WeightDistribution({0: 1, 2: 3}), 2, 2)
+
+
+# sympy oracles for the invariant ring: each side is expanded by sympy from
+# its closed form and compared with polyring coefficient by coefficient.
+
+
+def _sympy_ring():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    q8 = x * y * (x**6 - 7 * x**4 * y**2 + 7 * x**2 * y**4 - y**6)
+    return sympy, x, y, q8
+
+
+def _top(t, n):
+    """Half the degree left for (x^2+y^2)^a (x^2 y^2 (x^2-y^2)^2)^i."""
+    return n // 2 - t - (4 if t % 2 else 0)
+
+
+def _sympy_gleason_basis(t, n):
+    """(x^2+y^2)^a (x^2 y^2 (x^2-y^2)^2)^i of degree n - 2t, times q8 for odd
+    t, from the largest a down; None when the degree leaves no element."""
+    sympy, x, y, q8 = _sympy_ring()
+    top = _top(t, n)
+    if top < 0:
+        return None
+    head = q8 if t % 2 else 1
+    return [sympy.expand(head * (x**2 + y**2) ** (top - 4 * i)
+                         * (x**2 * y**2 * (x**2 - y**2) ** 2) ** i)
+            for i in range(top // 4 + 1)]
+
+
+def _sympy_coeffs(expr, degree):
+    """The coefficient of x^(degree-j) y^j of a homogeneous sympy expression,
+    for j = 0..degree, as ints."""
+    sympy, x, y, _ = _sympy_ring()
+    poly = sympy.Poly(expr, x, y)
+    return tuple(int(poly.coeff_monomial(x ** (degree - j) * y**j)) for j in range(degree + 1))
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_gleason_basis_matches_sympy(t):
+    for n in range(2, 33, 2):
+        want = _sympy_gleason_basis(t, n)
+        if want is None:
+            with pytest.raises(ValueError, match="no basis elements"):
+                gleason_basis(t, n)
+            continue
+        got = gleason_basis(t, n)
+        assert [b.coeffs for b in got] == [_sympy_coeffs(w, n - 2 * t) for w in want]
+
+
+# (t, n) -> the number of Gleason basis elements, for every nonempty basis.
+_SPANS = {(t, n): _top(t, n) // 4 + 1
+          for t in range(4) for n in range(2, 33, 2) if _top(t, n) >= 0}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(sorted(_SPANS)).flatmap(lambda tn: st.tuples(
+    st.just(tn), st.lists(st.integers(-50, 50), min_size=_SPANS[tn], max_size=_SPANS[tn]))))
+def test_gleason_decompose_recovers_sympy_combinations(case):
+    (t, n), coords = case
+    sympy = _sympy_ring()[0]
+    combination = sympy.expand(sum(c * b for c, b in zip(coords, _sympy_gleason_basis(t, n))))
+    p = HomPoly(n - 2 * t, _sympy_coeffs(combination, n - 2 * t))
+    assert gleason_decompose(p, t, n) == coords
+
+
+def test_vanishing_coefficient_search_matches_sympy():
+    sympy, x, y, _ = _sympy_ring()
+    want = []
+    for alpha in range(16):
+        r = sympy.Poly((x**4 + 2 * x**2 * y**2 + y**4) * (x**2 - y**2) ** alpha, x, y)
+        want += [(alpha, i) for i in range((alpha + 2) // 2 + 1)
+                 if r.coeff_monomial(x ** (2 * alpha + 4 - 2 * i) * y ** (2 * i)) == 0]
+    assert vanishing_coefficient_search(16) == want

@@ -1,0 +1,181 @@
+"""src/ holds only what a command runs: every function defined in
+src/amdesign runs under a fixed list of command lines, in text and in JSON,
+unless ALLOWED names it with the reason it stays without a command caller.
+
+The commands run in a new interpreter, in-process through amdesign.cli.run
+under sys.setprofile, so no cache or lazy layer filled by an earlier test
+hides a call."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from amdesign.cli import _COMMANDS
+from amdesign.designs import Design, format_design
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "amdesign"
+
+# Functions that no command runs, keyed "module.qualname", with the reason
+# each one stays in src/.
+_SHIM = "traced by bench/shim.py, which test_every_traced_name_exists requires"
+ALLOWED = {
+    "designs.t_design_violation": _SHIM,
+    "catalog.pinned_type_i_16": _SHIM,
+    "catalog.pinned_even_fsd_16": _SHIM,
+    "ratlin.nullspace": _SHIM,
+    "polyring.macwilliams_transform_classical": _SHIM,
+    "gf2core.WeightDistribution.total": "called by macwilliams_transform_classical",
+    "harmonic.HarmonicFunction.tilde": _SHIM,
+    # ROADMAP item 2 (forced-vanishing weights) gives these a command caller.
+    "polyring.check_relative_invariance": "ROADMAP item 2 calls it",
+    "polyring.HomPoly.substitute_negate_y": "called by check_relative_invariance",
+    "polyring.HomPoly.__neg__": "called by check_relative_invariance",
+    "catalog.save_code": "the pin API that pins the n=24 codes of ROADMAP item 5",
+    "cli.main": "runs only as __main__, which cli.run serves in-process",
+    # Record is a value type: these keep hashing, printing, immutability and
+    # pickling correct for every subclass, though no command uses them.
+    "gf2core.Record.__hash__": "value semantics of every Record",
+    "gf2core.Record.__repr__": "value semantics of every Record",
+    "gf2core.Record.__setattr__": "value semantics of every Record",
+    "gf2core.Record.__delattr__": "value semantics of every Record",
+    "gf2core.Record.__reduce__": "value semantics of every Record",
+}
+
+# Each line runs as given and, where the subcommand takes --format, again
+# with --format json. Lines that exit nonzero reach the error paths.
+COMMANDS = [
+    ["code", "info", "-b", "i2+d4+e8"],
+    ["code", "dual", "-b", "e8"],
+    ["code", "weights", "-b", "type1_16"],
+    ["code", "subcode", "-b", "type1_16"],
+    ["code", "info"],
+    ["code", "info", "-g", "e8.gm", "-b", "e8"],
+    ["code", "info", "-b", "missing"],
+    ["design", "check", "-d", "c6.json", "--t", "2"],
+    ["design", "check", "-d", "mutant.json", "--t", "2"],
+    ["design", "from-code", "-g", "e8.gm", "--w", "4"],
+    ["design", "complement", "-d", "c6.json"],
+    ["design", "intersections", "-d", "c6.json"],
+    ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8",
+     "--m", "6", "--allowed", "0,2,4,6", "--fixed", "6=1"],
+    ["harmonic", "basis-dim", "--n", "16", "--k", "2"],
+    ["harmonic", "basis-dim", "--n", "100000", "--k", "50000"],
+    ["harmonic", "wenum", "-b", "type1_16", "--k", "2", "--index", "3"],
+    ["harmonic", "transform-check", "-b", "e8", "--k", "1"],
+    ["poly", "gleason", "-b", "type1_16"],
+    ["poly", "gleason", "-b", "type1_16", "--t", "1"],
+    ["poly", "gleason", "-g", "open.gm"],
+    ["poly", "lemma4.1", "--alpha-max", "8"],
+    ["search", "type1-16"],
+    ["search", "fsd"],
+    ["verify", "am", "-g", "e8.gm", "--t", "1"],
+    ["verify", "thm1.1", "-b", "type1_16"],
+    ["verify", "thm1.1", "-b", "fsd_16"],
+    ["verify", "thm1.2-1", "-b", "type1_16", "-d", "c6.json"],
+    ["verify", "thm1.2-2", "-b", "fsd_16"],
+    ["verify", "thm1.4", "-d", "c6.json"],
+    ["verify", "cor1.5", "-b", "type1_16"],
+    ["verify", "profile", "-b", "type1_16"],
+]
+
+_SCRIPT = """
+import contextlib, io, json, sys
+argvs = json.loads(sys.argv[1])
+seen = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+sys.setprofile(profile)
+import amdesign.cli
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(amdesign.cli.run(argv))
+sys.setprofile(None)
+print(json.dumps([codes, sorted({(c.co_filename, c.co_firstlineno) for c in seen})]))
+"""
+
+
+def _takes_format(argv):
+    options = _COMMANDS[argv[0]][1][argv[1]][1]
+    return any(flags == "--format" for flags, _ in options)
+
+
+def _functions():
+    """(file, first line) -> "module.qualname" of every def in src/amdesign,
+    methods and nested functions included; a decorated function's code
+    starts at its first decorator."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), line)] = prefix + child.name
+                visit(child, path, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, path.stem + ".")
+    return found
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory, c6):
+    root = tmp_path_factory.mktemp("reach")
+    (root / "e8.gm").write_text("11111111\n00001111\n00110011\n01010101\n")
+    # An enumerator x^4 + x^2y^2 outside the span of (x^2+y^2)^2.
+    (root / "open.gm").write_text("1100\n")
+    (root / "c6.json").write_text(format_design(c6) + "\n")
+    # pair {1, 2} is covered once, pair {1, 4} never
+    (root / "mutant.json").write_text(format_design(Design(4, ((1, 2), (1, 3)))) + "\n")
+    argvs = [variant for argv in COMMANDS
+             for variant in ([argv, argv + ["--format", "json"]]
+                             if _takes_format(argv) else [argv])]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("AMDESIGN_DATA", None)
+    out = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argvs)], env=env,
+                         cwd=root, capture_output=True, text=True, check=True).stdout
+    codes, seen = json.loads(out)
+    return dict(zip(map(" ".join, argvs), codes)), {tuple(s) for s in seen}
+
+
+def test_the_command_list_covers_every_subcommand():
+    listed = {(argv[0], argv[1]) for argv in COMMANDS}
+    assert listed == {(group, name) for group, (_, table) in _COMMANDS.items()
+                      for name in table}
+
+
+def test_the_command_list_reaches_its_error_paths(reach):
+    codes, _ = reach
+    assert set(codes.values()) == {0, 1, 2, 3}
+    assert codes["harmonic basis-dim --n 100000 --k 50000 --format json"] == 3
+    assert codes["poly gleason -g open.gm"] == 1
+
+
+def test_every_function_in_src_runs_under_a_command(reach):
+    _, seen = reach
+    functions = _functions()
+    ran = {name for key, name in functions.items() if key in seen}
+    never = sorted(set(functions.values()) - ran - set(ALLOWED))
+    assert never == [], f"no command runs {never}: delete them or give them a caller"
+
+
+def test_allowed_names_exist_and_still_have_no_command_caller(reach):
+    _, seen = reach
+    functions = _functions()
+    assert set(ALLOWED) <= set(functions.values())
+    assert sorted(name for key, name in functions.items()
+                  if key in seen and name in ALLOWED) == []

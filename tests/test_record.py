@@ -185,7 +185,6 @@ def test_harmonic_function_validates_and_makes_tuples():
 def test_reports_and_profiles_by_keyword():
     rep = VerificationReport(scenario="thm1.1", passed=False, witnesses={"w": "6"})
     assert rep.verdict == "fail"
-    assert VerificationReport.from_dict(rep.to_dict()) == rep
     prof = StrengthProfile(per_weight={4: 1, 6: 3})
     assert (prof.delta, prof.s) == (1, 3)
 

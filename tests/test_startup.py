@@ -166,10 +166,10 @@ _DIVIDING = [
 
 @pytest.fixture(scope="module")
 def c6_dir(tmp_path_factory, c6):
-    from amdesign.designs import write_design_file
+    from amdesign.designs import format_design
 
     path = tmp_path_factory.mktemp("startup")
-    write_design_file(path / "c6.json", c6)
+    (path / "c6.json").write_text(format_design(c6) + "\n")
     return path
 
 

@@ -15,7 +15,6 @@ from amdesign.designs import (
 from amdesign.gf2core import BinaryCode, EnumerationGuardError, classify, code_from_rows
 from amdesign.verify import (
     PreconditionError,
-    VerificationReport,
     assmus_mattson_check,
     exact_json,
     report,
@@ -54,7 +53,6 @@ def test_report_round_trip():
         "verdict": "pass",
         "witnesses": {"lambda": "8", "ratio": "1/2"},
     }
-    assert VerificationReport.from_dict(obj) == rep
 
 
 def test_strength_profile(type1):
