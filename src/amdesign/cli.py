@@ -7,10 +7,10 @@ error, 3 resource guard tripped.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 # Every command needs gf2core. The other layers load on their first attribute
 # read (see amdesign/__init__.py), so they are called through the module and
@@ -406,20 +406,44 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of the branch that argv[:2] names when they name a known
-    group and subcommand, else of the whole table. The fixed usage line keeps
-    the top-level usage of both the same."""
+def _parse(argv):
+    """argparse's namespace for a group, a subcommand and pairs of an exact flag
+    and a value it takes; None for any other argv, which run() gives argparse."""
+    group, name = (*argv[:2], None, None)[:2]
+    func, options = _COMMANDS.get(group, ("", {}))[1].get(name, (None, ()))
+    args, by_flag = {"command": group, "subcommand": name, "func": func}, {}
+    for flags, keywords in options:
+        flags = flags.split()
+        dest = next((f for f in flags if f[1] == "-"), flags[0]).lstrip("-").replace("-", "_")
+        args[dest] = keywords.get("default")
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+    missing = {dest for dest, keywords in by_flag.values() if keywords.get("required")}
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        # argparse reads a value that starts with "-" only when it is a number.
+        if flag not in by_flag or value[:1] == "-" and not value[1:].isdecimal():
+            return None
+        dest, keywords = by_flag[flag]
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = [*(args[dest] or ()), value] if keywords.get("action") == "append" else value
+        missing.discard(dest)
+    return None if func is None or len(argv) % 2 or missing else SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The whole table in argparse: help, usage errors and what _parse refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="amdesign", usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
+        prog="amdesign",
         description="Exact tooling for binary codes, harmonic enumerators, "
                     "and the block designs they support.")
     top = parser.add_subparsers(dest="command", required=True, prog="amdesign")
-    table = _COMMANDS
-    group, name = (*argv[:2], None, None)[:2]
-    if group in _COMMANDS and name in _COMMANDS[group][1]:
-        table = {group: (_COMMANDS[group][0], {name: _COMMANDS[group][1][name]})}
-    for group, (help_text, commands) in table.items():
+    for group, (help_text, commands) in _COMMANDS.items():
         sub = top.add_parser(group, help=help_text).add_subparsers(
             dest="subcommand", required=True)
         for name, (func, options) in commands.items():
@@ -432,10 +456,12 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return globals()[args.func](args)
     except (EnumerationGuardError, SearchBudgetError) as err:

@@ -7,6 +7,7 @@ prod_i (1_B(b_i) - 1_B(a_i)).
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -31,8 +32,8 @@ __all__ = [
 # Harmonic-space computations are refused when C(n, k) exceeds this.
 SUBSET_GUARD = 20_000
 
-# harm_dimension refuses a dimension longer than this many decimal digits,
-# the most that Python prints of an int by default.
+# harm_dimension refuses a dimension of more decimal digits than this, the most
+# Python prints of an int by default, or than the interpreter's lower limit.
 DIMENSION_DIGITS_GUARD = 4300
 
 
@@ -84,7 +85,8 @@ def _fold(pairs: Sequence[tuple[int, int]], columns: Sequence[int]) -> tuple[int
 def harm_dimension(n: int, k: int) -> int:
     """dim Harm_k(n): C(n,k) - C(n,k-1) for k <= n/2, 1 at k = 0, and 0 for
     n/2 < k <= n. A dimension of more than DIMENSION_DIGITS_GUARD decimal
-    digits raises EnumerationGuardError."""
+    digits, or than sys.get_int_max_str_digits() when lower, raises
+    EnumerationGuardError."""
     if k < 0 or k > n:
         raise ValueError("k out of range")
     if 2 * k > n:
@@ -94,14 +96,15 @@ def harm_dimension(n: int, k: int) -> int:
     # The dimension is C(n,k) (n-2k+1)/(n-k+1) >= (n//k)^k / (n+1), so a
     # dimension that this bound already puts past the guard is refused before
     # C(n,k) is computed (C(10^6, 5*10^5) takes seconds).
-    limit = 10 ** DIMENSION_DIGITS_GUARD
+    digits = min(DIMENSION_DIGITS_GUARD, sys.get_int_max_str_digits() or DIMENSION_DIGITS_GUARD)
+    limit = 10 ** digits
     if k * ((n // k).bit_length() - 1) < (limit * (n + 1)).bit_length():
         dim = comb(n, k) - comb(n, k - 1)
         if dim < limit:
             return dim
     raise EnumerationGuardError(
         f"dim Harm_{k}({n}) exceeds the dimension guard of "
-        f"{DIMENSION_DIGITS_GUARD} decimal digits")
+        f"{digits} decimal digits")
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,11 @@
 """Command-line behavior: payloads, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -264,6 +268,20 @@ def test_basis_dim_past_the_digit_guard_exits_3(capsys, fmt):
                 "--format", fmt]) == 3
     assert capsys.readouterr() == ("", "resource guard: dim Harm_50000(100000) exceeds "
                                        "the dimension guard of 4300 decimal digits\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_digit_guard_follows_the_interpreters_limit(fmt):
+    # With a 640-digit int-to-str limit, dim Harm_1000(3000) (828 digits) cannot
+    # print, and the guard refuses it instead of the conversion failing.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+    argv = ["harmonic", "basis-dim", "--n", "3000", "--k", "1000", "--format", fmt]
+    done = subprocess.run([sys.executable, "-m", "amdesign.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "resource guard: dim Harm_1000(3000) exceeds the dimension guard of "
+               "640 decimal digits\n")
 
 
 @pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])

@@ -48,7 +48,8 @@ ALLOWED = {
 }
 
 # Each line runs as given and, where the subcommand takes --format, again
-# with --format json. Lines that exit nonzero reach the error paths.
+# with --format json. Lines that exit nonzero reach the error paths, and
+# "--builtin=e8" the argparse parser, which reads what cli._parse leaves.
 COMMANDS = [
     ["code", "info", "-b", "i2+d4+e8"],
     ["code", "dual", "-b", "e8"],
@@ -57,6 +58,7 @@ COMMANDS = [
     ["code", "info"],
     ["code", "info", "-g", "e8.gm", "-b", "e8"],
     ["code", "info", "-b", "missing"],
+    ["code", "info", "--builtin=e8"],
     ["design", "check", "-d", "c6.json", "--t", "2"],
     ["design", "check", "-d", "mutant.json", "--t", "2"],
     ["design", "from-code", "-g", "e8.gm", "--w", "4"],

@@ -1,8 +1,9 @@
-"""The table-driven parser and the import cost of the command line: a parser
-built for one branch parses as the whole table does, help lists every name,
-dispatch looks the command up by name, the import pulls in no
-dataclass machinery, only a command that divides imports fractions, and
-every module's __all__ names only defined names."""
+"""The table-driven parser and the import cost of the command line: the table
+parser gives argparse's namespace or leaves argv to argparse, a well-formed
+command loads no argparse, help and usage errors print as before, dispatch
+looks the command up by name, the import pulls in no dataclass machinery,
+only a command that divides imports fractions, and every module's __all__
+names only defined names."""
 
 import importlib
 import json
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import amdesign
 import amdesign.cli as cli
@@ -52,13 +54,24 @@ def test_the_table_covers_every_command_function():
     assert len(BRANCHES) == 23
 
 
+# argparse's parser of the whole table, the reference of cli._parse.
+PARSER = cli._build_parser()
+
+
+def _oracle(argv):
+    """cli._parse(argv) is None or exactly argparse's namespace for argv."""
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(PARSER.parse_args(argv)), argv
+    return args
+
+
+# cli._parse reads the one branch that argv names in the table.
 @pytest.mark.parametrize("group, name", BRANCHES, ids="-".join)
 def test_one_branch_parses_as_the_whole_table(group, name):
     for argv in _argvs(group, name):
-        partial = cli._build_parser(argv)
-        assert list(partial._subparsers._group_actions[0].choices) == [group]
-        args = partial.parse_args(argv)
-        assert args == cli._build_parser([]).parse_args(argv)
+        args = _oracle(argv)
+        assert args is not None, argv
         assert (args.command, args.subcommand) == (group, name)
         assert callable(getattr(cli, args.func))
 
@@ -73,13 +86,129 @@ def test_one_branch_parses_as_the_whole_table(group, name):
     ["poly", "lemma4.1", "--alpha-max"],
 ])
 def test_one_branch_reports_errors_as_the_whole_table(capsys, argv):
-    outputs = []
-    for parser in (cli._build_parser(argv), cli._build_parser([])):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        outputs.append((exc.value.code, capsys.readouterr()))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 2 and "usage: " in outputs[0][1].err
+    assert cli._parse(argv) is None
+    assert cli.run(argv) == 2
+    reported = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        PARSER.parse_args(argv)
+    assert (exc.value.code, capsys.readouterr()) == (2, reported)
+    assert reported.out == "" and reported.err.startswith("usage: amdesign ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "info", "--builtin=d4"],
+    ["code", "info", "--built", "d4"],
+    ["code", "info", "-bd4"],
+])
+def test_other_spellings_still_work_through_argparse(capsys, argv):
+    assert cli._parse(argv) is None
+    assert cli.run(argv) == 0
+    out = capsys.readouterr()
+    assert cli.run(["code", "info", "-b", "d4"]) == 0
+    assert out == capsys.readouterr()
+
+
+_FLAGS = sorted({flag for _, commands in cli._COMMANDS.values()
+                 for _, options in commands.values()
+                 for flags, _ in options for flag in flags.split()})
+# Tokens argparse reads in other ways than a flag and its value: help,
+# abbreviations, "=", "--", attached short values; and values that start with
+# "-" or hold non-ASCII digits, spaces or underscores.
+_ODD = st.sampled_from(
+    ["-h", "--help", "--", "-", "--bogus", "-x", "-bd4", "-gx.file", "--format=json",
+     "--t=2", "--builtin=d4", "-b=d4", *(flag[:-1] for flag in _FLAGS if len(flag) > 3)])
+_INTS = st.sampled_from(["3", "0", "-1", "-12", "+4", " 5", "1_0", "٣", "-٣"])
+_VALUES = _INTS | st.sampled_from(
+    ["16", "²", "-²", "-.5", "-1.5", "-5\n", "", "two", "json", "text", "xml", "d4", "e8",
+     "0,2", "2=1", "x.file", "code", "info", "-b", "--t"]) | st.text(max_size=3)
+
+
+def _pairs(options):
+    """A flag of the branch and a value of its kind."""
+    return st.one_of([
+        st.tuples(st.sampled_from(spec.split()),
+                  st.sampled_from(keywords["choices"]) if "choices" in keywords
+                  else _INTS | st.integers(-99, 99).map(str) if keywords.get("type")
+                  else _VALUES)
+        for spec, keywords in options])
+
+
+@st.composite
+def _argvs_near_the_table(draw):
+    """A group and subcommand (at times a near miss), then pairs of a flag and
+    a value, mostly of the branch and of the flag's kind, at times after the
+    branch's required options, and at times with an odd token put in."""
+    group, name = draw(st.sampled_from(BRANCHES))
+    head = draw(st.sampled_from([[group, name]] * 8 + [[group], [], [name, group],
+                                                        [group, "nope"], ["nope", name]]))
+    options = cli._COMMANDS[group][1][name][1]
+    anything = st.tuples(st.sampled_from(_FLAGS) | _ODD, _VALUES)
+    pairs = draw(st.lists(_pairs(options) | _pairs(options) | anything, max_size=5))
+    if draw(st.booleans()):
+        required = _argvs(group, name)[0][2:]
+        pairs = draw(st.permutations(list(zip(required[::2], required[1::2])) + pairs))
+    argv = head + [token for pair in pairs for token in pair]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_ODD | _VALUES))
+    return argv
+
+
+# "²" is a digit to str.isdigit but not to argparse's negative-number pattern.
+@settings(max_examples=400, deadline=None, database=None)
+@given(_argvs_near_the_table())
+@example(["code", "info", "-b", "-²"])
+@example(["code", "info", "-b", "-٣"])
+@example(["harmonic", "basis-dim", "--n", "-٣", "--k", "1"])
+def test_the_table_parser_agrees_with_argparse(argv):
+    _oracle(argv)
+
+
+def test_a_well_formed_command_loads_no_argparse():
+    script = ("import sys; before = set(sys.modules); from amdesign.cli import run; "
+              "code = run(['code', 'info', '-b', 'd4', '--format', 'json']); "
+              "added = set(sys.modules) - before; "
+              "print(code, sorted({'argparse', 'gettext', 'locale'} & added), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    err = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stderr
+    assert err == "0 []\n"
+
+
+_TOP_HELP = """\
+usage: amdesign [-h] {code,design,harmonic,poly,search,verify} ...
+
+Exact tooling for binary codes, harmonic enumerators, and the block designs
+they support.
+
+positional arguments:
+  {code,design,harmonic,poly,search,verify}
+    code                code-level operations
+    design              design-level operations
+    harmonic            harmonic-function operations
+    poly                invariant-polynomial operations
+    search              randomized seeded code searches
+    verify              theorem scenarios
+
+options:
+  -h, --help            show this help message and exit
+"""
+_CODE_HELP = """\
+usage: amdesign code [-h] {info,dual,weights,subcode} ...
+
+positional arguments:
+  {info,dual,weights,subcode}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("argv, out", [(["--help"], _TOP_HELP),
+                                       (["code", "--help"], _CODE_HELP)])
+def test_help_prints_as_before(monkeypatch, capsys, argv, out):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_top_level_help_lists_every_group(monkeypatch, capsys):
@@ -111,6 +240,35 @@ def test_group_help_lists_every_subcommand(monkeypatch, capsys, group):
 def test_unknown_names_and_missing_options_exit_2(capsys, argv, message):
     assert cli.run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+_TOP_USAGE = "usage: amdesign [-h] {code,design,harmonic,poly,search,verify} ..."
+_CODE_USAGE = "usage: amdesign code [-h] {info,dual,weights,subcode} ..."
+
+
+# The usage line and the whole error, but for the list of choices, whose
+# quoting differs between Python versions.
+@pytest.mark.parametrize("argv, usage, error", [
+    ([], _TOP_USAGE, "amdesign: error: the following arguments are required: command"),
+    (["nope"], _TOP_USAGE, "amdesign: error: argument command: invalid choice: 'nope' ("),
+    (["code"], _CODE_USAGE,
+     "amdesign code: error: the following arguments are required: subcommand"),
+    (["code", "nope"], _CODE_USAGE,
+     "amdesign code: error: argument subcommand: invalid choice: 'nope' ("),
+    (["design", "check", "-d", "x.json"],
+     "usage: amdesign design check [-h] [--format {text,json}] -d FILE --t T",
+     "amdesign design check: error: the following arguments are required: --t"),
+    (["harmonic", "basis-dim", "--n", "4"],
+     "usage: amdesign harmonic basis-dim [-h] [--format {text,json}] --n N --k K",
+     "amdesign harmonic basis-dim: error: the following arguments are required: --k"),
+])
+def test_usage_errors_print_as_before(monkeypatch, capsys, argv, usage, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.split("\n")
+    assert (out, len(lines), lines[0], lines[-1]) == ("", 3, usage, "")
+    assert lines[1] == error if error[-1] != "(" else lines[1].startswith(error)
 
 
 def test_run_dispatches_by_name(monkeypatch, capsys):
