@@ -260,9 +260,6 @@ class WeightDistribution(Record):
     def count(self, w: int) -> int:
         return self.counts.get(w, 0)
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def min_nonzero(self) -> int:
         weights = [w for w in self.counts if w]
         if not weights:

@@ -9,7 +9,6 @@ from math import comb
 from operator import mul
 from typing import TYPE_CHECKING
 
-from . import ratlin
 from .gf2core import EnumerationGuardError, Record, WeightDistribution
 
 if TYPE_CHECKING:
@@ -58,10 +57,6 @@ class HomPoly(Record):
         if len(coeffs) != degree + 1:
             raise ValueError("coefficient vector has the wrong length")
         self._set(degree, tuple(coeffs))
-
-    @classmethod
-    def zero(cls, degree: int) -> "HomPoly":
-        return cls(degree, (0,) * (degree + 1))
 
     @classmethod
     def monomial(cls, xdeg: int, ydeg: int, coeff: int | Fraction = 1) -> "HomPoly":
@@ -188,7 +183,7 @@ Y = HomPoly.monomial(0, 1)
 class SpanError(ValueError):
     """A polynomial fell outside the requested basis span."""
 
-    def __init__(self, message: str, partial: list[Fraction], residual: HomPoly):
+    def __init__(self, message: str, partial: list[int | Fraction], residual: HomPoly):
         super().__init__(message)
         self.partial = partial
         self.residual = residual
@@ -201,11 +196,12 @@ def q8() -> HomPoly:
 
 
 def gleason_basis(t: int, n: int) -> list[HomPoly]:
-    """Spanning set for degree n-2t polynomials fixed (up to the sign character
+    """Basis of the degree n-2t polynomials fixed (up to the sign character
     (-1)^t) by the transforms p -> 2^(-deg/2) p(x+y, x-y) and p -> p(x, -y).
 
     Even t: (x^2+y^2)^(n/2-t-4i) (x^2 y^2 (x^2-y^2)^2)^i.
     Odd t: the same with t+4 in place of t, each term multiplied by q8.
+    Element i has its lowest power of y at y^(2i + t%2), with coefficient 1.
     """
     if n < 2 or n % 2:
         raise ValueError("length must be a positive even integer")
@@ -225,18 +221,22 @@ def gleason_basis(t: int, n: int) -> list[HomPoly]:
     return basis
 
 
-def gleason_decompose(p: HomPoly, t: int, n: int) -> list[Fraction]:
-    """Exact coordinates of p in gleason_basis(t, n); raises SpanError outside."""
+def gleason_decompose(p: HomPoly, t: int, n: int) -> list[int | Fraction]:
+    """Exact coordinates of p in gleason_basis(t, n); raises SpanError outside.
+
+    The basis is unitriangular in its lowest terms, so the coordinates follow
+    by forward substitution from y^(t%2) up, with no division: integer input
+    gives integer coordinates. Outside the span, SpanError carries these
+    coordinates and what is left of p after subtracting their combination.
+    """
     if p.degree != n - 2 * t:
         raise ValueError(f"expected degree {n - 2 * t}, got {p.degree}")
-    basis = gleason_basis(t, n)
-    columns = [b.coeffs for b in basis]
-    x, consistent = ratlin.solve_columns(columns, p.coeffs)
-    if not consistent:
-        approx = HomPoly.zero(p.degree)
-        for c, b in zip(x, basis):
-            approx = approx + c * b
-        raise SpanError("polynomial is outside the basis span", x, p - approx)
+    rest, x = p, []
+    for i, b in enumerate(gleason_basis(t, n)):
+        x.append(rest.coefficient(2 * i + t % 2))
+        rest = rest - x[-1] * b
+    if not rest.is_zero:
+        raise SpanError("polynomial is outside the basis span", x, rest)
     return x
 
 
@@ -291,7 +291,7 @@ def macwilliams_transform_classical(
     wd: WeightDistribution, n: int, k: int
 ) -> WeightDistribution:
     """Dual weight distribution 2^-k W(x+y, x-y), checked to be integral."""
-    if wd.total() != 1 << k:
+    if sum(wd.counts.values()) != 1 << k:
         raise ValueError("weight distribution does not sum to 2^k")
     if wd.count(0) != 1:
         raise ValueError("weight distribution must count the zero word once")

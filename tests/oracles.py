@@ -36,6 +36,12 @@ a Python-level isinstance call; Design tests the points' types in one set
 operation and falls back to the per-point test only for a block holding
 something other than a plain int.
 
+gleason_decompose is the coordinate solve that handed the whole system of
+basis columns to ratlin's rational Gaussian elimination; amdesign.polyring
+reads the coordinates off the basis's unitriangular lowest terms by integer
+forward substitution instead, and must give the same coordinates, the same
+SpanError.partial and the same residual.
+
 design_to_json is the design as a JSON object for json.dumps, whose C
 encoder keeps one string chunk per number and separator; format_design
 joins one string per block into the same text.
@@ -46,14 +52,14 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
-from amdesign import gf2core
+from amdesign import gf2core, ratlin
 from amdesign.catalog import SearchBudgetError, SearchConfig
 from amdesign.gf2core import (
     WeightDistribution, code_from_rows, dual, is_doubly_even, is_even, iter_codewords,
     mallows_sloane, support)
 from amdesign.designs import lambda_i
 from amdesign.harmonic import harm_basis
-from amdesign.polyring import HomPoly
+from amdesign.polyring import HomPoly, SpanError, gleason_basis
 
 
 def weight_distribution(c):
@@ -107,6 +113,19 @@ def substitute_sum_diff(p):
             if s:
                 out[m] += cj * s
     return HomPoly(d, tuple(out))
+
+
+def gleason_decompose(p, t, n):
+    if p.degree != n - 2 * t:
+        raise ValueError(f"expected degree {n - 2 * t}, got {p.degree}")
+    basis = gleason_basis(t, n)
+    x, consistent = ratlin.solve_columns([b.coeffs for b in basis], p.coeffs)
+    if not consistent:
+        approx = HomPoly(p.degree, (0,) * (p.degree + 1))
+        for c, b in zip(x, basis):
+            approx = approx + c * b
+        raise SpanError("polynomial is outside the basis span", x, p - approx)
+    return x
 
 
 def expand(f):

@@ -86,8 +86,9 @@ def inputs(tmp_path_factory):
     (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0,
      ["designs", "gf2core", "harmonic", "verify"]),
     (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["gf2core", "harmonic"]),
+    (["poly", "gleason", "-g", "e8.gm"], 0, ["gf2core", "polyring"]),
 ], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
-        "verify-thm1.2-1", "harmonic-basis-dim"])
+        "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, executed):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", _LAYERS_SCRIPT, *argv], env=env,

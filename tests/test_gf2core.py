@@ -143,7 +143,7 @@ def test_weight_distribution_examples(type1):
 
 def test_weight_distribution_methods(type1):
     wd = weight_distribution(type1)
-    assert wd.total() == type1.size
+    assert sum(wd.counts.values()) == type1.size
     assert wd.count(6) == 64
     assert wd.count(5) == 0
     assert wd.min_nonzero() == 4

@@ -151,7 +151,7 @@ def test_gleason_decompose_examples(type1):
 def test_gleason_decompose_round_trip(type1):
     coords = gleason_decompose(we(type1), 0, 16)
     basis = gleason_basis(0, 16)
-    total = HomPoly.zero(16)
+    total = HomPoly(16, (0,) * 17)
     for c, b in zip(coords, basis):
         total = total + c * b
     assert total == we(type1)
@@ -163,7 +163,7 @@ def test_gleason_decompose_outside_span():
     residual = err.value.residual
     assert not residual.is_zero
     basis = gleason_basis(0, 8)
-    approx = HomPoly.zero(8)
+    approx = HomPoly(8, (0,) * 9)
     for c, b in zip(err.value.partial, basis):
         approx = approx + c * b
     assert approx + residual == X**8 + Y**8
@@ -319,6 +319,52 @@ def test_gleason_decompose_recovers_sympy_combinations(case):
     combination = sympy.expand(sum(c * b for c, b in zip(coords, _sympy_gleason_basis(t, n))))
     p = HomPoly(n - 2 * t, _sympy_coeffs(combination, n - 2 * t))
     assert gleason_decompose(p, t, n) == coords
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_gleason_basis_is_unitriangular_in_its_lowest_terms(t):
+    for n in range(2, 49, 2):
+        if _top(t, n) < 0:
+            continue
+        for i, b in enumerate(gleason_basis(t, n)):
+            low = next(j for j, c in enumerate(b.coeffs) if c)
+            assert (low, b.coeffs[low]) == (2 * i + t % 2, 1), (t, n, i)
+
+
+def _decompose_or_span_error(decompose, p, t, n):
+    try:
+        return decompose(p, t, n), None
+    except SpanError as err:
+        return err.partial, err.residual
+
+
+# (t, n) with a nonempty basis, even n <= 40 and t <= 4.
+_SPANS_40 = sorted((t, n) for t in range(5) for n in range(2, 41, 2) if _top(t, n) >= 0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(_SPANS_40).flatmap(lambda tn: st.tuples(
+    st.just(tn),
+    st.lists(st.integers(-10**6, 10**6), min_size=_top(*tn) // 4 + 1,
+             max_size=_top(*tn) // 4 + 1),
+    st.dictionaries(st.integers(0, tn[1] - 2 * tn[0]), st.integers(-20, 20), max_size=3))))
+@example(((0, 8), [1, 0], {8: 1}))
+@example(((1, 10), [0], {0: 1}))
+def test_gleason_decompose_matches_the_elimination_oracle(case):
+    (t, n), coords, bump = case
+    p = HomPoly(n - 2 * t, (0,) * (n - 2 * t + 1))
+    for c, b in zip(coords, gleason_basis(t, n)):
+        p = p + c * b
+    p = HomPoly(p.degree, tuple(a + bump.get(j, 0) for j, a in enumerate(p.coeffs)))
+    got, residual = _decompose_or_span_error(gleason_decompose, p, t, n)
+    want, want_residual = _decompose_or_span_error(oracles.gleason_decompose, p, t, n)
+    assert got == want
+    assert all(type(c) is int for c in got)
+    assert residual == want_residual
+    if residual is not None:
+        assert [str(c) for c in residual.coeffs] == [str(c) for c in want_residual.coeffs]
+    else:
+        assert got == coords
 
 
 def test_vanishing_coefficient_search_matches_sympy():

@@ -30,7 +30,6 @@ ALLOWED = {
     "catalog.pinned_even_fsd_16": _SHIM,
     "ratlin.nullspace": _SHIM,
     "polyring.macwilliams_transform_classical": _SHIM,
-    "gf2core.WeightDistribution.total": "called by macwilliams_transform_classical",
     "harmonic.HarmonicFunction.tilde": _SHIM,
     # ROADMAP item 2 (forced-vanishing weights) gives these a command caller.
     "polyring.check_relative_invariance": "ROADMAP item 2 calls it",

@@ -67,7 +67,7 @@ def _oracle(argv):
 
 
 # cli._parse reads the one branch that argv names in the table.
-@pytest.mark.parametrize("group, name", BRANCHES, ids="-".join)
+@pytest.mark.parametrize("group, name", BRANCHES, ids=["-".join(b) for b in BRANCHES])
 def test_one_branch_parses_as_the_whole_table(group, name):
     for argv in _argvs(group, name):
         args = _oracle(argv)
@@ -314,11 +314,13 @@ _EXACT_INT = [
     ["verify", "thm1.2-1", "-b", "type1_16"],
     ["harmonic", "basis-dim", "--n", "16", "--k", "2"],
     ["harmonic", "transform-check", "-b", "type1_16", "--k", "1"],
+    ["poly", "gleason", "-b", "type1_16"],
+    ["poly", "gleason", "-b", "type1_16", "--t", "1"],
+    ["poly", "gleason", "-g", "open.gm"],
 ]
 _DIVIDING = [
     ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8",
      "--m", "6", "--allowed", "0,2,4,6", "--fixed", "6=1"],
-    ["poly", "gleason", "-b", "type1_16"],
 ]
 
 
@@ -328,6 +330,8 @@ def c6_dir(tmp_path_factory, c6):
 
     path = tmp_path_factory.mktemp("startup")
     (path / "c6.json").write_text(format_design(c6) + "\n")
+    # An enumerator x^4 + x^2y^2 outside the span of (x^2+y^2)^2: exit 1.
+    (path / "open.gm").write_text("1100\n")
     return path
 
 
@@ -340,7 +344,7 @@ def test_fractions_load_only_where_a_fraction_is_made(c6_dir, argv):
     err = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=c6_dir,
                          capture_output=True, text=True, check=True).stderr
     code, loaded = err.rstrip("\n").split(" ", 1)
-    assert code == "0"
+    assert code == ("1" if "open.gm" in argv else "0")
     if argv in _DIVIDING:
         assert "fractions" in loaded
     else:
