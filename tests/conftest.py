@@ -1,18 +1,18 @@
 import pytest
 
-from amdesign.catalog import pinned_even_fsd_16, pinned_type_i_16
+from amdesign.catalog import load_code
 from amdesign.designs import Design, support_design
 from amdesign.gf2core import code_from_rows
 
 
 @pytest.fixture(scope="session")
 def type1():
-    return pinned_type_i_16()
+    return load_code("type1_16")
 
 
 @pytest.fixture(scope="session")
 def fsd16():
-    return pinned_even_fsd_16()
+    return load_code("fsd_16")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Command-line behavior: payloads, exit codes, JSON round-trips."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -270,18 +272,75 @@ def test_basis_dim_past_the_digit_guard_exits_3(capsys, fmt):
                                        "the dimension guard of 4300 decimal digits\n")
 
 
+def python(*args, **env):
+    """Run a new interpreter with PYTHONPATH at src/, capturing its output.
+
+    PYTHONUNBUFFERED is dropped, so stdout is block-buffered into the pipe as
+    for any user, and what is left in the buffer is written at exit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_the_digit_guard_follows_the_interpreters_limit(fmt):
     # With a 640-digit int-to-str limit, dim Harm_1000(3000) (828 digits) cannot
     # print, and the guard refuses it instead of the conversion failing.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
     argv = ["harmonic", "basis-dim", "--n", "3000", "--k", "1000", "--format", fmt]
-    done = subprocess.run([sys.executable, "-m", "amdesign.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    done = python("-m", "amdesign.cli", *argv, PYTHONINTMAXSTRDIGITS="640")
     assert (done.returncode, done.stdout, done.stderr) == (
         3, "", "resource guard: dim Harm_1000(3000) exceeds the dimension guard of "
                "640 decimal digits\n")
+
+
+# Exit codes 0-3, text and JSON; from-code on the Golay code prints ~117 KB,
+# more than a pipe buffer holds, so a process that lost output at exit shows.
+_ENTRY_ARGVS = {
+    "info": ["code", "info", "-b", "type1_16"],
+    "verify-json": ["verify", "thm1.1", "-b", "type1_16", "--format", "json"],
+    "golay-12": ["design", "from-code", "-g", "{golay}", "--w", "12"],
+    "fail": ["verify", "thm1.2-1", "-g", "{type1}", "-d", "{broken}"],
+    "fail-json": ["verify", "thm1.2-1", "-g", "{type1}", "-d", "{broken}",
+                  "--format", "json"],
+    "usage": ["code", "bogus"],
+    "unknown-code": ["code", "info", "-b", "nosuch", "--format", "json"],
+    "guard": ["harmonic", "basis-dim", "--n", "100000", "--k", "50000"],
+    "guard-json": ["harmonic", "basis-dim", "--n", "100000", "--k", "50000",
+                   "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", _ENTRY_ARGVS.values(), ids=_ENTRY_ARGVS)
+def test_the_process_entry_matches_run(capsys, monkeypatch, tmp_path, type1, c6,
+                                       golay, argv):
+    files = {"type1": tmp_path / "type1.gm", "golay": tmp_path / "golay.gm",
+             "broken": tmp_path / "broken.json"}
+    files["type1"].write_text(format_generator(type1))
+    files["golay"].write_text(format_generator(golay))
+    files["broken"].write_text(format_design(Design(c6.v, c6.blocks[1:])) + "\n")
+    argv = [arg.format(**files) for arg in argv]
+    # argparse wraps usage lines to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(argv)
+    out, err = capsys.readouterr()
+    done = python("-m", "amdesign.cli", *argv, COLUMNS="80")
+    untimed = lambda text: re.sub(r'"total_ms": \S+', '"total_ms": _', text)
+    assert (done.returncode, untimed(done.stdout), done.stderr) == (
+        code, untimed(out), err)
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              "sys.argv = ['amdesign', 'code', 'info', '-b', 'type1_16']\n"
+              "runpy.run_module('amdesign.cli', run_name='__main__')\n")
+    done = python("-c", script)
+    assert (done.returncode, done.stderr) == (0, "True\n")
+    before = gc.get_freeze_count()
+    assert run(["code", "info", "-b", "type1_16"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])

@@ -350,6 +350,7 @@ _SPANS_40 = sorted((t, n) for t in range(5) for n in range(2, 41, 2) if _top(t, 
     st.dictionaries(st.integers(0, tn[1] - 2 * tn[0]), st.integers(-20, 20), max_size=3))))
 @example(((0, 8), [1, 0], {8: 1}))
 @example(((1, 10), [0], {0: 1}))
+@example(((2, 4), [0], {0: 1}))
 def test_gleason_decompose_matches_the_elimination_oracle(case):
     (t, n), coords, bump = case
     p = HomPoly(n - 2 * t, (0,) * (n - 2 * t + 1))
@@ -363,7 +364,8 @@ def test_gleason_decompose_matches_the_elimination_oracle(case):
     assert residual == want_residual
     if residual is not None:
         assert [str(c) for c in residual.coeffs] == [str(c) for c in want_residual.coeffs]
-    else:
+    elif not any(bump.values()):
+        # A bump can stay in the span (at n = 2t every constant is in it).
         assert got == coords
 
 

@@ -36,7 +36,8 @@ ALLOWED = {
     "polyring.HomPoly.substitute_negate_y": "called by check_relative_invariance",
     "polyring.HomPoly.__neg__": "called by check_relative_invariance",
     "catalog.save_code": "the pin API that pins the n=24 codes of ROADMAP item 5",
-    "cli.main": "runs only as __main__, which cli.run serves in-process",
+    "cli.main": ("runs as __main__ and as the amdesign console script, never "
+                 "through cli.run; the subprocess tests in test_cli.py run it"),
     # Record is a value type: these keep hashing, printing, immutability and
     # pickling correct for every subclass, though no command uses them.
     "gf2core.Record.__hash__": "value semantics of every Record",
