@@ -199,10 +199,20 @@ def _index_path() -> Path:
 
 
 def _read_index() -> dict:
+    """The store's index, {name: {"file": FILE, ...}}; ValueError naming the
+    index file when it has another shape."""
     path = _index_path()
     if not path.exists():
         return {}
-    return json.loads(path.read_text())
+    try:
+        index = json.loads(path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if not (isinstance(index, dict) and all(
+            isinstance(entry, dict) and isinstance(entry.get("file"), str)
+            for entry in index.values())):
+        raise ValueError(f'{path}: expected {{name: {{"file": FILE, ...}}, ...}}')
+    return index
 
 
 def load_code(name: str) -> BinaryCode:

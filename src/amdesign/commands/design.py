@@ -1,0 +1,78 @@
+"""``amdesign design``: t-design checks, support designs, complements,
+intersection profiles and the block-intersection system."""
+
+from __future__ import annotations
+
+from .. import designs
+from ..gf2core import exact_json
+from .common import print_payload, read_code
+
+
+def run_check(args) -> int:
+    d = designs.read_design_file(args.design)
+    lam, violation = designs._t_design_check(d, args.t)
+    payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
+               "lambda": lam, "violation": None}
+    lines = [f"v={d.v} k={d.k} b={d.b}"]
+    if lam is None:
+        payload["violation"] = exact_json(violation)
+        pts1, c1, pts2, c2 = violation
+        lines.append(f"not a {args.t}-design: {pts1} covered {c1} times, "
+                     f"{pts2} covered {c2} times")
+    else:
+        lines.append(f"{args.t}-design with lambda = {lam}")
+    print_payload(args, payload, lines)
+    return 0 if lam is not None else 1
+
+
+def run_from_code(args) -> int:
+    d = designs.support_design(read_code(args), args.w)
+    print(designs.format_design(d))
+    return 0
+
+
+def run_complement(args) -> int:
+    d = designs.complement_design(designs.read_design_file(args.design))
+    print(designs.format_design(d))
+    return 0
+
+
+def run_intersections(args) -> int:
+    d = designs.read_design_file(args.design)
+    profile = designs.intersection_profile(d, args.block)
+    nonzero = {i: m for i, m in profile.as_dict().items() if m}
+    payload = {"block": args.block, "profile": {str(i): m for i, m in nonzero.items()}}
+    print_payload(args, payload,
+                  [f"m_{i} = {m}" for i, m in sorted(nonzero.items())])
+    return 0
+
+
+def run_mendelsohn(args) -> int:
+    try:
+        allowed = sorted(int(x) for x in args.allowed.split(","))
+    except ValueError:
+        raise ValueError(f"--allowed expects I,J,..., got {args.allowed!r}") from None
+    for i, j in zip(allowed, allowed[1:]):
+        if i == j:
+            raise ValueError(f"--allowed gives {i} twice")
+    fixed = {}
+    for item in args.fixed or ():
+        key, _, value = item.partition("=")
+        try:
+            i, n_i = int(key), int(value)
+        except ValueError:
+            raise ValueError(f"--fixed expects I=N, got {item!r}") from None
+        if i in fixed:
+            raise ValueError(f"--fixed gives n_{i} twice")
+        fixed[i] = n_i
+    solutions = designs.mendelsohn_solve(args.t, args.v, args.k, args.lam, args.m,
+                                         allowed, fixed or None, limit=args.limit)
+    lambdas = [str(designs.lambda_i(args.t, args.v, args.k, args.lam, j))
+               for j in range(args.t + 1)]
+    payload = {"allowed": allowed, "lambda_j": lambdas,
+               "solutions": [list(s) for s in solutions]}
+    lines = ["n_" + " n_".join(str(i) for i in allowed)]
+    lines += [" ".join(str(x) for x in s) for s in solutions]
+    lines.append(f"{len(solutions)} solution(s)")
+    print_payload(args, payload, lines)
+    return 0

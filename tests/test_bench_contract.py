@@ -1,7 +1,8 @@
 """The names the benchmark's tracing shim rebinds, the late lookup of
-verifiers in the CLI that its per-verifier counts rely on, and the layers a
-command loads: every layer the shim reads is registered by the import of the
-CLI, but only those the command runs are executed. Reads bench/ only."""
+verifiers in the CLI that its per-verifier counts rely on, and the modules a
+command loads: every layer the shim reads and every command group is
+registered by the import of the CLI, but only the layers the command runs and
+its own group are executed. Reads bench/ only."""
 
 import importlib
 import importlib.util
@@ -50,19 +51,42 @@ def test_cli_looks_verifiers_up_when_the_command_runs(monkeypatch, capsys):
     assert calls == [16]
 
 
-# A lazily registered layer is a module subclass until its first attribute
+# A lazily registered module is a module subclass until its first attribute
 # read executes it; type() reads no attribute.
 _LAYERS_SCRIPT = """
 import contextlib, io, json, sys, types
+
+def executed():
+    return sorted(n for n, m in sys.modules.items()
+                  if n.startswith("amdesign.") and type(m) is types.ModuleType)
+
 import amdesign.cli
 registered = sorted(n for n in sys.modules if n.startswith("amdesign."))
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = amdesign.cli.run(sys.argv[1:])
-executed = sorted(n.split(".")[1] for n, m in sys.modules.items()
-                  if n.startswith("amdesign.") and n != "amdesign.cli"
-                  and type(m) is types.ModuleType)
-print(json.dumps([rc, registered, executed]))
+imported = executed()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = amdesign.cli.run(sys.argv[1:])
+    print(json.dumps([rc, registered, executed()]))
+else:
+    print(json.dumps([registered, imported]))
 """
+# What the import of the CLI executes: the package of the command groups is
+# run to find its modules, but no group module and no layer beyond gf2core.
+_IMPORTED = ["amdesign.cli", "amdesign.commands", "amdesign.gf2core"]
+
+
+def _run_layers_script(cwd, argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _LAYERS_SCRIPT, *argv], env=env,
+                         cwd=cwd, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_importing_the_cli_runs_no_command_group(tmp_path):
+    registered, imported = _run_layers_script(tmp_path, [])
+    assert set(registered) >= {f"amdesign.commands.{name}"
+                               for name in (*amdesign.cli._COMMANDS, "common")}
+    assert imported == _IMPORTED
 
 
 @pytest.fixture(scope="module")
@@ -76,23 +100,22 @@ def inputs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("argv, rc, executed", [
-    (["code", "info", "-g", "e8.gm"], 0, ["gf2core"]),
-    (["search", "fsd"], 0, ["catalog", "gf2core"]),
-    (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs", "gf2core"]),
-    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, ["designs", "gf2core"]),
-    (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["gf2core", "verify"]),
+# Each case runs the import's modules, the helpers the groups share, its own
+# group and the layers listed.
+@pytest.mark.parametrize("argv, rc, layers", [
+    (["code", "info", "-g", "e8.gm"], 0, []),
+    (["search", "fsd"], 0, ["catalog"]),
+    (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs"]),
+    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, ["designs"]),
+    (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["verify"]),
     # harmonic loads polyring only when it builds an enumerator
-    (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0,
-     ["designs", "gf2core", "harmonic", "verify"]),
-    (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["gf2core", "harmonic"]),
-    (["poly", "gleason", "-g", "e8.gm"], 0, ["gf2core", "polyring"]),
+    (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),
+    (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["harmonic"]),
+    (["poly", "gleason", "-g", "e8.gm"], 0, ["polyring"]),
 ], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
         "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason"])
-def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, executed):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", _LAYERS_SCRIPT, *argv], env=env,
-                         cwd=inputs, capture_output=True, text=True, check=True).stdout
-    got_rc, registered, got_executed = json.loads(out)
+def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, layers):
+    got_rc, registered, executed = _run_layers_script(inputs, argv)
     assert set(registered) >= {f"amdesign.{layer}" for layer in shim.LAYERS}
-    assert (got_rc, got_executed) == (rc, executed)
+    expected = _IMPORTED + [f"amdesign.commands.{argv[0]}", "amdesign.commands.common"]
+    assert (got_rc, executed) == (rc, sorted(expected + [f"amdesign.{n}" for n in layers]))

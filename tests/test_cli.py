@@ -67,6 +67,22 @@ def test_pinned_codes_come_only_from_the_store(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+_SHAPE = 'expected {name: {"file": FILE, ...}, ...}'
+
+
+# A list, an entry that is not an object, an entry without its file, no JSON.
+@pytest.mark.parametrize("index, message", [
+    ("[]", _SHAPE), ('{"x": 5}', _SHAPE), ('{"x": {}}', _SHAPE),
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_a_malformed_store_index_is_a_usage_error(capsys, tmp_path, monkeypatch, index,
+                                                  message):
+    monkeypatch.setenv("AMDESIGN_DATA", str(tmp_path))
+    (tmp_path / "index.json").write_text(index)
+    assert run(["code", "info", "-b", "x"]) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'index.json'}: {message}\n")
+
+
 def test_unknown_code_name_is_usage_error(capsys):
     assert run(["code", "info", "-b", "zz"]) == 2
     assert capsys.readouterr().err == "error: no stored code named 'zz'\n"
@@ -341,6 +357,29 @@ def test_only_the_process_entry_freezes_the_heap(capsys):
     assert run(["code", "info", "-b", "type1_16"]) == 0
     capsys.readouterr()
     assert gc.get_freeze_count() == before
+
+
+# Output that fits the stdout buffer fails when it is flushed; more than that
+# (~15 KB of blocks) fails in the command's own print.
+@pytest.mark.parametrize("argv", [["code", "info", "-b", "type1_16", "--format", "json"],
+                                  ["design", "from-code", "-b", "e8+e8+e8", "--w", "8"]],
+                         ids=["small", "large"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_2_with_one_error(argv, unbuffered):
+    # The reader is gone: stdout is a pipe whose read end is closed.
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run([sys.executable, "-m", "amdesign.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])

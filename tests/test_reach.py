@@ -113,9 +113,10 @@ def _takes_format(argv):
 
 
 def _functions():
-    """(file, first line) -> "module.qualname" of every def in src/amdesign,
-    methods and nested functions included; a decorated function's code
-    starts at its first decorator."""
+    """(file, first line) -> "module.qualname" of every def in src/amdesign
+    and its subpackages (module dotted from src/amdesign), methods and nested
+    functions included; a decorated function's code starts at its first
+    decorator."""
     found = {}
 
     def visit(node, path, prefix):
@@ -129,8 +130,9 @@ def _functions():
             else:
                 visit(child, path, prefix)
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()), path, path.stem + ".")
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), path, module + ".")
     return found
 
 

@@ -1,9 +1,10 @@
 """The table-driven parser and the import cost of the command line: the table
 parser gives argparse's namespace or leaves argv to argparse, a well-formed
 command loads no argparse, help and usage errors print as before, dispatch
-looks the command up by name, the import pulls in no dataclass machinery,
-only a command that divides imports fractions, and every module's __all__
-names only defined names."""
+looks the command up by name in its group's module, the import pulls in no
+dataclass machinery, only a command that divides imports fractions, an
+install holds every package and the console script, and every module's
+__all__ names only defined names."""
 
 import importlib
 import json
@@ -47,11 +48,19 @@ def _argvs(group, name):
     return required, every
 
 
+def _group(name):
+    return importlib.import_module(f"amdesign.commands.{name}")
+
+
 def test_the_table_covers_every_command_function():
-    named = {func for _, commands in cli._COMMANDS.values() for func, _ in commands.values()}
-    defined = {n for n in vars(cli) if n.startswith("_cmd_")}
+    named = {(group, func) for group, (_, commands) in cli._COMMANDS.items()
+             for func, _ in commands.values()}
+    defined = {(group, n) for group in cli._COMMANDS for n in vars(_group(group))
+               if n.startswith("run_")}
     assert named == defined
     assert len(BRANCHES) == 23
+    # cli holds one command function: the dispatcher to the group modules.
+    assert [n for n in vars(cli) if n.startswith("_cmd_")] == ["_cmd_group"]
 
 
 # argparse's parser of the whole table, the reference of cli._parse.
@@ -73,7 +82,7 @@ def test_one_branch_parses_as_the_whole_table(group, name):
         args = _oracle(argv)
         assert args is not None, argv
         assert (args.command, args.subcommand) == (group, name)
-        assert callable(getattr(cli, args.func))
+        assert callable(getattr(_group(group), args.func))
 
 
 @pytest.mark.parametrize("argv", [
@@ -273,12 +282,15 @@ def test_usage_errors_print_as_before(monkeypatch, capsys, argv, usage, error):
 
 def test_run_dispatches_by_name(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "_cmd_code_info", lambda args: calls.append(args.builtin) or 5)
+    monkeypatch.setattr(_group("code"), "run_info", lambda args: calls.append(args.builtin) or 5)
     assert cli.run(["code", "info", "-b", "d4"]) == 5
     assert calls == ["d4"]
     monkeypatch.setattr(sys, "argv", ["amdesign", "code", "info", "-b", "e8"])
     assert cli.run() == 5
     assert calls == ["d4", "e8"]
+    # run() reads the dispatcher itself when it runs, as the tracing shim needs.
+    monkeypatch.setattr(cli, "_cmd_group", lambda args: 7)
+    assert cli.run(["code", "info", "-b", "d4"]) == 7
     assert capsys.readouterr().out == ""
 
 
@@ -294,8 +306,21 @@ def test_import_loads_no_dataclass_machinery():
 
 
 def test_no_source_module_imports_dataclasses():
-    for path in (SRC / "amdesign").glob("*.py"):
+    for path in (SRC / "amdesign").rglob("*.py"):
         assert "dataclasses" not in path.read_text(), path.name
+
+
+def test_an_install_holds_every_source_directory_and_the_console_script():
+    # The tests import from src/, so only this shows a package the install misses.
+    setuptools = pytest.importorskip("setuptools")
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    (where,) = project["tool"]["setuptools"]["packages"]["find"]["where"]
+    packages = setuptools.find_packages(str(SRC.parent / where))
+    assert {SRC.joinpath(*name.split(".")) for name in packages} == {
+        path.parent for path in (SRC / "amdesign").rglob("*.py")}
+    module, _, function = project["project"]["scripts"]["amdesign"].partition(":")
+    assert callable(getattr(importlib.import_module(module), function))
 
 
 @pytest.mark.parametrize("name", [*amdesign._LAYERS, "cli"])
