@@ -10,6 +10,8 @@ from .common import print_payload, read_code
 
 def run_gleason(args) -> int:
     c = read_code(args)
+    if args.t < 0:
+        raise PreconditionError("t must be nonnegative")
     if args.t == 0:
         p = polyring.weight_enumerator_poly(weight_distribution(c), c.n)
     else:

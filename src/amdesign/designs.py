@@ -4,11 +4,11 @@ intersection numbers, and the block-count linear system."""
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, prod
+from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import ratlin
 from .gf2core import (BinaryCode, EnumerationGuardError, Record, SearchBudgetError,
                       code_from_rows, codewords_of_weight, support)
 
@@ -216,15 +216,18 @@ def complement_design(d: Design) -> Design:
     return Design(d.v, tuple(tuple(sorted(full - set(b))) for b in d.blocks))
 
 
-def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> Fraction:
-    """Coverage of an i-subset in a t-(v,k,lam) design:
-    lam * C(v-i, t-i) / C(k-i, t-i)."""
+def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> int | Fraction:
+    """Coverage of an i-subset in a t-(v,k,lam) design, lam * C(v-i, t-i) /
+    C(k-i, t-i): an int, or a Fraction where the division leaves a remainder."""
     if not 0 <= i <= t:
         raise ValueError("i out of range")
     if not 0 < k <= v:
         raise ValueError("bad parameters")
     if t > k:
         raise ValueError("t exceeds the block size")
+    q, r = divmod(lam * comb(v - i, t - i), comb(k - i, t - i))
+    if not r:
+        return q
     from fractions import Fraction
 
     return Fraction(lam * comb(v - i, t - i), comb(k - i, t - i))
@@ -274,6 +277,20 @@ def is_self_orthogonal_design(d: Design) -> bool:
 MENDELSOHN_NODE_BUDGET = 250_000
 
 
+def _inverse_weights(points: Sequence[int]) -> list[tuple[list[int], int]]:
+    """(w_a, N_a(i_a)) for each distinct point i_a, N_a(x) = prod_{b != a} (x - i_b):
+    the solution of sum_a C(i_a, j) x_a = r_j, j < s = len(points), is
+    x_a = sum_j w_a[j] r_j / N_a(i_a), where by Newton's forward formula w_a[j] is
+    (Delta^j N_a)(0) = sum_{m <= j} (-1)^(j-m) C(j, m) N_a(m)."""
+    s, weights = len(points), []
+    for a, i_a in enumerate(points):
+        others = points[:a] + points[a + 1:]
+        values = [prod(m - i_b for i_b in others) for m in range(s)]
+        weights.append(([sum((-1) ** (j - m) * comb(j, m) * values[m] for m in range(j + 1))
+                         for j in range(s)], prod(i_a - i_b for i_b in others)))
+    return weights
+
+
 def mendelsohn_solve(
     t: int,
     v: int,
@@ -289,9 +306,9 @@ def mendelsohn_solve(
         sum_i C(i, j) n_i = lambda_j C(m, j)   for j = 0..t,
 
     with i restricted to allowed_i and optional fixed assignments. The last
-    s = min(#free, t + 1) free unknowns are solved exactly from rows 0..s-1
-    (over distinct i, [C(i, j)] is a Vandermonde matrix up to row
-    operations, so it is invertible) and the other rows are checked; the
+    s = min(#free, t + 1) free unknowns are solved in integers from rows
+    0..s-1 (over distinct i, [C(i, j)] is invertible, with the closed-form
+    inverse of _inverse_weights) and the other rows are checked; the
     earlier free unknowns are searched over 0..lambda_0, each loop stopping
     once a partial row sum exceeds its total. Solutions come back
     in lexicographic order as tuples aligned with sorted(allowed_i); pass
@@ -334,10 +351,7 @@ def mendelsohn_solve(
     free = [idx for idx, i in enumerate(allowed) if i not in fixed]
     s = min(len(free), t + 1)
     searched, solved = free[:len(free) - s], free[len(free) - s:]
-    # inverse[j] is column j of the inverse of [C(i, j)] over the solved i, j < s.
-    inverse = [ratlin.solve_columns([coeff[idx][:s] for idx in solved],
-                                    [int(r == j) for r in range(s)])[0]
-               for j in range(s)]
+    weights = _inverse_weights([allowed[idx] for idx in solved])
     solutions: list[tuple[int, ...]] = []
     assignment = [fixed.get(i, 0) for i in allowed]
     nodes = 0
@@ -352,14 +366,15 @@ def mendelsohn_solve(
             return
         if depth == len(searched):
             rest = [r - p for r, p in zip(rhs, partial)]
-            x = [sum(col[a] * rest[j] for j, col in enumerate(inverse)) for a in range(s)]
-            if any(val < 0 or val.denominator != 1 for val in x) or any(
-                sum(coeff[idx][j] * val for idx, val in zip(solved, x)) != rest[j]
+            x = [divmod(sum(map(mul, w, rest)), den) for w, den in weights]
+            # A zero remainder makes a quotient exact, whatever the sign of den.
+            if any(r or val < 0 for val, r in x) or any(
+                sum(coeff[idx][j] * val for idx, (val, _) in zip(solved, x)) != rest[j]
                 for j in range(s, t + 1)
             ):
                 return
-            for idx, val in zip(solved, x):
-                assignment[idx] = int(val)
+            for idx, (val, _) in zip(solved, x):
+                assignment[idx] = val
             solutions.append(tuple(assignment))
             return
         idx = searched[depth]

@@ -22,7 +22,6 @@ __all__ = [
     "q8",
     "gleason_basis",
     "gleason_decompose",
-    "check_relative_invariance",
     "ALPHA_MAX_GUARD",
     "vanishing_coefficient_search",
     "weight_enumerator_poly",
@@ -94,9 +93,6 @@ class HomPoly(Record):
             self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "HomPoly":
-        return HomPoly(self.degree, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "HomPoly | int | Fraction") -> "HomPoly":
         if not isinstance(other, HomPoly):
             # An exact scalar: an int, or else any numbers.Rational (Fraction).
@@ -133,13 +129,6 @@ class HomPoly(Record):
         columns = zip(*_sum_diff_matrix(self.degree))
         return HomPoly(
             self.degree, tuple(sum(map(mul, self.coeffs, col)) for col in columns)
-        )
-
-    def substitute_negate_y(self) -> "HomPoly":
-        """Return p(x, -y)."""
-        return HomPoly(
-            self.degree,
-            tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)),
         )
 
     def divide_xy(self, k: int) -> "HomPoly":
@@ -238,15 +227,6 @@ def gleason_decompose(p: HomPoly, t: int, n: int) -> list[int | Fraction]:
     if not rest.is_zero:
         raise SpanError("polynomial is outside the basis span", x, rest)
     return x
-
-
-def check_relative_invariance(p: HomPoly, t: int) -> bool:
-    """True when 2^(-deg/2) p(x+y, x-y) = (-1)^t p and p(x, -y) = (-1)^t p."""
-    if p.degree % 2:
-        raise ValueError("degree must be even")
-    expect = p if t % 2 == 0 else -p
-    scaled = expect * (1 << (p.degree // 2))
-    return p.substitute_sum_diff() == scaled and p.substitute_negate_y() == expect
 
 
 # vanishing_coefficient_search refuses a larger alpha_max: its cost grows as

@@ -42,6 +42,10 @@ reads the coordinates off the basis's unitriangular lowest terms by integer
 forward substitution instead, and must give the same coordinates, the same
 SpanError.partial and the same residual.
 
+is_relatively_invariant is the invariance test of the Gleason basis:
+2^(-deg/2) p(x+y, x-y) = (-1)^t p and p(x, -y) = (-1)^t p, the second read
+off the coefficients, since p(x, -y) negates each odd power of y.
+
 design_to_json is the design as a JSON object for json.dumps, whose C
 encoder keeps one string chunk per number and separator; format_design
 joins one string per block into the same text.
@@ -126,6 +130,14 @@ def gleason_decompose(p, t, n):
             approx = approx + c * b
         raise SpanError("polynomial is outside the basis span", x, p - approx)
     return x
+
+
+def is_relatively_invariant(p, t):
+    if p.degree % 2:
+        raise ValueError("degree must be even")
+    sign = (-1) ** t
+    return (p.substitute_sum_diff() == p * (sign << (p.degree // 2))
+            and not any(c for j, c in enumerate(p.coeffs) if (j + t) % 2))
 
 
 def expand(f):

@@ -112,8 +112,11 @@ def inputs(tmp_path_factory):
     (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),
     (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["harmonic"]),
     (["poly", "gleason", "-g", "e8.gm"], 0, ["polyring"]),
+    # the paper's block-count system is solved in integers, without ratlin
+    (["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8", "--m", "6",
+      "--allowed", "0,2,4,6", "--fixed", "6=1"], 0, ["designs"]),
 ], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
-        "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason"])
+        "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason", "design-mendelsohn"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, layers):
     got_rc, registered, executed = _run_layers_script(inputs, argv)
     assert set(registered) >= {f"amdesign.{layer}" for layer in shim.LAYERS}

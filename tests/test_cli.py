@@ -396,6 +396,12 @@ def test_poly_gleason(capsys, type1_file):
     assert payload["coefficients"] == ["1", "-8", "0"]
 
 
+def test_poly_gleason_refuses_a_negative_t(capsys):
+    # Refused before the harmonic basis is built, which would name its own k.
+    assert run(["poly", "gleason", "-b", "e8", "--t", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: t must be nonnegative\n")
+
+
 def test_poly_lemma41(capsys):
     code, payload = run_json(capsys, [
         "poly", "lemma4.1", "--format", "json"])

@@ -9,6 +9,7 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 
+from amdesign import ratlin
 from amdesign.catalog import builtin
 from amdesign.designs import (
     DESIGN_GUARD,
     Design,
+    _inverse_weights,
     code_from_design,
     complement_design,
     design_strength,
@@ -292,6 +295,9 @@ def test_lambda_i():
     assert lambda_i(2, 16, 6, 8, 1) == 24
     assert lambda_i(2, 16, 6, 8, 2) == 8
     assert lambda_i(2, 8, 3, 1, 1) == Fraction(7, 2)
+    assert type(lambda_i(2, 8, 3, 1, 1)) is Fraction
+    # An integral value is an int: no Fraction is made.
+    assert [type(lambda_i(2, 16, 6, 8, i)) for i in range(3)] == [int] * 3
     with pytest.raises(ValueError):
         lambda_i(2, 16, 6, 8, 3)
     with pytest.raises(ValueError):
@@ -330,6 +336,22 @@ def test_is_self_orthogonal_design(c6):
     assert is_self_orthogonal_design(c6)
     assert is_self_orthogonal_design(Design(6, ((1, 2, 3, 4, 5, 6),)))
     assert not is_self_orthogonal_design(complete_design(4, 2))
+
+
+# ratlin's rational elimination is the reference for the inverse of [C(i, j)]
+# that mendelsohn_solve reads off its solved nodes' Lagrange polynomials.
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda s: st.tuples(st.lists(st.integers(0, 19), min_size=s, max_size=s, unique=True),
+                        st.lists(st.integers(-10**6, 10**6), min_size=s, max_size=s))))
+def test_inverse_weights_match_the_elimination_oracle(system):
+    points, rest = system
+    s = len(points)
+    want, consistent = ratlin.solve_columns(
+        [[comb(i, j) for j in range(s)] for i in points], rest)
+    assert consistent
+    assert [Fraction(sum(map(mul, w, rest)), den)
+            for w, den in _inverse_weights(points)] == want
 
 
 def test_mendelsohn_unique_solution():

@@ -7,6 +7,7 @@ under sys.setprofile, so no cache or lazy layer filled by an earlier test
 hides a call."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,8 +19,12 @@ import pytest
 from amdesign.cli import _COMMANDS
 from amdesign.designs import Design, format_design
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PACKAGE = SRC / "amdesign"
+_SPEC = importlib.util.spec_from_file_location("bench_shim", ROOT / "bench" / "shim.py")
+shim = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(shim)
 
 # Functions that no command runs, keyed "module.qualname", with the reason
 # each one stays in src/.
@@ -28,14 +33,12 @@ ALLOWED = {
     "designs.t_design_violation": _SHIM,
     "catalog.pinned_type_i_16": _SHIM,
     "catalog.pinned_even_fsd_16": _SHIM,
+    "ratlin.rref": _SHIM,
+    "ratlin.solve_columns": _SHIM,
     "ratlin.nullspace": _SHIM,
     "polyring.macwilliams_transform_classical": _SHIM,
     "harmonic.HarmonicFunction.tilde": _SHIM,
-    # ROADMAP item 2 (forced-vanishing weights) gives these a command caller.
-    "polyring.check_relative_invariance": "ROADMAP item 2 calls it",
-    "polyring.HomPoly.substitute_negate_y": "called by check_relative_invariance",
-    "polyring.HomPoly.__neg__": "called by check_relative_invariance",
-    "catalog.save_code": "the pin API that pins the n=24 codes of ROADMAP item 5",
+    "catalog.save_code": "the pin API that pins the n=24 codes of ROADMAP item 4",
     "cli.main": ("runs as __main__ and as the amdesign console script, never "
                  "through cli.run; the subprocess tests in test_cli.py run it"),
     # Record is a value type: these keep hashing, printing, immutability and
@@ -175,6 +178,14 @@ def test_every_function_in_src_runs_under_a_command(reach):
     ran = {name for key, name in functions.items() if key in seen}
     never = sorted(set(functions.values()) - ran - set(ALLOWED))
     assert never == [], f"no command runs {never}: delete them or give them a caller"
+
+
+def test_every_shim_reason_names_a_traced_name():
+    # Once the shim stops tracing a name, its entry here must go too.
+    traced = {f"{layer}.{name}" for layer, names in shim.LAYERS.items() for name in names}
+    traced |= {f"{layer}.{cls}.{name}" for layer, cls, name in shim.METHODS}
+    assert sorted(name for name, reason in ALLOWED.items()
+                  if reason == _SHIM and name not in traced) == []
 
 
 def test_allowed_names_exist_and_still_have_no_command_caller(reach):

@@ -342,10 +342,13 @@ _EXACT_INT = [
     ["poly", "gleason", "-b", "type1_16"],
     ["poly", "gleason", "-b", "type1_16", "--t", "1"],
     ["poly", "gleason", "-g", "open.gm"],
-]
-_DIVIDING = [
     ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8",
      "--m", "6", "--allowed", "0,2,4,6", "--fixed", "6=1"],
+]
+# lambda_0 = 8 * 16 / 6 = 64/3: a usage error, exit 2.
+_DIVIDING = [
+    ["design", "mendelsohn", "--t", "1", "--v", "16", "--k", "6", "--lam", "8",
+     "--m", "0", "--allowed", "0"],
 ]
 
 
@@ -368,9 +371,11 @@ def test_fractions_load_only_where_a_fraction_is_made(c6_dir, argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     err = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=c6_dir,
                          capture_output=True, text=True, check=True).stderr
-    code, loaded = err.rstrip("\n").split(" ", 1)
-    assert code == ("1" if "open.gm" in argv else "0")
+    *messages, last = err.rstrip("\n").split("\n")
+    code, loaded = last.split(" ", 1)
     if argv in _DIVIDING:
+        assert (code, messages) == ("2", ["error: lambda_0 = 64/3 is not an integer"])
         assert "fractions" in loaded
     else:
+        assert (code, messages) == ("1" if "open.gm" in argv else "0", [])
         assert loaded == "[]"
