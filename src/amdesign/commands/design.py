@@ -3,9 +3,21 @@ intersection profiles and the block-intersection system."""
 
 from __future__ import annotations
 
+import sys
+
 from .. import designs
-from ..gf2core import exact_json
+from ..gf2core import codewords_of_weight, exact_json, support
 from .common import print_payload, read_code
+
+
+def design_json(v: int, blocks):
+    """The design's JSON and a newline, as json.dumps spaces it, by block."""
+    yield f'{{"v": {v}, "blocks": ['
+    sep = ""
+    for block in blocks:
+        yield f"{sep}{list(block)}"
+        sep = ", "
+    yield "]}\n"
 
 
 def run_check(args) -> int:
@@ -26,14 +38,21 @@ def run_check(args) -> int:
 
 
 def run_from_code(args) -> int:
-    d = designs.support_design(read_code(args), args.w)
-    print(designs.format_design(d))
+    c, w = read_code(args), args.w
+    if w < 1 or w > c.n:
+        raise ValueError("weight out of range")
+    words = codewords_of_weight(c, w)
+    if not words:
+        raise ValueError(f"no codewords of weight {w}")
+    # Design's block order: by the word read from point 1 on, descending.
+    words.sort(key=lambda x: int(f"{x:0{c.n}b}"[::-1], 2), reverse=True)
+    sys.stdout.writelines(design_json(c.n, map(support, words)))
     return 0
 
 
 def run_complement(args) -> int:
     d = designs.complement_design(designs.read_design_file(args.design))
-    print(designs.format_design(d))
+    sys.stdout.writelines(design_json(d.v, d.blocks))
     return 0
 
 

@@ -3,7 +3,7 @@ enumerators and the check of their dual transform."""
 
 from __future__ import annotations
 
-from .. import harmonic
+from .. import harmonic, polyring
 from ..gf2core import PreconditionError, dual
 from .common import print_payload, read_code
 
@@ -31,11 +31,14 @@ def run_transform_check(args) -> int:
     c = read_code(args)
     dual_code = dual(c)
     basis = harmonic.harm_basis(c.n, args.k)
-    images = [harmonic.bachoc_transform(w.divide_xy(args.k), args.k, c.size, c.n)
-              for w in harmonic.harmonic_weight_enumerators(c, basis)]
-    mismatches = [idx for idx, (image, w) in enumerate(
-                      zip(images, harmonic.harmonic_weight_enumerators(dual_code, basis)))
-                  if image != w.divide_xy(args.k)]
+
+    def quotients(code):
+        return [polyring.HomPoly(c.n, tuple(row)).divide_xy(args.k)
+                for row in harmonic.harmonic_weight_enumerators(code, basis)]
+
+    images = [harmonic.bachoc_transform(z, args.k, c.size, c.n) for z in quotients(c)]
+    mismatches = [idx for idx, (image, z) in enumerate(zip(images, quotients(dual_code)))
+                  if image != z]
     count = len(basis)
     payload = {"k": args.k, "functions": count, "mismatches": mismatches}
     print_payload(args, payload, [

@@ -15,6 +15,8 @@ def run_gleason(args) -> int:
     if args.t == 0:
         p = polyring.weight_enumerator_poly(weight_distribution(c), c.n)
     else:
+        # A t with no Gleason basis is refused before --index is read.
+        polyring.gleason_basis(args.t, c.n)
         basis = harmonic.harm_basis(c.n, args.t)
         if not 0 <= args.index < len(basis):
             raise PreconditionError(

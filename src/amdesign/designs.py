@@ -31,7 +31,6 @@ __all__ = [
     "MENDELSOHN_NODE_BUDGET",
     "mendelsohn_solve",
     "code_from_design",
-    "format_design",
     "read_design_file",
 ]
 
@@ -63,7 +62,7 @@ class Design(Record):
                     b = block
             else:
                 # The slow path admits int subclasses other than bool, stored
-                # as plain ints so that format_design prints them as numbers.
+                # as plain ints so that design JSON prints them as numbers.
                 if not all(map(_is_int, block)):
                     raise ValueError("block points must be integers")
                 b = tuple(sorted(map(int, block)))
@@ -130,29 +129,38 @@ DESIGN_GUARD = 2_000_000
 def _t_design_check(
     d: Design, t: int
 ) -> tuple[int | None, tuple[tuple[int, ...], int, tuple[int, ...], int] | None]:
-    """(lambda, violation) from one walk: exactly one of the two is None.
-
-    Each point gets a b-bit incidence mask (bit i for block i), and the cover
-    of a t-subset is the popcount of the AND of its points' masks. The
-    t-subsets are walked in lexicographic order, each prefix's AND shared by
-    the subsets below it, until one's cover differs from the first subset's.
-    That pair is the violation, the witness of t_design_violation: the
-    lexicographically first t-subset with its cover, then the first t-subset
-    after it whose cover differs. C(v, t) above DESIGN_GUARD raises
-    EnumerationGuardError before anything is allocated."""
+    """(lambda, violation) from one walk of the b-bit point masks (bit i for
+    block i): exactly one of the two is None. C(v, t) above DESIGN_GUARD
+    raises EnumerationGuardError before anything is allocated."""
     if t < 0 or t > d.k:
         raise ValueError("t out of range")
     if t == 0:
         return d.b, None
-    v = d.v
-    if comb(v, t) > DESIGN_GUARD:
-        raise EnumerationGuardError(
-            f"C({v},{t}) exceeds the design guard {DESIGN_GUARD}")
-    incidence = [0] * (v + 1)
+    _walk_guard(d.v, t)
+    incidence = [0] * (d.v + 1)
     for i, block in enumerate(d.blocks):
         for p in block:
             incidence[p] |= 1 << i
-    every_block = (1 << d.b) - 1
+    return _cover_walk(incidence, t, (1 << d.b) - 1)
+
+
+def _walk_guard(v: int, t: int) -> None:
+    if comb(v, t) > DESIGN_GUARD:
+        raise EnumerationGuardError(
+            f"C({v},{t}) exceeds the design guard {DESIGN_GUARD}")
+
+
+def _cover_walk(incidence: Sequence[int], t: int, every_block: int) -> tuple:
+    """(lambda, violation) of the blocks at the bits of every_block, where
+    incidence[p] holds the blocks on point p, 1 <= p <= v, and 1 <= t <= v.
+
+    The cover of a t-subset is the popcount of the AND of every_block with
+    its points' masks. The t-subsets are walked in lexicographic order, each
+    prefix's AND shared by the subsets below it, until one's cover differs
+    from the first subset's. That pair is the violation, the witness of
+    t_design_violation: the lexicographically first t-subset with its cover,
+    then the first t-subset after it whose cover differs."""
+    v = len(incidence) - 1
     first = tuple(range(1, t + 1))
     cover = every_block
     for p in first:
@@ -392,13 +400,6 @@ def mendelsohn_solve(
 def code_from_design(d: Design) -> BinaryCode:
     """GF(2) span of the block characteristic vectors."""
     return code_from_rows((_block_mask(b) for b in d.blocks), d.v)
-
-
-def format_design(d: Design) -> str:
-    """The design JSON {"v": v, "blocks": [[...], ...]} in json.dumps's
-    default spacing, joined from one string per block instead of the
-    encoder's chunk per number and separator."""
-    return f'{{"v": {d.v}, "blocks": [' + ", ".join(map(str, map(list, d.blocks))) + "]}"
 
 
 def _json_blocks(obj) -> list:

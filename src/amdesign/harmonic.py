@@ -137,18 +137,18 @@ def harm_basis(n: int, k: int) -> tuple[HarmonicFunction, ...]:
 
 def harmonic_weight_enumerator(c: BinaryCode, f: HarmonicFunction) -> polyring.HomPoly:
     """Sum over codewords of f~(support) x^(n-wt) y^wt."""
-    return harmonic_weight_enumerators(c, (f,))[0]
+    return polyring.HomPoly(c.n, tuple(harmonic_weight_enumerators(c, (f,))[0]))
 
 
 def harmonic_weight_enumerators(
     c: BinaryCode, fs: Sequence[HarmonicFunction]
-) -> list[polyring.HomPoly]:
-    """The harmonic weight enumerator of c for each f in fs, from one pass
-    over the weight leaves. Per bit-sliced chunk, f's pairs fold the chunk's
-    columns into the words where f~ is nonzero and those where it is -1; the
-    coefficient of y^w reads both sets ANDed with leaf w. A word with f~
-    nonzero holds one point of each of f's k pairs, so only the leaves
-    k <= w <= n - k are read."""
+) -> list[list[int]]:
+    """The coefficients of y^0..y^n of the harmonic weight enumerator of c
+    for each f in fs, from one pass over the weight leaves. Per bit-sliced
+    chunk, f's pairs fold the chunk's columns into the words where f~ is
+    nonzero and those where it is -1; the coefficient of y^w reads both sets
+    ANDed with leaf w. A word with f~ nonzero holds one point of each of f's
+    k pairs, so only the leaves k <= w <= n - k are read."""
     for f in fs:
         if f.n != c.n:
             raise ValueError("code length and function ground set differ")
@@ -163,7 +163,7 @@ def harmonic_weight_enumerators(
             for w, leaf in live:
                 if k <= w <= c.n - k:
                     out[w] += (leaf & meet).bit_count() - 2 * (leaf & odd).bit_count()
-    return [polyring.HomPoly(c.n, tuple(out)) for out in coeffs]
+    return coeffs
 
 
 def zcf(c: BinaryCode, f: HarmonicFunction) -> polyring.HomPoly:

@@ -3,6 +3,8 @@ properties of near-extremal self-dual and formally self-dual codes."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 # designs and harmonic are lazy layers (see amdesign/__init__.py), called
 # through the module so that a scenario loads only the layers it runs.
 from . import designs, harmonic
@@ -12,6 +14,7 @@ from .gf2core import (
     EnumerationGuardError,
     PreconditionError,
     Record,
+    _weight_leaves,
     classify,
     doubly_even_subcode,
     dual,
@@ -77,16 +80,62 @@ class StrengthProfile(Record):
         return max(self.per_weight.values())
 
 
+def _slices(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
+    """(incidence, leaves) of the words of the codes, one bit per word: the
+    chunks of _weight_leaves, code after code, each above the last. Bit i of
+    incidence[p] (p = 1..n) is set when word i holds point p, and leaves[w]
+    holds the words of weight w, so that incidence[p] & leaves[w] is the mask
+    of point p in the union of the codes' support designs C_w."""
+    rows, widths = [[] for _ in range(2 * codes[0].n + 1)], []
+    for c in codes:
+        for head, _, columns, leaves in _weight_leaves(c):
+            widths.append(((1 << len(head)) + 7) >> 3)
+            for row, x in zip(rows, columns + leaves):
+                row.append(x)
+    # Joined as bytes, in one pass per mask; a chunk of fewer than 8 words
+    # is padded with zero bits, which lie in no leaf.
+    masks = [int.from_bytes(b"".join(x.to_bytes(width, "little")
+                                     for x, width in zip(row, widths)), "little")
+             for row in rows]
+    return [0] + masks[:codes[0].n], masks[codes[0].n:]
+
+
+def _slice_check(incidence: list[int], leaf: int, t: int):
+    """designs._t_design_check of the support design held by leaf, 1 <= t <= w."""
+    designs._walk_guard(len(incidence) - 1, t)
+    return designs._cover_walk(incidence, t, leaf)
+
+
 def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     """Strength of each C_w up to min(t_cap, w): a block of size w bounds t."""
-    wd = weight_distribution(c)
+    incidence, leaves = _slices([c])
     per = {}
-    for w in sorted(wd.counts):
-        if 0 < w < c.n:
-            per[w] = designs.design_strength(designs.support_design(c, w), min(t_cap, w))
+    for w in range(1, c.n):
+        if leaves[w]:
+            if t_cap < 0:
+                raise ValueError("t_max out of range")
+            per[w] = 0
+            for t in range(1, min(t_cap, w) + 1):
+                if _slice_check(incidence, leaves[w], t)[0] is None:
+                    break
+                per[w] = t
     if not per:
         raise ValueError("no weights strictly between 0 and n")
     return StrengthProfile(per)
+
+
+def _counting_route(codes: Sequence[BinaryCode]) -> tuple[dict, tuple | None]:
+    """lambda_1 of the union of the codes' support designs C_w for each w,
+    0 < w < n, where it has a block (None where it is no 1-design), and the
+    first failing weight with its violation."""
+    incidence, leaves = _slices(codes)
+    lambdas, first_violation = {}, None
+    for w in range(1, codes[0].n):
+        if leaves[w]:
+            lambdas[w], violation = _slice_check(incidence, leaves[w], 1)
+            if violation and first_violation is None:
+                first_violation = (w, violation)
+    return lambdas, first_violation
 
 
 def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
@@ -137,29 +186,15 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     if not (cls.type_one or (cls.even and cls.formally_self_dual)):
         raise PreconditionError("code is neither Type I nor even formally self-dual")
     dual_code = dual(c)
-    wd = weight_distribution(c)
-    weights = [w for w in sorted(wd.counts) if 0 < w < c.n]
-
-    lambdas = {}
-    first_violation = None
-    for w in weights:
-        if cls.self_dual:
-            d = designs.support_design(c, w)
-        else:
-            d = designs.union(designs.support_design(c, w),
-                              designs.support_design(dual_code, w))
-        lam, violation = designs._t_design_check(d, 1)
-        lambdas[w] = lam
-        if violation and first_violation is None:
-            first_violation = (w, violation)
+    lambdas, first_violation = _counting_route([c] if cls.self_dual else [c, dual_code])
     counting_ok = first_violation is None
 
     basis = harmonic.harm_basis(c.n, 1)
     sums = harmonic.harmonic_weight_enumerators(c, basis)
     if not cls.self_dual:
-        sums = [a + b for a, b in zip(
+        sums = [[a + b for a, b in zip(*rows)] for rows in zip(
             sums, harmonic.harmonic_weight_enumerators(dual_code, basis))]
-    nonzero = [idx for idx, w_sum in enumerate(sums) if not w_sum.is_zero]
+    nonzero = [idx for idx, row in enumerate(sums) if any(row)]
     harmonic_ok = not nonzero
 
     witnesses = {

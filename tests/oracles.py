@@ -48,7 +48,16 @@ off the coefficients, since p(x, -y) negates each odd power of y.
 
 design_to_json is the design as a JSON object for json.dumps, whose C
 encoder keeps one string chunk per number and separator; format_design
-joins one string per block into the same text.
+joins one string per block into the same text, which `design from-code` and
+`design complement` stream one block at a time.
+
+strength_profile and thm_1_1_counting_route build every support design C_w
+as a Design (the union of the codes' for the formally self-dual branch) and
+walk it; amdesign.verify reads the point masks off the weight slices
+instead, and must give the same strengths, lambdas, witnesses and errors.
+
+extended_qr is the extended quadratic-residue code of a prime p = +-1
+(mod 8), the length-32 code of which holds 2^16 words.
 """
 
 import random
@@ -56,7 +65,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
-from amdesign import gf2core, ratlin
+from amdesign import designs, gf2core, ratlin
 from amdesign.catalog import SearchBudgetError, SearchConfig
 from amdesign.gf2core import (
     WeightDistribution, code_from_rows, dual, is_doubly_even, is_even, iter_codewords,
@@ -207,6 +216,53 @@ def design_blocks(v, blocks):
 
 def design_to_json(d):
     return {"v": d.v, "blocks": [list(b) for b in d.blocks]}
+
+
+def format_design(d):
+    return f'{{"v": {d.v}, "blocks": [' + ", ".join(map(str, map(list, d.blocks))) + "]}"
+
+
+def strength_profile(c, t_cap):
+    """The per-weight strengths of verify.strength_profile."""
+    wd = weight_distribution(c)
+    per = {}
+    for w in sorted(wd.counts):
+        if 0 < w < c.n:
+            per[w] = designs.design_strength(designs.support_design(c, w), min(t_cap, w))
+    if not per:
+        raise ValueError("no weights strictly between 0 and n")
+    return per
+
+
+def thm_1_1_counting_route(codes):
+    """(lambda_1 per weight, first (weight, violation)) of the union of the
+    codes' support designs C_w, for each 0 < w < n where it has a block."""
+    lambdas, first_violation = {}, None
+    spectra = [weight_distribution(c).counts for c in codes]
+    for w in range(1, codes[0].n):
+        found = [designs.support_design(c, w) for c, a in zip(codes, spectra) if w in a]
+        if not found:
+            continue
+        d = found[0]
+        for e in found[1:]:
+            d = designs.union(d, e)
+        lambdas[w], violation = designs._t_design_check(d, 1)
+        if violation and first_violation is None:
+            first_violation = (w, violation)
+    return lambdas, first_violation
+
+
+def extended_qr(p):
+    """The span of the cyclic shifts of the non-residue indicator of Z_p, or
+    of its complement, whichever has dimension (p+1)/2, with a parity bit."""
+    residues = {x * x % p for x in range(1, p)}
+    nonresidues = sum(1 << x for x in range(1, p) if x not in residues)
+    full = (1 << p) - 1
+    for g in (nonresidues, nonresidues ^ full):
+        c = code_from_rows((((g << s) | (g >> (p - s))) & full for s in range(p)), p)
+        if c.dimension == (p + 1) // 2:
+            return code_from_rows([r | (r.bit_count() & 1) << p for r in c.basis], p + 1)
+    raise ValueError(f"no extended QR code for p = {p}")
 
 
 def _mask(points):

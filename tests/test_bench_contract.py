@@ -106,9 +106,11 @@ def inputs(tmp_path_factory):
     (["code", "info", "-g", "e8.gm"], 0, []),
     (["search", "fsd"], 0, ["catalog"]),
     (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs"]),
-    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, ["designs"]),
+    # the support design is streamed from the code's words, with no Design
+    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, []),
     (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["verify"]),
-    # harmonic loads polyring only when it builds an enumerator
+    # harmonic enumerators are integer rows: no HomPoly, so no polyring
+    (["verify", "thm1.1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),
     (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),
     (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["harmonic"]),
     (["poly", "gleason", "-g", "e8.gm"], 0, ["polyring"]),
@@ -116,7 +118,7 @@ def inputs(tmp_path_factory):
     (["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8", "--m", "6",
       "--allowed", "0,2,4,6", "--fixed", "6=1"], 0, ["designs"]),
 ], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
-        "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason", "design-mendelsohn"])
+        "verify-thm1.1", "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason", "design-mendelsohn"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, layers):
     got_rc, registered, executed = _run_layers_script(inputs, argv)
     assert set(registered) >= {f"amdesign.{layer}" for layer in shim.LAYERS}

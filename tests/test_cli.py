@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import format_design
+
 from amdesign.cli import run
-from amdesign.designs import Design, format_design, support_design
+from amdesign.designs import Design, support_design
 from amdesign.gf2core import format_generator
 from amdesign.polyring import ALPHA_MAX_GUARD
 from amdesign.verify import verify_thm_1_2_type1
@@ -400,6 +402,13 @@ def test_poly_gleason_refuses_a_negative_t(capsys):
     # Refused before the harmonic basis is built, which would name its own k.
     assert run(["poly", "gleason", "-b", "e8", "--t", "-1"]) == 2
     assert capsys.readouterr() == ("", "error: t must be nonnegative\n")
+
+
+@pytest.mark.parametrize("t", [3, 5])
+def test_poly_gleason_refuses_a_t_with_no_basis(capsys, t):
+    # Refused before --index is read: Harm_5(8) has no function to index.
+    assert run(["poly", "gleason", "-b", "e8", "--t", str(t)]) == 2
+    assert capsys.readouterr() == ("", f"error: no basis elements exist for t={t}, n=8\n")
 
 
 def test_poly_lemma41(capsys):

@@ -1,16 +1,18 @@
 """The incidence-bitset t-design walk against the C(v,t)*b scan and the
-per-block t-subset count it replaced, and the incidence-bitset Delsarte test
-against the per-block tilde sum."""
+per-block t-subset count it replaced, the same walk over the weight slices
+against the walk of the support designs built as Designs, and the
+incidence-bitset Delsarte test against the per-block tilde sum."""
 
 import re
 
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from amdesign import designs, verify
+from amdesign.catalog import builtin, load_code
 from amdesign.designs import (
     Design,
     design_strength,
@@ -18,6 +20,7 @@ from amdesign.designs import (
     support_design,
     t_design_violation,
 )
+from amdesign.gf2core import EnumerationGuardError, code_from_rows, dual
 from amdesign.harmonic import delsarte_design_check
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
@@ -98,18 +101,26 @@ def test_golay_support_designs(golay):
 
 
 def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
-    real = designs.support_design
+    real = verify._slices
     broken = {}
 
-    def with_mutants(c, w):
-        d = real(c, w)
-        if w in (6, 10):
-            block = d.blocks[0]
-            into = min(set(range(1, d.v + 1)) - set(block))
-            d = broken[w] = Design(d.v, ((into,) + block[1:],) + d.blocks[1:])
-        return d
+    def with_mutants(codes):
+        # In C_6 and C_10, one block swaps its lowest point for the lowest
+        # point outside it.
+        incidence, leaves = real(codes)
+        points = range(1, len(incidence))
+        for w in (6, 10):
+            bit = leaves[w] & -leaves[w]
+            block = [p for p in points if incidence[p] & bit]
+            into = min(set(points) - set(block))
+            incidence[block[0]] ^= bit
+            incidence[into] ^= bit
+            words = [1 << i for i in range(leaves[w].bit_length()) if leaves[w] >> i & 1]
+            broken[w] = Design(len(points), tuple(
+                tuple(p for p in points if incidence[p] & word) for word in words))
+        return incidence, leaves
 
-    monkeypatch.setattr(designs, "support_design", with_mutants)
+    monkeypatch.setattr(verify, "_slices", with_mutants)
     rep = verify.verify_thm_1_1(type1)
     assert not rep.passed
     assert rep.witnesses["lambda_1_per_weight"]["6"] is None
@@ -117,6 +128,74 @@ def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
     assert rep.witnesses["violation_weight"] == "6"
     assert rep.witnesses["violation"] == verify.exact_json(
         oracles.t_design_violation(broken[6], 1))
+
+
+def outcome(call, guard):
+    """call()'s value, or the type and message of its error, with
+    designs.DESIGN_GUARD set to guard."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "DESIGN_GUARD", guard)
+        try:
+            return call()
+        except (ValueError, EnumerationGuardError) as err:
+            return type(err), str(err)
+
+
+@st.composite
+def small_codes(draw, max_n=20, max_k=10):
+    """A random [n, k] code, n <= max_n, whose dual has dimension at most
+    max_k when union is drawn, so that both fit the Design walk."""
+    union = draw(st.booleans())
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(max(0, n - max_k) if union else 0, min(n, max_k)))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    return code_from_rows(rows, n), union
+
+
+# A guard below C(n, t) refuses the walk at that t.
+GUARDS = st.sampled_from([designs.DESIGN_GUARD, 3, 20, 200, 2000])
+# k = 17 takes two chunks of the weight slices.
+TWO_CHUNKS = code_from_rows([(1 << i) | (0b11 << i % 2 + 17) for i in range(17)], 20)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_codes(), st.integers(-1, 4), GUARDS)
+@example((load_code("type1_16"), False), 3, designs.DESIGN_GUARD)
+@example((builtin("e8+e8"), False), 4, designs.DESIGN_GUARD)
+@example((builtin("e8+e8"), False), 4, 200)
+@example((code_from_rows([], 4), False), 2, designs.DESIGN_GUARD)
+@example((TWO_CHUNKS, False), 2, designs.DESIGN_GUARD)
+def test_strength_profile_matches_the_design_walk(code, t_cap, guard):
+    c, _ = code
+    assert (outcome(lambda: verify.strength_profile(c, t_cap).per_weight, guard)
+            == outcome(lambda: oracles.strength_profile(c, t_cap), guard))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_codes(), GUARDS)
+@example((load_code("type1_16"), False), designs.DESIGN_GUARD)
+@example((load_code("fsd_16"), True), designs.DESIGN_GUARD)
+@example((load_code("fsd_16"), True), 3)
+@example((TWO_CHUNKS, True), designs.DESIGN_GUARD)
+def test_thm_1_1_counting_route_matches_the_design_walk(code, guard):
+    c, union = code
+    codes = [c, dual(c)] if union else [c]
+    assert (outcome(lambda: verify._counting_route(codes), guard)
+            == outcome(lambda: oracles.thm_1_1_counting_route(codes), guard))
+
+
+def test_the_counting_route_reads_each_code_once(monkeypatch):
+    fsd16 = load_code("fsd_16")
+    real, walked = verify._weight_leaves, []
+
+    def counted(c):
+        walked.append(c)
+        return real(c)
+
+    monkeypatch.setattr(verify, "_weight_leaves", counted)
+    lambdas, violation = verify._counting_route([fsd16, dual(fsd16)])
+    assert walked == [fsd16, dual(fsd16)]
+    assert violation is None and lambdas == {4: 6, 6: 48, 8: 102, 10: 80, 12: 18}
 
 
 def assert_delsarte_matches_oracle(blocks, n, t):

@@ -16,9 +16,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from oracles import format_design
 
 from amdesign import ratlin
 from amdesign.catalog import builtin
+from amdesign.cli import run
+from amdesign.commands.design import design_json
 from amdesign.designs import (
     DESIGN_GUARD,
     Design,
@@ -26,7 +29,6 @@ from amdesign.designs import (
     code_from_design,
     complement_design,
     design_strength,
-    format_design,
     intersection_profile,
     is_self_orthogonal_design,
     is_t_design,
@@ -37,7 +39,7 @@ from amdesign.designs import (
     t_design_violation,
     union,
 )
-from amdesign.gf2core import EnumerationGuardError
+from amdesign.gf2core import EnumerationGuardError, format_generator
 from amdesign.harmonic import delsarte_design_check
 
 
@@ -136,13 +138,12 @@ def test_design_keeps_sorted_int_tuples():
 
 def _traced(expr, golay, setup=""):
     """(peak, retained) bytes traced while a new interpreter evaluates expr,
-    with format_design, support_design, read_design_file and the code golay
-    in scope, after running the untraced statement setup. In a test process,
-    the free lists hold the tuples of earlier tests, and a block built from
-    them is not traced."""
+    with support_design, read_design_file and the code golay in scope, after
+    running the untraced statement setup. In a test process, the free lists
+    hold the tuples of earlier tests, and a block built from them is not
+    traced."""
     script = ("import sys, tracemalloc\n"
-              "from amdesign.designs import format_design, read_design_file, "
-              "support_design\n"
+              "from amdesign.designs import read_design_file, support_design\n"
               "from amdesign.gf2core import code_from_rows\n"
               "golay = code_from_rows(map(int, sys.argv[3:]), 24)\n"
               "exec(sys.argv[2])\n"
@@ -181,16 +182,47 @@ def designs(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(designs())
-def test_format_design_is_the_json_encoding(d):
+def test_the_design_encoder_is_the_json_encoding(d):
+    assert "".join(design_json(d.v, d.blocks)) == json.dumps(oracles.design_to_json(d)) + "\n"
     assert format_design(d) == json.dumps(oracles.design_to_json(d))
 
 
-def test_format_design_holds_no_chunk_per_number(golay):
-    d = support_design(golay, 12)
-    assert format_design(d) == json.dumps(oracles.design_to_json(d))
-    # The text is 117 KB; json.dumps peaks at about 2.6 MiB on the same design.
-    peak, _ = _traced("format_design(d)", golay, setup="d = support_design(golay, 12)")
-    assert peak < 1 << 20
+def test_design_from_code_streams_its_blocks(tmp_path, golay):
+    """design from-code --w 12 on the Golay code, traced in a new interpreter
+    once the CLI and the design commands are compiled: it holds the 2576
+    words and one block at a time, not the Design's 2576 tuples (about 360
+    KiB) nor the 117 KB text."""
+    path = tmp_path / "golay.gm"
+    path.write_text(format_generator(golay))
+    script = ("import os, sys, tracemalloc\n"
+              "import amdesign.cli, amdesign.commands.design\n"
+              "amdesign.commands.design.run_from_code\n"
+              "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+              "tracemalloc.start()\n"
+              "rc = amdesign.cli.run(sys.argv[1:])\n"
+              "current, peak = tracemalloc.get_traced_memory()\n"
+              "print(rc, peak, file=out)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script, "design", "from-code", "-g", str(path),
+                          "--w", "12"], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    rc, peak = map(int, out.split())
+    assert rc == 0 and peak < 400 << 10
+
+
+@pytest.mark.parametrize("name", ["golay", "type1", "i2+d4+e8"])
+def test_design_from_code_is_the_support_design_at_every_weight(request, tmp_path, capsys,
+                                                                   name):
+    c = request.getfixturevalue(name) if name in ("golay", "type1") else builtin(name)
+    path = tmp_path / "code.gm"
+    path.write_text(format_generator(c))
+    for w in range(-1, c.n + 2):
+        rc = run(["design", "from-code", "-g", str(path), "--w", str(w)])
+        try:
+            expected = (0, format_design(support_design(c, w)) + "\n", "")
+        except ValueError as err:
+            expected = (2, "", f"error: {err}\n")
+        assert (rc, *capsys.readouterr()) == expected, w
 
 
 def test_design_is_a_sorted_multiset():

@@ -354,7 +354,7 @@ _DIVIDING = [
 
 @pytest.fixture(scope="module")
 def c6_dir(tmp_path_factory, c6):
-    from amdesign.designs import format_design
+    from oracles import format_design
 
     path = tmp_path_factory.mktemp("startup")
     (path / "c6.json").write_text(format_design(c6) + "\n")

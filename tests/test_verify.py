@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from amdesign.catalog import builtin, direct_sum
 from amdesign.designs import (
     Design,
     is_t_design,
     support_design,
 )
-from amdesign.gf2core import BinaryCode, EnumerationGuardError, classify, code_from_rows
+from amdesign.gf2core import (
+    BinaryCode, EnumerationGuardError, classify, code_from_rows, weight_distribution)
 from amdesign.verify import (
     PreconditionError,
     assmus_mattson_check,
@@ -61,6 +63,22 @@ def test_strength_profile(type1):
     assert prof.delta == 1 and prof.s == 2
     with pytest.raises(ValueError):
         strength_profile(BinaryCode(4), 2)
+
+
+def test_thm_1_1_on_the_extended_qr_code_of_length_32():
+    # 2^16 words: the support designs are read off the weight slices.
+    qr32 = oracles.extended_qr(31)
+    assert weight_distribution(qr32).counts == {
+        0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1}
+    rep = verify_thm_1_1(qr32)
+    assert rep.passed
+    assert rep.witnesses == {
+        "branch": "self_dual",
+        "lambda_1_per_weight": {"8": "155", "12": "5208", "16": "18259", "20": "8680",
+                                "24": "465"},
+        "counting_route": True,
+        "harmonic_route": True,
+    }
 
 
 def test_strength_profile_no_gap_control():
