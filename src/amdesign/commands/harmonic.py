@@ -17,6 +17,9 @@ def run_basis_dim(args) -> int:
 def run_wenum(args) -> int:
     c = read_code(args)
     basis = harmonic.harm_basis(c.n, args.k)
+    # Harm_k(n) is empty for k > n/2: refused before --index is read.
+    if not basis:
+        raise PreconditionError(f"no basis functions exist for k={args.k}, n={c.n}")
     if not 0 <= args.index < len(basis):
         raise PreconditionError(
             f"index out of range: Harm_{args.k}({c.n}) has {len(basis)} basis functions")

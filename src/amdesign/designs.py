@@ -137,11 +137,17 @@ def _t_design_check(
     if t == 0:
         return d.b, None
     _walk_guard(d.v, t)
+    return _cover_walk(_incidence(d), t, (1 << d.b) - 1)
+
+
+def _incidence(d: Design) -> list[int]:
+    """The b-bit point masks of d: bit i of [p] is set when block i holds
+    point p, 1 <= p <= v."""
     incidence = [0] * (d.v + 1)
     for i, block in enumerate(d.blocks):
         for p in block:
             incidence[p] |= 1 << i
-    return _cover_walk(incidence, t, (1 << d.b) - 1)
+    return incidence
 
 
 def _walk_guard(v: int, t: int) -> None:

@@ -263,7 +263,7 @@ class WeightDistribution(Record):
     def min_nonzero(self) -> int:
         weights = [w for w in self.counts if w]
         if not weights:
-            raise ValueError("no nonzero weight is present")
+            raise ValueError("the zero code has no minimum distance")
         return min(weights)
 
 
@@ -352,8 +352,6 @@ def weight_distribution(c: BinaryCode) -> WeightDistribution:
 
 def minimum_distance(c: BinaryCode) -> int:
     """Smallest nonzero codeword weight; the zero code has none."""
-    if c.dimension == 0:
-        raise ValueError("the zero code has no minimum distance")
     return weight_distribution(c).min_nonzero()
 
 

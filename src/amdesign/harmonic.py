@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from . import polyring
+from . import designs, polyring
 from .gf2core import BinaryCode, EnumerationGuardError, Record, _weight_leaves
 
 __all__ = [
@@ -68,18 +68,24 @@ class HarmonicFunction(Record):
         return value
 
 
-def _fold(pairs: Sequence[tuple[int, int]], columns: Sequence[int]) -> tuple[int, int]:
-    """f~ on a set of items, where columns[p-1] is the bitset of the items
-    that contain point p: the items that meet every pair once, on which f~
-    is +-1, and those of them that take an odd number of the a_i, on which
-    it is -1. The sum of f~ over a bitset S of items is therefore
+def _fold_sums(
+    incidence: Sequence[int], masks: Sequence[int], fs: Sequence[HarmonicFunction]
+) -> list[list[int]]:
+    """The sum of f~ over the items of each mask, per f in fs, where
+    incidence[p] (p = 1..n) is the bitset of the items that contain point p.
+    f's pairs fold the incidence into the items that meet every pair once,
+    on which f~ is +-1, and those of them that take an odd number of the
+    a_i, on which it is -1. The sum over a mask S is therefore
     popcount(S & meet) - 2 * popcount(S & odd)."""
-    meet, odd = -1, 0  # all ones: the product over no pairs
-    for a, b in pairs:
-        ca = columns[a - 1]
-        meet &= ca ^ columns[b - 1]
-        odd = (odd ^ ca) & meet
-    return meet, odd
+    sums = []
+    for f in fs:
+        meet, odd = -1, 0  # all ones: the product over no pairs
+        for a, b in f.pairs:
+            ca = incidence[a]
+            meet &= ca ^ incidence[b]
+            odd = (odd ^ ca) & meet
+        sums.append([(s & meet).bit_count() - 2 * (s & odd).bit_count() for s in masks])
+    return sums
 
 
 def harm_dimension(n: int, k: int) -> int:
@@ -144,25 +150,21 @@ def harmonic_weight_enumerators(
     c: BinaryCode, fs: Sequence[HarmonicFunction]
 ) -> list[list[int]]:
     """The coefficients of y^0..y^n of the harmonic weight enumerator of c
-    for each f in fs, from one pass over the weight leaves. Per bit-sliced
-    chunk, f's pairs fold the chunk's columns into the words where f~ is
-    nonzero and those where it is -1; the coefficient of y^w reads both sets
-    ANDed with leaf w. A word with f~ nonzero holds one point of each of f's
-    k pairs, so only the leaves k <= w <= n - k are read."""
+    for each f in fs, from one pass over the weight leaves: per bit-sliced
+    chunk, the coefficient of y^w is the sum of f~ over leaf w. A word with
+    f~ nonzero holds one point of each of f's k pairs, so only the leaves
+    k <= w <= n - k of the least k in fs are read."""
     for f in fs:
         if f.n != c.n:
             raise ValueError("code length and function ground set differ")
     if not fs:
         return []
+    k = min(f.k for f in fs)
     coeffs = [[0] * (c.n + 1) for _ in fs]
     for _, _, columns, leaves in _weight_leaves(c):
-        live = [(w, leaf) for w, leaf in enumerate(leaves) if leaf]
-        for f, out in zip(fs, coeffs):
-            meet, odd = _fold(f.pairs, columns)
-            k = f.k
-            for w, leaf in live:
-                if k <= w <= c.n - k:
-                    out[w] += (leaf & meet).bit_count() - 2 * (leaf & odd).bit_count()
+        for out, sums in zip(coeffs, _fold_sums([0, *columns], leaves[k:c.n - k + 1], fs)):
+            for w, s in enumerate(sums, k):
+                out[w] += s
     return coeffs
 
 
@@ -198,38 +200,15 @@ def bachoc_transform(
     return polyring.HomPoly(z.degree, tuple(coeffs))
 
 
-def delsarte_design_check(
-    blocks: Sequence[Sequence[int]], n: int, t: int
-) -> bool:
-    """Design test through harmonic spaces: the block multiset is a t-design
-    exactly when sum_b f~(b) vanishes for every f in harm_basis(n, k), k=1..t.
-
-    Each point gets a b-bit incidence mask (bit i for block i, so repeated
-    blocks keep their multiplicity); f's pairs fold those masks into the
-    blocks where f~ is nonzero and those where it is -1, and sum_b f~(b)
-    vanishes when the first set has twice as many blocks as the second."""
-    if not blocks:
-        raise ValueError("no blocks given")
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1:
-        raise ValueError("blocks must share one size")
-    (m,) = sizes
-    if m > n:
-        raise ValueError("block size exceeds the ground set")
-    if t < 0 or t > m:
+def delsarte_design_check(d: designs.Design, t: int) -> bool:
+    """Design test through harmonic spaces: the blocks of d form a t-design
+    exactly when sum_b f~(b) vanishes for every f in harm_basis(d.v, k),
+    k = 1..t. The sums are folded from the b-bit point masks of d (bit i for
+    block i, so repeated blocks keep their multiplicity)."""
+    if t < 0 or t > d.k:
         raise ValueError("t out of range")
-    for b in blocks:
-        if len(set(b)) != m:
-            raise ValueError(f"block {list(b)} repeats a point")
-        if not all(1 <= p <= n for p in b):
-            raise ValueError(f"block {list(b)} has a point outside 1..{n}")
-    incidence = [0] * n
-    for i, b in enumerate(blocks):
-        for p in b:
-            incidence[p - 1] |= 1 << i
+    incidence, every_block = designs._incidence(d), [(1 << d.b) - 1]
     for k in range(1, t + 1):
-        for f in harm_basis(n, k):
-            meet, odd = _fold(f.pairs, incidence)
-            if meet.bit_count() != 2 * odd.bit_count():
-                return False
+        if any(s for (s,) in _fold_sums(incidence, every_block, harm_basis(d.v, k))):
+            return False
     return True

@@ -124,13 +124,12 @@ def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     return StrengthProfile(per)
 
 
-def _counting_route(codes: Sequence[BinaryCode]) -> tuple[dict, tuple | None]:
-    """lambda_1 of the union of the codes' support designs C_w for each w,
-    0 < w < n, where it has a block (None where it is no 1-design), and the
-    first failing weight with its violation."""
-    incidence, leaves = _slices(codes)
+def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tuple | None]:
+    """lambda_1 of the union of the sliced codes' support designs C_w for
+    each w, 0 < w < n, where it has a block (None where it is no 1-design),
+    and the first failing weight with its violation."""
     lambdas, first_violation = {}, None
-    for w in range(1, codes[0].n):
+    for w in range(1, len(incidence) - 1):
         if leaves[w]:
             lambdas[w], violation = _slice_check(incidence, leaves[w], 1)
             if violation and first_violation is None:
@@ -144,12 +143,12 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     whose support designs the criterion promises to be t-designs."""
     if t < 1:
         raise PreconditionError("t must be at least 1")
-    d = minimum_distance(c)
+    wd = weight_distribution(c)
+    d = wd.min_nonzero()
     if t >= d:
         raise PreconditionError("t must be less than the minimum distance")
-    dual_code = dual(c)
-    d_dual = minimum_distance(dual_code)
-    wd = weight_distribution(c)
+    dual_wd = weight_distribution(dual(c))
+    d_dual = dual_wd.min_nonzero()
     small = [w for w in sorted(wd.counts) if 0 < w <= c.n - t]
     applicable = len(small) <= d_dual - t
     witnesses = {
@@ -164,7 +163,6 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
         "applicable": applicable,
     }
     if applicable:
-        dual_wd = weight_distribution(dual_code)
         witnesses["promised_code_weights"] = [
             u for u in sorted(wd.counts) if d <= u <= c.n - t
         ]
@@ -185,15 +183,12 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
         raise PreconditionError("code is not near-extremal")
     if not (cls.type_one or (cls.even and cls.formally_self_dual)):
         raise PreconditionError("code is neither Type I nor even formally self-dual")
-    dual_code = dual(c)
-    lambdas, first_violation = _counting_route([c] if cls.self_dual else [c, dual_code])
+    # Both routes read one slice of the words of the code, and of its dual
+    # in the formally self-dual branch.
+    slices = _slices([c] if cls.self_dual else [c, dual(c)])
+    lambdas, first_violation = _counting_route(*slices)
     counting_ok = first_violation is None
-
-    basis = harmonic.harm_basis(c.n, 1)
-    sums = harmonic.harmonic_weight_enumerators(c, basis)
-    if not cls.self_dual:
-        sums = [[a + b for a, b in zip(*rows)] for rows in zip(
-            sums, harmonic.harmonic_weight_enumerators(dual_code, basis))]
+    sums = harmonic._fold_sums(*slices, harmonic.harm_basis(c.n, 1))
     nonzero = [idx for idx, row in enumerate(sums) if any(row)]
     harmonic_ok = not nonzero
 
@@ -234,7 +229,7 @@ def verify_thm_1_2_type1(
         raise PreconditionError(f"substitute design has v={c6.v}, not 16")
     lam, violation = designs._t_design_check(c6, 2)
     counting_ok = lam == 8
-    delsarte_ok = harmonic.delsarte_design_check(c6.blocks, c.n, 2)
+    delsarte_ok = harmonic.delsarte_design_check(c6, 2)
     complement_ok = designs.complement_design(c6) == designs.support_design(c, 10)
     prof = strength_profile(c, 3)
     gap_weights = sorted(w for w, t in prof.per_weight.items() if t >= 2)
@@ -316,7 +311,7 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
         "classification": (
             cls.type_one
             and cls.extremality == NEAR_EXTREMAL
-            and minimum_distance(c) == 4
+            and wd.min_nonzero() == 4
         ),
         "support_design_match": designs.support_design(c, 6) == d,
     }

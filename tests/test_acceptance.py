@@ -65,7 +65,7 @@ def test_criterion_02_c6_is_a_2_design_both_routes(type1, c6):
         sum(1 for b in c6.blocks if set(pair) <= set(b)) == 8
         for pair in combinations(range(1, 17), 2)
     )
-    harmonic = delsarte_design_check(c6.blocks, 16, 2)
+    harmonic = delsarte_design_check(c6, 2)
     complement_ok = complement_design(c6) == support_design(type1, 10)
     elapsed = time.perf_counter() - started
     ok = (lam == 8 and counted and harmonic and complement_ok
@@ -190,7 +190,7 @@ def test_criterion_10b_design_check_route_agreement():
         )
         d = Design(v, blocks)
         counting = is_t_design(d, t) is not None
-        harmonic = delsarte_design_check(d.blocks, v, t)
+        harmonic = delsarte_design_check(d, t)
         assert counting == harmonic, (v, k, t, blocks)
         checked += 1
     _line("10b", True, f"counting and harmonic verdicts agree on "

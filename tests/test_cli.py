@@ -262,12 +262,11 @@ def test_harmonic_commands(capsys, type1_file):
 @pytest.mark.parametrize("argv, passes", [
     (["harmonic", "transform-check", "-b", "e8+e8", "--k", "2"], 2),
     (["harmonic", "transform-check", "-b", "d4+d4+e8", "--k", "9"], 0),
-    (["verify", "thm1.1", "-b", "type1_16"], 1),
-    (["verify", "thm1.1", "-b", "fsd_16"], 2),
-], ids=["transform-check", "transform-check-empty-basis", "thm1.1-type1", "thm1.1-fsd"])
+], ids=["transform-check", "transform-check-empty-basis"])
 def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, passes):
     """Every basis function's enumerator of a code comes from one pass over
-    its weight leaves: one for the code, one for the dual where it is read."""
+    its weight leaves: one for the code, one for the dual where it is read.
+    verify thm1.1's walks are pinned in tests/test_verify.py."""
     import amdesign.harmonic as harmonic
 
     real, codes = harmonic._weight_leaves, []
@@ -409,6 +408,13 @@ def test_poly_gleason_refuses_a_t_with_no_basis(capsys, t):
     # Refused before --index is read: Harm_5(8) has no function to index.
     assert run(["poly", "gleason", "-b", "e8", "--t", str(t)]) == 2
     assert capsys.readouterr() == ("", f"error: no basis elements exist for t={t}, n=8\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_harmonic_wenum_refuses_a_k_with_no_basis(capsys, fmt):
+    # Refused before --index is read: Harm_5(8) has no function to index.
+    assert run(["harmonic", "wenum", "-b", "e8", "--k", "5", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "error: no basis functions exist for k=5, n=8\n")
 
 
 def test_poly_lemma41(capsys):

@@ -3,15 +3,13 @@ per-block t-subset count it replaced, the same walk over the weight slices
 against the walk of the support designs built as Designs, and the
 incidence-bitset Delsarte test against the per-block tilde sum."""
 
-import re
-
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from amdesign import designs, verify
+from amdesign import designs, harmonic, verify
 from amdesign.catalog import builtin, load_code
 from amdesign.designs import (
     Design,
@@ -21,7 +19,7 @@ from amdesign.designs import (
     t_design_violation,
 )
 from amdesign.gf2core import EnumerationGuardError, code_from_rows, dual
-from amdesign.harmonic import delsarte_design_check
+from amdesign.harmonic import delsarte_design_check, harm_basis, harmonic_weight_enumerators
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
@@ -180,8 +178,25 @@ def test_strength_profile_matches_the_design_walk(code, t_cap, guard):
 def test_thm_1_1_counting_route_matches_the_design_walk(code, guard):
     c, union = code
     codes = [c, dual(c)] if union else [c]
-    assert (outcome(lambda: verify._counting_route(codes), guard)
+    assert (outcome(lambda: verify._counting_route(*verify._slices(codes)), guard)
             == outcome(lambda: oracles.thm_1_1_counting_route(codes), guard))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_codes(), st.integers(0, 2))
+@example((load_code("fsd_16"), True), 1)
+@example((TWO_CHUNKS, False), 1)
+@example((TWO_CHUNKS, True), 2)
+def test_thm_1_1_harmonic_sums_over_the_slice_match_the_enumerators(code, k):
+    """The sums of f~ per weight that thm1.1 folds from the one slice of the
+    code, joined with its dual in the union branch, are the harmonic weight
+    enumerators of the codes, one pass per code, added together."""
+    c, union = code
+    codes = [c, dual(c)] if union else [c]
+    basis = harm_basis(c.n, min(k, c.n))
+    per_code = [harmonic_weight_enumerators(x, basis) for x in codes]
+    added = [[sum(column) for column in zip(*rows)] for rows in zip(*per_code)]
+    assert harmonic._fold_sums(*verify._slices(codes), basis) == added
 
 
 def test_the_counting_route_reads_each_code_once(monkeypatch):
@@ -193,19 +208,27 @@ def test_the_counting_route_reads_each_code_once(monkeypatch):
         return real(c)
 
     monkeypatch.setattr(verify, "_weight_leaves", counted)
-    lambdas, violation = verify._counting_route([fsd16, dual(fsd16)])
+    lambdas, violation = verify._counting_route(*verify._slices([fsd16, dual(fsd16)]))
     assert walked == [fsd16, dual(fsd16)]
     assert violation is None and lambdas == {4: 6, 6: 48, 8: 102, 10: 80, 12: 18}
 
 
 def assert_delsarte_matches_oracle(blocks, n, t):
+    """The check on Design(n, blocks) against the tilde sum over the raw
+    blocks: a block list the oracle refuses is refused by Design, and a t
+    out of range for good blocks by the check."""
     try:
         expected = oracles.delsarte_design_check(blocks, n, t)
     except ValueError as err:
-        with pytest.raises(ValueError, match=re.escape(str(err))):
-            delsarte_design_check(blocks, n, t)
+        try:
+            d = Design(n, blocks)
+        except ValueError:
+            return
+        assert str(err) == "t out of range"
+        with pytest.raises(ValueError, match="t out of range"):
+            delsarte_design_check(d, t)
     else:
-        assert delsarte_design_check(blocks, n, t) == expected
+        assert delsarte_design_check(Design(n, blocks), t) == expected
 
 
 @SETTINGS
@@ -213,7 +236,7 @@ def assert_delsarte_matches_oracle(blocks, n, t):
 def test_delsarte_matches_the_tilde_sum(d, t):
     assert_delsarte_matches_oracle(d.blocks, d.v, t)
     if t <= d.k:
-        assert delsarte_design_check(d.blocks, d.v, t) == (is_t_design(d, t) is not None)
+        assert delsarte_design_check(d, t) == (is_t_design(d, t) is not None)
 
 
 @settings(max_examples=30, deadline=None, database=None)

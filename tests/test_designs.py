@@ -493,7 +493,7 @@ def test_delsarte_agrees_with_counting_on_random_multisets():
         )
         d = Design(v, blocks)
         counted = is_t_design(d, t) is not None
-        assert delsarte_design_check(d.blocks, v, t) == counted
+        assert delsarte_design_check(d, t) == counted
         agreements += 1
 
 

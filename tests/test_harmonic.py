@@ -17,6 +17,7 @@ from amdesign.gf2core import (
     weight_distribution,
 )
 from amdesign.catalog import builtin
+from amdesign.designs import Design
 from amdesign.harmonic import (
     DIMENSION_DIGITS_GUARD,
     HarmonicFunction,
@@ -180,8 +181,11 @@ def test_second_rows_are_standard_and_in_lexicographic_order():
     ([(1, 2, 3), (3, 4, 20)], 16),
 ])
 def test_delsarte_rejects_bad_points(blocks, n):
+    # The check takes a Design, which refuses each block list the tilde sum does.
     with pytest.raises(ValueError):
-        delsarte_design_check(blocks, n, 1)
+        oracles.delsarte_design_check(blocks, n, 1)
+    with pytest.raises(ValueError):
+        Design(n, blocks)
 
 
 @st.composite
@@ -276,19 +280,20 @@ def test_bachoc_identity_random_codes():
 
 def test_delsarte_design_check():
     # every k-subset block multiset taken in full is a t-design for t <= k
-    blocks = list(combinations(range(1, 6), 3))
-    assert delsarte_design_check(blocks, 5, 2)
-    assert delsarte_design_check(blocks, 5, 3)
-    with pytest.raises(ValueError):
-        delsarte_design_check([], 5, 1)
-    with pytest.raises(ValueError):
-        delsarte_design_check([(1, 2), (1, 2, 3)], 5, 1)
-    with pytest.raises(ValueError):
-        delsarte_design_check([(1, 2)], 5, 3)
+    d = Design(5, list(combinations(range(1, 6), 3)))
+    assert delsarte_design_check(d, 2)
+    assert delsarte_design_check(d, 3)
+    for bad in ([], [(1, 2), (1, 2, 3)]):
+        with pytest.raises(ValueError):
+            oracles.delsarte_design_check(bad, 5, 1)
+        with pytest.raises(ValueError):
+            Design(5, bad)
+    with pytest.raises(ValueError, match="t out of range"):
+        delsarte_design_check(Design(5, [(1, 2)]), 3)
 
 
 def test_delsarte_on_support_designs(type1, c6):
-    assert delsarte_design_check(c6.blocks, 16, 2)
-    assert not delsarte_design_check(c6.blocks, 16, 3)
-    unbalanced = [(1, 2), (1, 3)]
-    assert not delsarte_design_check(unbalanced, 3, 1)
+    assert delsarte_design_check(c6, 2)
+    assert not delsarte_design_check(c6, 3)
+    unbalanced = Design(3, [(1, 2), (1, 3)])
+    assert not delsarte_design_check(unbalanced, 1)

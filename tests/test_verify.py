@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from amdesign import gf2core
 from amdesign.catalog import builtin, direct_sum
 from amdesign.designs import (
     Design,
     is_t_design,
     support_design,
 )
+from amdesign.cli import run
 from amdesign.gf2core import (
     BinaryCode, EnumerationGuardError, classify, code_from_rows, weight_distribution)
 from amdesign.verify import (
@@ -266,3 +268,35 @@ def test_routes_always_agree(type1, fsd16):
 def test_reports_are_deterministic(type1):
     assert verify_thm_1_2_type1(type1) == verify_thm_1_2_type1(type1)
     assert verify_cor_1_5(type1).to_dict() == verify_cor_1_5(type1).to_dict()
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["am", "-b", "type1_16", "--t", "1"], 2),
+    (["am", "-b", "e8", "--t", "3"], 2),
+    (["thm1.1", "-b", "type1_16"], 4),
+    (["thm1.1", "-b", "fsd_16"], 5),
+    (["thm1.2-1", "-b", "type1_16"], 6),
+    (["thm1.2-2", "-b", "fsd_16"], 8),
+    (["thm1.4", "-d", "c6.json"], 6),
+    (["cor1.5", "-b", "type1_16"], 8),
+    (["profile", "-b", "type1_16"], 1),
+], ids=["am", "am-applicable", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1", "thm1.2-2",
+        "thm1.4", "cor1.5", "profile"])
+def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
+        monkeypatch, capsys, tmp_path, c6, argv, walks):
+    """Codeword walks per verify command: each starts one Gray walk of
+    gf2core.iter_codewords. thm1.1's two routes read one slice per code, and
+    am reads d and d_dual off the weight distributions it computes; thm1.1's
+    walks beyond one per code are classify's."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c6.json").write_text(oracles.format_design(c6) + "\n")
+    real, count = gf2core.iter_codewords, [0]
+
+    def counted(c):
+        count[0] += 1
+        return real(c)
+
+    monkeypatch.setattr(gf2core, "iter_codewords", counted)
+    assert run(["verify", *argv]) in (0, 1)
+    capsys.readouterr()
+    assert count[0] == walks
