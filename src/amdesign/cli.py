@@ -167,25 +167,29 @@ def run(argv=None) -> int:
             sys.stdout.flush()
         return rc
     except (EnumerationGuardError, SearchBudgetError) as err:
-        print(f"resource guard: {err}", file=sys.stderr)
-        return 3
+        message, rc = f"resource guard: {err}", 3
     except (ValueError, LookupError, OSError) as err:
         # str() of a KeyError is the repr of its message, quotes and all.
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        message, rc = f"error: {message}", 2
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass  # a closed stderr loses the line, not the exit code
+    return rc
 
 
 def main() -> None:
     rc = run()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:
-        # run() has reported the closed stdout. What its buffer still holds
-        # goes to the null device, so the interpreter's flush at exit neither
-        # prints "Exception ignored" nor exits 120.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            # The reader is gone (run() has reported it if stderr was open).
+            # What the buffer holds goes to the null device, so the flush at
+            # exit neither prints "Exception ignored" nor exits 120.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     # The interpreter's shutdown collection skips frozen objects, so the
     # cycles of modules, classes and functions go back to the OS with the
     # process instead of being freed one object at a time. Never in run(),

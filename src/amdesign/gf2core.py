@@ -419,9 +419,9 @@ def classify(c: BinaryCode) -> CodeClass:
     self_orth = is_self_orthogonal(c)
     self_dual = self_orth and 2 * c.dimension == c.n
     # |C| = |C^perp| is necessary, and spares enumerating a large dual.
-    fsd = (2 * c.dimension == c.n
-           and weight_distribution(c) == weight_distribution(dual(c)))
-    if even and fsd and c.dimension > 0:
+    fsd = self_dual or (2 * c.dimension == c.n
+                        and weight_distribution(c) == weight_distribution(dual(c)))
+    if even and fsd:
         extremality = mallows_sloane(c.n, minimum_distance(c))
     else:
         extremality = NOT_APPLICABLE

@@ -19,7 +19,6 @@ from .gf2core import (
     doubly_even_subcode,
     dual,
     exact_json,
-    minimum_distance,
     weight_distribution,
 )
 
@@ -205,7 +204,7 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     return report("thm1.1", counting_ok and harmonic_ok, witnesses)
 
 
-def _require_type1_16(c: BinaryCode):
+def _require_type1_16(c: BinaryCode) -> None:
     if c.n != 16:
         raise PreconditionError("length must be 16")
     cls = classify(c)
@@ -213,7 +212,6 @@ def _require_type1_16(c: BinaryCode):
         raise PreconditionError("code is not Type I")
     if cls.extremality != NEAR_EXTREMAL:
         raise PreconditionError("code is not near-extremal")
-    return cls
 
 
 def verify_thm_1_2_type1(
@@ -227,6 +225,8 @@ def verify_thm_1_2_type1(
         c6 = designs.support_design(c, 6)
     elif c6.v != c.n:
         raise PreconditionError(f"substitute design has v={c6.v}, not 16")
+    elif c6.k < 2:
+        raise PreconditionError(f"substitute design has k={c6.k}; a 2-design needs k >= 2")
     lam, violation = designs._t_design_check(c6, 2)
     counting_ok = lam == 8
     delsarte_ok = harmonic.delsarte_design_check(c6, 2)
@@ -305,7 +305,7 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
     cls = classify(c)
     steps = {
         "even_self_orthogonal": cls.even and cls.self_orthogonal,
-        "dual_minimum_distance": minimum_distance(dual(c)) == 4,
+        "dual_minimum_distance": weight_distribution(dual(c)).min_nonzero() == 4,
         "count_bound": word_count > 2**7,
         "self_dual": c.dimension == 8 and cls.self_dual,
         "classification": (
@@ -341,7 +341,7 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
         "subcode_dimension": c0.dimension == 7,
         "subcode_doubly_even": all(w % 4 == 0 for w in wd0.counts),
         "dual_dimension": c0_dual.dimension == 9,
-        "dual_minimum_distance": minimum_distance(c0_dual) == 4,
+        "dual_minimum_distance": min(prof1.per_weight) == 4,
         "dual_strength_exceeds_guarantee": all(
             prof1.per_weight.get(w, 0) >= 2 for w in (6, 10)
         ),

@@ -56,6 +56,11 @@ as a Design (the union of the codes' for the formally self-dual branch) and
 walk it; amdesign.verify reads the point masks off the weight slices
 instead, and must give the same strengths, lambdas, witnesses and errors.
 
+classify is the classification that proved a self-dual code formally
+self-dual by enumerating it and its dual, the same code, and then walked it a
+third time for d; gf2core.classify takes a self-dual code as formally
+self-dual and compares spectra only for other codes of dimension n/2.
+
 extended_qr is the extended quadratic-residue code of a prime p = +-1
 (mod 8), the length-32 code of which holds 2^16 words.
 """
@@ -250,6 +255,30 @@ def thm_1_1_counting_route(codes):
         if violation and first_violation is None:
             first_violation = (w, violation)
     return lambdas, first_violation
+
+
+def classify(c):
+    even = is_even(c)
+    doubly = is_doubly_even(c)
+    self_orth = gf2core.is_self_orthogonal(c)
+    self_dual = self_orth and 2 * c.dimension == c.n
+    # |C| = |C^perp| is necessary, and spares enumerating a large dual.
+    fsd = (2 * c.dimension == c.n
+           and gf2core.weight_distribution(c) == gf2core.weight_distribution(dual(c)))
+    if even and fsd and c.dimension > 0:
+        extremality = mallows_sloane(c.n, gf2core.minimum_distance(c))
+    else:
+        extremality = gf2core.NOT_APPLICABLE
+    return gf2core.CodeClass(
+        even=even,
+        doubly_even=doubly,
+        self_orthogonal=self_orth,
+        self_dual=self_dual,
+        formally_self_dual=fsd,
+        type_one=self_dual and not doubly,
+        type_two=self_dual and doubly,
+        extremality=extremality,
+    )
 
 
 def extended_qr(p):

@@ -171,6 +171,17 @@ def test_substitute_design_must_live_on_16_points(capsys, tmp_path, c6, v):
     assert f"v={v}, not 16" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_substitute_design_needs_blocks_of_two_points(capsys, tmp_path, fmt):
+    # Refused before the 2-design check, which would name a t never given.
+    path = tmp_path / "k1.json"
+    path.write_text('{"v": 16, "blocks": [[1], [2]]}\n')
+    argv = ["verify", "thm1.2-1", "-b", "type1_16", "-d", str(path), "--format", fmt]
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: substitute design has k=1; a 2-design needs k >= 2\n")
+
+
 def test_code_info_skips_the_dual_when_2k_is_not_n(capsys, tmp_path):
     # Four disjoint blocks of ten; the dual has 2^36 words, beyond the guard.
     thin = tmp_path / "n40k4.gm"
@@ -360,14 +371,9 @@ def test_only_the_process_entry_freezes_the_heap(capsys):
     assert gc.get_freeze_count() == before
 
 
-# Output that fits the stdout buffer fails when it is flushed; more than that
-# (~15 KB of blocks) fails in the command's own print.
-@pytest.mark.parametrize("argv", [["code", "info", "-b", "type1_16", "--format", "json"],
-                                  ["design", "from-code", "-b", "e8+e8+e8", "--w", "8"]],
-                         ids=["small", "large"])
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_exits_2_with_one_error(argv, unbuffered):
-    # The reader is gone: stdout is a pipe whose read end is closed.
+def run_closed(argv, streams, unbuffered=False):
+    """Run amdesign with each of the named streams ("stdout", "stderr") on a
+    pipe whose reader is gone; the others are captured."""
     read, write = os.pipe()
     os.close(read)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -375,12 +381,37 @@ def test_a_closed_stdout_exits_2_with_one_error(argv, unbuffered):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    pipes = {name: write if name in streams else subprocess.PIPE
+             for name in ("stdout", "stderr")}
     try:
-        done = subprocess.run([sys.executable, "-m", "amdesign.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", "amdesign.cli", *argv], **pipes,
+                              text=True, env=env)
     finally:
         os.close(write)
+
+
+# Output that fits the stdout buffer fails when it is flushed; more than that
+# (~15 KB of blocks) fails in the command's own print.
+@pytest.mark.parametrize("argv", [["code", "info", "-b", "type1_16", "--format", "json"],
+                                  ["design", "from-code", "-b", "e8+e8+e8", "--w", "8"]],
+                         ids=["small", "large"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_2_with_one_error(argv, unbuffered):
+    done = run_closed(argv, ("stdout",), unbuffered)
     assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+    # With stderr closed too, the error is lost but the exit code is kept.
+    assert run_closed(argv, ("stdout", "stderr"), unbuffered).returncode == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["code", "info", "-b", "missing"], 2),
+    (["harmonic", "basis-dim", "--n", "100000", "--k", "50000"], 3),
+    (["code", "info", "--bogus"], 2),
+], ids=["error", "resource-guard", "usage"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stderr_keeps_the_exit_code(argv, code, unbuffered):
+    done = run_closed(argv, ("stderr",), unbuffered)
+    assert (done.returncode, done.stdout) == (code, "")
 
 
 @pytest.mark.parametrize("n, k", [(3, 5), (4, -1)])

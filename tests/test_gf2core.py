@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from amdesign.gf2core import (
     ENUMERATION_GUARD_K,
     EXTREMAL,
@@ -32,7 +34,7 @@ from amdesign.gf2core import (
     support,
     weight_distribution,
 )
-from amdesign.catalog import builtin
+from amdesign.catalog import builtin, load_code
 
 TYPE1_WD = {0: 1, 4: 12, 6: 64, 8: 102, 10: 64, 12: 12, 16: 1}
 E8_WD = {0: 1, 4: 14, 8: 1}
@@ -212,6 +214,41 @@ def test_classify_examples(type1):
     odd = classify(code_from_strings(["10"]))
     assert not odd.even
     assert odd.extremality == NOT_APPLICABLE
+
+
+def permuted(c, perm):
+    """c with coordinate i moved to perm[i]."""
+    return code_from_rows([sum((row >> i & 1) << p for i, p in enumerate(perm))
+                           for row in c.basis], c.n)
+
+
+@st.composite
+def codes_to_classify(draw):
+    """A random code of length <= 20, or a self-dual or formally self-dual
+    one with its coordinates permuted: a direct sum of i2, d4 and e8, or a
+    stored length-16 code."""
+    kind = draw(st.sampled_from(["random", "sum", "stored"]))
+    if kind == "random":
+        n = draw(st.integers(1, 20))
+        return code_from_rows(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n)), n)
+    if kind == "sum":
+        parts = draw(st.lists(st.sampled_from(["i2", "d4", "e8"]), min_size=1, max_size=10))
+        while sum(int(part[1]) for part in parts) > 20:
+            parts.pop()
+        c = builtin("+".join(parts))
+    else:
+        c = load_code(draw(st.sampled_from(["type1_16", "fsd_16"])))
+    return permuted(c, draw(st.permutations(range(c.n))))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(codes_to_classify())
+@example(load_code("type1_16"))
+@example(load_code("fsd_16"))
+@example(builtin("e8+e8+e8+e8"))
+@example(code_from_rows([], 4))
+def test_classify_matches_the_three_walk_oracle(c):
+    assert classify(c) == oracles.classify(c)
 
 
 def test_doubly_even_subcode(type1):

@@ -271,23 +271,27 @@ def test_reports_are_deterministic(type1):
 
 
 @pytest.mark.parametrize("argv, walks", [
-    (["am", "-b", "type1_16", "--t", "1"], 2),
-    (["am", "-b", "e8", "--t", "3"], 2),
-    (["thm1.1", "-b", "type1_16"], 4),
-    (["thm1.1", "-b", "fsd_16"], 5),
-    (["thm1.2-1", "-b", "type1_16"], 6),
-    (["thm1.2-2", "-b", "fsd_16"], 8),
-    (["thm1.4", "-d", "c6.json"], 6),
-    (["cor1.5", "-b", "type1_16"], 8),
-    (["profile", "-b", "type1_16"], 1),
+    (["verify", "am", "-b", "type1_16", "--t", "1"], 2),
+    (["verify", "am", "-b", "e8", "--t", "3"], 2),
+    (["verify", "thm1.1", "-b", "type1_16"], 2),
+    (["verify", "thm1.1", "-b", "fsd_16"], 5),
+    (["verify", "thm1.2-1", "-b", "type1_16"], 4),
+    (["verify", "thm1.2-2", "-b", "fsd_16"], 8),
+    (["verify", "thm1.4", "-d", "c6.json"], 4),
+    (["verify", "cor1.5", "-b", "type1_16"], 5),
+    (["verify", "profile", "-b", "type1_16"], 1),
+    (["code", "info", "-b", "type1_16"], 2),
+    (["code", "info", "-b", "fsd_16"], 4),
 ], ids=["am", "am-applicable", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1", "thm1.2-2",
-        "thm1.4", "cor1.5", "profile"])
+        "thm1.4", "cor1.5", "profile", "code-info-type1", "code-info-fsd"])
 def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
         monkeypatch, capsys, tmp_path, c6, argv, walks):
-    """Codeword walks per verify command: each starts one Gray walk of
+    """Codeword walks per command: each starts one Gray walk of
     gf2core.iter_codewords. thm1.1's two routes read one slice per code, and
-    am reads d and d_dual off the weight distributions it computes; thm1.1's
-    walks beyond one per code are classify's."""
+    am reads d and d_dual off the weight distributions it computes. classify
+    walks any code of dimension n/2 that is not self-dual twice, for its
+    spectrum and its dual's, and an even formally self-dual code once for d;
+    so thm1.1's one walk beyond the slice of type1_16 is classify's d."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c6.json").write_text(oracles.format_design(c6) + "\n")
     real, count = gf2core.iter_codewords, [0]
@@ -297,6 +301,6 @@ def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
         return real(c)
 
     monkeypatch.setattr(gf2core, "iter_codewords", counted)
-    assert run(["verify", *argv]) in (0, 1)
+    assert run(argv) in (0, 1)
     capsys.readouterr()
     assert count[0] == walks
