@@ -13,7 +13,10 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-_LAYERS = ("gf2core", "ratlin", "polyring", "harmonic", "designs", "catalog", "verify")
+# gf2base, hompoly, intersections and strength are the lower halves of
+# gf2core, polyring, designs and verify, which re-export their names.
+_LAYERS = ("gf2base", "gf2core", "ratlin", "hompoly", "polyring", "harmonic", "intersections",
+           "designs", "catalog", "strength", "verify")
 # The CLI's command groups and the helpers they share.
 _COMMAND_MODULES = ("common", "code", "design", "harmonic", "poly", "search", "verify")
 

@@ -32,8 +32,11 @@ def run_wenum(args) -> int:
 
 def run_transform_check(args) -> int:
     c = read_code(args)
-    dual_code = dual(c)
     basis = harmonic.harm_basis(c.n, args.k)
+    # Harm_k(n) is empty for k > n/2: refused before the dual is built.
+    if not basis:
+        raise PreconditionError(f"no basis functions exist for k={args.k}, n={c.n}")
+    dual_code = dual(c)
 
     def quotients(code):
         return [polyring.HomPoly(c.n, tuple(row)).divide_xy(args.k)

@@ -6,6 +6,7 @@ import json
 import time
 
 from .. import designs, verify
+from ..gf2core import PreconditionError
 from .common import read_code
 
 
@@ -31,6 +32,9 @@ def _verify_thm121(args):
 
 
 def _verify_profile(args):
+    # Refused before the code is read and sliced.
+    if args.t_cap < 0:
+        raise PreconditionError("--t-cap must be nonnegative")
     prof = verify.strength_profile(read_code(args), args.t_cap)
     return verify.report("profile", True,
                          {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})

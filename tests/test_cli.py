@@ -270,11 +270,12 @@ def test_harmonic_commands(capsys, type1_file):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, passes", [
-    (["harmonic", "transform-check", "-b", "e8+e8", "--k", "2"], 2),
-    (["harmonic", "transform-check", "-b", "d4+d4+e8", "--k", "9"], 0),
+@pytest.mark.parametrize("argv, rc, passes", [
+    (["harmonic", "transform-check", "-b", "e8+e8", "--k", "2"], 0, 2),
+    # Harm_9(16) is empty: refused, with no pass over either code.
+    (["harmonic", "transform-check", "-b", "d4+d4+e8", "--k", "9"], 2, 0),
 ], ids=["transform-check", "transform-check-empty-basis"])
-def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, passes):
+def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, rc, passes):
     """Every basis function's enumerator of a code comes from one pass over
     its weight leaves: one for the code, one for the dual where it is read.
     verify thm1.1's walks are pinned in tests/test_verify.py."""
@@ -287,7 +288,7 @@ def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, pa
         return real(c)
 
     monkeypatch.setattr(harmonic, "_weight_leaves", counted)
-    assert run(argv) == 0
+    assert run(argv) == rc
     capsys.readouterr()
     assert len(codes) == passes
 
@@ -448,6 +449,18 @@ def test_harmonic_wenum_refuses_a_k_with_no_basis(capsys, fmt):
     assert capsys.readouterr() == ("", "error: no basis functions exist for k=5, n=8\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_harmonic_transform_check_refuses_a_k_with_no_basis(monkeypatch, capsys, fmt):
+    # Harm_5(8) is empty, as for wenum: refused before the dual is built.
+    import amdesign.commands.harmonic as group
+
+    duals = []
+    monkeypatch.setattr(group, "dual", duals.append)
+    assert run(["harmonic", "transform-check", "-b", "e8", "--k", "5", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "error: no basis functions exist for k=5, n=8\n")
+    assert duals == []
+
+
 def test_poly_lemma41(capsys):
     code, payload = run_json(capsys, [
         "poly", "lemma4.1", "--format", "json"])
@@ -494,10 +507,10 @@ MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",
 
 
 def test_mendelsohn_search_budget_exits_3(capsys, monkeypatch):
-    import amdesign.designs as designs
+    import amdesign.intersections as intersections
 
     # The paper's system solves at the root; freeing n_6 takes 10 nodes.
-    monkeypatch.setattr(designs, "MENDELSOHN_NODE_BUDGET", 4)
+    monkeypatch.setattr(intersections, "MENDELSOHN_NODE_BUDGET", 4)
     assert run(MENDELSOHN + ["--fixed", "6=1"]) == 0
     capsys.readouterr()
     assert run(MENDELSOHN) == 3
@@ -515,6 +528,7 @@ def test_mendelsohn_search_budget_exits_3(capsys, monkeypatch):
     (["--allowed", "0,x"], "--allowed expects I,J,..., got '0,x'"),
     (["--lam", "-8"], "lambda must be nonnegative"),
     (["--m", "99"], "m must lie in 0..16"),
+    (["--fixed", "7=1"], "fixed index 7 is not an allowed intersection size (0, 2, 4, 6)"),
 ])
 def test_mendelsohn_bad_input_is_usage_error(capsys, extra, message):
     assert run(MENDELSOHN + extra) == 2
@@ -672,7 +686,15 @@ def test_verify_profile_caps_t_at_each_block_size(capsys):
         outputs.append(payload["witnesses"])
     assert outputs[0] == outputs[1]
     assert run(["verify", "profile", "-b", "type1_16", "--t-cap", "-1"]) == 2
-    assert "t_max out of range" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: --t-cap must be nonnegative\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_profile_refuses_a_negative_cap_before_slicing(capsys, fmt):
+    # k = 32 is past the enumeration guard: a slice of it would exit 3.
+    assert run(["verify", "profile", "-b", "+".join(["e8"] * 8), "--t-cap", "-1",
+                "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "error: --t-cap must be nonnegative\n")
 
 
 @pytest.mark.parametrize("argv", [

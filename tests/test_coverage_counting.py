@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from amdesign import designs, harmonic, verify
+from amdesign import designs, harmonic, strength, verify
 from amdesign.catalog import builtin, load_code
 from amdesign.designs import (
     Design,
@@ -178,7 +178,7 @@ def test_strength_profile_matches_the_design_walk(code, t_cap, guard):
 def test_thm_1_1_counting_route_matches_the_design_walk(code, guard):
     c, union = code
     codes = [c, dual(c)] if union else [c]
-    assert (outcome(lambda: verify._counting_route(*verify._slices(codes)), guard)
+    assert (outcome(lambda: strength._counting_route(*strength._slices(codes)), guard)
             == outcome(lambda: oracles.thm_1_1_counting_route(codes), guard))
 
 
@@ -196,19 +196,19 @@ def test_thm_1_1_harmonic_sums_over_the_slice_match_the_enumerators(code, k):
     basis = harm_basis(c.n, min(k, c.n))
     per_code = [harmonic_weight_enumerators(x, basis) for x in codes]
     added = [[sum(column) for column in zip(*rows)] for rows in zip(*per_code)]
-    assert harmonic._fold_sums(*verify._slices(codes), basis) == added
+    assert harmonic._fold_sums(*strength._slices(codes), basis) == added
 
 
 def test_the_counting_route_reads_each_code_once(monkeypatch):
     fsd16 = load_code("fsd_16")
-    real, walked = verify._weight_leaves, []
+    real, walked = strength._weight_leaves, []
 
     def counted(c):
         walked.append(c)
         return real(c)
 
-    monkeypatch.setattr(verify, "_weight_leaves", counted)
-    lambdas, violation = verify._counting_route(*verify._slices([fsd16, dual(fsd16)]))
+    monkeypatch.setattr(strength, "_weight_leaves", counted)
+    lambdas, violation = strength._counting_route(*strength._slices([fsd16, dual(fsd16)]))
     assert walked == [fsd16, dual(fsd16)]
     assert violation is None and lambdas == {4: 6, 6: 48, 8: 102, 10: 80, 12: 18}
 

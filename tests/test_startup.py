@@ -3,14 +3,16 @@ parser gives argparse's namespace or leaves argv to argparse, a well-formed
 command loads no argparse, help and usage errors print as before, dispatch
 looks the command up by name in its group's module, the import pulls in no
 dataclass machinery, only a command that divides imports fractions, an
-install holds every package and the console script, and every module's
-__all__ names only defined names."""
+install holds every package and the console script, every module's
+__all__ names only defined names, and no module is too large to compile
+cheaply."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -327,6 +329,25 @@ def test_an_install_holds_every_source_directory_and_the_console_script():
 def test_every_exported_name_is_defined(name):
     module = importlib.import_module(f"amdesign.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+# Compiling a module holds about 450 B per significant token, and the largest
+# compile sets a short command's peak memory. cli.py, which `python -m` must
+# compile whole as __main__, has about 1,450.
+TOKEN_CAP = 1500
+_LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                  tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def test_no_module_exceeds_the_token_cap():
+    over = {}
+    for path in sorted((SRC / "amdesign").rglob("*.py")):
+        with path.open() as f:
+            count = sum(tok.type not in _LAYOUT_TOKENS
+                        for tok in tokenize.generate_tokens(f.readline))
+        if count > TOKEN_CAP:
+            over[str(path.relative_to(SRC))] = count
+    assert over == {}
 
 
 # Commands that build no Fraction, and commands that divide.
