@@ -9,7 +9,7 @@ from .common import print_code, print_payload, read_code
 def run_info(args) -> int:
     c = read_code(args)
     wd = weight_distribution(c)
-    cls = classify(c)
+    cls = classify(c, wd)
     dist = wd.min_nonzero() if c.dimension else None
     payload = {
         "length": c.n,

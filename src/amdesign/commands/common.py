@@ -20,8 +20,9 @@ def read_code(args) -> BinaryCode:
     if args.generator:
         return read_generator_file(args.generator)
     if args.builtin:
+        # A "+" composes a direct sum of builtins; no stored name holds one.
         name = args.builtin
-        if all(part in catalog.BUILTIN_NAMES for part in name.split("+")):
+        if "+" in name or name in catalog.BUILTIN_NAMES:
             return catalog.builtin(name)
         return catalog.load_code(name)
     raise PreconditionError("a code is required: pass -g FILE or -b NAME")

@@ -1,9 +1,9 @@
 """Scenario verifiers: structured pass/fail reports for the design-theoretic
-properties of near-extremal self-dual and formally self-dual codes. The report
-envelope and the strength profile live in ``amdesign.strength`` and are
-re-exported here."""
+properties of near-extremal self-dual and formally self-dual codes."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 # designs and harmonic are lazy layers (see amdesign/__init__.py), called
 # through the module so that a scenario loads only the layers it runs.
@@ -13,14 +13,14 @@ from .gf2core import (
     BinaryCode,
     EnumerationGuardError,
     PreconditionError,
+    Record,
+    _weight_leaves,
     classify,
     doubly_even_subcode,
     dual,
     exact_json,
     weight_distribution,
 )
-from .strength import (StrengthProfile, VerificationReport, _counting_route, _slices, report,
-                       strength_profile)
 
 __all__ = [
     "PreconditionError",
@@ -36,6 +36,106 @@ __all__ = [
     "verify_thm_1_2_type1",
     "verify_thm_1_4_pipeline",
 ]
+
+
+class VerificationReport(Record):
+    """Outcome of one scenario: verdict plus exact witness values."""
+
+    __slots__ = ("scenario", "passed", "witnesses")
+
+    def __init__(self, scenario: str, passed: bool, witnesses: dict) -> None:
+        self._set(scenario, passed, witnesses)
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    def to_dict(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "verdict": self.verdict,
+            "witnesses": self.witnesses,
+        }
+
+
+def report(scenario: str, passed: bool, witnesses: dict) -> VerificationReport:
+    return VerificationReport(scenario, passed, exact_json(witnesses))
+
+
+class StrengthProfile(Record):
+    """Design strength of every nonempty support design C_w, 0 < w < n."""
+
+    __slots__ = ("per_weight",)
+
+    def __init__(self, per_weight: dict) -> None:
+        self._set(per_weight)
+
+    @property
+    def delta(self) -> int:
+        return min(self.per_weight.values())
+
+    @property
+    def s(self) -> int:
+        return max(self.per_weight.values())
+
+
+def _slices(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
+    """(incidence, leaves) of the words of the codes, one bit per word: the
+    chunks of _weight_leaves, code after code, each above the last. Bit i of
+    incidence[p] (p = 1..n) is set when word i holds point p, and leaves[w]
+    holds the words of weight w, so that incidence[p] & leaves[w] is the mask
+    of point p in the union of the codes' support designs C_w."""
+    rows, widths = [[] for _ in range(2 * codes[0].n + 1)], []
+    for c in codes:
+        for head, _, columns, leaves in _weight_leaves(c):
+            widths.append(((1 << len(head)) + 7) >> 3)
+            for row, x in zip(rows, columns + leaves):
+                row.append(x)
+    # Joined as bytes, in one pass per mask; a chunk of fewer than 8 words
+    # is padded with zero bits, which lie in no leaf.
+    masks = [int.from_bytes(b"".join(x.to_bytes(width, "little")
+                                     for x, width in zip(row, widths)), "little")
+             for row in rows]
+    return [0] + masks[:codes[0].n], masks[codes[0].n:]
+
+
+def _slice_check(incidence: list[int], leaf: int, t: int):
+    """designs._t_design_check of the support design held by leaf, 1 <= t <= w."""
+    designs._walk_guard(len(incidence) - 1, t)
+    return designs._cover_walk(incidence, t, leaf)
+
+
+def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
+    """Strength of each C_w up to min(t_cap, w): a block of size w bounds t."""
+    # Only a code whose basis is empty or the all-ones word alone has no
+    # weight strictly between 0 and n: any other is refused before slicing.
+    if t_cap < 0 and c.basis not in ((), ((1 << c.n) - 1,)):
+        raise ValueError("t_max out of range")
+    incidence, leaves = _slices([c])
+    per = {}
+    for w in range(1, c.n):
+        if leaves[w]:
+            per[w] = 0
+            for t in range(1, min(t_cap, w) + 1):
+                if _slice_check(incidence, leaves[w], t)[0] is None:
+                    break
+                per[w] = t
+    if not per:
+        raise ValueError("no weights strictly between 0 and n")
+    return StrengthProfile(per)
+
+
+def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tuple | None]:
+    """lambda_1 of the union of the sliced codes' support designs C_w for
+    each w, 0 < w < n, where it has a block (None where it is no 1-design),
+    and the first failing weight with its violation."""
+    lambdas, first_violation = {}, None
+    for w in range(1, len(incidence) - 1):
+        if leaves[w]:
+            lambdas[w], violation = _slice_check(incidence, leaves[w], 1)
+            if violation and first_violation is None:
+                first_violation = (w, violation)
+    return lambdas, first_violation
 
 
 def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:

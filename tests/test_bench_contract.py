@@ -71,9 +71,8 @@ else:
     print(json.dumps([registered, imported]))
 """
 # What the import of the CLI executes: the package of the command groups is
-# run to find its modules, but no group module and no layer beyond gf2core
-# and gf2base, the lower half it imports.
-_IMPORTED = ["amdesign.cli", "amdesign.commands", "amdesign.gf2base", "amdesign.gf2core"]
+# run to find its modules, but no group module and no layer beyond gf2core.
+_IMPORTED = ["amdesign.cli", "amdesign.commands", "amdesign.gf2core"]
 
 
 def _run_layers_script(cwd, argv):
@@ -102,25 +101,22 @@ def inputs(tmp_path_factory):
 
 
 # Each case runs the import's modules, the helpers the groups share, its own
-# group and the layers listed. A split layer runs its lower half too:
-# designs runs intersections, verify strength, polyring hompoly.
+# group and the layers listed.
 @pytest.mark.parametrize("argv, rc, layers", [
     (["code", "info", "-g", "e8.gm"], 0, []),
     (["search", "fsd"], 0, ["catalog"]),
-    (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs", "intersections"]),
+    (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs"]),
     # the support design is streamed from the code's words, with no Design
     (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, []),
-    (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["strength", "verify"]),
+    (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["verify"]),
     # harmonic enumerators are integer rows: no HomPoly, so no polyring
-    (["verify", "thm1.1", "-g", "type1_16.gm"], 0,
-     ["designs", "harmonic", "intersections", "strength", "verify"]),
-    (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0,
-     ["designs", "harmonic", "intersections", "strength", "verify"]),
+    (["verify", "thm1.1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),
+    (["verify", "thm1.2-1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),
     (["harmonic", "basis-dim", "--n", "16", "--k", "2"], 0, ["harmonic"]),
-    (["poly", "gleason", "-g", "e8.gm"], 0, ["hompoly", "polyring"]),
+    (["poly", "gleason", "-g", "e8.gm"], 0, ["polyring"]),
     # the paper's block-count system is solved in integers, without ratlin
     (["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8", "--m", "6",
-      "--allowed", "0,2,4,6", "--fixed", "6=1"], 0, ["designs", "intersections"]),
+      "--allowed", "0,2,4,6", "--fixed", "6=1"], 0, ["designs"]),
 ], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
         "verify-thm1.1", "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason", "design-mendelsohn"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, layers):

@@ -90,6 +90,26 @@ def test_unknown_code_name_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: no stored code named 'zz'\n"
 
 
+# A "+" makes a name a direct sum of builtins, which the store never holds.
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, message", [
+    ("e8+", "malformed builtin name 'e8+'"),
+    ("+e8", "malformed builtin name '+e8'"),
+    ("e8++d4", "malformed builtin name 'e8++d4'"),
+    ("e8+foo", "unknown builtin code 'foo'"),
+])
+def test_a_malformed_direct_sum_names_its_fault(capsys, fmt, name, message):
+    assert run(["code", "info", "-b", name, "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_spaced_direct_sum_reads_as_the_builtin(capsys):
+    assert run(["code", "info", "-b", "e8 + d4"]) == 0
+    spaced = capsys.readouterr()
+    assert run(["code", "info", "-b", "e8+d4"]) == 0
+    assert capsys.readouterr() == spaced
+
+
 @pytest.mark.parametrize("argv", [
     ["code", "info", "-b", "d4", "--seed", "1"],
     ["verify", "thm1.1", "-b", "type1_16", "--seed", "1"],
@@ -507,10 +527,10 @@ MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",
 
 
 def test_mendelsohn_search_budget_exits_3(capsys, monkeypatch):
-    import amdesign.intersections as intersections
+    import amdesign.designs as designs
 
     # The paper's system solves at the root; freeing n_6 takes 10 nodes.
-    monkeypatch.setattr(intersections, "MENDELSOHN_NODE_BUDGET", 4)
+    monkeypatch.setattr(designs, "MENDELSOHN_NODE_BUDGET", 4)
     assert run(MENDELSOHN + ["--fixed", "6=1"]) == 0
     capsys.readouterr()
     assert run(MENDELSOHN) == 3

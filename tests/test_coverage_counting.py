@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from amdesign import designs, harmonic, strength, verify
+from amdesign import designs, harmonic, verify
 from amdesign.catalog import builtin, load_code
 from amdesign.designs import (
     Design,
@@ -169,6 +169,28 @@ def test_strength_profile_matches_the_design_walk(code, t_cap, guard):
             == outcome(lambda: oracles.strength_profile(c, t_cap), guard))
 
 
+@pytest.mark.parametrize("rows, n, message", [
+    ([1 << i for i in range(20)], 20, "t_max out of range"),
+    ([], 20, "no weights strictly between 0 and n"),
+    ([(1 << 20) - 1], 20, "no weights strictly between 0 and n"),
+], ids=["k=20", "zero-code", "all-ones"])
+def test_strength_profile_refuses_a_negative_cap_before_slicing(monkeypatch, rows, n, message):
+    """A code with a weight strictly between 0 and n is refused at entry; one
+    without it is sliced, which at k <= 1 is one or two words."""
+    walked = []
+    real = verify._weight_leaves
+
+    def counted(c):
+        walked.append(c)
+        return real(c)
+
+    monkeypatch.setattr(verify, "_weight_leaves", counted)
+    c = code_from_rows(rows, n)
+    with pytest.raises(ValueError) as err:
+        verify.strength_profile(c, -1)
+    assert (str(err.value), walked) == (message, [] if c.dimension > 1 else [c])
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_codes(), GUARDS)
 @example((load_code("type1_16"), False), designs.DESIGN_GUARD)
@@ -178,7 +200,7 @@ def test_strength_profile_matches_the_design_walk(code, t_cap, guard):
 def test_thm_1_1_counting_route_matches_the_design_walk(code, guard):
     c, union = code
     codes = [c, dual(c)] if union else [c]
-    assert (outcome(lambda: strength._counting_route(*strength._slices(codes)), guard)
+    assert (outcome(lambda: verify._counting_route(*verify._slices(codes)), guard)
             == outcome(lambda: oracles.thm_1_1_counting_route(codes), guard))
 
 
@@ -196,19 +218,19 @@ def test_thm_1_1_harmonic_sums_over_the_slice_match_the_enumerators(code, k):
     basis = harm_basis(c.n, min(k, c.n))
     per_code = [harmonic_weight_enumerators(x, basis) for x in codes]
     added = [[sum(column) for column in zip(*rows)] for rows in zip(*per_code)]
-    assert harmonic._fold_sums(*strength._slices(codes), basis) == added
+    assert harmonic._fold_sums(*verify._slices(codes), basis) == added
 
 
 def test_the_counting_route_reads_each_code_once(monkeypatch):
     fsd16 = load_code("fsd_16")
-    real, walked = strength._weight_leaves, []
+    real, walked = verify._weight_leaves, []
 
     def counted(c):
         walked.append(c)
         return real(c)
 
-    monkeypatch.setattr(strength, "_weight_leaves", counted)
-    lambdas, violation = strength._counting_route(*strength._slices([fsd16, dual(fsd16)]))
+    monkeypatch.setattr(verify, "_weight_leaves", counted)
+    lambdas, violation = verify._counting_route(*verify._slices([fsd16, dual(fsd16)]))
     assert walked == [fsd16, dual(fsd16)]
     assert violation is None and lambdas == {4: 6, 6: 48, 8: 102, 10: 80, 12: 18}
 

@@ -25,6 +25,7 @@ from amdesign.commands.design import design_json
 from amdesign.designs import (
     DESIGN_GUARD,
     Design,
+    _inverse_weights,
     code_from_design,
     complement_design,
     design_strength,
@@ -40,7 +41,6 @@ from amdesign.designs import (
 )
 from amdesign.gf2core import EnumerationGuardError, format_generator
 from amdesign.harmonic import delsarte_design_check
-from amdesign.intersections import _inverse_weights
 
 
 def complete_design(v, k):

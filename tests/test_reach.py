@@ -46,11 +46,11 @@ ALLOWED = {
                  "through cli.run; the subprocess tests in test_cli.py run it"),
     # Record is a value type: these keep hashing, printing, immutability and
     # pickling correct for every subclass, though no command uses them.
-    "gf2base.Record.__hash__": "value semantics of every Record",
-    "gf2base.Record.__repr__": "value semantics of every Record",
-    "gf2base.Record.__setattr__": "value semantics of every Record",
-    "gf2base.Record.__delattr__": "value semantics of every Record",
-    "gf2base.Record.__reduce__": "value semantics of every Record",
+    "gf2core.Record.__hash__": "value semantics of every Record",
+    "gf2core.Record.__repr__": "value semantics of every Record",
+    "gf2core.Record.__setattr__": "value semantics of every Record",
+    "gf2core.Record.__delattr__": "value semantics of every Record",
+    "gf2core.Record.__reduce__": "value semantics of every Record",
 }
 
 # Each line runs as given and, where the subcommand takes --format, again

@@ -11,8 +11,8 @@ import pytest
 from amdesign.catalog import SearchConfig
 from amdesign.cli import run
 from amdesign.designs import Design, IntersectionProfile
-from amdesign.gf2base import _rref
-from amdesign.gf2core import BinaryCode, CodeClass, Record, WeightDistribution, classify
+from amdesign.gf2core import (
+    BinaryCode, CodeClass, Record, WeightDistribution, _rref, classify)
 from amdesign.harmonic import HarmonicFunction
 from amdesign.polyring import HomPoly
 from amdesign.verify import StrengthProfile, VerificationReport
