@@ -14,6 +14,7 @@ from .gf2core import (
     EnumerationGuardError,
     PreconditionError,
     Record,
+    WeightDistribution,
     _weight_leaves,
     classify,
     doubly_even_subcode,
@@ -111,9 +112,13 @@ def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     # weight strictly between 0 and n: any other is refused before slicing.
     if t_cap < 0 and c.basis not in ((), ((1 << c.n) - 1,)):
         raise ValueError("t_max out of range")
-    incidence, leaves = _slices([c])
+    return _profile(*_slices([c]), t_cap)
+
+
+def _profile(incidence: list[int], leaves: list[int], t_cap: int) -> StrengthProfile:
+    """strength_profile of the sliced code."""
     per = {}
-    for w in range(1, c.n):
+    for w in range(1, len(incidence) - 1):
         if leaves[w]:
             per[w] = 0
             for t in range(1, min(t_cap, w) + 1):
@@ -123,6 +128,17 @@ def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     if not per:
         raise ValueError("no weights strictly between 0 and n")
     return StrengthProfile(per)
+
+
+def _leaf_design(incidence: list[int], leaf: int) -> designs.Design:
+    """The support design of the words at the bits of a nonzero leaf: the
+    block of bit i is {p : bit i of incidence[p]}."""
+    blocks = []
+    while leaf:
+        bit = leaf & -leaf
+        blocks.append(tuple(p for p in range(1, len(incidence)) if incidence[p] & bit))
+        leaf ^= bit
+    return designs.Design(len(incidence) - 1, blocks)
 
 
 def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tuple | None]:
@@ -182,8 +198,6 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     cls = classify(c)
     if cls.extremality != NEAR_EXTREMAL:
         raise PreconditionError("code is not near-extremal")
-    if not (cls.type_one or (cls.even and cls.formally_self_dual)):
-        raise PreconditionError("code is neither Type I nor even formally self-dual")
     # Both routes read one slice of the words of the code, and of its dual
     # in the formally self-dual branch.
     slices = _slices([c] if cls.self_dual else [c, dual(c)])
@@ -206,14 +220,18 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     return report("thm1.1", counting_ok and harmonic_ok, witnesses)
 
 
-def _require_type1_16(c: BinaryCode) -> None:
+def _require_type1_16(c: BinaryCode) -> tuple[list[int], list[int]]:
+    """The slice of c, once c is checked to be a near-extremal Type I code of
+    length 16; classify reads d off the slice's spectrum."""
     if c.n != 16:
         raise PreconditionError("length must be 16")
-    cls = classify(c)
+    incidence, leaves = _slices([c])
+    cls = classify(c, WeightDistribution(dict(enumerate(map(int.bit_count, leaves)))))
     if not cls.type_one:
         raise PreconditionError("code is not Type I")
     if cls.extremality != NEAR_EXTREMAL:
         raise PreconditionError("code is not near-extremal")
+    return incidence, leaves
 
 
 def verify_thm_1_2_type1(
@@ -222,9 +240,11 @@ def verify_thm_1_2_type1(
     """C_6 is a 2-(16,6,8) design (counting and harmonic routes), C_10 is its
     complement, and the strength gap delta=1 < s=2 sits exactly at w in
     {6, 10}. A substitute block multiset may be supplied for mutation tests."""
-    _require_type1_16(c)
+    # A near-extremal Type I code of length 16 has words of weight 6 and 10:
+    # with d = 4, a self-dual code without them would be doubly even.
+    incidence, leaves = _require_type1_16(c)
     if c6 is None:
-        c6 = designs.support_design(c, 6)
+        c6 = _leaf_design(incidence, leaves[6])
     elif c6.v != c.n:
         raise PreconditionError(f"substitute design has v={c6.v}, not 16")
     elif c6.k < 2:
@@ -232,8 +252,8 @@ def verify_thm_1_2_type1(
     lam, violation = designs._t_design_check(c6, 2)
     counting_ok = lam == 8
     delsarte_ok = harmonic.delsarte_design_check(c6, 2)
-    complement_ok = designs.complement_design(c6) == designs.support_design(c, 10)
-    prof = strength_profile(c, 3)
+    complement_ok = designs.complement_design(c6) == _leaf_design(incidence, leaves[10])
+    prof = _profile(incidence, leaves, 3)
     gap_weights = sorted(w for w, t in prof.per_weight.items() if t >= 2)
     profile_ok = prof.delta == 1 and prof.s == 2 and gap_weights == [6, 10]
     passed = counting_ok and delsarte_ok and complement_ok and profile_ok
@@ -304,18 +324,17 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
     c = designs.code_from_design(d)
     wd = weight_distribution(c)
     word_count = sum(wd.count(w) for w in (0, 6, 10, 16))
-    cls = classify(c)
+    cls = classify(c, wd)
     steps = {
         "even_self_orthogonal": cls.even and cls.self_orthogonal,
         "dual_minimum_distance": weight_distribution(dual(c)).min_nonzero() == 4,
         "count_bound": word_count > 2**7,
-        "self_dual": c.dimension == 8 and cls.self_dual,
-        "classification": (
-            cls.type_one
-            and cls.extremality == NEAR_EXTREMAL
-            and wd.min_nonzero() == 4
-        ),
-        "support_design_match": designs.support_design(c, 6) == d,
+        "self_dual": cls.self_dual,
+        # Near-extremal at length 16 means d = 4.
+        "classification": cls.type_one and cls.extremality == NEAR_EXTREMAL,
+        # Every block of d is a weight-6 word of c = span(d), so d is C_6 as
+        # a multiset exactly when it repeats no block and has A_6 blocks.
+        "support_design_match": len(set(d.blocks)) == d.b == wd.count(6),
     }
     passed = all(steps.values())
     witnesses = {
@@ -336,8 +355,9 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
     _require_type1_16(c)
     c0 = doubly_even_subcode(c)
     c0_dual = dual(c0)
-    wd0 = weight_distribution(c0)
-    prof0 = strength_profile(c0, 3)
+    incidence0, leaves0 = _slices([c0])
+    wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
+    prof0 = _profile(incidence0, leaves0, 3)
     prof1 = strength_profile(c0_dual, 3)
     checks = {
         "subcode_dimension": c0.dimension == 7,

@@ -98,13 +98,14 @@ def test_golay_support_designs(golay):
     assert design_strength(c8, 8) == 5
 
 
-def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
+def one_point_swaps(monkeypatch):
+    """Patch verify._slices so that in C_6 and C_10 one block swaps its lowest
+    point for the lowest point outside it; the returned dict holds the last
+    mutated C_w, as a Design, under w."""
     real = verify._slices
     broken = {}
 
     def with_mutants(codes):
-        # In C_6 and C_10, one block swaps its lowest point for the lowest
-        # point outside it.
         incidence, leaves = real(codes)
         points = range(1, len(incidence))
         for w in (6, 10):
@@ -119,6 +120,11 @@ def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
         return incidence, leaves
 
     monkeypatch.setattr(verify, "_slices", with_mutants)
+    return broken
+
+
+def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
+    broken = one_point_swaps(monkeypatch)
     rep = verify.verify_thm_1_1(type1)
     assert not rep.passed
     assert rep.witnesses["lambda_1_per_weight"]["6"] is None
@@ -126,6 +132,16 @@ def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
     assert rep.witnesses["violation_weight"] == "6"
     assert rep.witnesses["violation"] == verify.exact_json(
         oracles.t_design_violation(broken[6], 1))
+
+
+def test_thm_1_2_type1_reads_c6_and_c10_off_the_slice(type1, monkeypatch):
+    # The code's own C_6 is the slice's: the report equals that of the
+    # mutated C_6 given as a substitute, checked against the same C_10.
+    broken = one_point_swaps(monkeypatch)
+    own = verify.verify_thm_1_2_type1(type1).to_dict()
+    assert own == verify.verify_thm_1_2_type1(type1, broken[6]).to_dict()
+    assert own["verdict"] == "fail"
+    assert own["witnesses"]["lambda_2"] is None
 
 
 def outcome(call, guard):

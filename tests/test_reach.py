@@ -85,6 +85,7 @@ COMMANDS = [
     ["verify", "am", "-g", "e8.gm", "--t", "1"],
     ["verify", "thm1.1", "-b", "type1_16"],
     ["verify", "thm1.1", "-b", "fsd_16"],
+    ["verify", "thm1.2-1", "-b", "type1_16"],
     ["verify", "thm1.2-1", "-b", "type1_16", "-d", "c6.json"],
     ["verify", "thm1.2-2", "-b", "fsd_16"],
     ["verify", "thm1.4", "-d", "c6.json"],

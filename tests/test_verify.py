@@ -232,8 +232,20 @@ def test_thm_1_4_pipeline_preconditions(c6, bent_design):
         verify_thm_1_4_pipeline(bent_design)
 
 
+def test_thm_1_4_pipeline_on_a_design_with_repeated_blocks(biplane):
+    # Four copies of the 2-(16,6,2) biplane: a self-orthogonal 2-(16,6,8)
+    # design whose code has only 16 words of weight 6, one per block.
+    rep = verify_thm_1_4_pipeline(Design(16, tuple(4 * biplane)))
+    assert not rep.passed
+    assert rep.witnesses["steps"]["support_design_match"] is False
+    assert rep.witnesses["failing_step"] == "count_bound"
+    assert rep.witnesses["dimension"] == "6"
+    assert rep.witnesses["weight_distribution"] == \
+        {"0": "1", "6": "16", "8": "30", "10": "16", "16": "1"}
+
+
 def test_thm_1_4_pipeline_names_the_first_failing_step(monkeypatch, c6):
-    def not_type_one(c):
+    def not_type_one(c, wd):
         cls = classify(c)
         return type(cls)(**{**cls.fields(), "type_one": False})
 
@@ -275,15 +287,17 @@ def test_reports_are_deterministic(type1):
     (["verify", "am", "-b", "e8", "--t", "3"], 2),
     (["verify", "thm1.1", "-b", "type1_16"], 2),
     (["verify", "thm1.1", "-b", "fsd_16"], 5),
-    (["verify", "thm1.2-1", "-b", "type1_16"], 4),
+    (["verify", "thm1.2-1", "-b", "type1_16"], 1),
+    (["verify", "thm1.2-1", "-b", "type1_16", "-d", "c6.json"], 1),
     (["verify", "thm1.2-2", "-b", "fsd_16"], 8),
-    (["verify", "thm1.4", "-d", "c6.json"], 4),
-    (["verify", "cor1.5", "-b", "type1_16"], 5),
+    (["verify", "thm1.4", "-d", "c6.json"], 2),
+    (["verify", "cor1.5", "-b", "type1_16"], 4),
     (["verify", "profile", "-b", "type1_16"], 1),
     (["code", "info", "-b", "type1_16"], 1),
     (["code", "info", "-b", "fsd_16"], 2),
-], ids=["am", "am-applicable", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1", "thm1.2-2",
-        "thm1.4", "cor1.5", "profile", "code-info-type1", "code-info-fsd"])
+], ids=["am", "am-applicable", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1",
+        "thm1.2-1-substitute", "thm1.2-2", "thm1.4", "cor1.5", "profile",
+        "code-info-type1", "code-info-fsd"])
 def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
         monkeypatch, capsys, tmp_path, c6, argv, walks):
     """Codeword walks per command: each starts one Gray walk of
@@ -293,7 +307,11 @@ def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
     spectrum and its dual's, and an even formally self-dual code once for d;
     so thm1.1's one walk beyond the slice of type1_16 is classify's d. code
     info hands classify the spectrum it has computed, so classify walks only
-    the dual of a code that is not self-dual, and reads d off the spectrum."""
+    the dual of a code that is not self-dual, and reads d off the spectrum.
+    thm1.2-1 reads the spectrum, C_6, C_10 and the strengths off one slice of
+    the code, with or without a substitute C_6. thm1.4 walks the code of the
+    design and its dual once each. cor1.5 slices the code, walks it again for
+    its doubly-even subcode C0, and slices C0 and C0's dual once each."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c6.json").write_text(oracles.format_design(c6) + "\n")
     real, count = gf2core.iter_codewords, [0]
