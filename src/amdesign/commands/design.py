@@ -58,11 +58,9 @@ def run_complement(args) -> int:
 
 def run_intersections(args) -> int:
     d = designs.read_design_file(args.design)
-    profile = designs.intersection_profile(d, args.block)
-    nonzero = {i: m for i, m in profile.as_dict().items() if m}
-    payload = {"block": args.block, "profile": {str(i): m for i, m in nonzero.items()}}
-    print_payload(args, payload,
-                  [f"m_{i} = {m}" for i, m in sorted(nonzero.items())])
+    profile = designs.intersection_profile(d, args.block).as_dict()
+    payload = {"block": args.block, "profile": {str(i): m for i, m in profile.items()}}
+    print_payload(args, payload, [f"m_{i} = {m}" for i, m in profile.items()])
     return 0
 
 

@@ -42,9 +42,11 @@ def run_transform_check(args) -> int:
         return [polyring.HomPoly(c.n, tuple(row)).divide_xy(args.k)
                 for row in harmonic.harmonic_weight_enumerators(code, basis)]
 
-    images = [harmonic.bachoc_transform(z, args.k, c.size, c.n) for z in quotients(c)]
-    mismatches = [idx for idx, (image, z) in enumerate(zip(images, quotients(dual_code)))
-                  if image != z]
+    zs = quotients(c)
+    images = [harmonic.bachoc_transform(z, args.k, c.size, c.n) for z in zs]
+    # A self-dual code is its own dual: its enumerators are read once.
+    dual_zs = zs if dual_code == c else quotients(dual_code)
+    mismatches = [idx for idx, (image, z) in enumerate(zip(images, dual_zs)) if image != z]
     count = len(basis)
     payload = {"k": args.k, "functions": count, "mismatches": mismatches}
     print_payload(args, payload, [

@@ -17,9 +17,11 @@ from .gf2core import (
     WeightDistribution,
     _weight_leaves,
     classify,
-    doubly_even_subcode,
+    code_from_rows,
     dual,
     exact_json,
+    is_doubly_even,
+    support,
     weight_distribution,
 )
 
@@ -130,15 +132,18 @@ def _profile(incidence: list[int], leaves: list[int], t_cap: int) -> StrengthPro
     return StrengthProfile(per)
 
 
+def _words(incidence: list[int], mask: int):
+    """The words at the bits of a mask: word i has point p when bit i of
+    incidence[p] is set."""
+    while mask:
+        bit = mask & -mask
+        yield sum(1 << p - 1 for p in range(1, len(incidence)) if incidence[p] & bit)
+        mask ^= bit
+
+
 def _leaf_design(incidence: list[int], leaf: int) -> designs.Design:
-    """The support design of the words at the bits of a nonzero leaf: the
-    block of bit i is {p : bit i of incidence[p]}."""
-    blocks = []
-    while leaf:
-        bit = leaf & -leaf
-        blocks.append(tuple(p for p in range(1, len(incidence)) if incidence[p] & bit))
-        leaf ^= bit
-    return designs.Design(len(incidence) - 1, blocks)
+    """The support design of the words at the bits of a nonzero leaf."""
+    return designs.Design(len(incidence) - 1, list(map(support, _words(incidence, leaf))))
 
 
 def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tuple | None]:
@@ -164,7 +169,9 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     d = wd.min_nonzero()
     if t >= d:
         raise PreconditionError("t must be less than the minimum distance")
-    dual_wd = weight_distribution(dual(c))
+    # A self-dual code is its own dual: its spectrum is read once.
+    dual_code = dual(c)
+    dual_wd = wd if dual_code == c else weight_distribution(dual_code)
     d_dual = dual_wd.min_nonzero()
     small = [w for w in sorted(wd.counts) if 0 < w <= c.n - t]
     applicable = len(small) <= d_dual - t
@@ -325,9 +332,10 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
     wd = weight_distribution(c)
     word_count = sum(wd.count(w) for w in (0, 6, 10, 16))
     cls = classify(c, wd)
+    dual_wd = wd if cls.self_dual else weight_distribution(dual(c))
     steps = {
         "even_self_orthogonal": cls.even and cls.self_orthogonal,
-        "dual_minimum_distance": weight_distribution(dual(c)).min_nonzero() == 4,
+        "dual_minimum_distance": dual_wd.min_nonzero() == 4,
         "count_bound": word_count > 2**7,
         "self_dual": cls.self_dual,
         # Near-extremal at length 16 means d = 4.
@@ -352,16 +360,19 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
     """The doubly-even subcode C0 of the Type I [16,8,4] code has a [16,9,4]
     dual whose weight-6 and weight-10 support designs are 2-designs, beating
     the t=1 guarantee of the classical criterion."""
-    _require_type1_16(c)
-    c0 = doubly_even_subcode(c)
-    c0_dual = dual(c0)
-    incidence0, leaves0 = _slices([c0])
+    # C0's words are the words of c of weight 0 mod 4, so C0_w = C_w at
+    # those weights: C0's spectrum and support designs are read off c's slice.
+    incidence, leaves = _require_type1_16(c)
+    leaves0 = [leaf if w % 4 == 0 else 0 for w, leaf in enumerate(leaves)]
     wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
-    prof0 = _profile(incidence0, leaves0, 3)
+    prof0 = _profile(incidence, leaves0, 3)
+    c0 = code_from_rows(_words(incidence, sum(leaves0)), c.n)
+    c0_dual = dual(c0)
     prof1 = strength_profile(c0_dual, 3)
     checks = {
         "subcode_dimension": c0.dimension == 7,
-        "subcode_doubly_even": all(w % 4 == 0 for w in wd0.counts),
+        # The words span a doubly-even code of their own number: a subcode.
+        "subcode_doubly_even": is_doubly_even(c0) and c0.size == sum(wd0.counts.values()),
         "dual_dimension": c0_dual.dimension == 9,
         "dual_minimum_distance": min(prof1.per_weight) == 4,
         "dual_strength_exceeds_guarantee": all(

@@ -61,8 +61,19 @@ self-dual by enumerating it and its dual, the same code, and then walked it a
 third time for d; gf2core.classify takes a self-dual code as formally
 self-dual and compares spectra only for other codes of dimension n/2.
 
+verify_cor_1_5 is the Corollary 1.5 check that built C0 with
+gf2core.doubly_even_subcode, its own walk of the code, and sliced C0 for its
+spectrum and strengths; amdesign.verify reads C0's words, spectrum and
+support designs off the slice of the code instead, keeping the words of
+weight 0 mod 4.
+
+assmus_mattson_witnesses and transform_mismatches are the Assmus-Mattson
+criterion and the Bachoc transform check that walked dual(c) even when it is
+c; amdesign reads a self-dual code's spectrum and harmonic enumerators once.
+
 extended_qr is the extended quadratic-residue code of a prime p = +-1
-(mod 8), the length-32 code of which holds 2^16 words.
+(mod 8), the length-32 code of which holds 2^16 words. permuted moves a
+code's coordinates.
 """
 
 import random
@@ -70,13 +81,13 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
-from amdesign import designs, gf2core, ratlin
+from amdesign import designs, gf2core, ratlin, verify
 from amdesign.catalog import SearchBudgetError, SearchConfig
 from amdesign.gf2core import (
     WeightDistribution, code_from_rows, dual, is_doubly_even, is_even, iter_codewords,
     mallows_sloane, support)
 from amdesign.designs import lambda_i
-from amdesign.harmonic import harm_basis
+from amdesign.harmonic import bachoc_transform, harm_basis
 from amdesign.polyring import HomPoly, SpanError, gleason_basis
 
 
@@ -281,6 +292,66 @@ def classify(c):
     )
 
 
+def verify_cor_1_5(c):
+    verify._require_type1_16(c)
+    c0 = gf2core.doubly_even_subcode(c)
+    c0_dual = dual(c0)
+    incidence0, leaves0 = verify._slices([c0])
+    wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
+    prof0 = verify._profile(incidence0, leaves0, 3)
+    prof1 = verify.strength_profile(c0_dual, 3)
+    checks = {
+        "subcode_dimension": c0.dimension == 7,
+        "subcode_doubly_even": all(w % 4 == 0 for w in wd0.counts),
+        "dual_dimension": c0_dual.dimension == 9,
+        "dual_minimum_distance": min(prof1.per_weight) == 4,
+        "dual_strength_exceeds_guarantee": all(
+            prof1.per_weight.get(w, 0) >= 2 for w in (6, 10)
+        ),
+    }
+    return verify.report("cor1.5", all(checks.values()), {
+        "checks": checks,
+        "subcode_weight_distribution": wd0.counts,
+        "subcode_strengths": prof0.per_weight,
+        "dual_strengths": prof1.per_weight,
+    })
+
+
+def assmus_mattson_witnesses(c, t):
+    """The witnesses of verify.assmus_mattson_check(c, t), 1 <= t < d."""
+    wd, dual_wd = weight_distribution(c), weight_distribution(dual(c))
+    d, d_dual = wd.min_nonzero(), dual_wd.min_nonzero()
+    small = [w for w in sorted(wd.counts) if 0 < w <= c.n - t]
+    witnesses = {
+        "t": t,
+        "length": c.n,
+        "dimension": c.dimension,
+        "minimum_distance": d,
+        "dual_minimum_distance": d_dual,
+        "nonzero_weights_at_most_n_minus_t": small,
+        "weight_count": len(small),
+        "bound": d_dual - t,
+        "applicable": len(small) <= d_dual - t,
+    }
+    if witnesses["applicable"]:
+        witnesses["promised_code_weights"] = [u for u in sorted(wd.counts)
+                                              if d <= u <= c.n - t]
+        witnesses["promised_dual_weights"] = [w for w in sorted(dual_wd.counts)
+                                              if d_dual <= w]
+    return witnesses
+
+
+def transform_mismatches(c, k):
+    """The indices f of harm_basis(n, k) at which the Bachoc image of c's
+    quotient enumerator Z_{C,f} differs from Z_{C-perp,f}."""
+    def quotients(code):
+        return [harmonic_weight_enumerator(code, f).divide_xy(k) for f in basis]
+
+    basis = harm_basis(c.n, k)
+    images = [bachoc_transform(z, k, c.size, c.n) for z in quotients(c)]
+    return [i for i, (image, z) in enumerate(zip(images, quotients(dual(c)))) if image != z]
+
+
 def extended_qr(p):
     """The span of the cyclic shifts of the non-residue indicator of Z_p, or
     of its complement, whichever has dimension (p+1)/2, with a parity bit."""
@@ -292,6 +363,12 @@ def extended_qr(p):
         if c.dimension == (p + 1) // 2:
             return code_from_rows([r | (r.bit_count() & 1) << p for r in c.basis], p + 1)
     raise ValueError(f"no extended QR code for p = {p}")
+
+
+def permuted(c, perm):
+    """c with coordinate i moved to perm[i]."""
+    return code_from_rows([sum((row >> i & 1) << p for i, p in enumerate(perm))
+                           for row in c.basis], c.n)
 
 
 def _mask(points):

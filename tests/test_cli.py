@@ -10,13 +10,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import oracles
 from oracles import format_design
 
+from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
 from amdesign.designs import Design, support_design
-from amdesign.gf2core import format_generator
+from amdesign.gf2core import code_from_rows, exact_json, format_generator, minimum_distance
 from amdesign.polyring import ALPHA_MAX_GUARD
 from amdesign.verify import verify_thm_1_2_type1
 
@@ -291,14 +293,16 @@ def test_harmonic_commands(capsys, type1_file):
 
 
 @pytest.mark.parametrize("argv, rc, passes", [
-    (["harmonic", "transform-check", "-b", "e8+e8", "--k", "2"], 0, 2),
+    # A self-dual code is its own dual: one pass.
+    (["harmonic", "transform-check", "-b", "e8+e8", "--k", "2"], 0, 1),
+    (["harmonic", "transform-check", "-b", "fsd_16", "--k", "1"], 0, 2),
     # Harm_9(16) is empty: refused, with no pass over either code.
     (["harmonic", "transform-check", "-b", "d4+d4+e8", "--k", "9"], 2, 0),
-], ids=["transform-check", "transform-check-empty-basis"])
+], ids=["transform-check", "transform-check-fsd", "transform-check-empty-basis"])
 def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, rc, passes):
     """Every basis function's enumerator of a code comes from one pass over
-    its weight leaves: one for the code, one for the dual where it is read.
-    verify thm1.1's walks are pinned in tests/test_verify.py."""
+    its weight leaves: one for the code, and one for the dual where it is
+    another code. verify thm1.1's walks are pinned in tests/test_verify.py."""
     import amdesign.harmonic as harmonic
 
     real, codes = harmonic._weight_leaves, []
@@ -311,6 +315,47 @@ def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, rc
     assert run(argv) == rc
     capsys.readouterr()
     assert len(codes) == passes
+
+
+@st.composite
+def permuted_sums(draw):
+    """A direct sum of i2, d4 and e8 of length at most 16 with its
+    coordinates permuted, self-dual, or not in the draws that replace one
+    generator by a random word or drop one."""
+    parts = draw(st.lists(st.sampled_from(["i2", "d4", "e8"]), min_size=1, max_size=8))
+    while sum(int(part[1]) for part in parts) > 16:
+        parts.pop()
+    c = builtin("+".join(parts))
+    rows = list(oracles.permuted(c, draw(st.permutations(range(c.n)))).basis)
+    change, at = draw(st.sampled_from(["none", "replace", "drop"])), draw(st.integers(0, 7))
+    if change == "replace":
+        rows[at % len(rows)] = draw(st.integers(1, (1 << c.n) - 1))
+    elif change == "drop" and len(rows) > 1:
+        del rows[at % len(rows)]
+    return code_from_rows(rows, c.n)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(c=permuted_sums(), t=st.integers(1, 3), k=st.integers(1, 2))
+@example(c=load_code("fsd_16"), t=1, k=2)
+@example(c=builtin("e8+e8"), t=3, k=2)
+def test_am_and_transform_check_match_a_walk_of_the_dual(capsys, tmp_path, c, t, k):
+    """A code equal to its dual is read once; the results are those of an
+    explicit walk of dual(c), self-dual or not."""
+    path = tmp_path / "c.gm"
+    path.write_text(format_generator(c))
+    if t < minimum_distance(c):
+        code, rep = run_json(capsys, ["verify", "am", "-g", str(path), "--t", str(t),
+                                      "--format", "json"])
+        witnesses = oracles.assmus_mattson_witnesses(c, t)
+        assert rep["witnesses"] == exact_json(witnesses)
+        assert code == (0 if witnesses["applicable"] else 1)
+    if 2 * k <= c.n:
+        code, payload = run_json(capsys, ["harmonic", "transform-check", "-g", str(path),
+                                          "--k", str(k), "--format", "json"])
+        assert payload["mismatches"] == oracles.transform_mismatches(c, k)
+        assert code == (1 if payload["mismatches"] else 0)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -216,12 +216,6 @@ def test_classify_examples(type1):
     assert odd.extremality == NOT_APPLICABLE
 
 
-def permuted(c, perm):
-    """c with coordinate i moved to perm[i]."""
-    return code_from_rows([sum((row >> i & 1) << p for i, p in enumerate(perm))
-                           for row in c.basis], c.n)
-
-
 @st.composite
 def codes_to_classify(draw):
     """A random code of length <= 20, or a self-dual or formally self-dual
@@ -238,7 +232,7 @@ def codes_to_classify(draw):
         c = builtin("+".join(parts))
     else:
         c = load_code(draw(st.sampled_from(["type1_16", "fsd_16"])))
-    return permuted(c, draw(st.permutations(range(c.n))))
+    return oracles.permuted(c, draw(st.permutations(range(c.n))))
 
 
 @settings(max_examples=300, deadline=None, database=None)

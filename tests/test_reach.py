@@ -1,6 +1,9 @@
 """src/ holds only what a command runs: every function defined in
 src/amdesign runs under a fixed list of command lines, in text and in JSON,
 unless ALLOWED names it with the reason it stays without a command caller.
+And no command line reads a code's words twice: no line calls
+gf2core._weight_leaves twice on one code unless EXCEPTIONS names its
+subcommand with the reason.
 
 The commands run in a new interpreter, in-process through amdesign.cli.run
 under sys.setprofile, so no cache or lazy layer filled by an earlier test
@@ -51,6 +54,21 @@ ALLOWED = {
     "gf2core.Record.__setattr__": "value semantics of every Record",
     "gf2core.Record.__delattr__": "value semantics of every Record",
     "gf2core.Record.__reduce__": "value semantics of every Record",
+}
+
+# Subcommands ("group name") whose lines read some code's words more than
+# once, each with the reason and the ROADMAP item that lifts it. The map only
+# shrinks: an entry with a line that reads each code once fails the gate.
+EXCEPTIONS = {
+    "verify thm1.1": ("classify walks the code for d before the slice, since slicing "
+                      "first would hold 2^k-bit masks for codes classify refuses "
+                      "(ROADMAP item 2)"),
+    "verify thm1.2-2": ("bench/test_bench.py pins its 8 walks, which reading the joined "
+                        "slice would lower (ROADMAP items 1a and 5)"),
+    "search type1-16": ("catalog.search_type_i_16 returns only the code, so the payload "
+                        "counts the hit's spectrum again (ROADMAP item 9)"),
+    "search fsd": ("catalog.search_even_fsd returns only the code, so the payload "
+                   "counts the hit's spectrum again (ROADMAP item 9)"),
 }
 
 # Each line runs as given and, where the subcommand takes --format, again
@@ -104,13 +122,28 @@ def profile(frame, event, arg):
 
 sys.setprofile(profile)
 import amdesign.cli
+from amdesign.gf2core import _weight_leaves
+reads = []
+
+def counted(c):
+    reads[-1].append([c.n, c.basis])
+    return _weight_leaves(c)
+
+# Rebound in every module that holds a copy, each lazy layer loaded for it.
+held = sorted(name for name, mod in list(sys.modules.items())
+              if name.startswith("amdesign.")
+              and getattr(mod, "_weight_leaves", None) is _weight_leaves)
+for name in held:
+    sys.modules[name]._weight_leaves = counted
 codes = []
 for argv in argvs:
+    reads.append([])
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         codes.append(amdesign.cli.run(argv))
 sys.setprofile(None)
-print(json.dumps([codes, sorted({(c.co_filename, c.co_firstlineno) for c in seen})]))
+print(json.dumps([codes, sorted({(c.co_filename, c.co_firstlineno) for c in seen}),
+                  reads, held]))
 """
 
 
@@ -159,8 +192,11 @@ def reach(tmp_path_factory, c6):
     env.pop("AMDESIGN_DATA", None)
     out = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argvs)], env=env,
                          cwd=root, capture_output=True, text=True, check=True).stdout
-    codes, seen = json.loads(out)
-    return dict(zip(map(" ".join, argvs), codes)), {tuple(s) for s in seen}
+    codes, seen, reads, held = json.loads(out)
+    assert held == ["amdesign.gf2core", "amdesign.harmonic", "amdesign.verify"]
+    lines = list(map(" ".join, argvs))
+    return (dict(zip(lines, codes)), {tuple(s) for s in seen},
+            {line: [(n, tuple(basis)) for n, basis in r] for line, r in zip(lines, reads)})
 
 
 def test_the_command_list_covers_every_subcommand():
@@ -170,14 +206,14 @@ def test_the_command_list_covers_every_subcommand():
 
 
 def test_the_command_list_reaches_its_error_paths(reach):
-    codes, _ = reach
+    codes, _, _ = reach
     assert set(codes.values()) == {0, 1, 2, 3}
     assert codes["harmonic basis-dim --n 100000 --k 50000 --format json"] == 3
     assert codes["poly gleason -g open.gm"] == 1
 
 
 def test_every_function_in_src_runs_under_a_command(reach):
-    _, seen = reach
+    _, seen, _ = reach
     functions = _functions()
     ran = {name for key, name in functions.items() if key in seen}
     never = sorted(set(functions.values()) - ran - set(ALLOWED))
@@ -193,8 +229,29 @@ def test_every_shim_reason_names_a_traced_name():
 
 
 def test_allowed_names_exist_and_still_have_no_command_caller(reach):
-    _, seen = reach
+    _, seen, _ = reach
     functions = _functions()
     assert set(ALLOWED) <= set(functions.values())
     assert sorted(name for key, name in functions.items()
                   if key in seen and name in ALLOWED) == []
+
+
+def _reads_a_code_twice(reach):
+    """Line -> whether it reads some code's words more than once."""
+    _, _, reads = reach
+    return {line: len(set(codes)) < len(codes) for line, codes in reads.items()}
+
+
+def test_no_command_reads_a_code_twice(reach):
+    twice = _reads_a_code_twice(reach)
+    assert sorted(line for line, again in twice.items()
+                  if again and " ".join(line.split()[:2]) not in EXCEPTIONS) == []
+
+
+def test_every_exception_still_reads_a_code_twice(reach):
+    # Once a subcommand reads each code once, its entry here must go too.
+    twice = _reads_a_code_twice(reach)
+    assert all("ROADMAP item" in reason for reason in EXCEPTIONS.values())
+    assert set(EXCEPTIONS) <= {" ".join(argv[:2]) for argv in COMMANDS}
+    assert sorted(line for line, again in twice.items()
+                  if not again and " ".join(line.split()[:2]) in EXCEPTIONS) == []

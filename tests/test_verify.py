@@ -1,5 +1,6 @@
 """Scenario verifiers: reports, witnesses, preconditions, mutation checks."""
 
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -277,41 +278,57 @@ def test_routes_always_agree(type1, fsd16):
         assert w["counting_route"] == w["harmonic_route"]
 
 
+def test_cor_1_5_matches_the_subcode_walk_oracle(type1):
+    """C0 read off the slice of the code gives the report that building C0
+    by doubly_even_subcode and slicing it gave, key order included."""
+    rng = random.Random(15)
+    for _ in range(8):
+        c = oracles.permuted(type1, rng.sample(range(16), 16))
+        rep = verify_cor_1_5(c)
+        assert rep.passed
+        assert json.dumps(rep.to_dict()) == json.dumps(oracles.verify_cor_1_5(c).to_dict())
+
+
 def test_reports_are_deterministic(type1):
     assert verify_thm_1_2_type1(type1) == verify_thm_1_2_type1(type1)
     assert verify_cor_1_5(type1).to_dict() == verify_cor_1_5(type1).to_dict()
 
 
 @pytest.mark.parametrize("argv, walks", [
-    (["verify", "am", "-b", "type1_16", "--t", "1"], 2),
-    (["verify", "am", "-b", "e8", "--t", "3"], 2),
+    (["verify", "am", "-b", "type1_16", "--t", "1"], 1),
+    (["verify", "am", "-b", "e8", "--t", "3"], 1),
+    (["verify", "am", "-b", "fsd_16", "--t", "1"], 2),
     (["verify", "thm1.1", "-b", "type1_16"], 2),
     (["verify", "thm1.1", "-b", "fsd_16"], 5),
     (["verify", "thm1.2-1", "-b", "type1_16"], 1),
     (["verify", "thm1.2-1", "-b", "type1_16", "-d", "c6.json"], 1),
     (["verify", "thm1.2-2", "-b", "fsd_16"], 8),
-    (["verify", "thm1.4", "-d", "c6.json"], 2),
-    (["verify", "cor1.5", "-b", "type1_16"], 4),
+    (["verify", "thm1.4", "-d", "c6.json"], 1),
+    (["verify", "cor1.5", "-b", "type1_16"], 2),
     (["verify", "profile", "-b", "type1_16"], 1),
     (["code", "info", "-b", "type1_16"], 1),
     (["code", "info", "-b", "fsd_16"], 2),
-], ids=["am", "am-applicable", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1",
+], ids=["am", "am-applicable", "am-fsd", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1",
         "thm1.2-1-substitute", "thm1.2-2", "thm1.4", "cor1.5", "profile",
         "code-info-type1", "code-info-fsd"])
 def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
         monkeypatch, capsys, tmp_path, c6, argv, walks):
     """Codeword walks per command: each starts one Gray walk of
-    gf2core.iter_codewords. thm1.1's two routes read one slice per code, and
-    am reads d and d_dual off the weight distributions it computes. classify
-    walks any code of dimension n/2 that is not self-dual twice, for its
-    spectrum and its dual's, and an even formally self-dual code once for d;
-    so thm1.1's one walk beyond the slice of type1_16 is classify's d. code
-    info hands classify the spectrum it has computed, so classify walks only
-    the dual of a code that is not self-dual, and reads d off the spectrum.
-    thm1.2-1 reads the spectrum, C_6, C_10 and the strengths off one slice of
-    the code, with or without a substitute C_6. thm1.4 walks the code of the
-    design and its dual once each. cor1.5 slices the code, walks it again for
-    its doubly-even subcode C0, and slices C0 and C0's dual once each."""
+    gf2core.iter_codewords. A self-dual code is its own dual, so am and thm1.4
+    read d_dual off the code's own spectrum, and walk a dual only when it is
+    another code (fsd_16). thm1.1's two routes read one slice per code.
+    classify walks any code of dimension n/2 that is not self-dual twice, for
+    its spectrum and its dual's, and an even formally self-dual code once for
+    d; so thm1.1's one walk beyond the slice of type1_16 is classify's d.
+    code info hands classify the spectrum it has computed, so classify walks
+    only the dual of a code that is not self-dual, and reads d off the
+    spectrum. thm1.2-1 reads the spectrum, C_6, C_10 and the strengths off
+    one slice of the code, with or without a substitute C_6. thm1.4 walks
+    only the code of the design. cor1.5 reads C0's words, spectrum and
+    strengths off the slice of the code, and slices C0's dual. thm1.2-2
+    stays at 8: classify walks fsd_16 twice (its spectrum and d) and its
+    dual once, weight_distribution walks fsd_16 again, and support_design
+    walks each of the two codes at w = 6 and 10."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c6.json").write_text(oracles.format_design(c6) + "\n")
     real, count = gf2core.iter_codewords, [0]
