@@ -37,7 +37,10 @@ _COMMANDS = {
         "from-code": ("run_from_code", _CODE_IN + (("--w", _INT),)),
         "complement": ("run_complement", _DESIGN_IN),
         "intersections": ("run_intersections",
-                          _DESIGN + (("--block", {"type": int, "default": 0}),)),
+                          _DESIGN + (("--block", {
+                              "type": int, "default": 0,
+                              "help": "0-based index of the reference block in the design's "
+                                      "sorted block list, not in the file's order"}),)),
         "mendelsohn": ("run_mendelsohn", _FORMAT + (
             ("--t", _INT), ("--v", _INT), ("--k", _INT), ("--lam", _INT), ("--m", _INT),
             ("--allowed", {"required": True, "metavar": "I,J,...",

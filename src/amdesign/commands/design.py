@@ -21,11 +21,9 @@ def design_json(v: int, blocks):
 
 
 def run_check(args) -> int:
-    d = designs.read_design_file(args.design)
-    lam, violation = designs._t_design_check(d, args.t)
-    payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
-               "lambda": lam, "violation": None}
-    lines = [f"v={d.v} k={d.k} b={d.b}"]
+    v, k, b, lam, violation = designs._check_design_file(args.design, args.t)
+    payload = {"v": v, "k": k, "b": b, "t": args.t, "lambda": lam, "violation": None}
+    lines = [f"v={v} k={k} b={b}"]
     if lam is None:
         payload["violation"] = exact_json(violation)
         pts1, c1, pts2, c2 = violation

@@ -13,6 +13,10 @@ def run_gleason(args) -> int:
     if args.t < 0:
         raise PreconditionError("t must be nonnegative")
     if args.t == 0:
+        # Harm_0(n) is the constants, with the classical enumerator at index 0.
+        if args.index != 0:
+            raise PreconditionError(
+                f"index out of range: Harm_0({c.n}) has 1 basis functions")
         p = polyring.weight_enumerator_poly(weight_distribution(c), c.n)
     else:
         # A t with no Gleason basis is refused before --index is read.

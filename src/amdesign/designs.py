@@ -7,7 +7,7 @@ import json
 from math import comb, prod
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .gf2core import (BinaryCode, EnumerationGuardError, Record, SearchBudgetError,
                       code_from_rows, codewords_of_weight, support)
@@ -47,33 +47,17 @@ class Design(Record):
     __slots__ = ("v", "blocks")
 
     def __init__(self, v: int, blocks: Sequence[Sequence[int]]) -> None:
-        if not _is_int(v):
-            raise ValueError("point count must be an integer")
-        if v < 1:
-            raise ValueError("point count must be positive")
-        if not blocks:
-            raise ValueError("a design needs at least one block")
+        _check_design(v, blocks)
         norm = []
-        size = None
         for block in blocks:
             if _INT_ONLY.issuperset(map(type, block)):
                 b = tuple(sorted(block))
                 if type(block) is tuple and b == block:
                     b = block
             else:
-                # The slow path admits int subclasses other than bool, stored
-                # as plain ints so that design JSON prints them as numbers.
-                if not all(map(_is_int, block)):
-                    raise ValueError("block points must be integers")
+                # Int subclasses other than bool are stored as plain ints, so
+                # that design JSON prints them as numbers.
                 b = tuple(sorted(map(int, block)))
-            if len(set(b)) != len(b):
-                raise ValueError("block has a repeated point")
-            if size is None:
-                size = len(b)
-            elif len(b) != size:
-                raise ValueError("blocks must share one size")
-            if not b or b[0] < 1 or b[-1] > v:
-                raise ValueError("block point out of range")
             norm.append(b)
         norm.sort()
         self._set(int(v), tuple(norm))
@@ -92,6 +76,34 @@ _INT_ONLY = frozenset({int})
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_design(v, blocks: Sequence[Sequence[int]]) -> int:
+    """The block size of a design of these blocks on the points 1..v. The
+    first rule they break raises its ValueError: an integer point count, a
+    positive one, a block at all; then block by block, integer points, no
+    point twice, the first block's size and points in 1..v. The blocks are
+    read where they are, with no sorted copy."""
+    if not _is_int(v):
+        raise ValueError("point count must be an integer")
+    if v < 1:
+        raise ValueError("point count must be positive")
+    if not blocks:
+        raise ValueError("a design needs at least one block")
+    size = None
+    for block in blocks:
+        # The slow path admits int subclasses other than bool.
+        if not _INT_ONLY.issuperset(map(type, block)) and not all(map(_is_int, block)):
+            raise ValueError("block points must be integers")
+        if len(set(block)) != len(block):
+            raise ValueError("block has a repeated point")
+        if size is None:
+            size = len(block)
+        elif len(block) != size:
+            raise ValueError("blocks must share one size")
+        if not block or min(block) < 1 or max(block) > v:
+            raise ValueError("block point out of range")
+    return size
 
 
 def _block_mask(block: Sequence[int]) -> int:
@@ -132,19 +144,25 @@ def _t_design_check(
     """(lambda, violation) from one walk of the b-bit point masks (bit i for
     block i): exactly one of the two is None. C(v, t) above DESIGN_GUARD
     raises EnumerationGuardError before anything is allocated."""
-    if t < 0 or t > d.k:
+    return _blocks_check(d.v, d.k, d.b, d.blocks, t)
+
+
+def _blocks_check(v: int, k: int, b: int, blocks: Iterable[Sequence[int]], t: int) -> tuple:
+    """_t_design_check of b validated blocks of size k on the points 1..v.
+    The blocks are read once, after the guard has passed."""
+    if t < 0 or t > k:
         raise ValueError("t out of range")
     if t == 0:
-        return d.b, None
-    _walk_guard(d.v, t)
-    return _cover_walk(_incidence(d), t, (1 << d.b) - 1)
+        return b, None
+    _walk_guard(v, t)
+    return _cover_walk(_incidence(v, blocks), t, (1 << b) - 1)
 
 
-def _incidence(d: Design) -> list[int]:
-    """The b-bit point masks of d: bit i of [p] is set when block i holds
-    point p, 1 <= p <= v."""
-    incidence = [0] * (d.v + 1)
-    for i, block in enumerate(d.blocks):
+def _incidence(v: int, blocks: Iterable[Sequence[int]]) -> list[int]:
+    """The point masks of validated blocks on the points 1..v: bit i of [p]
+    is set when block i holds point p."""
+    incidence = [0] * (v + 1)
+    for i, block in enumerate(blocks):
         for p in block:
             incidence[p] |= 1 << i
     return incidence
@@ -410,24 +428,102 @@ def code_from_design(d: Design) -> BinaryCode:
     return code_from_rows((_block_mask(b) for b in d.blocks), d.v)
 
 
-def _json_blocks(obj) -> list:
-    """The block list of design JSON, once its shape is checked."""
+def _read_blocks(path: str | Path) -> tuple[object, list]:
+    """The point count and the block list of a design JSON file, once its
+    shape is checked; neither is validated. A block is a list, or bytes
+    when _scan_design reads the file."""
+    text = Path(path).read_text()
+    found = _scan_design(text)
+    if found is not None:
+        return found
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("design JSON nests too deeply") from None
     if not isinstance(obj, Mapping) or "v" not in obj or "blocks" not in obj:
         raise ValueError("design JSON needs 'v' and 'blocks'")
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("design JSON 'blocks' must be a list of lists")
-    return blocks
+    return obj["v"], blocks
+
+
+def _scan_design(text: str) -> tuple[object, list[bytes]] | None:
+    """(v, blocks) of design JSON read block by block with json's scanner,
+    each block kept as bytes: a quarter of the memory of the list that
+    json.loads makes of it, and json.loads would hold every list at once.
+    None, for json.loads to read the text and raise its errors, unless the
+    text is one JSON object with a 'v' and with 'blocks' a list of lists of
+    ints in 0..255; a repeated key keeps its last value, as in json.loads."""
+    ws, scan, members = json.decoder.WHITESPACE.match, json.JSONDecoder().scan_once, {}
+
+    def scan_blocks(text: str, i: int) -> tuple[list[bytes], int]:
+        # The blocks at text[i] and the index past them; ValueError unless
+        # they are a list of lists of ints in 0..255.
+        if text[i:i + 1] != "[":
+            raise ValueError
+        blocks, i = [], ws(text, i + 1).end()
+        while text[i:i + 1] != "]":
+            if blocks:
+                if text[i:i + 1] != ",":
+                    raise ValueError
+                i = ws(text, i + 1).end()
+            block, i = scan(text, i)
+            if type(block) is not list or not _INT_ONLY.issuperset(map(type, block)):
+                raise ValueError
+            blocks.append(bytes(block))
+            i = ws(text, i).end()
+        return blocks, i + 1
+
+    try:
+        i = ws(text).end()
+        if text[i:i + 1] != "{":
+            return None
+        i = ws(text, i + 1).end()
+        while True:
+            if text[i:i + 1] != '"':
+                return None
+            key, i = scan(text, i)
+            i = ws(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = ws(text, i + 1).end()
+            members[key], i = (scan_blocks if key == "blocks" else scan)(text, i)
+            i = ws(text, i).end()
+            if text[i:i + 1] != ",":
+                break
+            i = ws(text, i + 1).end()
+        if (text[i:i + 1] != "}" or ws(text, i + 1).end() != len(text)
+                or not members.keys() >= {"v", "blocks"}):
+            return None
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return members["v"], members["blocks"]
 
 
 def read_design_file(path: str | Path) -> Design:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except RecursionError:
-        raise ValueError("design JSON nests too deeply") from None
-    blocks = _json_blocks(obj)
-    # The parsed object is not shared: each block list becomes a tuple in
-    # place, which Design keeps when it is sorted, so no block is held twice.
+    v, blocks = _read_blocks(path)
+    # The block list is not shared: each block becomes a tuple in place,
+    # which Design keeps when it is sorted, so no block is held twice.
     for i, block in enumerate(blocks):
         blocks[i] = tuple(block)
-    return Design(obj["v"], blocks)
+    return Design(v, blocks)
+
+
+def _check_design_file(path: str | Path, t: int) -> tuple:
+    """(v, k, b, lambda, violation) of _t_design_check(read_design_file(path),
+    t), with the same errors in the same order, but with no Design, block
+    tuple or sorted block list: the blocks _read_blocks gives are validated
+    where they lie, then set into the point masks, each dropped once its
+    bits are set. The masks' bits follow the file's block order, and neither
+    lambda nor the violation depends on that order."""
+    v, blocks = _read_blocks(path)
+    k, b = _check_design(v, blocks), len(blocks)
+    return (v, k, b, *_blocks_check(v, k, b, _dropped(blocks), t))
+
+
+def _dropped(items: list) -> Iterator:
+    """The items of a list, each slot set to None once the next is asked for."""
+    for i, item in enumerate(items):
+        yield item
+        items[i] = None

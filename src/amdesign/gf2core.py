@@ -288,11 +288,13 @@ def _weight_leaves(c: BinaryCode) -> Iterator[tuple[tuple[int, ...], int, list, 
     word sum of the rows picked by the bits of i. The code is the chunk
     translated by each word of the span of the remaining rows; those offsets
     come from one Gray walk of 2^(k-m) words, and an offset complements the
-    columns where it has a 1. A ripple-carry adder over the n columns gives
-    the binary planes of every word's weight, and splitting the chunk by the
-    planes gives leaf w, the 2^m-bit set of chunk words of weight w.
+    columns where it has a 1. Leaf w is the 2^m-bit set of chunk words of
+    weight w (see _chunk_leaves).
 
-    Yields (head rows, offset, columns, leaves[0..n]) per chunk.
+    Yields (head rows, offset, columns, leaves[0..n]) per chunk. Both lists
+    are emptied when the next chunk is asked for, before it is built: a
+    consumer's loop variables still name them then, and would otherwise keep
+    two chunks alive.
     """
     _check_guard(c.dimension)
     head, tail = c.basis[:_SLICE_K], c.basis[_SLICE_K:]
@@ -305,25 +307,39 @@ def _weight_leaves(c: BinaryCode) -> Iterator[tuple[tuple[int, ...], int, list, 
             base[j - 1] ^= pattern
     for offset in iter_codewords(BinaryCode(c.n, tail)):
         columns = [col ^ full if (offset >> j) & 1 else col for j, col in enumerate(base)]
-        planes: list[int] = []
-        for carry in columns:
-            for i, plane in enumerate(planes):
-                planes[i] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                if carry:
-                    planes.append(carry)
-        # Split by the planes, highest first.
-        leaves = [full]
-        for plane in reversed(planes):
-            split = []
-            for leaf in leaves:
-                high = leaf & plane
-                split += (leaf ^ high, high)
-            leaves = split
-        yield head, offset, columns, (leaves + [0] * c.n)[:c.n + 1]
+        leaves = _chunk_leaves(columns, full)
+        yield head, offset, columns, leaves
+        columns.clear()
+        leaves.clear()
+
+
+def _chunk_leaves(columns: list[int], full: int) -> list[int]:
+    """Leaves 0..n of a chunk of n columns, the words of the chunk being the
+    bits of full: a ripple-carry adder over the columns gives the binary
+    planes of every word's weight, and splitting the chunk by the planes
+    gives leaf w, the words of weight w."""
+    planes: list[int] = []
+    for carry in columns:
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    # Split by the planes, highest first, each plane and leaf dropped once used.
+    leaves = [full]
+    while planes:
+        plane = planes.pop()
+        split = []
+        while leaves:
+            leaf = leaves.pop()
+            high = leaf & plane
+            split += (high, leaf ^ high)
+        split.reverse()
+        leaves = split
+    return (leaves + [0] * len(columns))[:len(columns) + 1]
 
 
 def _leaf_words(head: tuple[int, ...], offset: int, leaf: int) -> Iterator[int]:

@@ -207,7 +207,7 @@ def delsarte_design_check(d: designs.Design, t: int) -> bool:
     block i, so repeated blocks keep their multiplicity)."""
     if t < 0 or t > d.k:
         raise ValueError("t out of range")
-    incidence, every_block = designs._incidence(d), [(1 << d.b) - 1]
+    incidence, every_block = designs._incidence(d.v, d.blocks), [(1 << d.b) - 1]
     for k in range(1, t + 1):
         if any(s for (s,) in _fold_sums(incidence, every_block, harm_basis(d.v, k))):
             return False

@@ -46,6 +46,15 @@ is_relatively_invariant is the invariance test of the Gleason basis:
 2^(-deg/2) p(x+y, x-y) = (-1)^t p and p(x, -y) = (-1)^t p, the second read
 off the coefficients, since p(x, -y) negates each odd power of y.
 
+read_design_file is the reader that parsed the whole file with json.loads,
+one list per block; amdesign.designs scans the file block by block into
+bytes, and hands the text to json.loads only when the scan refuses it.
+run_check is `design check` as it read the file into a Design and walked
+the sorted blocks with _t_design_check, its blocks validated by
+design_blocks; amdesign.designs checks the scanned blocks where they lie
+and sets them into the point masks in file order instead, and must print
+the same stdout and stderr with the same exit code.
+
 design_to_json is the design as a JSON object for json.dumps, whose C
 encoder keeps one string chunk per number and separator; format_design
 joins one string per block into the same text, which `design from-code` and
@@ -76,16 +85,19 @@ extended_qr is the extended quadratic-residue code of a prime p = +-1
 code's coordinates.
 """
 
+import json
 import random
 from collections import Counter
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 from amdesign import designs, gf2core, ratlin, verify
 from amdesign.catalog import SearchBudgetError, SearchConfig
+from amdesign.commands.common import print_payload
 from amdesign.gf2core import (
-    WeightDistribution, code_from_rows, dual, is_doubly_even, is_even, iter_codewords,
-    mallows_sloane, support)
+    WeightDistribution, code_from_rows, dual, exact_json, is_doubly_even, is_even,
+    iter_codewords, mallows_sloane, support)
 from amdesign.designs import lambda_i
 from amdesign.harmonic import bachoc_transform, harm_basis
 from amdesign.polyring import HomPoly, SpanError, gleason_basis
@@ -228,6 +240,36 @@ def design_blocks(v, blocks):
         norm.append(b)
     norm.sort()
     return v, tuple(norm)
+
+
+def read_design_file(path):
+    try:
+        obj = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("design JSON nests too deeply") from None
+    if not isinstance(obj, dict) or "v" not in obj or "blocks" not in obj:
+        raise ValueError("design JSON needs 'v' and 'blocks'")
+    blocks = obj["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ValueError("design JSON 'blocks' must be a list of lists")
+    return design_blocks(obj["v"], blocks)
+
+
+def run_check(args):
+    d = designs.Design(*read_design_file(args.design))
+    lam, violation = designs._t_design_check(d, args.t)
+    payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
+               "lambda": lam, "violation": None}
+    lines = [f"v={d.v} k={d.k} b={d.b}"]
+    if lam is None:
+        payload["violation"] = exact_json(violation)
+        pts1, c1, pts2, c2 = violation
+        lines.append(f"not a {args.t}-design: {pts1} covered {c1} times, "
+                     f"{pts2} covered {c2} times")
+    else:
+        lines.append(f"{args.t}-design with lambda = {lam}")
+    print_payload(args, payload, lines)
+    return 0 if lam is not None else 1
 
 
 def design_to_json(d):

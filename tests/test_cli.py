@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -500,6 +501,16 @@ def test_poly_gleason_refuses_a_negative_t(capsys):
     assert capsys.readouterr() == ("", "error: t must be nonnegative\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("index", ["99", "-1"])
+def test_poly_gleason_refuses_an_index_past_the_classical_enumerator(capsys, fmt, index):
+    # At t = 0 the one basis function is the constant, as for harmonic wenum --k 0.
+    for argv in (["poly", "gleason", "--t", "0"], ["harmonic", "wenum", "--k", "0"]):
+        assert run([*argv, "-b", "type1_16", "--index", index, "--format", fmt]) == 2
+        assert capsys.readouterr() == (
+            "", "error: index out of range: Harm_0(16) has 1 basis functions\n")
+
+
 @pytest.mark.parametrize("t", [3, 5])
 def test_poly_gleason_refuses_a_t_with_no_basis(capsys, t):
     # Refused before --index is read: Harm_5(8) has no function to index.
@@ -717,6 +728,93 @@ def test_malformed_design_files_keep_the_exit_code_contract(capsys, tmp_path, co
         assert json.loads(out)["v"] == json.loads(path.read_text())["v"]
 
 
+@st.composite
+def _shuffled_designs(draw):
+    """A valid design object with its blocks, and the points of each, in any
+    order and some blocks repeated; for half of them, one point of one block
+    swapped for any point of 1..v, a repeated one included."""
+    v = draw(st.integers(2, 8))
+    k = draw(st.integers(1, v))
+    subsets = list(combinations(range(1, v + 1), k))
+    if draw(st.booleans()):
+        # Every k-subset, once or twice: a t-design for every t <= k.
+        blocks = subsets * draw(st.integers(1, 2))
+    else:
+        blocks = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=10))
+    blocks = [list(draw(st.permutations(block))) for block in draw(st.permutations(blocks))]
+    if draw(st.booleans()):
+        draw(st.sampled_from(blocks))[draw(st.integers(0, k - 1))] = draw(st.integers(1, v))
+    return {"v": v, "blocks": blocks}
+
+
+def _check_matches_the_oracle(monkeypatch, capsys, path):
+    import amdesign.commands.design as group
+
+    for t in range(4):
+        for fmt in ("text", "json"):
+            argv = ["design", "check", "-d", str(path), "--t", str(t), "--format", fmt]
+            got = (run(argv), *capsys.readouterr())
+            with monkeypatch.context() as patch:
+                patch.setattr(group, "run_check", oracles.run_check)
+                assert got == (run(argv), *capsys.readouterr()), argv
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.one_of(_DESIGN_FILES, _shuffled_designs().map(json.dumps)))
+@example(body=json.dumps({"v": 4, "blocks": [[2, 1], [4, 3], [1, 2], [3, 3]]}))
+@example(body=json.dumps({"v": 4, "blocks": [[4, 3], [2, 1], [3, 1], [4, 2], [1, 4], [3, 2],
+                                             [2, 4], [4, 1], [1, 3], [2, 3], [1, 2], [3, 4]]}))
+def test_design_check_prints_what_the_design_oracle_prints(monkeypatch, capsys, tmp_path,
+                                                           body):
+    path = tmp_path / "design.json"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
+    _check_matches_the_oracle(monkeypatch, capsys, path)
+
+
+@pytest.mark.parametrize("body", [
+    '{"blocks": [[2, 1], [1, 3], [3, 2]], "v": 3}',            # 'blocks' first
+    '{"v": 9, "blocks": [[1, 2], [2, 3], [1, 3]], "v": 3}',     # a repeated key: the last wins
+    ' \n{ "v" :3 ,"blocks":[ [ 1 ,2 ],[2,3\t],\r\n[3, 1] ] }\n',  # JSON whitespace
+    '{"v": 3, "blocks": [], "x": [[[1]]]}',                     # no block
+    '{"v": 300, "blocks": [[1, 300], [2, 300]]}',              # a point past 255
+    '{"v": 3, "blocks": [[1, true], [2, 3]]}',                 # a bool point
+    '{"v": 3, "blocks": [[1, 2.0], [2, 3]]}',                  # a float point
+    '{"v": 3, "blocks": [[1, 2], [1, [2]]]}',                  # a nested list
+    '{"v": 3, "blocks": [[1, 2], 3]}',                         # a block that is not a list
+    '{"v": 3, "blocks": {"0": [1, 2]}}',                       # blocks that are not a list
+    '{"v": 3, "blocks": 0[1, 2]]}',                            # no opening bracket
+    '{"v": 3, "blocks": [[1, 2]]} []',                         # extra data
+    '{"v": 3, "blocks": [[1, 2], ]}',                          # a trailing comma
+    '{"v": 3, "blocks": [[1, 2]], }',                          # a trailing comma
+    '{}',                                                      # no key
+    '{"v": 3, "blocks": [[1, 2]]',                             # cut off
+    '\ufeff{"v": 3, "blocks": [[1, 2]]}',                      # a byte order mark
+    '{"v": 3}',                                                # no blocks
+    '[3, [[1, 2]]]',                                           # not an object
+    '{"v": 3, "blocks": [[1, 2]], "x": ' + "[" * 100_000 + "}",  # nested too deep
+])
+def test_design_check_reads_any_text_as_json_loads_does(monkeypatch, capsys, tmp_path, body):
+    path = tmp_path / "design.json"
+    path.write_text(body)
+    _check_matches_the_oracle(monkeypatch, capsys, path)
+
+
+def test_design_check_builds_no_design(monkeypatch, capsys, tmp_path, golay):
+    path = tmp_path / "c12.json"
+    path.write_text(format_design(support_design(golay, 12)) + "\n")
+
+    def refused(*args):
+        raise AssertionError("design check built a Design")
+
+    monkeypatch.setattr(Design, "__init__", refused)
+    assert run(["design", "check", "-d", str(path), "--t", "5"]) == 0
+    assert capsys.readouterr() == ("v=24 k=12 b=2576\n5-design with lambda = 48\n", "")
+
+
 @pytest.mark.parametrize("command", [["check", "--t", "1"], ["complement"]])
 @pytest.mark.parametrize("point", [1, 10**10])
 def test_a_huge_point_count_exits_3_before_allocating(capsys, tmp_path, command, point):
@@ -725,6 +823,10 @@ def test_a_huge_point_count_exits_3_before_allocating(capsys, tmp_path, command,
     assert run(["design", command[0], "-d", str(path), *command[1:]]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("resource guard: ")
+    # Every block is checked before the guard: a bad later block is an input error.
+    path.write_text(json.dumps({"v": 10**10, "blocks": [[point], [True]]}))
+    assert run(["design", command[0], "-d", str(path), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: block points must be integers\n")
 
 
 def test_verify_profile_text_and_json(capsys):

@@ -166,7 +166,8 @@ def test_a_design_holds_its_blocks_once(tmp_path, golay):
     assert peak < 600 << 10 and retained <= 400 << 10
     path = tmp_path / "c12.json"
     path.write_text(format_design(support_design(golay, 12)) + "\n")
-    # The parsed lists peak at about 600 KiB; lists and tuples together at 870.
+    # Scanned as bytes, then made tuples, the blocks peak at about 410 KiB;
+    # json.loads' lists alone took 600, lists and tuples together 870.
     peak, _ = _traced(f"read_design_file({str(path)!r})", golay)
     assert peak < 700 << 10
 
@@ -187,26 +188,40 @@ def test_the_design_encoder_is_the_json_encoding(d):
     assert format_design(d) == json.dumps(oracles.design_to_json(d))
 
 
-def test_design_from_code_streams_its_blocks(tmp_path, golay):
-    """design from-code --w 12 on the Golay code, traced in a new interpreter
-    once the CLI and the design commands are compiled: it holds the 2576
-    words and one block at a time, not the Design's 2576 tuples (about 360
-    KiB) nor the 117 KB text."""
-    path = tmp_path / "golay.gm"
-    path.write_text(format_generator(golay))
+def _traced_command(argv):
+    """(exit code, tracemalloc peak) of amdesign.cli.run(argv) in a new
+    interpreter, once the CLI and the design commands are compiled."""
     script = ("import os, sys, tracemalloc\n"
-              "import amdesign.cli, amdesign.commands.design\n"
-              "amdesign.commands.design.run_from_code\n"
+              "import amdesign.cli, amdesign.commands.design, amdesign.designs\n"
+              "amdesign.commands.design.run_check, amdesign.designs.Design\n"
               "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
               "tracemalloc.start()\n"
               "rc = amdesign.cli.run(sys.argv[1:])\n"
               "current, peak = tracemalloc.get_traced_memory()\n"
               "print(rc, peak, file=out)\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", script, "design", "from-code", "-g", str(path),
-                          "--w", "12"], env=dict(os.environ, PYTHONPATH=str(src)),
+    out = subprocess.run([sys.executable, "-c", script, *argv],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
-    rc, peak = map(int, out.split())
+    return tuple(map(int, out.split()))
+
+
+def test_design_from_code_streams_its_blocks(tmp_path, golay):
+    """design from-code --w 12 on the Golay code holds the 2576 words and one
+    block at a time, not the Design's 2576 tuples (about 360 KiB) nor the
+    117 KB text."""
+    path = tmp_path / "golay.gm"
+    path.write_text(format_generator(golay))
+    rc, peak = _traced_command(["design", "from-code", "-g", str(path), "--w", "12"])
+    assert rc == 0 and peak < 400 << 10
+
+
+def test_design_check_streams_its_blocks(tmp_path, golay):
+    """design check --t 5 on Golay C_12 holds the 117 KB text and each block
+    as 12 bytes, not json.loads' 2576 lists (about 480 KiB)."""
+    path = tmp_path / "c12.json"
+    path.write_text(format_design(support_design(golay, 12)) + "\n")
+    rc, peak = _traced_command(["design", "check", "-d", str(path), "--t", "5"])
     assert rc == 0 and peak < 400 << 10
 
 

@@ -85,6 +85,8 @@ COMMANDS = [
     ["code", "info", "--builtin=e8"],
     ["design", "check", "-d", "c6.json", "--t", "2"],
     ["design", "check", "-d", "mutant.json", "--t", "2"],
+    ["design", "check", "-d", "unsorted.json", "--t", "0"],
+    ["design", "check", "-d", "unsorted.json", "--t", "2"],
     ["design", "from-code", "-g", "e8.gm", "--w", "4"],
     ["design", "complement", "-d", "c6.json"],
     ["design", "intersections", "-d", "c6.json"],
@@ -185,6 +187,9 @@ def reach(tmp_path_factory, c6):
     (root / "c6.json").write_text(format_design(c6) + "\n")
     # pair {1, 2} is covered once, pair {1, 4} never
     (root / "mutant.json").write_text(format_design(Design(4, ((1, 2), (1, 3)))) + "\n")
+    # Blocks out of order, with points out of order and one block twice.
+    (root / "unsorted.json").write_text(
+        json.dumps({"v": 4, "blocks": [[3, 4], [2, 1], [4, 2], [1, 3], [3, 4]]}) + "\n")
     argvs = [variant for argv in COMMANDS
              for variant in ([argv, argv + ["--format", "json"]]
                              if _takes_format(argv) else [argv])]

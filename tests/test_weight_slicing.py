@@ -2,8 +2,12 @@
 weight count, the words of one weight, the doubly-even subcode and the
 harmonic weight enumerators."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -202,3 +206,23 @@ def test_one_walk_of_the_offsets_per_call(monkeypatch, consumer, k):
     CONSUMERS[consumer](random_code(k, 40, k, even=consumer == "doubly_even_subcode"))
     assert len(walks) == 1
     assert len(words) == 1 << max(0, k - 16)
+
+
+def test_weight_distribution_builds_one_chunk_at_a_time():
+    """weight_distribution of a [40,20] code, traced in a new interpreter:
+    each of its 16 chunks (40 columns and 41 leaves of 2^16 bits, about 8
+    KiB each) is freed before the next is built. Two chunks alive at once
+    peaked at 1149 KiB."""
+    script = ("import sys, tracemalloc\n"
+              "from amdesign.gf2core import code_from_rows, weight_distribution\n"
+              "c = code_from_rows(map(int, sys.argv[1:]), 40)\n"
+              "tracemalloc.start()\n"
+              "weight_distribution(c)\n"
+              "print(tracemalloc.get_traced_memory()[1])\n")
+    c = random_code(40, 40, 20)
+    assert c.dimension == 20
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script, *map(str, c.basis)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 850 << 10
