@@ -13,6 +13,7 @@ from .gf2core import (
     BinaryCode,
     Record,
     SearchBudgetError,
+    WeightDistribution,
     _check_guard,
     code_from_rows,
     code_from_strings,
@@ -114,8 +115,8 @@ def _orthonormal_rows(rng: random.Random, m: int) -> list[int] | None:
     return rows
 
 
-def search_type_i_16(cfg: SearchConfig = SearchConfig()) -> BinaryCode:
-    """Randomized search for a near-extremal Type I [16,8,4] code.
+def search_type_i_16(cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, WeightDistribution]:
+    """Randomized search for a near-extremal Type I [16,8,4] code: the hit and its spectrum.
 
     Candidates are generator matrices [I | A] with A having orthonormal rows
     over GF(2), which forces self-duality; candidates are filtered for minimum
@@ -133,15 +134,16 @@ def search_type_i_16(cfg: SearchConfig = SearchConfig()) -> BinaryCode:
             continue
         if all(w % 4 == 0 for w in wd.counts):
             continue
-        return c
+        return c, wd
     raise SearchBudgetError(
         f"no Type I [16,8,4] code found in {cfg.max_iterations} iterations"
     )
 
 
-def search_even_fsd(n: int, d: int, cfg: SearchConfig = SearchConfig()) -> BinaryCode:
+def search_even_fsd(n: int, d: int,
+                    cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, WeightDistribution]:
     """Randomized search for an even formally self-dual [n, n/2, d] code that
-    is not self-dual.
+    is not self-dual: the hit and its spectrum.
 
     Candidates are systematic generator matrices [I | A] whose rows are
     repaired to even weight; each survivor's spectrum is compared exactly with
@@ -179,7 +181,7 @@ def search_even_fsd(n: int, d: int, cfg: SearchConfig = SearchConfig()) -> Binar
             continue
         if wd != weight_distribution(cd):
             continue
-        return c
+        return c, wd
     raise SearchBudgetError(
         f"no even formally self-dual [{n},{half},{d}] code found in "
         f"{cfg.max_iterations} iterations"

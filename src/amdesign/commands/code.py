@@ -17,7 +17,7 @@ def run_info(args) -> int:
         "size": c.size,
         "minimum_distance": dist,
         "class": cls.fields(),
-        "weight_distribution": {str(w): a for w, a in sorted(wd.counts.items())},
+        "weight_distribution": {str(w): a for w, a in wd.counts.items()},
     }
     flags = [name for name, value in cls.fields().items() if value is True]
     print_payload(args, payload, [
@@ -26,7 +26,7 @@ def run_info(args) -> int:
         f"size: {c.size}",
         f"minimum distance: {dist}",
         f"class: {', '.join(flags) or 'none'}; extremality: {cls.extremality}",
-        "weights: " + " ".join(f"{w}:{a}" for w, a in sorted(wd.counts.items())),
+        "weights: " + " ".join(f"{w}:{a}" for w, a in wd.counts.items()),
     ])
     return 0
 
@@ -38,9 +38,9 @@ def run_dual(args) -> int:
 
 def run_weights(args) -> int:
     wd = weight_distribution(read_code(args))
-    payload = {"weight_distribution": {str(w): a for w, a in sorted(wd.counts.items())}}
+    payload = {"weight_distribution": {str(w): a for w, a in wd.counts.items()}}
     print_payload(args, payload,
-                  [f"{w} {a}" for w, a in sorted(wd.counts.items())])
+                  [f"{w} {a}" for w, a in wd.counts.items()])
     return 0
 
 

@@ -39,25 +39,22 @@ class Design(Record):
     """A multiset of equal-size blocks on the point set {1..v}.
 
     Blocks are stored sorted (each block internally and the block list), so
-    equality is multiset equality. A block given as a sorted tuple of plain
-    ints is stored as it is, so a design built from such tuples holds each
-    block once.
+    equality is multiset equality. When every point is a plain int, a block
+    given as a sorted tuple is stored as it is, so a design built from such
+    tuples holds each block once.
     """
 
     __slots__ = ("v", "blocks")
 
     def __init__(self, v: int, blocks: Sequence[Sequence[int]]) -> None:
-        _check_design(v, blocks)
+        plain = _check_design(v, blocks)[1]
         norm = []
         for block in blocks:
-            if _INT_ONLY.issuperset(map(type, block)):
-                b = tuple(sorted(block))
-                if type(block) is tuple and b == block:
-                    b = block
-            else:
-                # Int subclasses other than bool are stored as plain ints, so
-                # that design JSON prints them as numbers.
-                b = tuple(sorted(map(int, block)))
+            # Int subclasses other than bool are stored as plain ints, so
+            # that design JSON prints them as numbers.
+            b = tuple(sorted(block if plain else map(int, block)))
+            if plain and type(block) is tuple and b == block:
+                b = block
             norm.append(b)
         norm.sort()
         self._set(int(v), tuple(norm))
@@ -78,11 +75,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_design(v, blocks: Sequence[Sequence[int]]) -> int:
-    """The block size of a design of these blocks on the points 1..v. The
-    first rule they break raises its ValueError: an integer point count, a
-    positive one, a block at all; then block by block, integer points, no
-    point twice, the first block's size and points in 1..v. The blocks are
+def _check_design(v, blocks: Sequence[Sequence[int]]) -> tuple[int, bool]:
+    """The block size of a design of these blocks on the points 1..v, and whether
+    every point is a plain int. The first rule they break raises its ValueError: an
+    integer point count, a positive one, a block at all; then block by block, integer
+    points, no point twice, the first block's size and points in 1..v. The blocks are
     read where they are, with no sorted copy."""
     if not _is_int(v):
         raise ValueError("point count must be an integer")
@@ -90,11 +87,13 @@ def _check_design(v, blocks: Sequence[Sequence[int]]) -> int:
         raise ValueError("point count must be positive")
     if not blocks:
         raise ValueError("a design needs at least one block")
-    size = None
+    size, plain = None, True
     for block in blocks:
         # The slow path admits int subclasses other than bool.
-        if not _INT_ONLY.issuperset(map(type, block)) and not all(map(_is_int, block)):
-            raise ValueError("block points must be integers")
+        if not _INT_ONLY.issuperset(map(type, block)):
+            if not all(map(_is_int, block)):
+                raise ValueError("block points must be integers")
+            plain = False
         if len(set(block)) != len(block):
             raise ValueError("block has a repeated point")
         if size is None:
@@ -103,7 +102,7 @@ def _check_design(v, blocks: Sequence[Sequence[int]]) -> int:
             raise ValueError("blocks must share one size")
         if not block or min(block) < 1 or max(block) > v:
             raise ValueError("block point out of range")
-    return size
+    return size, plain
 
 
 def _block_mask(block: Sequence[int]) -> int:
@@ -285,12 +284,12 @@ def intersection_profile(d: Design, block_index: int) -> IntersectionProfile:
     if not 0 <= block_index < d.b:
         raise ValueError("block index out of range")
     ref = d.blocks[block_index]
-    ref_mask = _block_mask(ref)
+    points = set(ref)
     counts = [0] * (d.k + 1)
     for other in d.blocks:
         if other == ref:
             continue
-        counts[(_block_mask(other) & ref_mask).bit_count()] += 1
+        counts[len(points.intersection(other))] += 1
     return IntersectionProfile(d.k, tuple(counts))
 
 
@@ -518,7 +517,7 @@ def _check_design_file(path: str | Path, t: int) -> tuple:
     bits are set. The masks' bits follow the file's block order, and neither
     lambda nor the violation depends on that order."""
     v, blocks = _read_blocks(path)
-    k, b = _check_design(v, blocks), len(blocks)
+    k, b = _check_design(v, blocks)[0], len(blocks)
     return (v, k, b, *_blocks_check(v, k, b, _dropped(blocks), t))
 
 

@@ -243,7 +243,7 @@ def iter_codewords(c: BinaryCode) -> Iterator[int]:
 
 
 class WeightDistribution(Record):
-    """Exact codeword counts by Hamming weight; zero counts are dropped."""
+    """Exact codeword counts by Hamming weight, weights ascending; zero counts dropped."""
 
     __slots__ = ("counts",)
 

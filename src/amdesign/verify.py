@@ -173,7 +173,7 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     dual_code = dual(c)
     dual_wd = wd if dual_code == c else weight_distribution(dual_code)
     d_dual = dual_wd.min_nonzero()
-    small = [w for w in sorted(wd.counts) if 0 < w <= c.n - t]
+    small = [w for w in wd.counts if 0 < w <= c.n - t]
     applicable = len(small) <= d_dual - t
     witnesses = {
         "t": t,
@@ -188,10 +188,10 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     }
     if applicable:
         witnesses["promised_code_weights"] = [
-            u for u in sorted(wd.counts) if d <= u <= c.n - t
+            u for u in wd.counts if d <= u <= c.n - t
         ]
         witnesses["promised_dual_weights"] = [
-            w for w in sorted(dual_wd.counts) if d_dual <= w <= c.n
+            w for w in dual_wd.counts if d_dual <= w <= c.n
         ]
     return report("am", applicable, witnesses)
 

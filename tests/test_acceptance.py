@@ -48,9 +48,10 @@ def _line(num: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_01_type1_search_pipeline():
     started = time.perf_counter()
-    c = search_type_i_16(SearchConfig(seed=0, max_iterations=10**6))
+    c, spectrum = search_type_i_16(SearchConfig(seed=0, max_iterations=10**6))
     elapsed = time.perf_counter() - started
-    wd = weight_distribution(c).counts
+    assert spectrum == weight_distribution(c)
+    wd = spectrum.counts
     c6 = support_design(c, 6)
     lam0 = lambda_i(2, 16, 6, 8, 0)
     ok = elapsed < 60 and wd == TYPE1_WD and c6.b == 64 == lam0

@@ -70,8 +70,9 @@ def test_direct_sum_properties():
 
 
 def test_search_type1_16():
-    c = search_type_i_16()
-    assert weight_distribution(c).counts == TYPE1_WD
+    c, wd = search_type_i_16()
+    assert wd == weight_distribution(c)
+    assert wd.counts == TYPE1_WD
     cls = classify(c)
     assert cls.type_one and cls.self_dual and not cls.doubly_even
     assert minimum_distance(c) == 4
@@ -79,13 +80,15 @@ def test_search_type1_16():
 
 def test_search_seeds_share_the_spectrum():
     for seed in (1, 2):
-        c = search_type_i_16(SearchConfig(seed=seed))
-        assert weight_distribution(c).counts == TYPE1_WD
+        c, wd = search_type_i_16(SearchConfig(seed=seed))
+        assert wd == weight_distribution(c)
+        assert wd.counts == TYPE1_WD
 
 
 def test_search_determinism():
-    assert search_type_i_16(SearchConfig(seed=5)) == \
-        search_type_i_16(SearchConfig(seed=5))
+    c, wd = search_type_i_16(SearchConfig(seed=5))
+    assert wd == weight_distribution(c)
+    assert search_type_i_16(SearchConfig(seed=5)) == (c, wd)
 
 
 def test_search_budget_error():
@@ -94,7 +97,8 @@ def test_search_budget_error():
 
 
 def test_search_fsd_16():
-    c = search_even_fsd(16, 4)
+    c, wd = search_even_fsd(16, 4)
+    assert wd == weight_distribution(c)
     cls = classify(c)
     assert cls.even and cls.formally_self_dual and not cls.self_dual
     assert c != dual(c)
@@ -104,7 +108,8 @@ def test_search_fsd_16():
 
 
 def test_search_fsd_small():
-    c = search_even_fsd(8, 2)
+    c, wd = search_even_fsd(8, 2)
+    assert wd == weight_distribution(c)
     assert c.n == 8 and c.dimension == 4
     assert weight_distribution(c) == weight_distribution(dual(c))
     with pytest.raises(ValueError):
@@ -115,7 +120,8 @@ def test_search_many_seeds_succeed_quickly():
     hits = 0
     for seed in range(100):
         try:
-            search_even_fsd(16, 4, SearchConfig(seed=seed, max_iterations=50_000))
+            c, wd = search_even_fsd(16, 4, SearchConfig(seed=seed, max_iterations=50_000))
+            assert wd == weight_distribution(c)
             hits += 1
         except SearchBudgetError:
             pass
@@ -137,8 +143,11 @@ def _search_outcome(search, n, d, cfg):
 )
 def test_search_even_fsd_matches_the_full_search(seed, nd, budget):
     cfg = SearchConfig(seed=seed, max_iterations=budget)
-    assert _search_outcome(search_even_fsd, *nd, cfg) == \
-        _search_outcome(oracles.search_even_fsd, *nd, cfg)
+    found = _search_outcome(search_even_fsd, *nd, cfg)
+    if isinstance(found, tuple):
+        found, wd = found
+        assert wd == weight_distribution(found)
+    assert found == _search_outcome(oracles.search_even_fsd, *nd, cfg)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -162,10 +171,11 @@ def test_search_fsd_counts_only_spectra_of_codes_with_all_ones(monkeypatch):
         return weight_distribution(c)
 
     monkeypatch.setattr(amdesign.catalog, "weight_distribution", counted)
-    c = search_even_fsd(16, 4)
+    c, wd = search_even_fsd(16, 4)
     # The full search counts 75 spectra for seed 0; its first candidate with
     # the all-ones word is the hit, so only it and its dual are counted.
     assert seen == [c, dual(c)]
+    assert wd == weight_distribution(c)
     assert c == oracles.search_even_fsd(16, 4)
 
 
@@ -197,6 +207,8 @@ def test_pinned_codes_are_their_recorded_searches():
     for name in searched:
         prov = index[name]["provenance"]
         cfg = SearchConfig(seed=prov["seed"])
-        assert _SEARCHES[prov["target"]](prov, cfg) == load_code(name), name
+        c, wd = _SEARCHES[prov["target"]](prov, cfg)
+        assert c == load_code(name), name
+        assert wd == weight_distribution(c), name
     assert pinned_type_i_16() == load_code("type1_16")
     assert pinned_even_fsd_16() == load_code("fsd_16")

@@ -6,6 +6,7 @@ are kept small so that the existing guards, not timeouts, bound the work."""
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdesign.cli import run
@@ -138,3 +139,17 @@ def test_code_arguments_keep_the_exit_code_contract(capsys, code, command, fmt):
 @given(alpha_max=st.integers(-3, 64) | st.integers(ALPHA_MAX_GUARD + 1, 10**9), fmt=_FORMAT)
 def test_lemma41_arguments_keep_the_exit_code_contract(capsys, alpha_max, fmt):
     _run(capsys, ["poly", "lemma4.1", "--alpha-max", str(alpha_max)], fmt)
+
+
+# The design commands that read a file, each with its exit code on a point
+# count far beyond any mask or guard: nothing of size v may be built.
+@pytest.mark.parametrize("command, fmt, code", [
+    (["check", "--t", "1"], "text", 3), (["check", "--t", "1"], "json", 3),
+    (["complement"], None, 3),
+    (["intersections"], "text", 0), (["intersections"], "json", 0),
+])
+def test_design_files_with_a_huge_point_count_keep_the_exit_code_contract(
+        capsys, tmp_path, command, fmt, code):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"v": 10**20, "blocks": [[1], [10**20]]}))
+    assert _run(capsys, ["design", command[0], "-d", str(path), *command[1:]], fmt) == code

@@ -1,5 +1,6 @@
 """Bitset code arithmetic: construction, duals, weights, classification."""
 
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from amdesign.gf2core import (
     NOT_APPLICABLE,
     BinaryCode,
     EnumerationGuardError,
+    WeightDistribution,
     classify,
     code_from_rows,
     code_from_strings,
@@ -151,6 +153,17 @@ def test_weight_distribution_methods(type1):
     assert wd.min_nonzero() == 4
     with pytest.raises(ValueError):
         weight_distribution(BinaryCode(4)).min_nonzero()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(st.integers(0, 64), st.integers(0, 2**70))
+       .flatmap(lambda d: st.permutations(list(d.items()))))
+def test_weight_distribution_stores_ascending_weights_without_zeros(items):
+    # The spectrum readers iterate counts as stored, with no sort of their own.
+    expected = [(w, a) for w, a in sorted(items) if a]
+    wd = WeightDistribution(dict(items))
+    assert list(wd.counts.items()) == expected
+    assert list(pickle.loads(pickle.dumps(wd)).counts.items()) == expected
 
 
 def test_minimum_distance(type1):

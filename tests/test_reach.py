@@ -65,10 +65,6 @@ EXCEPTIONS = {
                       "(ROADMAP item 2)"),
     "verify thm1.2-2": ("bench/test_bench.py pins its 8 walks, which reading the joined "
                         "slice would lower (ROADMAP items 1a and 5)"),
-    "search type1-16": ("catalog.search_type_i_16 returns only the code, so the payload "
-                        "counts the hit's spectrum again (ROADMAP item 9)"),
-    "search fsd": ("catalog.search_even_fsd returns only the code, so the payload "
-                   "counts the hit's spectrum again (ROADMAP item 9)"),
 }
 
 # Each line runs as given and, where the subcommand takes --format, again
@@ -101,7 +97,9 @@ COMMANDS = [
     ["poly", "gleason", "-g", "open.gm"],
     ["poly", "lemma4.1", "--alpha-max", "8"],
     ["search", "type1-16"],
+    ["search", "type1-16", "--seed", "3"],
     ["search", "fsd"],
+    ["search", "fsd", "--seed", "7"],
     ["verify", "am", "-g", "e8.gm", "--t", "1"],
     ["verify", "thm1.1", "-b", "type1_16"],
     ["verify", "thm1.1", "-b", "fsd_16"],

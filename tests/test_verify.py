@@ -308,9 +308,14 @@ def test_reports_are_deterministic(type1):
     (["verify", "profile", "-b", "type1_16"], 1),
     (["code", "info", "-b", "type1_16"], 1),
     (["code", "info", "-b", "fsd_16"], 2),
+    (["search", "fsd"], 2),
+    (["search", "fsd", "--seed", "7"], 10),
+    (["search", "type1-16"], 1),
+    (["search", "type1-16", "--seed", "3"], 2),
 ], ids=["am", "am-applicable", "am-fsd", "thm1.1-type1", "thm1.1-fsd", "thm1.2-1",
         "thm1.2-1-substitute", "thm1.2-2", "thm1.4", "cor1.5", "profile",
-        "code-info-type1", "code-info-fsd"])
+        "code-info-type1", "code-info-fsd", "search-fsd", "search-fsd-seed7",
+        "search-type1", "search-type1-seed3"])
 def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
         monkeypatch, capsys, tmp_path, c6, argv, walks):
     """Codeword walks per command: each starts one Gray walk of
@@ -328,7 +333,10 @@ def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
     strengths off the slice of the code, and slices C0's dual. thm1.2-2
     stays at 8: classify walks fsd_16 twice (its spectrum and d) and its
     dual once, weight_distribution walks fsd_16 again, and support_design
-    walks each of the two codes at w = 6 and 10."""
+    walks each of the two codes at w = 6 and 10. A search walks each
+    candidate whose spectrum it counts, and the fsd search the dual of each
+    candidate it compares with it; the payload prints the spectrum the
+    search tested, so no hit is walked again."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c6.json").write_text(oracles.format_design(c6) + "\n")
     real, count = gf2core.iter_codewords, [0]
