@@ -56,7 +56,7 @@ def run_complement(args) -> int:
 
 def run_intersections(args) -> int:
     d = designs.read_design_file(args.design)
-    profile = designs.intersection_profile(d, args.block).as_dict()
+    profile = designs.intersection_profile(d, args.block)
     payload = {"block": args.block, "profile": {str(i): m for i, m in profile.items()}}
     print_payload(args, payload, [f"m_{i} = {m}" for i, m in profile.items()])
     return 0

@@ -7,7 +7,7 @@ import json
 from math import comb, prod
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .gf2core import (BinaryCode, EnumerationGuardError, Record, SearchBudgetError,
                       code_from_rows, codewords_of_weight, support)
@@ -25,7 +25,6 @@ __all__ = [
     "complement_design",
     "DESIGN_GUARD",
     "lambda_i",
-    "IntersectionProfile",
     "intersection_profile",
     "is_self_orthogonal_design",
     "MENDELSOHN_NODE_BUDGET",
@@ -264,23 +263,10 @@ def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> int | Fraction:
     return Fraction(lam * comb(v - i, t - i), comb(k - i, t - i))
 
 
-class IntersectionProfile(Record):
-    """Counts m_i of blocks meeting a reference block in exactly i points."""
-
-    __slots__ = ("k", "counts")
-
-    def __init__(self, k: int, counts: tuple[int, ...]) -> None:
-        if len(counts) != k + 1:
-            raise ValueError("profile must have k+1 entries")
-        self._set(k, counts)
-
-    def as_dict(self) -> dict[int, int]:
-        return {i: m for i, m in enumerate(self.counts) if m}
-
-
-def intersection_profile(d: Design, block_index: int) -> IntersectionProfile:
-    """Intersection counts of every block different (as a set) from the
-    reference block; the counts sum to b minus the reference multiplicity."""
+def intersection_profile(d: Design, block_index: int) -> dict[int, int]:
+    """{i: m_i} for each i with m_i > 0, i ascending: m_i blocks different
+    (as a set) from the reference block meet it in exactly i points. The
+    counts sum to b minus the reference multiplicity."""
     if not 0 <= block_index < d.b:
         raise ValueError("block index out of range")
     ref = d.blocks[block_index]
@@ -290,7 +276,7 @@ def intersection_profile(d: Design, block_index: int) -> IntersectionProfile:
         if other == ref:
             continue
         counts[len(points.intersection(other))] += 1
-    return IntersectionProfile(d.k, tuple(counts))
+    return {i: m for i, m in enumerate(counts) if m}
 
 
 def is_self_orthogonal_design(d: Design) -> bool:
@@ -513,16 +499,9 @@ def _check_design_file(path: str | Path, t: int) -> tuple:
     """(v, k, b, lambda, violation) of _t_design_check(read_design_file(path),
     t), with the same errors in the same order, but with no Design, block
     tuple or sorted block list: the blocks _read_blocks gives are validated
-    where they lie, then set into the point masks, each dropped once its
-    bits are set. The masks' bits follow the file's block order, and neither
-    lambda nor the violation depends on that order."""
+    where they lie, then set into the point masks. The masks' bits follow
+    the file's block order, and neither lambda nor the violation depends on
+    that order."""
     v, blocks = _read_blocks(path)
     k, b = _check_design(v, blocks)[0], len(blocks)
-    return (v, k, b, *_blocks_check(v, k, b, _dropped(blocks), t))
-
-
-def _dropped(items: list) -> Iterator:
-    """The items of a list, each slot set to None once the next is asked for."""
-    for i, item in enumerate(items):
-        yield item
-        items[i] = None
+    return (v, k, b, *_blocks_check(v, k, b, blocks, t))

@@ -261,7 +261,7 @@ def verify_thm_1_2_type1(
     delsarte_ok = harmonic.delsarte_design_check(c6, 2)
     complement_ok = designs.complement_design(c6) == _leaf_design(incidence, leaves[10])
     prof = _profile(incidence, leaves, 3)
-    gap_weights = sorted(w for w, t in prof.per_weight.items() if t >= 2)
+    gap_weights = [w for w, t in prof.per_weight.items() if t >= 2]
     profile_ok = prof.delta == 1 and prof.s == 2 and gap_weights == [6, 10]
     passed = counting_ok and delsarte_ok and complement_ok and profile_ok
     witnesses = {

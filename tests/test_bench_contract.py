@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import format_design
+
 import amdesign.cli
 import amdesign.verify
 
@@ -90,19 +92,21 @@ def test_importing_the_cli_runs_no_command_group(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def inputs(tmp_path_factory, c6):
     root = tmp_path_factory.mktemp("layers")
     (root / "e8.gm").write_text("11111111\n00001111\n00110011\n01010101\n")
     # pair {1, 2} is covered once, pair {1, 4} never
     (root / "mutant.json").write_text(json.dumps({"v": 4, "blocks": [[1, 2], [1, 3]]}))
-    (root / "type1_16.gm").write_text(
-        (ROOT / "src" / "amdesign" / "data" / "type1_16.gm").read_text())
+    for name in ("type1_16", "fsd_16"):
+        (root / f"{name}.gm").write_text(
+            (ROOT / "src" / "amdesign" / "data" / f"{name}.gm").read_text())
+    (root / "c6.json").write_text(format_design(c6) + "\n")
     return root
 
 
 # Each case runs the import's modules, the helpers the groups share, its own
 # group and the layers listed.
-@pytest.mark.parametrize("argv, rc, layers", [
+_LAYER_CASES = [
     (["code", "info", "-g", "e8.gm"], 0, []),
     (["search", "fsd"], 0, ["catalog"]),
     (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs"]),
@@ -117,8 +121,35 @@ def inputs(tmp_path_factory):
     # the paper's block-count system is solved in integers, without ratlin
     (["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6", "--lam", "8", "--m", "6",
       "--allowed", "0,2,4,6", "--fixed", "6=1"], 0, ["designs"]),
-], ids=["code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
-        "verify-thm1.1", "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason", "design-mendelsohn"])
+    (["code", "dual", "-g", "e8.gm"], 0, []),
+    (["code", "weights", "-g", "type1_16.gm"], 0, []),
+    (["code", "subcode", "-g", "type1_16.gm"], 0, []),
+    (["design", "complement", "-d", "c6.json"], 0, ["designs"]),
+    (["design", "intersections", "-d", "c6.json"], 0, ["designs"]),
+    (["harmonic", "wenum", "-g", "type1_16.gm", "--k", "2", "--index", "3"], 0,
+     ["harmonic", "polyring"]),
+    (["harmonic", "transform-check", "-g", "e8.gm", "--k", "1"], 0, ["harmonic", "polyring"]),
+    (["poly", "lemma4.1", "--alpha-max", "8"], 0, ["polyring"]),
+    (["search", "type1-16"], 0, ["catalog"]),
+    # these four verifiers take no harmonic route
+    (["verify", "thm1.2-2", "-g", "fsd_16.gm"], 0, ["designs", "verify"]),
+    (["verify", "thm1.4", "-d", "c6.json"], 0, ["designs", "verify"]),
+    (["verify", "cor1.5", "-g", "type1_16.gm"], 0, ["designs", "verify"]),
+    (["verify", "profile", "-g", "type1_16.gm"], 0, ["designs", "verify"]),
+]
+
+
+def test_the_layer_cases_cover_every_subcommand():
+    assert sorted((argv[0], argv[1]) for argv, _, _ in _LAYER_CASES) == sorted(
+        (group, name) for group, (_, table) in amdesign.cli._COMMANDS.items() for name in table)
+
+
+@pytest.mark.parametrize("argv, rc, layers", _LAYER_CASES, ids=[
+    "code-info", "search-fsd", "design-check-violation", "design-from-code", "verify-am",
+    "verify-thm1.1", "verify-thm1.2-1", "harmonic-basis-dim", "poly-gleason", "design-mendelsohn",
+    "code-dual", "code-weights", "code-subcode", "design-complement", "design-intersections",
+    "harmonic-wenum", "harmonic-transform-check", "poly-lemma4.1", "search-type1-16",
+    "verify-thm1.2-2", "verify-thm1.4", "verify-cor1.5", "verify-profile"])
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, layers):
     got_rc, registered, executed = _run_layers_script(inputs, argv)
     assert set(registered) >= {f"amdesign.{layer}" for layer in shim.LAYERS}

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -365,10 +366,10 @@ def test_lambda_i_matches_counting(c6):
 def test_intersection_profile(c6):
     for idx in (0, 17, 63):
         prof = intersection_profile(c6, idx)
-        assert prof.as_dict() == {0: 3, 2: 51, 4: 9}
-        assert sum(prof.counts) == 63
+        assert prof == {0: 3, 2: 51, 4: 9}
+        assert sum(prof.values()) == 63
     single = intersection_profile(Design(5, ((1, 2, 3), (3, 4, 5))), 0)
-    assert single.as_dict() == {1: 1}
+    assert single == {1: 1}
     with pytest.raises(ValueError):
         intersection_profile(c6, 64)
 
@@ -376,7 +377,33 @@ def test_intersection_profile(c6):
 def test_intersection_profile_skips_copies_of_reference():
     doubled = Design(6, ((1, 2, 3), (1, 2, 3), (4, 5, 6)))
     prof = intersection_profile(doubled, 0)
-    assert prof.as_dict() == {0: 1}
+    assert prof == {0: 1}
+
+
+@st.composite
+def designs_with_repeats(draw):
+    """A design on plain or IntEnum points with some blocks given again,
+    each copy with its points in another order."""
+    v = draw(st.integers(1, 12))
+    k = draw(st.integers(1, v))
+    points = st.sampled_from([*range(1, v + 1), *(p for p in Point if p <= v)])
+    blocks = draw(st.lists(st.lists(points, min_size=k, max_size=k, unique_by=int),
+                           min_size=1, max_size=8))
+    copies = draw(st.lists(st.sampled_from(blocks).flatmap(st.permutations), max_size=6))
+    return Design(v, blocks + copies)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(designs_with_repeats())
+def test_intersection_profile_is_the_brute_force_count(d):
+    for index, ref in enumerate(d.blocks):
+        want = Counter(len(set(ref) & set(other)) for other in d.blocks
+                       if set(other) != set(ref))
+        prof = intersection_profile(d, index)
+        assert prof == want and list(prof) == sorted(want)
+    for index in (-1, d.b):
+        with pytest.raises(ValueError, match="block index out of range"):
+            intersection_profile(d, index)
 
 
 def test_is_self_orthogonal_design(c6):

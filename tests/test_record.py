@@ -10,7 +10,7 @@ import pytest
 
 from amdesign.catalog import SearchConfig
 from amdesign.cli import run
-from amdesign.designs import Design, IntersectionProfile
+from amdesign.designs import Design
 from amdesign.gf2core import (
     BinaryCode, CodeClass, Record, WeightDistribution, _rref, classify)
 from amdesign.harmonic import HarmonicFunction
@@ -26,7 +26,6 @@ SAMPLES = [
     WeightDistribution(counts={0: 1, 2: 3}),
     CodeClass(**dict.fromkeys(CLASS_FLAGS, False), extremality="neither"),
     Design(v=4, blocks=((1, 2), (3, 4))),
-    IntersectionProfile(k=2, counts=(1, 0, 1)),
     HomPoly(degree=1, coeffs=(1, 2)),
     HarmonicFunction(n=5, pairs=((1, 3), (2, 4))),
     VerificationReport(scenario="am", passed=True, witnesses={"t": "1"}),
@@ -40,7 +39,7 @@ def _id(x):
 
 
 def test_every_value_class_is_a_record():
-    assert len({type(x) for x in SAMPLES}) == 10
+    assert len({type(x) for x in SAMPLES}) == 9
     assert all(isinstance(x, Record) for x in SAMPLES)
 
 
@@ -81,7 +80,7 @@ def test_instances_of_different_classes_are_never_equal():
     # The same field values in two classes.
     assert WeightDistribution({4: 1}) != StrengthProfile({4: 1})
     assert not WeightDistribution({4: 1}) == StrengthProfile({4: 1})
-    assert IntersectionProfile(1, (2, 3)) != (1, (2, 3))
+    assert Design(4, ((1, 2),)) != (4, ((1, 2),))
     assert Record.__eq__(SearchConfig(), (0, 1_000_000)) is NotImplemented
 
 
@@ -97,7 +96,7 @@ def test_hash_is_the_hash_of_the_fields():
 def test_repr_shows_the_fields():
     assert repr(BinaryCode(3, (0b110, 0b011))) == "BinaryCode(n=3, basis=(5, 6))"
     assert repr(SearchConfig()) == "SearchConfig(seed=0, max_iterations=1000000)"
-    assert repr(IntersectionProfile(1, (0, 2))) == "IntersectionProfile(k=1, counts=(0, 2))"
+    assert repr(Design(2, ((2, 1),))) == "Design(v=2, blocks=((1, 2),))"
 
 
 def test_binary_code_validates_and_reduces():
@@ -146,12 +145,6 @@ def test_design_validates_and_sorts():
             Design(v, blocks)
     d = Design(v=4, blocks=[(4, 2), (3, 1), (2, 1)])
     assert d.blocks == ((1, 2), (1, 3), (2, 4))
-
-
-def test_intersection_profile_validates():
-    with pytest.raises(ValueError, match="k\\+1 entries"):
-        IntersectionProfile(2, (1, 1))
-    assert IntersectionProfile(k=1, counts=(0, 2)).as_dict() == {1: 2}
 
 
 def test_hom_poly_validates_and_keeps_exact_coefficients():

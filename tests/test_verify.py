@@ -63,6 +63,8 @@ def test_report_round_trip():
 def test_strength_profile(type1):
     prof = strength_profile(type1, 3)
     assert prof.per_weight == {4: 1, 6: 2, 8: 1, 10: 2, 12: 1}
+    # verify_thm_1_2_type1 reads its strength-2 weights off in this order.
+    assert list(prof.per_weight) == [4, 6, 8, 10, 12]
     assert prof.delta == 1 and prof.s == 2
     with pytest.raises(ValueError):
         strength_profile(BinaryCode(4), 2)
