@@ -335,9 +335,11 @@ def test_every_exported_name_is_defined(name):
 # Compiling holds about 450 B per significant token of the unit compiled, and
 # the largest unit sets a short command's peak memory. Without a bytecode
 # cache amdesign._RunLoader compiles each lazy module in the runs of
-# amdesign._runs; the package, the package that holds the command table, and
-# cli, which `python -m` compiles as __main__, are compiled whole. The class
-# polyring.HomPoly, one statement of about 870 tokens, bounds the cap below.
+# amdesign._runs: the runs of other statements at import, each def that is a
+# run of its own when it is first called. The package, the package that holds
+# the command table, and cli, which `python -m` compiles as __main__, are
+# compiled whole. The class polyring.HomPoly, one statement of about 870
+# tokens, bounds the cap below.
 TOKEN_CAP = 900
 _LAYOUT_TOKENS = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
                   tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
@@ -347,11 +349,15 @@ _WHOLE = ["__init__.py", "commands/__init__.py", "cli.py"]
 
 def test_no_compile_unit_exceeds_the_token_cap():
     package = SRC / "amdesign"
-    units = {f"{name} run {i}": run for name in _LAZY for i, run in enumerate(
-        amdesign._runs((package / f"{name.replace('.', '/')}.py").read_bytes()))}
+    units = {}
+    for name in _LAZY:
+        source = (package / f"{name.replace('.', '/')}.py").read_bytes()
+        for i, (def_name, start, end) in enumerate(amdesign._runs(source)):
+            units[f"{name} {def_name or f'run {i}'}"] = source[start:end]
     units.update((name, (package / name).read_bytes()) for name in _WHOLE)
     assert len(units) > len(_LAZY) + len(_WHOLE)
     assert len(_LAZY) + len(_WHOLE) == len(list(package.rglob("*.py")))
+    assert "designs mendelsohn_solve" in units and "polyring run 1" in units
     over = {}
     for unit, source in units.items():
         count = sum(tok.type not in _LAYOUT_TOKENS
@@ -359,6 +365,66 @@ def test_no_compile_unit_exceeds_the_token_cap():
         if count > TOKEN_CAP:
             over[unit] = count
     assert over == {}
+
+
+# Runs a command and prints its exit code, the bytes of source of the package
+# it compiled, each unit counted from its first line, not from the newlines
+# before it, and how many units compiled hold catalog's searches and its store
+# reader.
+_COMPILED = """
+import builtins, sys
+package, units, real = sys.argv[1], [], builtins.compile
+
+
+def counting(source, filename, *args, **kwargs):
+    if str(filename).startswith(package):
+        units.append(source.lstrip(b"\\n"))
+    return real(source, filename, *args, **kwargs)
+
+
+builtins.compile = counting
+from amdesign.cli import run
+
+code = run(sys.argv[2:])
+builtins.compile = real
+print(code, sum(map(len, units)), sum(b"def search_" in unit for unit in units),
+      sum(b"def load_code(" in unit for unit in units), file=sys.stderr)
+"""
+# The most bytes of source each command may compile without a cache: the
+# package, cli, the table, the runs of the modules it loads and the defs it
+# calls. Compiling every def of those modules, these four compiled 41,427,
+# 85,240, 55,106 and 40,605 B.
+_COMPILED_BYTES = {
+    "code info -b type1_16": 35_000,
+    "verify thm1.1 -b type1_16": 50_000,
+    "design check -d c12.json --t 5": 34_000,
+    "search fsd": 33_500,
+}
+
+
+def _compiled(cwd, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(cwd / "no-cache"))
+    err = subprocess.run([sys.executable, "-c", _COMPILED, str(SRC / "amdesign"), *argv],
+                         env=env, cwd=cwd, capture_output=True, text=True, check=True).stderr
+    assert not any(cwd.rglob("*.pyc"))
+    return tuple(map(int, err.rstrip("\n").rsplit("\n", 1)[-1].split()))
+
+
+@pytest.mark.parametrize("line", _COMPILED_BYTES)
+def test_a_command_compiles_at_most_its_bytes(tmp_path, golay, line):
+    from oracles import format_design
+
+    from amdesign.designs import support_design
+
+    (tmp_path / "c12.json").write_text(format_design(support_design(golay, 12)) + "\n")
+    code, compiled, _, _ = _compiled(tmp_path, line.split())
+    assert code == 0 and compiled <= _COMPILED_BYTES[line], compiled
+
+
+def test_code_info_compiles_no_search(tmp_path):
+    # -b NAME reads catalog's store and compiles neither search.
+    assert _compiled(tmp_path, ["code", "info", "-b", "type1_16"])[2:] == (0, 1)
 
 
 # Commands that build no Fraction, and commands that divide.
