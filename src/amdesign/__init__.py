@@ -1,10 +1,10 @@
 """Exact arithmetic for binary linear codes, harmonic weight enumerators,
 and the combinatorial designs supported by their codewords.
 
-Each layer, and each command group of the CLI (``amdesign.commands``), is
-registered in ``sys.modules`` and as an attribute of its package without
+Each layer, and the CLI's command bodies (``amdesign.commands``), is
+registered in ``sys.modules`` and as an attribute of the package without
 being run: its module is compiled and executed when one of its attributes is
-first read, so a command loads only the layers it uses and its own group.
+first read, so a command loads only the layers it uses.
 Import names from the layer modules (``from amdesign.gf2core import dual``).
 """
 
@@ -19,8 +19,6 @@ from types import FunctionType
 __version__ = "0.1.0"
 
 _LAYERS = ("gf2core", "ratlin", "polyring", "harmonic", "designs", "catalog", "verify")
-# The CLI's command groups and the helpers they share.
-_COMMAND_MODULES = ("common", "code", "design", "harmonic", "poly", "search", "verify")
 
 # Compiling holds about 450 B per token of the source compiled at once, and a
 # short command's largest compile sets its peak RSS; so a module compiled
@@ -128,15 +126,11 @@ class _RunLoader(SourceFileLoader):
                 exec(unit, namespace)
 
 
-for _name in (*_LAYERS, *(f"commands.{name}" for name in _COMMAND_MODULES)):
-    _spec = spec_from_file_location(f"{__name__}.{_name}",
-                                    join(__path__[0], *_name.split(".")) + ".py")
-    _parent, _, _child = _spec.name.rpartition(".")
-    # The package of the command groups runs at import, unlike its modules.
-    __import__(_parent)
+for _name in (*_LAYERS, "commands"):
+    _spec = spec_from_file_location(f"{__name__}.{_name}", join(__path__[0], _name + ".py"))
     _spec.loader = LazyLoader(_RunLoader(_spec.name, _spec.origin))
     _module = module_from_spec(_spec)
     sys.modules[_spec.name] = _module
     _spec.loader.exec_module(_module)
-    setattr(sys.modules[_parent], _child, _module)
-del _name, _spec, _module, _parent, _child
+    globals()[_name] = _module
+del _name, _spec, _module

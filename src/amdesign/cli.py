@@ -11,9 +11,9 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from importlib import import_module
 from types import SimpleNamespace
 
+from . import commands
 from .commands import _COMMANDS, _build_parser
 # cli does not call weight_distribution: it holds a copy because the
 # benchmark's tracing test checks that the shim rebinds this one too.
@@ -51,9 +51,9 @@ def _parse(argv):
 
 
 def _cmd_group(args) -> int:
-    """The subcommand's function, run from its group's module. The first read
-    of the module compiles and runs it (see amdesign/__init__.py)."""
-    return getattr(import_module(f"amdesign.commands.{args.command}"), args.func)(args)
+    """The subcommand's function, looked up by name in amdesign.commands when
+    the command runs. Its first call compiles it (see amdesign/__init__.py)."""
+    return getattr(commands, args.func)(args)
 
 
 def run(argv=None) -> int:

@@ -94,7 +94,7 @@ from pathlib import Path
 
 from amdesign import designs, gf2core, ratlin, verify
 from amdesign.catalog import SearchBudgetError, SearchConfig
-from amdesign.commands.common import print_payload
+from amdesign.commands import print_payload
 from amdesign.gf2core import (
     WeightDistribution, code_from_rows, dual, exact_json, is_doubly_even, is_even,
     iter_codewords, mallows_sloane, support)

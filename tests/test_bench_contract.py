@@ -1,8 +1,7 @@
 """The names the benchmark's tracing shim rebinds, the late lookup of
 verifiers in the CLI that its per-verifier counts rely on, and the modules a
-command loads: every layer the shim reads and every command group is
-registered by the import of the CLI, but only the layers the command runs and
-its own group are executed. Reads bench/ only."""
+command loads: every layer the shim reads is registered by the import of the
+CLI, but only the layers the command runs are executed. Reads bench/ only."""
 
 import importlib
 import importlib.util
@@ -72,8 +71,8 @@ if sys.argv[1:]:
 else:
     print(json.dumps([registered, imported]))
 """
-# What the import of the CLI executes: the package of the command groups is
-# run to find its modules, but no group module and no layer beyond gf2core.
+# What the import of the CLI executes: the module of the command table and
+# bodies, but no layer beyond gf2core.
 _IMPORTED = ["amdesign.cli", "amdesign.commands", "amdesign.gf2core"]
 
 
@@ -84,10 +83,9 @@ def _run_layers_script(cwd, argv):
     return json.loads(out)
 
 
-def test_importing_the_cli_runs_no_command_group(tmp_path):
+def test_importing_the_cli_runs_only_cli_commands_and_gf2core(tmp_path):
     registered, imported = _run_layers_script(tmp_path, [])
-    assert set(registered) >= {f"amdesign.commands.{name}"
-                               for name in (*amdesign.cli._COMMANDS, "common")}
+    assert set(registered) >= {f"amdesign.{layer}" for layer in shim.LAYERS}
     assert imported == _IMPORTED
 
 
@@ -104,8 +102,7 @@ def inputs(tmp_path_factory, c6):
     return root
 
 
-# Each case runs the import's modules, the helpers the groups share, its own
-# group and the layers listed.
+# Each case runs the import's modules and the layers listed.
 _LAYER_CASES = [
     (["code", "info", "-g", "e8.gm"], 0, []),
     (["search", "fsd"], 0, ["catalog"]),
@@ -153,5 +150,4 @@ def test_the_layer_cases_cover_every_subcommand():
 def test_a_command_executes_only_the_layers_it_runs(inputs, argv, rc, layers):
     got_rc, registered, executed = _run_layers_script(inputs, argv)
     assert set(registered) >= {f"amdesign.{layer}" for layer in shim.LAYERS}
-    expected = _IMPORTED + [f"amdesign.commands.{argv[0]}", "amdesign.commands.common"]
-    assert (got_rc, executed) == (rc, sorted(expected + [f"amdesign.{n}" for n in layers]))
+    assert (got_rc, executed) == (rc, sorted(_IMPORTED + [f"amdesign.{n}" for n in layers]))

@@ -528,10 +528,10 @@ def test_harmonic_wenum_refuses_a_k_with_no_basis(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_harmonic_transform_check_refuses_a_k_with_no_basis(monkeypatch, capsys, fmt):
     # Harm_5(8) is empty, as for wenum: refused before the dual is built.
-    import amdesign.commands.harmonic as group
+    import amdesign.commands as commands
 
     duals = []
-    monkeypatch.setattr(group, "dual", duals.append)
+    monkeypatch.setattr(commands, "dual", duals.append)
     assert run(["harmonic", "transform-check", "-b", "e8", "--k", "5", "--format", fmt]) == 2
     assert capsys.readouterr() == ("", "error: no basis functions exist for k=5, n=8\n")
     assert duals == []
@@ -748,14 +748,14 @@ def _shuffled_designs(draw):
 
 
 def _check_matches_the_oracle(monkeypatch, capsys, path):
-    import amdesign.commands.design as group
+    import amdesign.commands as commands
 
     for t in range(4):
         for fmt in ("text", "json"):
             argv = ["design", "check", "-d", str(path), "--t", str(t), "--format", fmt]
             got = (run(argv), *capsys.readouterr())
             with monkeypatch.context() as patch:
-                patch.setattr(group, "run_check", oracles.run_check)
+                patch.setattr(commands, "run_check", oracles.run_check)
                 assert got == (run(argv), *capsys.readouterr()), argv
 
 

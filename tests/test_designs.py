@@ -22,7 +22,7 @@ from oracles import format_design
 from amdesign import ratlin
 from amdesign.catalog import builtin
 from amdesign.cli import run
-from amdesign.commands.design import design_json
+from amdesign.commands import design_json
 from amdesign.designs import (
     DESIGN_GUARD,
     Design,
@@ -193,8 +193,8 @@ def _traced_command(argv):
     """(exit code, tracemalloc peak) of amdesign.cli.run(argv) in a new
     interpreter, once the CLI and the design commands are compiled."""
     script = ("import os, sys, tracemalloc\n"
-              "import amdesign.cli, amdesign.commands.design, amdesign.designs\n"
-              "amdesign.commands.design.run_check, amdesign.designs.Design\n"
+              "import amdesign.cli, amdesign.commands, amdesign.designs\n"
+              "amdesign.commands.run_check, amdesign.designs.Design\n"
               "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
               "tracemalloc.start()\n"
               "rc = amdesign.cli.run(sys.argv[1:])\n"

@@ -23,11 +23,11 @@ import amdesign
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "amdesign"
-_LAZY = [*amdesign._LAYERS, *(f"commands.{name}" for name in amdesign._COMMAND_MODULES)]
+_LAZY = [*amdesign._LAYERS, "commands"]
 
 
 def _path(name):
-    return PACKAGE / f"{name.replace('.', '/')}.py"
+    return PACKAGE / f"{name}.py"
 
 
 @pytest.fixture
@@ -268,7 +268,7 @@ print(json.dumps([code, compiled, sorted(called)]), file=sys.stderr)
 """
 _COMMAND = ["code", "info", "-b", "type1_16"]
 # The modules the command runs, past the package and cli.
-_RAN = ["gf2core", "catalog", "commands.code", "commands.common"]
+_RAN = ["gf2core", "catalog", "commands"]
 
 
 def _run(env):
@@ -298,11 +298,10 @@ def _env(cache, write):
 
 def test_without_a_cache_a_command_compiles_its_modules_in_runs(tmp_path):
     _, compiled, called = _run(_env(tmp_path, write=False))
-    expected = Counter({("__init__.py", 1): 1, ("commands/__init__.py", 1): 1,
-                        ("cli.py", 1): 1})
+    expected = Counter({("__init__.py", 1): 1, ("cli.py", 1): 1})
     deferred = 0
     for name in _RAN:
-        file, source = _path(name).relative_to(PACKAGE).as_posix(), _path(name).read_bytes()
+        file, source = f"{name}.py", _path(name).read_bytes()
         for def_name, start, _ in amdesign._runs(source):
             first = (file, source.count(b"\n", 0, start) + 1)
             if def_name is None:
@@ -318,9 +317,8 @@ def test_without_a_cache_a_command_compiles_its_modules_in_runs(tmp_path):
 def test_the_run_that_writes_the_cache_compiles_whole_files(tmp_path):
     first, compiled, _ = _run(_env(tmp_path, write=True))
     assert set(compiled.values()) == {1}
-    assert {file for file, _ in compiled} == {
-        "__init__.py", "commands/__init__.py", "cli.py",
-        *(_path(name).relative_to(PACKAGE).as_posix() for name in _RAN)}
+    assert {file for file, _ in compiled} == {"__init__.py", "cli.py",
+                                              *(f"{name}.py" for name in _RAN)}
     assert {line for _, line in compiled} == {1}
     assert any(tmp_path.rglob("gf2core.*.pyc"))
     second, compiled, _ = _run(_env(tmp_path, write=True))

@@ -1,11 +1,12 @@
 """The table-driven parser and the import cost of the command line: the table
 parser gives argparse's namespace or leaves argv to argparse, a well-formed
 command loads no argparse, help and usage errors print as before, dispatch
-looks the command up by name in its group's module, the import pulls in no
+looks the command up by name in amdesign.commands, the import pulls in no
 dataclass machinery, only a command that divides imports fractions, an
 install holds every package and the console script, every module's
-__all__ names only defined names, and no unit compiled is too large to
-compile cheaply."""
+__all__ names only defined names, no unit compiled is too large to compile
+cheaply, and a command compiles one command body and compiles argparse's
+parser builder only for what the table parser leaves to argparse."""
 
 import importlib
 import io
@@ -21,11 +22,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import amdesign
 import amdesign.cli as cli
+import amdesign.commands as commands
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-BRANCHES = [(group, name) for group, (_, commands) in cli._COMMANDS.items()
-            for name in commands]
+BRANCHES = [(group, name) for group, (_, table) in cli._COMMANDS.items()
+            for name in table]
 
 
 def _value(flags, keywords):
@@ -51,18 +53,11 @@ def _argvs(group, name):
     return required, every
 
 
-def _group(name):
-    return importlib.import_module(f"amdesign.commands.{name}")
-
-
 def test_the_table_covers_every_command_function():
-    named = {(group, func) for group, (_, commands) in cli._COMMANDS.items()
-             for func, _ in commands.values()}
-    defined = {(group, n) for group in cli._COMMANDS for n in vars(_group(group))
-               if n.startswith("run_")}
-    assert named == defined
+    named = {func for _, table in cli._COMMANDS.values() for func, _ in table.values()}
+    assert named == {n for n in vars(commands) if n.startswith("run_")}
     assert len(BRANCHES) == 23
-    # cli holds one command function: the dispatcher to the group modules.
+    # cli holds one command function: the dispatcher to amdesign.commands.
     assert [n for n in vars(cli) if n.startswith("_cmd_")] == ["_cmd_group"]
 
 
@@ -85,7 +80,7 @@ def test_one_branch_parses_as_the_whole_table(group, name):
         args = _oracle(argv)
         assert args is not None, argv
         assert (args.command, args.subcommand) == (group, name)
-        assert callable(getattr(_group(group), args.func))
+        assert callable(getattr(commands, args.func))
 
 
 @pytest.mark.parametrize("argv", [
@@ -120,8 +115,8 @@ def test_other_spellings_still_work_through_argparse(capsys, argv):
     assert out == capsys.readouterr()
 
 
-_FLAGS = sorted({flag for _, commands in cli._COMMANDS.values()
-                 for _, options in commands.values()
+_FLAGS = sorted({flag for _, table in cli._COMMANDS.values()
+                 for _, options in table.values()
                  for flags, _ in options for flag in flags.split()})
 # Tokens argparse reads in other ways than a flag and its value: help,
 # abbreviations, "=", "--", attached short values; and values that start with
@@ -285,7 +280,7 @@ def test_usage_errors_print_as_before(monkeypatch, capsys, argv, usage, error):
 
 def test_run_dispatches_by_name(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(_group("code"), "run_info", lambda args: calls.append(args.builtin) or 5)
+    monkeypatch.setattr(commands, "run_info", lambda args: calls.append(args.builtin) or 5)
     assert cli.run(["code", "info", "-b", "d4"]) == 5
     assert calls == ["d4"]
     monkeypatch.setattr(sys, "argv", ["amdesign", "code", "info", "-b", "e8"])
@@ -336,22 +331,21 @@ def test_every_exported_name_is_defined(name):
 # the largest unit sets a short command's peak memory. Without a bytecode
 # cache amdesign._RunLoader compiles each lazy module in the runs of
 # amdesign._runs: the runs of other statements at import, each def that is a
-# run of its own when it is first called. The package, the package that holds
-# the command table, and cli, which `python -m` compiles as __main__, are
-# compiled whole. The class polyring.HomPoly, one statement of about 870
+# run of its own when it is first called. The package and cli, which
+# `python -m` compiles as __main__, are compiled whole. The class polyring.HomPoly, one statement of about 870
 # tokens, bounds the cap below.
 TOKEN_CAP = 900
 _LAYOUT_TOKENS = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
                   tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
-_LAZY = [*amdesign._LAYERS, *(f"commands.{name}" for name in amdesign._COMMAND_MODULES)]
-_WHOLE = ["__init__.py", "commands/__init__.py", "cli.py"]
+_LAZY = [*amdesign._LAYERS, "commands"]
+_WHOLE = ["__init__.py", "cli.py"]
 
 
 def test_no_compile_unit_exceeds_the_token_cap():
     package = SRC / "amdesign"
     units = {}
     for name in _LAZY:
-        source = (package / f"{name.replace('.', '/')}.py").read_bytes()
+        source = (package / f"{name}.py").read_bytes()
         for i, (def_name, start, end) in enumerate(amdesign._runs(source)):
             units[f"{name} {def_name or f'run {i}'}"] = source[start:end]
     units.update((name, (package / name).read_bytes()) for name in _WHOLE)
@@ -369,8 +363,8 @@ def test_no_compile_unit_exceeds_the_token_cap():
 
 # Runs a command and prints its exit code, the bytes of source of the package
 # it compiled, each unit counted from its first line, not from the newlines
-# before it, and how many units compiled hold catalog's searches and its store
-# reader.
+# before it, and how many units compiled hold catalog's searches, its store
+# reader, a command body and the argparse builder.
 _COMPILED = """
 import builtins, sys
 package, units, real = sys.argv[1], [], builtins.compile
@@ -387,18 +381,23 @@ from amdesign.cli import run
 
 code = run(sys.argv[2:])
 builtins.compile = real
-print(code, sum(map(len, units)), sum(b"def search_" in unit for unit in units),
-      sum(b"def load_code(" in unit for unit in units), file=sys.stderr)
+print(code, sum(map(len, units)),
+      *(sum(key in unit for unit in units)
+        for key in (b"def search_", b"def load_code(", b"def run_", b"def _build_parser(")),
+      file=sys.stderr)
 """
 # The most bytes of source each command may compile without a cache: the
-# package, cli, the table, the runs of the modules it loads and the defs it
-# calls. Compiling every def of those modules, these four compiled 41,427,
-# 85,240, 55,106 and 40,605 B.
+# package, cli, the runs of the modules it loads and the defs it calls.
+# Compiling every def of those modules, the first four compiled 41,427,
+# 85,240, 55,106 and 40,605 B; with the table and its argparse builder
+# compiled whole, all five compiled 33,959, 48,923, 32,896, 31,791 and
+# 53,697 B.
 _COMPILED_BYTES = {
-    "code info -b type1_16": 35_000,
-    "verify thm1.1 -b type1_16": 50_000,
-    "design check -d c12.json --t 5": 34_000,
-    "search fsd": 33_500,
+    "code info -b type1_16": 33_500,
+    "verify thm1.1 -b type1_16": 48_000,
+    "design check -d c12.json --t 5": 32_500,
+    "search fsd": 31_500,
+    "verify thm1.2-1 -b type1_16": 53_000,
 }
 
 
@@ -418,13 +417,31 @@ def test_a_command_compiles_at_most_its_bytes(tmp_path, golay, line):
     from amdesign.designs import support_design
 
     (tmp_path / "c12.json").write_text(format_design(support_design(golay, 12)) + "\n")
-    code, compiled, _, _ = _compiled(tmp_path, line.split())
+    code, compiled, *_ = _compiled(tmp_path, line.split())
     assert code == 0 and compiled <= _COMPILED_BYTES[line], compiled
 
 
 def test_code_info_compiles_no_search(tmp_path):
     # -b NAME reads catalog's store and compiles neither search.
-    assert _compiled(tmp_path, ["code", "info", "-b", "type1_16"])[2:] == (0, 1)
+    assert _compiled(tmp_path, ["code", "info", "-b", "type1_16"])[2:4] == (0, 1)
+
+
+# A well-formed command line compiles the one command body it runs and not
+# the argparse builder; help and usage errors, and the spellings only
+# argparse reads, build the parser.
+@pytest.mark.parametrize("line, code, bodies, parsers", [
+    ("code info -b type1_16", 0, 1, 0),
+    ("verify thm1.1 -b type1_16", 0, 1, 0),
+    ("search fsd", 0, 1, 0),
+    ("harmonic basis-dim --n 16 --k 2", 0, 1, 0),
+    ("poly lemma4.1 --alpha-max 8", 0, 1, 0),
+    ("code info --bogus", 2, 0, 1),
+    ("code info --builtin=d4", 0, 1, 1),
+])
+def test_a_command_compiles_one_body_and_argparse_only_off_the_table(
+        tmp_path, line, code, bodies, parsers):
+    rc, _, _, _, *counts = _compiled(tmp_path, line.split())
+    assert (rc, *counts) == (code, bodies, parsers)
 
 
 # Commands that build no Fraction, and commands that divide.
