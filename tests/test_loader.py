@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import amdesign
+import amdesign.commands
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "amdesign"
@@ -77,6 +78,33 @@ def _lines(code):
 _CUT = [name for name in _LAZY if len(amdesign._runs(_path(name).read_bytes())) > 1]
 
 
+def _sections():
+    """amdesign.commands's deferred defs in file order, cut into sections:
+    "commands.common", the parser builder and the helpers the command groups
+    share, then a "commands.<group>" section for each group of the table,
+    ending at the group's last command function."""
+    defs, table = _deferred("commands"), amdesign.commands._COMMANDS
+    ends = [max(defs.index(f) for f, _ in group.values()) + 1 for _, group in table.values()]
+    first = min(defs.index(f) for f, _ in next(iter(table.values()))[1].values())
+    cuts = [0, first, *ends]
+    assert cuts == sorted(set(cuts)) and cuts[-1] == len(defs)
+    names = ["commands.common", *(f"commands.{group}" for group in table)]
+    return {name: defs[a:b] for name, a, b in zip(names, cuts, cuts[1:])}
+
+
+# The cases of the tests that load one module both ways: each layer, and each
+# section of amdesign.commands, checked on its own defs.
+_SECTIONS = _sections()
+_CASES = [*amdesign._LAYERS, *_SECTIONS]
+
+
+def _module_and_defs(case):
+    """The module a case loads and the deferred defs it checks."""
+    if case in _SECTIONS:
+        return "commands", _SECTIONS[case]
+    return case, _deferred(case)
+
+
 def test_the_runs_are_the_source_at_its_own_lines():
     assert _CUT == _LAZY
     for name in _LAZY:
@@ -109,22 +137,31 @@ def test_a_constant_after_a_def_leaves_the_def_deferred():
     assert [run[0] for run in amdesign._runs(source)] == [None, "g", None]
 
 
-@pytest.mark.parametrize("name", _CUT)
+def test_the_sections_of_commands_cover_its_defs():
+    assert [def_name for defs in _SECTIONS.values() for def_name in defs] == (
+        _deferred("commands"))
+    assert all(_SECTIONS.values())
+
+
+@pytest.mark.parametrize("name", _CASES)
 def test_the_runs_of_a_module_define_what_the_whole_file_does(no_cache, monkeypatch, name):
+    name, defs = _module_and_defs(name)
     whole = _load(SourceFileLoader, f"amdesign.{name}", _path(name))
     _refuse_whole_files(monkeypatch)
     cut = _load(amdesign._RunLoader, f"amdesign.{name}", _path(name))
     assert sorted(vars(cut)) == sorted(vars(whole))
     assert (getattr(cut, "__all__", None), cut.__doc__) == (
         getattr(whole, "__all__", None), whole.__doc__)
+    # The defs are bound in the file's order, in either load.
+    assert [n for n in vars(cut) if n in defs] == [n for n in vars(whole) if n in defs] == defs
 
 
-@pytest.mark.parametrize("name", _LAZY)
+@pytest.mark.parametrize("name", _CASES)
 def test_a_deferred_def_once_called_is_the_whole_files(no_cache, monkeypatch, name):
+    name, deferred = _module_and_defs(name)
     whole = _load(SourceFileLoader, f"amdesign.{name}", _path(name))
     _refuse_whole_files(monkeypatch)
     cut = _load(amdesign._RunLoader, f"amdesign.{name}", _path(name))
-    deferred = _deferred(name)
     assert deferred
     for def_name in deferred:
         f, g = getattr(cut, def_name), getattr(whole, def_name)
