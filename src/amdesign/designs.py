@@ -7,7 +7,7 @@ import json
 from math import comb, prod
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .gf2core import (BinaryCode, EnumerationGuardError, Record, SearchBudgetError,
                       code_from_rows, codewords_of_weight, support)
@@ -38,25 +38,17 @@ class Design(Record):
     """A multiset of equal-size blocks on the point set {1..v}.
 
     Blocks are stored sorted (each block internally and the block list), so
-    equality is multiset equality. When every point is a plain int, a block
-    given as a sorted tuple is stored as it is, so a design built from such
-    tuples holds each block once.
+    equality is multiset equality. A block given as a sorted tuple of plain
+    ints is stored as it is, so a design built from such tuples holds each
+    block once.
     """
 
     __slots__ = ("v", "blocks")
 
     def __init__(self, v: int, blocks: Sequence[Sequence[int]]) -> None:
-        plain = _check_design(v, blocks)[1]
-        norm = []
-        for block in blocks:
-            # Int subclasses other than bool are stored as plain ints, so
-            # that design JSON prints them as numbers.
-            b = tuple(sorted(block if plain else map(int, block)))
-            if plain and type(block) is tuple and b == block:
-                b = block
-            norm.append(b)
-        norm.sort()
-        self._set(int(v), tuple(norm))
+        # Checked before int(v), which a malformed point count would break.
+        blocks = tuple(sorted(_checked_blocks(v, blocks)))
+        self._set(int(v), blocks)
 
     @property
     def k(self) -> int:
@@ -74,34 +66,37 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_design(v, blocks: Sequence[Sequence[int]]) -> tuple[int, bool]:
-    """The block size of a design of these blocks on the points 1..v, and whether
-    every point is a plain int. The first rule they break raises its ValueError: an
-    integer point count, a positive one, a block at all; then block by block, integer
-    points, no point twice, the first block's size and points in 1..v. The blocks are
-    read where they are, with no sorted copy."""
+def _checked_blocks(v, blocks: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Each block of a design on the points 1..v as a sorted tuple of plain ints,
+    itself if it is one. The first rule broken raises its ValueError: an integer
+    point count, a positive one, a block at all; then per block integer points,
+    no point twice, the first block's size and points in 1..v."""
     if not _is_int(v):
         raise ValueError("point count must be an integer")
     if v < 1:
         raise ValueError("point count must be positive")
     if not blocks:
         raise ValueError("a design needs at least one block")
-    size, plain = None, True
+    size = None
     for block in blocks:
-        # The slow path admits int subclasses other than bool.
-        if not _INT_ONLY.issuperset(map(type, block)):
-            if not all(map(_is_int, block)):
-                raise ValueError("block points must be integers")
-            plain = False
-        if len(set(block)) != len(block):
+        if _INT_ONLY.issuperset(map(type, block)):
+            b = tuple(sorted(block))
+            if type(block) is tuple and b == block:
+                b = block
+        # Int subclasses but bool become plain ints, which JSON prints as numbers.
+        elif all(map(_is_int, block)):
+            b = tuple(sorted(map(int, block)))
+        else:
+            raise ValueError("block points must be integers")
+        if len(set(b)) != len(b):
             raise ValueError("block has a repeated point")
         if size is None:
-            size = len(block)
-        elif len(block) != size:
+            size = len(b)
+        elif len(b) != size:
             raise ValueError("blocks must share one size")
-        if not block or min(block) < 1 or max(block) > v:
+        if not b or b[0] < 1 or b[-1] > v:
             raise ValueError("block point out of range")
-    return size, plain
+        yield b
 
 
 def _block_mask(block: Sequence[int]) -> int:
@@ -497,11 +492,12 @@ def read_design_file(path: str | Path) -> Design:
 
 def _check_design_file(path: str | Path, t: int) -> tuple:
     """(v, k, b, lambda, violation) of _t_design_check(read_design_file(path),
-    t), with the same errors in the same order, but with no Design, block
-    tuple or sorted block list: the blocks _read_blocks gives are validated
-    where they lie, then set into the point masks. The masks' bits follow
-    the file's block order, and neither lambda nor the violation depends on
-    that order."""
+    t), with the same errors in the same order, but with no Design: each block
+    _read_blocks gives is checked, then set into the point masks in file order,
+    on which neither lambda nor the violation depends."""
     v, blocks = _read_blocks(path)
-    k, b = _check_design(v, blocks)[0], len(blocks)
+    for block in _checked_blocks(v, blocks):
+        pass
+    # Every block has the last one's size.
+    k, b = len(block), len(blocks)
     return (v, k, b, *_blocks_check(v, k, b, blocks, t))

@@ -659,6 +659,15 @@ def test_malformed_design_file_is_input_error(capsys, tmp_path, body):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["check", "--t", "1"], ["complement"]])
+def test_a_null_point_count_with_no_blocks_is_input_error(capsys, tmp_path, command):
+    # The point count is checked before the blocks, and before int() reads it.
+    path = tmp_path / "null.json"
+    path.write_text('{"v": null, "blocks": []}')
+    assert run(["design", command[0], "-d", str(path), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: point count must be an integer\n")
+
+
 def test_deeply_nested_design_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -61,6 +61,15 @@ def test_design_validation():
         Design(4, ((3, 5),))
 
 
+@pytest.mark.parametrize("v", [None, 4.0, "4"])
+def test_design_refuses_a_point_count_that_is_not_an_integer(v):
+    # The blocks are checked before int(v), which would raise TypeError on
+    # None and accept 4.0 and "4".
+    blocks = [] if v is None else [[1]]
+    with pytest.raises(ValueError, match="^point count must be an integer$"):
+        Design(v, blocks)
+
+
 class Point(IntEnum):
     ONE = 1
     TWO = 2
@@ -135,6 +144,14 @@ def test_design_keeps_sorted_int_tuples():
     d = Design(9, [enum_block])
     assert d.blocks == (sorted_block,) and d.blocks[0] is not enum_block
     assert [type(p) for p in d.blocks[0]] == [int, int, int]
+
+
+def test_a_design_with_int_subclass_points_keeps_its_sorted_plain_tuples():
+    plain, other = (1, 2, 9), (2, 3, 4)
+    d = Design(9, [other, (Point.NINE, Point.ONE, Point.TWO), plain])
+    assert d.blocks == (plain, plain, other)
+    assert d.blocks[1] is plain and d.blocks[2] is other
+    assert d.blocks[0] is not plain and [type(p) for p in d.blocks[0]] == [int, int, int]
 
 
 def _traced(expr, golay, setup=""):

@@ -60,9 +60,9 @@ ALLOWED = {
 # once, each with the reason and the ROADMAP item that lifts it. The map only
 # shrinks: an entry with a line that reads each code once fails the gate.
 EXCEPTIONS = {
-    "verify thm1.1": ("classify walks the code for d before the slice, since slicing "
-                      "first would hold 2^k-bit masks for codes classify refuses "
-                      "(ROADMAP item 2)"),
+    "verify thm1.1": ("classify is handed the code's spectrum, read before the slice, "
+                      "since slicing first would hold 2^k-bit masks for codes classify "
+                      "refuses (ROADMAP item 2)"),
     "verify thm1.2-2": ("bench/test_bench.py pins its 8 walks, which reading the joined "
                         "slice would lower (ROADMAP items 1a and 5)"),
 }

@@ -391,13 +391,14 @@ print(code, sum(map(len, units)),
 # Compiling every def of those modules, the first four compiled 41,427,
 # 85,240, 55,106 and 40,605 B; with the table and its argparse builder
 # compiled whole, all five compiled 33,959, 48,923, 32,896, 31,791 and
-# 53,697 B.
+# 53,697 B; with the verify map compiled at import and a design checked in
+# two passes, 32,986, 47,351, 31,874, 30,855 and 52,125 B.
 _COMPILED_BYTES = {
-    "code info -b type1_16": 33_500,
-    "verify thm1.1 -b type1_16": 48_000,
-    "design check -d c12.json --t 5": 32_500,
-    "search fsd": 31_500,
-    "verify thm1.2-1 -b type1_16": 53_000,
+    "code info -b type1_16": 32_700,
+    "verify thm1.1 -b type1_16": 47_200,
+    "design check -d c12.json --t 5": 31_500,
+    "search fsd": 30_600,
+    "verify thm1.2-1 -b type1_16": 52_050,
 }
 
 

@@ -144,6 +144,12 @@ def test_thm_1_1_preconditions(type1):
         verify_thm_1_1(builtin("e8"))  # extremal, not near-extremal
     with pytest.raises(PreconditionError):
         verify_thm_1_1(code_from_rows([1, 2], 8))  # not even fsd
+    # Dimension 30, past the enumeration guard, but not n/2: refused unwalked.
+    rng = random.Random(1)
+    big = code_from_rows([rng.getrandbits(64) for _ in range(30)], 64)
+    assert big.dimension == 30
+    with pytest.raises(PreconditionError, match="not near-extremal"):
+        verify_thm_1_1(big)
 
 
 def test_thm_1_2_type1_pass(type1):
@@ -301,7 +307,7 @@ def test_reports_are_deterministic(type1):
     (["verify", "am", "-b", "e8", "--t", "3"], 1),
     (["verify", "am", "-b", "fsd_16", "--t", "1"], 2),
     (["verify", "thm1.1", "-b", "type1_16"], 2),
-    (["verify", "thm1.1", "-b", "fsd_16"], 5),
+    (["verify", "thm1.1", "-b", "fsd_16"], 4),
     (["verify", "thm1.2-1", "-b", "type1_16"], 1),
     (["verify", "thm1.2-1", "-b", "type1_16", "-d", "c6.json"], 1),
     (["verify", "thm1.2-2", "-b", "fsd_16"], 8),
@@ -326,18 +332,19 @@ def test_each_scenario_walks_its_codes_a_pinned_number_of_times(
     another code (fsd_16). thm1.1's two routes read one slice per code.
     classify walks any code of dimension n/2 that is not self-dual twice, for
     its spectrum and its dual's, and an even formally self-dual code once for
-    d; so thm1.1's one walk beyond the slice of type1_16 is classify's d.
-    code info hands classify the spectrum it has computed, so classify walks
-    only the dual of a code that is not self-dual, and reads d off the
-    spectrum. thm1.2-1 reads the spectrum, C_6, C_10 and the strengths off
-    one slice of the code, with or without a substitute C_6. thm1.4 walks
-    only the code of the design. cor1.5 reads C0's words, spectrum and
-    strengths off the slice of the code, and slices C0's dual. thm1.2-2
-    stays at 8: classify walks fsd_16 twice (its spectrum and d) and its
-    dual once, weight_distribution walks fsd_16 again, and support_design
-    walks each of the two codes at w = 6 and 10. A search walks each
-    candidate whose spectrum it counts, and the fsd search the dual of each
-    candidate it compares with it; the payload prints the spectrum the
+    d. thm1.1 hands classify the code's spectrum, so its one walk beyond the
+    slice of type1_16 is that spectrum, and on fsd_16 the two beyond the slices
+    are the spectra of the code and its dual. code info hands classify the
+    spectrum it has computed, so classify walks only the dual of a code that is
+    not self-dual, and reads d off the spectrum. thm1.2-1 reads the spectrum,
+    C_6, C_10 and the strengths off one slice of the code, with or without a
+    substitute C_6. thm1.4 walks only the code of the design. cor1.5 reads C0's
+    words, spectrum and strengths off the slice of the code, and slices C0's
+    dual. thm1.2-2 stays at 8: classify walks fsd_16 twice (its spectrum and d)
+    and its dual once, weight_distribution walks fsd_16 again, and
+    support_design walks each of the two codes at w = 6 and 10. A search walks
+    each candidate whose spectrum it counts, and the fsd search the dual of
+    each candidate it compares with it; the payload prints the spectrum the
     search tested, so no hit is walked again."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c6.json").write_text(oracles.format_design(c6) + "\n")
