@@ -231,8 +231,9 @@ def run_from_code(args) -> int:
 
 
 def run_complement(args) -> int:
-    d = designs.complement_design(designs.read_design_file(args.design))
-    sys.stdout.writelines(design_json(d.v, d.blocks))
+    # The complements of the file's checked blocks, with no Design of either.
+    v, k, b, blocks = designs._read_checked(args.design)
+    sys.stdout.writelines(design_json(v, designs._complement_blocks(v, k, b, blocks)))
     return 0
 
 

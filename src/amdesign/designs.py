@@ -229,16 +229,20 @@ def design_strength(d: Design, t_max: int) -> int:
     return strength
 
 
-def complement_design(d: Design) -> Design:
-    """Blockwise complement inside the same point set; v*b above DESIGN_GUARD
-    raises EnumerationGuardError."""
-    if d.k == d.v:
+def _complement_blocks(v: int, k: int, b: int, blocks: Iterable) -> list:
+    """Sorted complements in 1..v of b checked blocks of size k; v*b above
+    DESIGN_GUARD raises EnumerationGuardError."""
+    if k == v:
         raise ValueError("complement blocks would be empty")
-    if d.v * d.b > DESIGN_GUARD:
-        raise EnumerationGuardError(
-            f"v*b = {d.v * d.b} exceeds the design guard {DESIGN_GUARD}")
-    full = set(range(1, d.v + 1))
-    return Design(d.v, tuple(tuple(sorted(full - set(b))) for b in d.blocks))
+    if v * b > DESIGN_GUARD:
+        raise EnumerationGuardError(f"v*b = {v * b} exceeds the design guard {DESIGN_GUARD}")
+    full = set(range(1, v + 1))
+    return sorted(tuple(sorted(full - set(x))) for x in blocks)
+
+
+def complement_design(d: Design) -> Design:
+    """Blockwise complement inside the same point set."""
+    return Design(d.v, _complement_blocks(d.v, d.k, d.b, d.blocks))
 
 
 def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> int | Fraction:
@@ -490,14 +494,21 @@ def read_design_file(path: str | Path) -> Design:
     return Design(v, blocks)
 
 
-def _check_design_file(path: str | Path, t: int) -> tuple:
-    """(v, k, b, lambda, violation) of _t_design_check(read_design_file(path),
-    t), with the same errors in the same order, but with no Design: each block
-    _read_blocks gives is checked, then set into the point masks in file order,
-    on which neither lambda nor the violation depends."""
+def _read_checked(path: str | Path) -> tuple:
+    """(v, k, b, blocks) of a design file with no Design: the blocks that
+    _read_blocks gives, in file order, each checked with read_design_file's
+    errors in the same order."""
     v, blocks = _read_blocks(path)
     for block in _checked_blocks(v, blocks):
         pass
     # Every block has the last one's size.
-    k, b = len(block), len(blocks)
+    return v, len(block), len(blocks), blocks
+
+
+def _check_design_file(path: str | Path, t: int) -> tuple:
+    """(v, k, b, lambda, violation) of _t_design_check(read_design_file(path),
+    t), with the same errors in the same order: the _read_checked blocks are
+    set into the point masks in file order, on which neither lambda nor the
+    violation depends."""
+    v, k, b, blocks = _read_checked(path)
     return (v, k, b, *_blocks_check(v, k, b, blocks, t))

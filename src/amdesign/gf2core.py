@@ -283,33 +283,32 @@ def _row_pattern(r: int, size: int) -> int:
 def _weight_leaves(c: BinaryCode) -> Iterator[tuple[tuple[int, ...], int, list, list]]:
     """The code as bit-sliced chunks split by word weight (guard: k <= 28).
 
-    The first m = min(k, 16) basis rows span a chunk of 2^m words. Column j
-    of the chunk is one 2^m-bit integer whose bit i is coordinate j of the
-    word sum of the rows picked by the bits of i. The code is the chunk
-    translated by each word of the span of the remaining rows; those offsets
-    come from one Gray walk of 2^(k-m) words, and an offset complements the
-    columns where it has a 1. Leaf w is the 2^m-bit set of chunk words of
-    weight w (see _chunk_leaves).
+    The first m = min(k, 16) basis rows span a chunk of 2^m words: bit i of
+    column j is coordinate j of the sum of the rows picked by the bits of i.
+    The code is the chunk translated by each offset in the span of the other
+    rows, met by one Gray walk; a step adds one row to the offset and so
+    complements the columns on its support. Leaf w is the 2^m-bit set of
+    chunk words of weight w (see _chunk_leaves).
 
-    Yields (head rows, offset, columns, leaves[0..n]) per chunk. Both lists
-    are emptied when the next chunk is asked for, before it is built: a
-    consumer's loop variables still name them then, and would otherwise keep
-    two chunks alive.
+    Yields (head rows, offset, columns, leaves[0..n]) per chunk. columns is
+    one list, updated in place, and leaves is emptied before the next chunk
+    is built: a consumer copies what it keeps.
     """
     _check_guard(c.dimension)
     head, tail = c.basis[:_SLICE_K], c.basis[_SLICE_K:]
     size = 1 << len(head)
     full = (1 << size) - 1
-    base = [0] * c.n
+    columns, previous = [0] * c.n, 0
     for r, row in enumerate(head):
         pattern = _row_pattern(r, size)
         for j in support(row):
-            base[j - 1] ^= pattern
+            columns[j - 1] ^= pattern
     for offset in iter_codewords(BinaryCode(c.n, tail)):
-        columns = [col ^ full if (offset >> j) & 1 else col for j, col in enumerate(base)]
+        for j in support(offset ^ previous):
+            columns[j - 1] ^= full
+        previous = offset
         leaves = _chunk_leaves(columns, full)
         yield head, offset, columns, leaves
-        columns.clear()
         leaves.clear()
 
 

@@ -170,6 +170,9 @@ def small_codes(draw, max_n=20, max_k=10):
 GUARDS = st.sampled_from([designs.DESIGN_GUARD, 3, 20, 200, 2000])
 # k = 17 takes two chunks of the weight slices.
 TWO_CHUNKS = code_from_rows([(1 << i) | (0b11 << i % 2 + 17) for i in range(17)], 20)
+# k = 18 takes four, at the offsets 0, r0, r0^r1, r1: the columns on r0
+# are flipped at the second offset and flipped back at the fourth.
+FOUR_CHUNKS = code_from_rows([(1 << i) | (0b11 << i % 2 + 18) for i in range(18)], 21)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -179,6 +182,7 @@ TWO_CHUNKS = code_from_rows([(1 << i) | (0b11 << i % 2 + 17) for i in range(17)]
 @example((builtin("e8+e8"), False), 4, 200)
 @example((code_from_rows([], 4), False), 2, designs.DESIGN_GUARD)
 @example((TWO_CHUNKS, False), 2, designs.DESIGN_GUARD)
+@example((FOUR_CHUNKS, False), 2, designs.DESIGN_GUARD)
 def test_strength_profile_matches_the_design_walk(code, t_cap, guard):
     c, _ = code
     assert (outcome(lambda: verify.strength_profile(c, t_cap).per_weight, guard)
@@ -213,6 +217,7 @@ def test_strength_profile_refuses_a_negative_cap_before_slicing(monkeypatch, row
 @example((load_code("fsd_16"), True), designs.DESIGN_GUARD)
 @example((load_code("fsd_16"), True), 3)
 @example((TWO_CHUNKS, True), designs.DESIGN_GUARD)
+@example((FOUR_CHUNKS, True), designs.DESIGN_GUARD)
 def test_thm_1_1_counting_route_matches_the_design_walk(code, guard):
     c, union = code
     codes = [c, dual(c)] if union else [c]
@@ -225,6 +230,7 @@ def test_thm_1_1_counting_route_matches_the_design_walk(code, guard):
 @example((load_code("fsd_16"), True), 1)
 @example((TWO_CHUNKS, False), 1)
 @example((TWO_CHUNKS, True), 2)
+@example((FOUR_CHUNKS, True), 2)
 def test_thm_1_1_harmonic_sums_over_the_slice_match_the_enumerators(code, k):
     """The sums of f~ per weight that thm1.1 folds from the one slice of the
     code, joined with its dual in the union branch, are the harmonic weight

@@ -243,6 +243,16 @@ def test_design_check_streams_its_blocks(tmp_path, golay):
     assert rc == 0 and peak < 400 << 10
 
 
+def test_design_complement_builds_no_design(tmp_path, golay):
+    """design complement on Golay C_12 holds each block of the file as 12
+    bytes and the 2576 complements as tuples, and peaks at 554 KiB. The
+    Design of the file beside that of its complement peaked at 788."""
+    path = tmp_path / "c12.json"
+    path.write_text(format_design(support_design(golay, 12)) + "\n")
+    rc, peak = _traced_command(["design", "complement", "-d", str(path)])
+    assert rc == 0 and peak < 680 << 10
+
+
 @pytest.mark.parametrize("name", ["golay", "type1", "i2+d4+e8"])
 def test_design_from_code_is_the_support_design_at_every_weight(request, tmp_path, capsys,
                                                                    name):
