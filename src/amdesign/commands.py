@@ -203,7 +203,9 @@ def design_json(v: int, blocks):
 
 
 def run_check(args) -> int:
-    v, k, b, lam, violation = designs._check_design_file(args.design, args.t)
+    # read_design_file's errors in its order, then _t_design_check's.
+    v, k, b, blocks = designs._read_checked(args.design)
+    lam, violation = designs._blocks_check(v, k, b, blocks, args.t)
     payload = {"v": v, "k": k, "b": b, "t": args.t, "lambda": lam, "violation": None}
     lines = [f"v={v} k={k} b={b}"]
     if lam is None:

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .gf2core import (BinaryCode, EnumerationGuardError, Record, SearchBudgetError,
-                      code_from_rows, codewords_of_weight, support)
+                      code_from_rows, codewords_of_weight, is_self_orthogonal, support)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -141,8 +141,8 @@ def _t_design_check(
 
 
 def _blocks_check(v: int, k: int, b: int, blocks: Iterable[Sequence[int]], t: int) -> tuple:
-    """_t_design_check of b validated blocks of size k on the points 1..v.
-    The blocks are read once, after the guard has passed."""
+    """_t_design_check of b validated blocks of size k on the points 1..v,
+    in any order, read once after the guard."""
     if t < 0 or t > k:
         raise ValueError("t out of range")
     if t == 0:
@@ -279,14 +279,10 @@ def intersection_profile(d: Design, block_index: int) -> dict[int, int]:
 
 
 def is_self_orthogonal_design(d: Design) -> bool:
-    """True when every pairwise block intersection is congruent to k mod 2."""
-    masks = [_block_mask(b) for b in d.blocks]
-    parity = d.k % 2
-    return all(
-        (masks[i] & masks[j]).bit_count() % 2 == parity
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    )
+    """True when every two blocks meet in k mod 2 points: when the blocks,
+    with k mod 2 at point v + 1, span a self-orthogonal code."""
+    parity = (d.k & 1) << d.v
+    return is_self_orthogonal(code_from_rows((_block_mask(b) | parity for b in d.blocks), d.v + 1))
 
 
 # mendelsohn_solve gives up after this many nodes of its search tree.
@@ -503,12 +499,3 @@ def _read_checked(path: str | Path) -> tuple:
         pass
     # Every block has the last one's size.
     return v, len(block), len(blocks), blocks
-
-
-def _check_design_file(path: str | Path, t: int) -> tuple:
-    """(v, k, b, lambda, violation) of _t_design_check(read_design_file(path),
-    t), with the same errors in the same order: the _read_checked blocks are
-    set into the point masks in file order, on which neither lambda nor the
-    violation depends."""
-    v, k, b, blocks = _read_checked(path)
-    return (v, k, b, *_blocks_check(v, k, b, blocks, t))

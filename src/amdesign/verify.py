@@ -102,12 +102,6 @@ def _slices(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
     return [0] + masks[:codes[0].n], masks[codes[0].n:]
 
 
-def _slice_check(incidence: list[int], leaf: int, t: int):
-    """designs._t_design_check of the support design held by leaf, 1 <= t <= w."""
-    designs._walk_guard(len(incidence) - 1, t)
-    return designs._cover_walk(incidence, t, leaf)
-
-
 def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     """Strength of each C_w up to min(t_cap, w): a block of size w bounds t."""
     # Only a code whose basis is empty or the all-ones word alone has no
@@ -124,7 +118,8 @@ def _profile(incidence: list[int], leaves: list[int], t_cap: int) -> StrengthPro
         if leaves[w]:
             per[w] = 0
             for t in range(1, min(t_cap, w) + 1):
-                if _slice_check(incidence, leaves[w], t)[0] is None:
+                designs._walk_guard(len(incidence) - 1, t)
+                if designs._cover_walk(incidence, t, leaves[w])[0] is None:
                     break
                 per[w] = t
     if not per:
@@ -153,7 +148,8 @@ def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tupl
     lambdas, first_violation = {}, None
     for w in range(1, len(incidence) - 1):
         if leaves[w]:
-            lambdas[w], violation = _slice_check(incidence, leaves[w], 1)
+            designs._walk_guard(len(incidence) - 1, 1)
+            lambdas[w], violation = designs._cover_walk(incidence, 1, leaves[w])
             if violation and first_violation is None:
                 first_violation = (w, violation)
     return lambdas, first_violation

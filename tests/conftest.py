@@ -1,7 +1,9 @@
 import pytest
 
+import oracles
+
 from amdesign.catalog import load_code
-from amdesign.designs import Design, support_design
+from amdesign.designs import support_design
 from amdesign.gf2core import code_from_rows
 
 
@@ -31,16 +33,9 @@ def c6(type1):
 
 @pytest.fixture(scope="session")
 def biplane():
-    """The blocks of the 2-(16,6,2) biplane of translates of the difference
-    set {0,1,2,4,8,15} in Z_2^4 (point p is the group element p - 1)."""
-    return [tuple((x ^ s) + 1 for s in (0, 1, 2, 4, 8, 15)) for x in range(16)]
+    return oracles.biplane()
 
 
 @pytest.fixture(scope="session")
-def bent_design(biplane):
-    """A 2-(16,6,8) design that is not self-orthogonal: the biplane taken
-    twice as is and twice with points 1 and 2 swapped. A swap preserves
-    the 2-design property, and the union of the two copies has blocks
-    meeting in an odd number of points."""
-    swapped = [tuple({1: 2, 2: 1}.get(p, p) for p in block) for block in biplane]
-    return Design(16, tuple(2 * biplane + 2 * swapped))
+def bent_design():
+    return oracles.bent_design()

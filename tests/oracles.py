@@ -80,9 +80,15 @@ assmus_mattson_witnesses and transform_mismatches are the Assmus-Mattson
 criterion and the Bachoc transform check that walked dual(c) even when it is
 c; amdesign reads a self-dual code's spectrum and harmonic enumerators once.
 
+is_self_orthogonal_design is the test that scanned every pair of blocks for
+an intersection of k mod 2 points, b^2/2 pairs; amdesign.designs tests
+instead that the block vectors, each with k mod 2 at a point v + 1, span a
+self-orthogonal code, over a basis of at most v + 1 rows.
+
 extended_qr is the extended quadratic-residue code of a prime p = +-1
 (mod 8), the length-32 code of which holds 2^16 words. permuted moves a
-code's coordinates.
+code's coordinates. biplane is the 2-(16,6,2) biplane, and bent_design a
+2-(16,6,8) design built from it that is not self-orthogonal.
 """
 
 import json
@@ -413,6 +419,22 @@ def permuted(c, perm):
                            for row in c.basis], c.n)
 
 
+def biplane():
+    """The blocks of the 2-(16,6,2) biplane of translates of the difference
+    set {0,1,2,4,8,15} in Z_2^4 (point p is the group element p - 1)."""
+    return [tuple((x ^ s) + 1 for s in (0, 1, 2, 4, 8, 15)) for x in range(16)]
+
+
+def bent_design():
+    """A 2-(16,6,8) design that is not self-orthogonal: the biplane taken
+    twice as is and twice with points 1 and 2 swapped. A swap preserves
+    the 2-design property, and the union of the two copies has blocks
+    meeting in an odd number of points."""
+    blocks = biplane()
+    swapped = [tuple({1: 2, 2: 1}.get(p, p) for p in block) for block in blocks]
+    return designs.Design(16, tuple(2 * blocks + 2 * swapped))
+
+
 def _mask(points):
     mask = 0
     for p in points:
@@ -460,6 +482,12 @@ def design_strength(d, t_max):
             break
         strength = t
     return strength
+
+
+def is_self_orthogonal_design(d):
+    masks, parity = [_mask(b) for b in d.blocks], d.k % 2
+    return all((masks[i] & masks[j]).bit_count() % 2 == parity
+               for i in range(len(masks)) for j in range(i + 1, len(masks)))
 
 
 def coverage_counts(d, t):

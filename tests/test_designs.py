@@ -20,7 +20,7 @@ import oracles
 from oracles import format_design
 
 from amdesign import ratlin
-from amdesign.catalog import builtin
+from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
 from amdesign.commands import design_json
 from amdesign.designs import (
@@ -437,6 +437,21 @@ def test_is_self_orthogonal_design(c6):
     assert is_self_orthogonal_design(c6)
     assert is_self_orthogonal_design(Design(6, ((1, 2, 3, 4, 5, 6),)))
     assert not is_self_orthogonal_design(complete_design(4, 2))
+
+
+FANO = Design(7, ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6), (2, 6, 7), (1, 3, 7)))
+
+
+# The span of the block vectors, each with k mod 2 at point v + 1, against
+# the scan of every pair of blocks. The Fano plane's lines meet once, so
+# its blocks alone span no self-orthogonal code: it catches a lost parity.
+@settings(max_examples=300, deadline=None, database=None)
+@given(designs_with_repeats())
+@example(support_design(load_code("type1_16"), 6))
+@example(oracles.bent_design())
+@example(FANO)
+def test_self_orthogonality_is_the_pairwise_scan(d):
+    assert is_self_orthogonal_design(d) == oracles.is_self_orthogonal_design(d)
 
 
 # ratlin's rational elimination is the reference for the inverse of [C(i, j)]

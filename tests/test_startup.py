@@ -392,13 +392,18 @@ print(code, sum(map(len, units)),
 # 85,240, 55,106 and 40,605 B; with the table and its argparse builder
 # compiled whole, all five compiled 33,959, 48,923, 32,896, 31,791 and
 # 53,697 B; with the verify map compiled at import and a design checked in
-# two passes, 32,986, 47,351, 31,874, 30,855 and 52,125 B.
+# two passes, 32,986, 47,351, 31,874, 30,855 and 52,125 B. With two one-call
+# wrappers of the design walk, the first five compiled 32,267, 47,017,
+# 31,217, 30,136 and 52,030 B and thm1.4, whose self-orthogonality test
+# scanned the block pairs, 44,090; without them, and with that test read off
+# the span of the blocks, 32,267, 46,857, 30,923, 30,136, 51,861 and 44,065.
 _COMPILED_BYTES = {
     "code info -b type1_16": 32_700,
-    "verify thm1.1 -b type1_16": 47_200,
-    "design check -d c12.json --t 5": 31_500,
+    "verify thm1.1 -b type1_16": 46_950,
+    "design check -d c12.json --t 5": 31_000,
     "search fsd": 30_600,
-    "verify thm1.2-1 -b type1_16": 52_050,
+    "verify thm1.2-1 -b type1_16": 51_950,
+    "verify thm1.4 -d c6.json": 44_080,
 }
 
 
@@ -412,12 +417,13 @@ def _compiled(cwd, argv):
 
 
 @pytest.mark.parametrize("line", _COMPILED_BYTES)
-def test_a_command_compiles_at_most_its_bytes(tmp_path, golay, line):
+def test_a_command_compiles_at_most_its_bytes(tmp_path, golay, c6, line):
     from oracles import format_design
 
     from amdesign.designs import support_design
 
     (tmp_path / "c12.json").write_text(format_design(support_design(golay, 12)) + "\n")
+    (tmp_path / "c6.json").write_text(format_design(c6) + "\n")
     code, compiled, *_ = _compiled(tmp_path, line.split())
     assert code == 0 and compiled <= _COMPILED_BYTES[line], compiled
 
