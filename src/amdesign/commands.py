@@ -192,16 +192,6 @@ def run_subcode(args) -> int:
                                 "rows": format_generator(c).split()})
 
 
-def design_json(v: int, blocks):
-    """The design's JSON and a newline, as json.dumps spaces it, by block."""
-    yield f'{{"v": {v}, "blocks": ['
-    sep = ""
-    for block in blocks:
-        yield f"{sep}{list(block)}"
-        sep = ", "
-    yield "]}\n"
-
-
 def run_check(args) -> int:
     # read_design_file's errors in its order, then _t_design_check's.
     v, k, b, blocks = designs._read_checked(args.design)
@@ -228,14 +218,14 @@ def run_from_code(args) -> int:
         raise ValueError(f"no codewords of weight {w}")
     # Design's block order: by the word read from point 1 on, descending.
     words.sort(key=lambda x: int(f"{x:0{c.n}b}"[::-1], 2), reverse=True)
-    sys.stdout.writelines(design_json(c.n, map(support, words)))
+    sys.stdout.writelines(designs.design_json(c.n, map(support, words)))
     return 0
 
 
 def run_complement(args) -> int:
     # The complements of the file's checked blocks, with no Design of either.
     v, k, b, blocks = designs._read_checked(args.design)
-    sys.stdout.writelines(design_json(v, designs._complement_blocks(v, k, b, blocks)))
+    sys.stdout.writelines(designs.design_json(v, designs._complement_blocks(v, k, b, blocks)))
     return 0
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "mendelsohn_solve",
     "code_from_design",
     "read_design_file",
+    "design_json",
 ]
 
 
@@ -408,10 +409,21 @@ def code_from_design(d: Design) -> BinaryCode:
     return code_from_rows((_block_mask(b) for b in d.blocks), d.v)
 
 
+def design_json(v: int, blocks):
+    """The design's JSON and a newline, as json.dumps spaces it, by block:
+    the layout that _scan_design reads."""
+    yield f'{{"v": {v}, "blocks": ['
+    sep = ""
+    for block in blocks:
+        yield f"{sep}{list(block)}"
+        sep = ", "
+    yield "]}\n"
+
+
 def _read_blocks(path: str | Path) -> tuple[object, list]:
     """The point count and the block list of a design JSON file, once its
-    shape is checked; neither is validated. A block is a list, or bytes
-    when _scan_design reads the file."""
+    shape is checked; neither is validated. A block is bytes when
+    _scan_design reads the file, else a list from json.loads."""
     text = Path(path).read_text()
     found = _scan_design(text)
     if found is not None:
@@ -429,56 +441,33 @@ def _read_blocks(path: str | Path) -> tuple[object, list]:
 
 
 def _scan_design(text: str) -> tuple[object, list[bytes]] | None:
-    """(v, blocks) of design JSON read block by block with json's scanner,
-    each block kept as bytes: a quarter of the memory of the list that
-    json.loads makes of it, and json.loads would hold every list at once.
-    None, for json.loads to read the text and raise its errors, unless the
-    text is one JSON object with a 'v' and with 'blocks' a list of lists of
-    ints in 0..255; a repeated key keeps its last value, as in json.loads."""
-    ws, scan, members = json.decoder.WHITESPACE.match, json.JSONDecoder().scan_once, {}
-
-    def scan_blocks(text: str, i: int) -> tuple[list[bytes], int]:
-        # The blocks at text[i] and the index past them; ValueError unless
-        # they are a list of lists of ints in 0..255.
-        if text[i:i + 1] != "[":
-            raise ValueError
-        blocks, i = [], ws(text, i + 1).end()
-        while text[i:i + 1] != "]":
-            if blocks:
-                if text[i:i + 1] != ",":
-                    raise ValueError
-                i = ws(text, i + 1).end()
-            block, i = scan(text, i)
-            if type(block) is not list or not _INT_ONLY.issuperset(map(type, block)):
-                raise ValueError
-            blocks.append(bytes(block))
-            i = ws(text, i).end()
-        return blocks, i + 1
-
+    """(v, blocks) of the text design_json and json.dumps write, read block
+    by block with json's scanner, each block kept as bytes: a quarter of the
+    memory of the list json.loads makes of it, and json.loads holds every
+    list at once. None, for json.loads to read the text, unless it is
+    '{"v": ' and a value, ', "blocks": [', lists of ints in 0..255 joined
+    by ', ', then ']}' and JSON whitespace."""
+    if not text.startswith('{"v": '):
+        return None
+    scan, blocks, sep = json.JSONDecoder().scan_once, [], ""
     try:
-        i = ws(text).end()
-        if text[i:i + 1] != "{":
+        v, i = scan(text, 6)
+        if not text.startswith(', "blocks": [', i):
             return None
-        i = ws(text, i + 1).end()
-        while True:
-            if text[i:i + 1] != '"':
+        i += 13
+        while not text.startswith("]}", i):
+            if not text.startswith(sep, i):
                 return None
-            key, i = scan(text, i)
-            i = ws(text, i).end()
-            if text[i:i + 1] != ":":
+            block, i = scan(text, i + len(sep))
+            if type(block) is not list or not _INT_ONLY.issuperset(map(type, block)):
                 return None
-            i = ws(text, i + 1).end()
-            members[key], i = (scan_blocks if key == "blocks" else scan)(text, i)
-            i = ws(text, i).end()
-            if text[i:i + 1] != ",":
-                break
-            i = ws(text, i + 1).end()
-        if (text[i:i + 1] != "}" or ws(text, i + 1).end() != len(text)
-                or not members.keys() >= {"v", "blocks"}):
-            return None
+            blocks.append(bytes(block))
+            sep = ", "
     except (StopIteration, ValueError, RecursionError):
         return None
-    return members["v"], members["blocks"]
+    if json.decoder.WHITESPACE.match(text, i + 2).end() != len(text):
+        return None
+    return v, blocks
 
 
 def read_design_file(path: str | Path) -> Design:

@@ -107,8 +107,9 @@ _LAYER_CASES = [
     (["code", "info", "-g", "e8.gm"], 0, []),
     (["search", "fsd"], 0, ["catalog"]),
     (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs"]),
-    # the support design is streamed from the code's words, with no Design
-    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, []),
+    # the support design is streamed from the code's words, with no Design,
+    # through the design file encoder of designs
+    (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, ["designs"]),
     (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["verify"]),
     # harmonic enumerators are integer rows: no HomPoly, so no polyring
     (["verify", "thm1.1", "-g", "type1_16.gm"], 0, ["designs", "harmonic", "verify"]),

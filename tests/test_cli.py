@@ -805,6 +805,9 @@ def test_design_check_prints_what_the_design_oracle_prints(monkeypatch, capsys, 
     '{"v": 3}',                                                # no blocks
     '[3, [[1, 2]]]',                                           # not an object
     '{"v": 3, "blocks": [[1, 2]], "x": ' + "[" * 100_000 + "}",  # nested too deep
+    json.dumps({"v": 3, "blocks": [[2, 1], [1, 3], [3, 2]]}, indent=2),
+    json.dumps({"v": 3, "blocks": [[2, 1], [1, 3], [3, 2]]}, separators=(",", ":")),
+    '{"v": 3, "blocks": [[2, 1], [1, 3], [3, 2]]}\u00a0',      # a no-break space after it
 ])
 def test_design_check_reads_any_text_as_json_loads_does(monkeypatch, capsys, tmp_path, body):
     path = tmp_path / "design.json"

@@ -22,13 +22,14 @@ from oracles import format_design
 from amdesign import ratlin
 from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
-from amdesign.commands import design_json
 from amdesign.designs import (
     DESIGN_GUARD,
     Design,
     _inverse_weights,
+    _scan_design,
     code_from_design,
     complement_design,
+    design_json,
     design_strength,
     intersection_profile,
     is_self_orthogonal_design,
@@ -204,6 +205,49 @@ def designs(draw):
 def test_the_design_encoder_is_the_json_encoding(d):
     assert "".join(design_json(d.v, d.blocks)) == json.dumps(oracles.design_to_json(d)) + "\n"
     assert format_design(d) == json.dumps(oracles.design_to_json(d))
+
+
+# The texts of a design that the writers make, and other layouts of it.
+_LAYOUTS = {
+    "design_json": lambda v, blocks: "".join(design_json(v, blocks)),
+    "json.dumps": lambda v, blocks: json.dumps({"v": v, "blocks": blocks}),
+    "indent=2": lambda v, blocks: json.dumps({"v": v, "blocks": blocks}, indent=2),
+    "compact": lambda v, blocks: json.dumps({"v": v, "blocks": blocks}, separators=(",", ":")),
+    "blocks first": lambda v, blocks: json.dumps({"blocks": blocks, "v": v}),
+    "repeated key": lambda v, blocks: f'{{"v": 0, "v": {v}, "blocks": {blocks}}}',
+    "no-break space": lambda v, blocks: "".join(design_json(v, blocks)) + "\u00a0",
+}
+
+
+@st.composite
+def _byte_designs(draw):
+    """A point count in 1..255 and blocks of one size on its points, in any
+    order, at times repeated."""
+    v = draw(st.integers(1, 255))
+    k = draw(st.integers(1, v))
+    block = st.permutations(range(1, v + 1)).map(lambda points: points[:k])
+    blocks = draw(st.lists(block, min_size=1, max_size=6))
+    return v, blocks + draw(st.lists(st.sampled_from(blocks), max_size=3))
+
+
+# _scan_design reads exactly the text that design_json and json.dumps write
+# and leaves every other text to json.loads.
+@settings(max_examples=200, deadline=None, database=None)
+@given(design=_byte_designs(), layout=st.sampled_from(["design_json", "json.dumps"]))
+@example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="indent=2")
+@example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="compact")
+@example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="blocks first")
+@example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="repeated key")
+@example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="no-break space")
+@example(design=(256, [[1, 256], [2, 3]]), layout="design_json")
+@example(design=(256, [[1, 256], [2, 3]]), layout="json.dumps")
+def test_the_design_scanner_reads_exactly_what_the_writers_write(design, layout):
+    v, blocks = design
+    found = _scan_design(_LAYOUTS[layout](v, blocks))
+    if layout in ("design_json", "json.dumps") and max(map(max, blocks)) < 256:
+        assert found == (v, [bytes(b) for b in blocks])
+    else:
+        assert found is None
 
 
 def _traced_command(argv):
