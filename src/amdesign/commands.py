@@ -125,7 +125,7 @@ def read_code(args) -> BinaryCode:
     if args.builtin:
         # A "+" composes a direct sum of builtins; no stored name holds one.
         name = args.builtin
-        if "+" in name or name in catalog.BUILTIN_NAMES:
+        if "+" in name or name.strip() in catalog.BUILTIN_NAMES:
             return catalog.builtin(name)
         return catalog.load_code(name)
     raise PreconditionError("a code is required: pass -g FILE or -b NAME")
@@ -376,16 +376,14 @@ def run_fsd(args) -> int:
 def _emit_report(args, rep, started: float) -> int:
     envelope = rep.to_dict()
     envelope["timings"] = {"total_ms": (time.perf_counter() - started) * 1000.0}
-    if args.format == "json":
-        print(json.dumps(envelope, indent=2))
-    elif rep.scenario == "profile":
-        w = rep.witnesses
-        print("per weight: " + " ".join(f"{k}:{t}" for k, t in w["per_weight"].items()))
-        print(f"delta = {w['delta']}, s = {w['s']}")
+    w = rep.witnesses
+    if rep.scenario == "profile":
+        lines = ["per weight: " + " ".join(f"{k}:{t}" for k, t in w["per_weight"].items()),
+                 f"delta = {w['delta']}, s = {w['s']}"]
     else:
-        print(f"scenario: {rep.scenario}")
-        print(f"verdict: {rep.verdict}")
-        print("witnesses: " + json.dumps(rep.witnesses, indent=2))
+        lines = [f"scenario: {rep.scenario}", f"verdict: {rep.verdict}",
+                 "witnesses: " + json.dumps(w, indent=2)]
+    print_payload(args, envelope, lines)
     return 0 if rep.passed else 1
 
 
@@ -399,8 +397,8 @@ def _verify_profile(args):
     if args.t_cap < 0:
         raise PreconditionError("--t-cap must be nonnegative")
     prof = verify.strength_profile(read_code(args), args.t_cap)
-    return verify.report("profile", True,
-                         {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})
+    return verify.VerificationReport(
+        "profile", True, {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})
 
 
 def run_scenario(args) -> int:

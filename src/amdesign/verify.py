@@ -31,7 +31,6 @@ __all__ = [
     "VerificationReport",
     "assmus_mattson_check",
     "exact_json",
-    "report",
     "strength_profile",
     "verify_cor_1_5",
     "verify_thm_1_1",
@@ -42,12 +41,12 @@ __all__ = [
 
 
 class VerificationReport(Record):
-    """Outcome of one scenario: verdict plus exact witness values."""
+    """Outcome of one scenario: verdict plus witnesses, rendered by exact_json."""
 
     __slots__ = ("scenario", "passed", "witnesses")
 
     def __init__(self, scenario: str, passed: bool, witnesses: dict) -> None:
-        self._set(scenario, passed, witnesses)
+        self._set(scenario, passed, exact_json(witnesses))
 
     @property
     def verdict(self) -> str:
@@ -59,10 +58,6 @@ class VerificationReport(Record):
             "verdict": self.verdict,
             "witnesses": self.witnesses,
         }
-
-
-def report(scenario: str, passed: bool, witnesses: dict) -> VerificationReport:
-    return VerificationReport(scenario, passed, exact_json(witnesses))
 
 
 class StrengthProfile(Record):
@@ -189,7 +184,7 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
         witnesses["promised_dual_weights"] = [
             w for w in dual_wd.counts if d_dual <= w <= c.n
         ]
-    return report("am", applicable, witnesses)
+    return VerificationReport("am", applicable, witnesses)
 
 
 def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
@@ -221,7 +216,7 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
         witnesses["violation_weight"], witnesses["violation"] = first_violation
     if nonzero:
         witnesses["nonzero_enumerator_indices"] = nonzero
-    return report("thm1.1", counting_ok and harmonic_ok, witnesses)
+    return VerificationReport("thm1.1", counting_ok and harmonic_ok, witnesses)
 
 
 def _require_type1_16(c: BinaryCode) -> tuple[list[int], list[int]]:
@@ -274,7 +269,7 @@ def verify_thm_1_2_type1(
     }
     if not counting_ok:
         witnesses["violation"] = violation
-    return report("thm1.2-1", passed, witnesses)
+    return VerificationReport("thm1.2-1", passed, witnesses)
 
 
 def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
@@ -310,7 +305,7 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
             witnesses["violation_weight"] = w
             witnesses["violation"] = violation
     witnesses["lambda_2_per_weight"] = lambdas
-    return report("thm1.2-2", passed, witnesses)
+    return VerificationReport("thm1.2-2", passed, witnesses)
 
 
 def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
@@ -350,7 +345,7 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
     }
     if not passed:
         witnesses["failing_step"] = next(name for name, ok in steps.items() if not ok)
-    return report("thm1.4", passed, witnesses)
+    return VerificationReport("thm1.4", passed, witnesses)
 
 
 def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
@@ -383,4 +378,4 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
         "subcode_strengths": prof0.per_weight,
         "dual_strengths": prof1.per_weight,
     }
-    return report("cor1.5", passed, witnesses)
+    return VerificationReport("cor1.5", passed, witnesses)

@@ -357,7 +357,7 @@ def verify_cor_1_5(c):
             prof1.per_weight.get(w, 0) >= 2 for w in (6, 10)
         ),
     }
-    return verify.report("cor1.5", all(checks.values()), {
+    return verify.VerificationReport("cor1.5", all(checks.values()), {
         "checks": checks,
         "subcode_weight_distribution": wd0.counts,
         "subcode_strengths": prof0.per_weight,

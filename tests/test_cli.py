@@ -91,6 +91,9 @@ def test_a_malformed_store_index_is_a_usage_error(capsys, tmp_path, monkeypatch,
 def test_unknown_code_name_is_usage_error(capsys):
     assert run(["code", "info", "-b", "zz"]) == 2
     assert capsys.readouterr().err == "error: no stored code named 'zz'\n"
+    # A stored name is read exactly, unstripped.
+    assert run(["code", "info", "-b", " type1_16"]) == 2
+    assert capsys.readouterr() == ("", "error: no stored code named ' type1_16'\n")
 
 
 # A "+" makes a name a direct sum of builtins, which the store never holds.
@@ -107,10 +110,12 @@ def test_a_malformed_direct_sum_names_its_fault(capsys, fmt, name, message):
 
 
 def test_a_spaced_direct_sum_reads_as_the_builtin(capsys):
-    assert run(["code", "info", "-b", "e8 + d4"]) == 0
-    spaced = capsys.readouterr()
-    assert run(["code", "info", "-b", "e8+d4"]) == 0
-    assert capsys.readouterr() == spaced
+    # A single builtin is spaced as a direct sum's parts are.
+    for spaced, name in (("e8 + d4", "e8+d4"), (" e8 ", "e8")):
+        assert run(["code", "info", "-b", spaced]) == 0
+        out = capsys.readouterr()
+        assert run(["code", "info", "-b", name]) == 0
+        assert capsys.readouterr() == out
 
 
 @pytest.mark.parametrize("argv", [

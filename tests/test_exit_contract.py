@@ -2,7 +2,8 @@
 violated, 2 input or usage error, 3 resource guard, and never a traceback.
 Generator files and the integer arguments of the harmonic, poly and verify
 commands are drawn at random and run in-process through cli.run; the draws
-are kept small so that the existing guards, not timeouts, bound the work."""
+are kept small so that the existing guards, not timeouts, bound the work.
+Design files are drawn too, for the commands that read one."""
 
 import json
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdesign.cli import run
+from amdesign.gf2core import format_generator
 from amdesign.polyring import ALPHA_MAX_GUARD
 
 _FIXTURE_OK = [HealthCheck.function_scoped_fixture]
@@ -31,7 +33,7 @@ def _check(argv, fmt, code, out, err):
     if code == 1 and fmt == "json":
         payload = json.loads(out)
         assert (payload.get("verdict") == "fail" or payload.get("in_span") is False
-                or payload.get("mismatches")), (argv, payload)
+                or payload.get("mismatches") or payload.get("violation")), (argv, payload)
 
 
 def _run(capsys, argv, fmt):
@@ -153,3 +155,65 @@ def test_design_files_with_a_huge_point_count_keep_the_exit_code_contract(
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"v": 10**20, "blocks": [[1], [10**20]]}))
     assert _run(capsys, ["design", command[0], "-d", str(path), *command[1:]], fmt) == code
+
+
+# Points that are not in 1..v of a positive integer v: bools, floats,
+# strings, nested lists, null, nonpositive and huge integers.
+_ODD_POINTS = st.sampled_from([True, False, 2.0, 0.5, "3", [1], [[2]], None, 0, -1, 10**20])
+
+
+@st.composite
+def _design_texts(draw):
+    """A design file of at most 6 blocks on v <= 300 points. It is in the
+    layout of designs.design_json, which designs._scan_design reads, or in
+    one it leaves to json.loads: indented, keys swapped, truncated, or with
+    trailing bytes. A block may differ in size, and a point may be odd, out
+    of range or a repeat."""
+    v = draw(st.just(16) | st.integers(1, 20) | st.integers(-1, 300))
+    points = st.integers(1, max(v, 1))
+    k = draw(st.just(6) | st.integers(0, 8)) if v >= 8 else draw(st.integers(0, max(v, 0)))
+    blocks = draw(st.lists(st.lists(points, min_size=k, max_size=k, unique=True), max_size=6))
+    fault = draw(st.sampled_from([None, None, "v", "size", "point"]))
+    if fault == "v":
+        v = draw(st.sampled_from([True, 16.0, "16", None, [16]]))
+    elif blocks and fault == "size":
+        i = draw(st.integers(0, len(blocks) - 1))
+        blocks[i] = draw(st.lists(points, max_size=min(v, 8), unique=True))
+    elif blocks and blocks[0] and fault == "point":
+        block = draw(st.sampled_from(blocks))
+        i = draw(st.integers(0, k - 1))
+        block[i] = draw(_ODD_POINTS | st.sampled_from([block[0], v + 1]))
+    scanned = f'{{"v": {json.dumps(v)}, "blocks": [{", ".join(map(json.dumps, blocks))}]}}\n'
+    layout = draw(st.sampled_from(["scanned", "indented", "swapped", "truncated", "trailing"]))
+    if layout == "indented":
+        return json.dumps({"v": v, "blocks": blocks}, indent=draw(st.integers(0, 2)))
+    if layout == "swapped":
+        return json.dumps({"blocks": blocks, "v": v})
+    if layout == "truncated":
+        return scanned[:draw(st.integers(0, len(scanned) - 2))]
+    if layout == "trailing":
+        return scanned + draw(st.sampled_from(["x", ",", "]", "}", "{}", "\x00", " 1", "\n\n"]))
+    return scanned
+
+
+# The commands that read a design file, with the options they take; the
+# substitute design of verify thm1.2-1 goes with the Type I [16,8,4] code.
+_DESIGN_COMMANDS = st.one_of(
+    st.integers(-1, 4).map(lambda t: ["design", "check", "--t", str(t)]),
+    st.just(["design", "complement"]),
+    st.just(["design", "intersections"]),
+    st.just(["verify", "thm1.4"]),
+    st.just(["verify", "thm1.2-1", "-g", "type1.gm"]),
+)
+
+
+@settings(max_examples=250, deadline=None, database=None, suppress_health_check=_FIXTURE_OK)
+@given(body=_design_texts(), command=_DESIGN_COMMANDS, fmt=_FORMAT)
+def test_design_files_keep_the_exit_code_contract(
+        capsys, tmp_path, type1, body, command, fmt):
+    path, generator = tmp_path / "design.json", tmp_path / "type1.gm"
+    path.write_text(body)
+    generator.write_text(format_generator(type1))
+    options = [str(generator) if x == "type1.gm" else x for x in command[2:]]
+    takes_format = command[:2] != ["design", "complement"]
+    _run(capsys, [*command[:2], "-d", str(path), *options], fmt if takes_format else None)

@@ -399,7 +399,9 @@ print(code, sum(map(len, units)),
 # the span of the blocks, 32,267, 46,857, 30,923, 30,136, 51,861 and 44,065,
 # and design complement 28,462. With a design scanned only in the layout
 # that designs.design_json writes, and that encoder moved into designs, the
-# seven compiled 32,267, 46,876, 30,004, 30,136, 51,880, 43,146 and 27,591.
+# seven compiled 32,267, 46,876, 30,004, 30,136, 51,880, 43,146 and 27,591;
+# with the verify reports printed through print_payload, and no verify.report
+# wrapper, 32,275, 46,902, 30,004, 30,136, 51,906, 43,164 and 27,591.
 _COMPILED_BYTES = {
     "code info -b type1_16": 32_700,
     "verify thm1.1 -b type1_16": 46_950,

@@ -1,6 +1,7 @@
 """Scenario verifiers: reports, witnesses, preconditions, mutation checks."""
 
 import json
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -20,9 +21,9 @@ from amdesign.gf2core import (
     BinaryCode, EnumerationGuardError, classify, code_from_rows, weight_distribution)
 from amdesign.verify import (
     PreconditionError,
+    VerificationReport,
     assmus_mattson_check,
     exact_json,
-    report,
     strength_profile,
     verify_cor_1_5,
     verify_thm_1_1,
@@ -50,7 +51,8 @@ def test_exact_json():
 
 
 def test_report_round_trip():
-    rep = report("demo", True, {"lambda": 8, "ratio": Fraction(1, 2)})
+    # A report renders its witnesses with exact_json when it is built.
+    rep = VerificationReport("demo", True, {"lambda": 8, "ratio": Fraction(1, 2)})
     assert rep.verdict == "pass"
     obj = rep.to_dict()
     assert obj == {
@@ -58,6 +60,9 @@ def test_report_round_trip():
         "verdict": "pass",
         "witnesses": {"lambda": "8", "ratio": "1/2"},
     }
+    assert VerificationReport("demo", True, obj["witnesses"]) == rep
+    # __reduce__ rebuilds the report through __init__, from rendered witnesses.
+    assert pickle.loads(pickle.dumps(rep)) == rep
 
 
 def test_strength_profile(type1):
