@@ -139,15 +139,6 @@ def print_payload(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def print_code(args, c: BinaryCode, payload: dict) -> int:
-    """The generator rows as text, or the payload as one line of JSON."""
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        sys.stdout.write(format_generator(c))
-    return 0
-
-
 def run_info(args) -> int:
     c = read_code(args)
     wd = weight_distribution(c)
@@ -175,7 +166,9 @@ def run_info(args) -> int:
 
 def run_dual(args) -> int:
     c = dual(read_code(args))
-    return print_code(args, c, {"length": c.n, "rows": format_generator(c).split()})
+    rows = format_generator(c).split()
+    print_payload(args, {"length": c.n, "rows": rows}, rows)
+    return 0
 
 
 def run_weights(args) -> int:
@@ -188,8 +181,9 @@ def run_weights(args) -> int:
 
 def run_subcode(args) -> int:
     c = doubly_even_subcode(read_code(args))
-    return print_code(args, c, {"length": c.n, "dimension": c.dimension,
-                                "rows": format_generator(c).split()})
+    rows = format_generator(c).split()
+    print_payload(args, {"length": c.n, "dimension": c.dimension, "rows": rows}, rows)
+    return 0
 
 
 def run_check(args) -> int:
@@ -355,12 +349,14 @@ def run_lemma41(args) -> int:
 
 
 def _search_payload(args, c: BinaryCode, wd: WeightDistribution) -> int:
-    return print_code(args, c, {
+    rows = format_generator(c).split()
+    print_payload(args, {
         "length": c.n,
         "dimension": c.dimension,
-        "rows": format_generator(c).split(),
+        "rows": rows,
         "weight_distribution": {str(w): a for w, a in wd.counts.items()},
-    })
+    }, rows)
+    return 0
 
 
 def run_type1(args) -> int:

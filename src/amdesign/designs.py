@@ -231,14 +231,15 @@ def design_strength(d: Design, t_max: int) -> int:
 
 
 def _complement_blocks(v: int, k: int, b: int, blocks: Iterable) -> list:
-    """Sorted complements in 1..v of b checked blocks of size k; v*b above
+    """Sorted complements in 1..v of b checked blocks of size k, each bytes
+    when v <= 255 (as _scan_design holds blocks), else a tuple; v*b above
     DESIGN_GUARD raises EnumerationGuardError."""
     if k == v:
         raise ValueError("complement blocks would be empty")
     if v * b > DESIGN_GUARD:
         raise EnumerationGuardError(f"v*b = {v * b} exceeds the design guard {DESIGN_GUARD}")
-    full = set(range(1, v + 1))
-    return sorted(tuple(sorted(full - set(x))) for x in blocks)
+    full, kind = set(range(1, v + 1)), bytes if v <= 255 else tuple
+    return sorted(kind(sorted(full - set(x))) for x in blocks)
 
 
 def complement_design(d: Design) -> Design:

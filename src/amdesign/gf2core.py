@@ -19,8 +19,6 @@ __all__ = [
     "BinaryCode",
     "WeightDistribution",
     "CodeClass",
-    "pack_row",
-    "row_to_string",
     "support",
     "code_from_rows",
     "code_from_strings",
@@ -121,21 +119,6 @@ def exact_json(value):
     raise TypeError(f"cannot serialize witness of type {type(value).__name__}")
 
 
-def pack_row(bits: str | Iterable[int]) -> int:
-    """Pack '0'/'1' characters (or 0/1 ints) into a bitset; position 0 is bit 0."""
-    row = 0
-    for i, b in enumerate(bits):
-        if b in ("1", 1):
-            row |= 1 << i
-        elif b not in ("0", 0):
-            raise ValueError(f"invalid bit {b!r}")
-    return row
-
-
-def row_to_string(row: int, n: int) -> str:
-    return "".join("1" if (row >> i) & 1 else "0" for i in range(n))
-
-
 def support(word: int) -> tuple[int, ...]:
     """1-based coordinates of the nonzero positions of a bitset."""
     pts = []
@@ -196,7 +179,8 @@ def code_from_rows(rows: Iterable[int], n: int) -> BinaryCode:
 
 
 def code_from_strings(rows: Iterable[str]) -> BinaryCode:
-    """Code spanned by '0'/'1' strings; all rows must share one length."""
+    """Code spanned by '0'/'1' strings, character i being bit i; all rows
+    must share one length. The one reader of generator rows."""
     rows = list(rows)
     if not rows:
         raise ValueError("no generator rows given")
@@ -205,7 +189,11 @@ def code_from_strings(rows: Iterable[str]) -> BinaryCode:
         raise ValueError("ragged row lengths")
     if n == 0:
         raise ValueError("code length must be positive")
-    return BinaryCode(n, tuple(pack_row(r) for r in rows))
+    for r in rows:
+        # The first character past the leading '0's and '1's is the first bad one.
+        if bad := r.lstrip("01"):
+            raise ValueError(f"invalid bit {bad[0]!r}")
+    return BinaryCode(n, tuple(int(r[::-1], 2) for r in rows))
 
 
 def dual(c: BinaryCode) -> BinaryCode:
@@ -498,7 +486,8 @@ def parse_generator_text(text: str) -> BinaryCode:
 
 
 def format_generator(c: BinaryCode) -> str:
-    return "".join(row_to_string(row, c.n) + "\n" for row in c.basis)
+    """The basis rows, bit i as character i: the one writer of generator rows."""
+    return "".join(f"{row:0{c.n}b}"[::-1] + "\n" for row in c.basis)
 
 
 def read_generator_file(path: str | Path) -> BinaryCode:

@@ -274,7 +274,7 @@ def verify_thm_1_2_type1(
 
 def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     """Unions C_w + dual_w at w in {6, 10} are 2-designs for near-extremal
-    even formally self-dual codes of length 16."""
+    even formally self-dual codes of length 16 (counting and harmonic routes)."""
     if c.n == 64:
         raise EnumerationGuardError(
             "weight-slice enumeration required for length-64 unions"
@@ -292,20 +292,22 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
             "no weight-6 or weight-10 words: the union designs are empty"
         )
     dual_code = dual(c)
-    lambdas = {}
+    lambdas, harmonic_ok = {}, True
     witnesses = {"self_dual": cls.self_dual}
-    passed = True
     for w in (6, 10):
         u = designs.union(designs.support_design(c, w),
                           designs.support_design(dual_code, w))
         lam, violation = designs._t_design_check(u, 2)
         lambdas[w] = lam
+        harmonic_ok = harmonic.delsarte_design_check(u, 2) and harmonic_ok
         if lam is None:
-            passed = False
             witnesses["violation_weight"] = w
             witnesses["violation"] = violation
+    counting_ok = None not in lambdas.values()
     witnesses["lambda_2_per_weight"] = lambdas
-    return VerificationReport("thm1.2-2", passed, witnesses)
+    witnesses["counting_route"] = counting_ok
+    witnesses["harmonic_route"] = harmonic_ok
+    return VerificationReport("thm1.2-2", counting_ok and harmonic_ok, witnesses)
 
 
 def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:

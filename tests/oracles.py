@@ -89,6 +89,12 @@ extended_qr is the extended quadratic-residue code of a prime p = +-1
 (mod 8), the length-32 code of which holds 2^16 words. permuted moves a
 code's coordinates. biplane is the 2-(16,6,2) biplane, and bent_design a
 2-(16,6,8) design built from it that is not self-orthogonal.
+
+pack_row and row_to_string are the per-character reader and writer of one
+generator row, and code_from_strings and format_generator the row-list
+reader and the writer built on them; amdesign.gf2core reads a checked row
+with int(row[::-1], 2) and writes one with a binary format, and must give
+the same codes, text and errors.
 """
 
 import json
@@ -107,6 +113,37 @@ from amdesign.gf2core import (
 from amdesign.designs import lambda_i
 from amdesign.harmonic import bachoc_transform, harm_basis
 from amdesign.polyring import HomPoly, SpanError, gleason_basis
+
+
+def pack_row(bits):
+    """Pack '0'/'1' characters (or 0/1 ints) into a bitset; position 0 is bit 0."""
+    row = 0
+    for i, b in enumerate(bits):
+        if b in ("1", 1):
+            row |= 1 << i
+        elif b not in ("0", 0):
+            raise ValueError(f"invalid bit {b!r}")
+    return row
+
+
+def row_to_string(row, n):
+    return "".join("1" if (row >> i) & 1 else "0" for i in range(n))
+
+
+def code_from_strings(rows):
+    rows = list(rows)
+    if not rows:
+        raise ValueError("no generator rows given")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged row lengths")
+    if n == 0:
+        raise ValueError("code length must be positive")
+    return gf2core.BinaryCode(n, tuple(pack_row(r) for r in rows))
+
+
+def format_generator(c):
+    return "".join(row_to_string(row, c.n) + "\n" for row in c.basis)
 
 
 def weight_distribution(c):

@@ -129,8 +129,8 @@ _LAYER_CASES = [
     (["harmonic", "transform-check", "-g", "e8.gm", "--k", "1"], 0, ["harmonic", "polyring"]),
     (["poly", "lemma4.1", "--alpha-max", "8"], 0, ["polyring"]),
     (["search", "type1-16"], 0, ["catalog"]),
-    # these four verifiers take no harmonic route
-    (["verify", "thm1.2-2", "-g", "fsd_16.gm"], 0, ["designs", "verify"]),
+    (["verify", "thm1.2-2", "-g", "fsd_16.gm"], 0, ["designs", "harmonic", "verify"]),
+    # these three verifiers take no harmonic route
     (["verify", "thm1.4", "-d", "c6.json"], 0, ["designs", "verify"]),
     (["verify", "cor1.5", "-g", "type1_16.gm"], 0, ["designs", "verify"]),
     (["verify", "profile", "-g", "type1_16.gm"], 0, ["designs", "verify"]),

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from itertools import combinations
@@ -889,3 +890,30 @@ def test_search_fsd_refuses_impossible_distances(capsys, argv):
     assert run(["search", "fsd", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _readme_command_lines():
+    """The shell words of each line of the sh block under README's
+    '## Command line', a '\\'-continued line joined to the next and '#'
+    comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    return [words for words in lines if words]
+
+
+def test_the_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # Run in order, as a reader pastes them: a '>' redirect writes the file
+    # that the later lines read.
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert len(lines) == 11 and all(words[0] == "amdesign" for words in lines)
+    for words in lines:
+        argv, target = words[1:], None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        assert run(argv) == 0, " ".join(words)
+        out = capsys.readouterr().out
+        if target:
+            (tmp_path / target).write_text(out)

@@ -29,10 +29,8 @@ from amdesign.gf2core import (
     iter_codewords,
     mallows_sloane,
     minimum_distance,
-    pack_row,
     parse_generator_text,
     read_generator_file,
-    row_to_string,
     support,
     weight_distribution,
 )
@@ -49,19 +47,65 @@ def random_code(rng, n_max=16):
     return code_from_rows((rng.getrandbits(n) for _ in range(k)), n)
 
 
-def test_pack_row_and_back():
-    assert pack_row("0110") == 0b0110
-    assert pack_row([1, 0, 1]) == 0b101
-    assert row_to_string(0b0110, 4) == "0110"
-    assert row_to_string(0, 3) == "000"
-    with pytest.raises(ValueError):
-        pack_row("01x0")
+def test_generator_rows_read_and_write_character_i_as_bit_i():
+    c = code_from_strings(["0110", "1000"])
+    assert c.basis == (0b0001, 0b0110)
+    assert format_generator(c) == "1000\n0110\n"
+    assert format_generator(code_from_rows([0], 3)) == ""
+    with pytest.raises(ValueError, match="^invalid bit 'x'$"):
+        code_from_strings(["0110", "01x0"])
 
 
 def test_support_is_one_based():
     assert support(0b101001) == (1, 4, 6)
     assert support(0) == ()
-    assert support(pack_row("0001")) == (4,)
+    assert support(code_from_strings(["0001"]).basis[0]) == (4,)
+
+
+def _code_or_message(read, arg):
+    try:
+        return read(arg)
+    except ValueError as err:
+        return str(err)
+
+
+# Characters int(s, 2) would read or skip that a generator row must refuse:
+# '_' separators, a sign, a '0b' prefix and a non-ASCII zero.
+_ROW_CHARS = "01x2_+-b\u0660"
+
+# Row lists of one length n, each row of '0'/'1' or of any of those
+# characters, and rows of any length up to 8 among them.
+_ROW_LISTS = st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.text("01", min_size=n, max_size=n) | st.text(_ROW_CHARS, min_size=n, max_size=n)
+    | st.text(_ROW_CHARS, max_size=8), max_size=5))
+
+
+@given(_ROW_LISTS)
+@example([])
+@example(["", ""])
+@example(["10", "011"])
+@example(["0b1"])
+@example(["1_0", "1x0"])
+@settings(max_examples=300, deadline=None)
+def test_generator_rows_read_as_the_per_character_oracle(rows):
+    # The same code, or the same message. The text reader skips empty lines
+    # and refuses a text with no rows before any row is checked.
+    assert (_code_or_message(code_from_strings, rows)
+            == _code_or_message(oracles.code_from_strings, rows))
+    text = "".join(r + "\n" for r in rows)
+    kept = [r for r in rows if r]
+    expected = (_code_or_message(oracles.code_from_strings, kept) if kept
+                else "no generator rows found")
+    assert _code_or_message(parse_generator_text, text) == expected
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=6))))
+@settings(max_examples=200, deadline=None)
+def test_generator_rows_write_as_the_per_character_oracle(case):
+    c = code_from_rows(case[1], case[0])
+    assert format_generator(c) == oracles.format_generator(c)
+    assert code_from_strings(format_generator(c).split() or ["0" * c.n]) == c
 
 
 def test_code_from_rows_is_canonical():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from amdesign import gf2core
+from amdesign import designs, gf2core
 from amdesign.catalog import builtin, direct_sum
 from amdesign.designs import (
     Design,
@@ -196,6 +196,7 @@ def test_thm_1_2_fsd_pass(fsd16):
     assert set(lambdas) == {"6", "10"}
     assert all(v is not None for v in lambdas.values())
     assert rep.witnesses["self_dual"] is False
+    assert rep.witnesses["counting_route"] is rep.witnesses["harmonic_route"] is True
 
 
 def test_thm_1_2_fsd_accepts_self_dual(type1):
@@ -203,6 +204,31 @@ def test_thm_1_2_fsd_accepts_self_dual(type1):
     assert rep.passed
     assert rep.witnesses["self_dual"] is True
     assert rep.witnesses["lambda_2_per_weight"] == {"6": "16", "10": "48"}
+    assert rep.witnesses["counting_route"] is rep.witnesses["harmonic_route"] is True
+
+
+@pytest.mark.parametrize("mutated", [6, 10])
+def test_thm_1_2_fsd_fails_both_routes_on_a_mutant_union(monkeypatch, capsys, mutated):
+    # One point of the first block of the union at one weight is swapped for
+    # a point outside it: that union is not even a 1-design.
+    real = designs.union
+
+    def union(d1, d2):
+        u = real(d1, d2)
+        if u.k != mutated:
+            return u
+        block = u.blocks[0]
+        outside = min(set(range(1, u.v + 1)) - set(block))
+        return Design(u.v, ((*block[1:], outside),) + u.blocks[1:])
+
+    monkeypatch.setattr(designs, "union", union)
+    assert run(["verify", "thm1.2-2", "-b", "fsd_16", "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "fail"
+    w = rep["witnesses"]
+    assert (w["counting_route"], w["harmonic_route"]) == (False, False)
+    assert w["violation_weight"] == str(mutated)
+    assert w["lambda_2_per_weight"][str(mutated)] is None
 
 
 def test_thm_1_2_fsd_preconditions():
