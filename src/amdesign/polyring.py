@@ -57,23 +57,9 @@ class HomPoly(Record):
             raise ValueError("coefficient vector has the wrong length")
         self._set(degree, tuple(coeffs))
 
-    @classmethod
-    def monomial(cls, xdeg: int, ydeg: int, coeff: int | Fraction = 1) -> "HomPoly":
-        if xdeg < 0 or ydeg < 0:
-            raise ValueError("exponents must be nonnegative")
-        coeffs = [0] * (xdeg + ydeg + 1)
-        coeffs[ydeg] = coeff
-        return cls(xdeg + ydeg, tuple(coeffs))
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def coefficient(self, ydeg: int) -> int | Fraction:
-        """Coefficient of x^(degree-ydeg) y^ydeg."""
-        if ydeg < 0 or ydeg > self.degree:
-            raise ValueError("exponent out of range")
-        return self.coeffs[ydeg]
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if not isinstance(other, HomPoly):
@@ -85,13 +71,7 @@ class HomPoly(Record):
         )
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HomPoly(
-            self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + other * -1 if isinstance(other, HomPoly) else NotImplemented
 
     def __mul__(self, other: "HomPoly | int | Fraction") -> "HomPoly":
         if not isinstance(other, HomPoly):
@@ -112,8 +92,7 @@ class HomPoly(Record):
                     out[i + j] += a * b
         return HomPoly(deg, tuple(out))
 
-    def __rmul__(self, other: int | Fraction) -> "HomPoly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "HomPoly":
         if exponent < 0:
@@ -165,8 +144,8 @@ class HomPoly(Record):
         return text
 
 
-X = HomPoly.monomial(1, 0)
-Y = HomPoly.monomial(0, 1)
+X = HomPoly(1, (1, 0))
+Y = HomPoly(1, (0, 1))
 
 
 class SpanError(ValueError):
@@ -202,12 +181,8 @@ def gleason_basis(t: int, n: int) -> list[HomPoly]:
         raise ValueError(f"no basis elements exist for t={t}, n={n}")
     s = X**2 + Y**2
     u = X**2 * Y**2 * (X**2 - Y**2) ** 2
-    head = q8() if t % 2 else None
-    basis = []
-    for i in range(top // 4 + 1):
-        b = s ** (top - 4 * i) * u**i
-        basis.append(head * b if head is not None else b)
-    return basis
+    head = q8() if t % 2 else HomPoly(0, (1,))
+    return [head * (s ** (top - 4 * i) * u**i) for i in range(top // 4 + 1)]
 
 
 def gleason_decompose(p: HomPoly, t: int, n: int) -> list[int | Fraction]:
@@ -222,7 +197,7 @@ def gleason_decompose(p: HomPoly, t: int, n: int) -> list[int | Fraction]:
         raise ValueError(f"expected degree {n - 2 * t}, got {p.degree}")
     rest, x = p, []
     for i, b in enumerate(gleason_basis(t, n)):
-        x.append(rest.coefficient(2 * i + t % 2))
+        x.append(rest.coeffs[2 * i + t % 2])
         rest = rest - x[-1] * b
     if not rest.is_zero:
         raise SpanError("polynomial is outside the basis span", x, rest)
@@ -251,7 +226,7 @@ def vanishing_coefficient_search(alpha_max: int) -> list[tuple[int, int]]:
     pairs = []
     for alpha in range(alpha_max):
         for i in range((alpha + 2) // 2 + 1):
-            if not r.coefficient(2 * i):
+            if not r.coeffs[2 * i]:
                 pairs.append((alpha, i))
         r = r * diff
     return pairs

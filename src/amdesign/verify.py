@@ -300,7 +300,7 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
         lam, violation = designs._t_design_check(u, 2)
         lambdas[w] = lam
         harmonic_ok = harmonic.delsarte_design_check(u, 2) and harmonic_ok
-        if lam is None:
+        if lam is None and "violation" not in witnesses:
             witnesses["violation_weight"] = w
             witnesses["violation"] = violation
     counting_ok = None not in lambdas.values()

@@ -386,22 +386,12 @@ print(code, sum(map(len, units)),
         for key in (b"def search_", b"def load_code(", b"def run_", b"def _build_parser(")),
       file=sys.stderr)
 """
-# The most bytes of source each command may compile without a cache: the
-# package, cli, the runs of the modules it loads and the defs it calls.
-# Compiling every def of those modules, the first four compiled 41,427,
-# 85,240, 55,106 and 40,605 B; with the table and its argparse builder
-# compiled whole, all five compiled 33,959, 48,923, 32,896, 31,791 and
-# 53,697 B; with the verify map compiled at import and a design checked in
-# two passes, 32,986, 47,351, 31,874, 30,855 and 52,125 B. With two one-call
-# wrappers of the design walk, the first five compiled 32,267, 47,017,
-# 31,217, 30,136 and 52,030 B and thm1.4, whose self-orthogonality test
-# scanned the block pairs, 44,090; without them, and with that test read off
-# the span of the blocks, 32,267, 46,857, 30,923, 30,136, 51,861 and 44,065,
-# and design complement 28,462. With a design scanned only in the layout
-# that designs.design_json writes, and that encoder moved into designs, the
-# seven compiled 32,267, 46,876, 30,004, 30,136, 51,880, 43,146 and 27,591;
-# with the verify reports printed through print_payload, and no verify.report
-# wrapper, 32,275, 46,902, 30,004, 30,136, 51,906, 43,164 and 27,591.
+# The most bytes of source each command may compile with no bytecode cache:
+# the package, cli, the runs of the modules it loads and the defs it calls.
+# Each cap sits a little above its line's figure, so a change that makes a
+# command compile more shows here; CHANGES.md keeps the history of the
+# figures. In the order below, the lines compile 32,168, 46,795, 29,967,
+# 30,027, 51,909, 43,127 and 27,664 B.
 _COMPILED_BYTES = {
     "code info -b type1_16": 32_700,
     "verify thm1.1 -b type1_16": 46_950,

@@ -207,15 +207,16 @@ def test_thm_1_2_fsd_accepts_self_dual(type1):
     assert rep.witnesses["counting_route"] is rep.witnesses["harmonic_route"] is True
 
 
-@pytest.mark.parametrize("mutated", [6, 10])
+@pytest.mark.parametrize("mutated", [(6,), (10,), (6, 10)], ids=["6", "10", "6-10"])
 def test_thm_1_2_fsd_fails_both_routes_on_a_mutant_union(monkeypatch, capsys, mutated):
-    # One point of the first block of the union at one weight is swapped for
-    # a point outside it: that union is not even a 1-design.
+    # One point of the first block of the union at each mutated weight is
+    # swapped for a point outside it: that union is not even a 1-design. The
+    # report names the first failing weight.
     real = designs.union
 
     def union(d1, d2):
         u = real(d1, d2)
-        if u.k != mutated:
+        if u.k not in mutated:
             return u
         block = u.blocks[0]
         outside = min(set(range(1, u.v + 1)) - set(block))
@@ -227,8 +228,8 @@ def test_thm_1_2_fsd_fails_both_routes_on_a_mutant_union(monkeypatch, capsys, mu
     assert rep["verdict"] == "fail"
     w = rep["witnesses"]
     assert (w["counting_route"], w["harmonic_route"]) == (False, False)
-    assert w["violation_weight"] == str(mutated)
-    assert w["lambda_2_per_weight"][str(mutated)] is None
+    assert w["violation_weight"] == str(mutated[0])
+    assert all(w["lambda_2_per_weight"][str(m)] is None for m in mutated)
 
 
 def test_thm_1_2_fsd_preconditions():
