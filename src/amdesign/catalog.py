@@ -208,7 +208,7 @@ def _read_index() -> dict:
         return {}
     try:
         index = json.loads(path.read_text())
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise ValueError(f"{path}: {err}") from None
     if not (isinstance(index, dict) and all(
             isinstance(entry, dict) and isinstance(entry.get("file"), str)

@@ -21,7 +21,6 @@ from .gf2core import (
     dual,
     exact_json,
     is_doubly_even,
-    support,
     weight_distribution,
 )
 
@@ -131,11 +130,6 @@ def _words(incidence: list[int], mask: int):
         mask ^= bit
 
 
-def _leaf_design(incidence: list[int], leaf: int) -> designs.Design:
-    """The support design of the words at the bits of a nonzero leaf."""
-    return designs.Design(len(incidence) - 1, list(map(support, _words(incidence, leaf))))
-
-
 def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tuple | None]:
     """lambda_1 of the union of the sliced codes' support designs C_w for
     each w, 0 < w < n, where it has a block (None where it is no 1-design),
@@ -242,32 +236,41 @@ def verify_thm_1_2_type1(
     # A near-extremal Type I code of length 16 has words of weight 6 and 10:
     # with d = 4, a self-dual code without them would be doubly even.
     incidence, leaves = _require_type1_16(c)
+    # C_6 is the blocks at the bits of blocks: block i holds point p when
+    # bit i of points[p] is set.
     if c6 is None:
-        c6 = _leaf_design(incidence, leaves[6])
+        points, blocks = incidence, leaves[6]
     elif c6.v != c.n:
         raise PreconditionError(f"substitute design has v={c6.v}, not 16")
     elif c6.k < 2:
         raise PreconditionError(f"substitute design has k={c6.k}; a 2-design needs k >= 2")
-    lam, violation = designs._t_design_check(c6, 2)
+    else:
+        points, blocks = designs._incidence(c.n, c6.blocks), (1 << c6.b) - 1
+    lam, violation = designs._cover_walk(points, 2, blocks)
     counting_ok = lam == 8
-    delsarte_ok = harmonic.delsarte_design_check(c6, 2)
-    complement_ok = designs.complement_design(c6) == _leaf_design(incidence, leaves[10])
+    sums = harmonic._fold_sums(points, [blocks],
+                               harmonic.harm_basis(c.n, 1) + harmonic.harm_basis(c.n, 2))
+    harmonic_ok = not any(s for (s,) in sums)
+    # A C_6 of another size than C_10 is not its complement: no word is read.
+    full = (1 << c.n) - 1
+    complement_ok = blocks.bit_count() == leaves[10].bit_count() and (
+        sorted(full ^ x for x in _words(points, blocks)) == sorted(_words(incidence, leaves[10])))
     prof = _profile(incidence, leaves, 3)
     gap_weights = [w for w, t in prof.per_weight.items() if t >= 2]
     profile_ok = prof.delta == 1 and prof.s == 2 and gap_weights == [6, 10]
-    passed = counting_ok and delsarte_ok and complement_ok and profile_ok
+    passed = counting_ok and harmonic_ok and complement_ok and profile_ok
     witnesses = {
         "lambda_2": lam,
-        "block_count": c6.b,
+        "block_count": blocks.bit_count(),
         "counting_route": counting_ok,
-        "harmonic_route": delsarte_ok,
+        "harmonic_route": harmonic_ok,
         "complement_matches": complement_ok,
         "strengths": prof.per_weight,
         "delta": prof.delta,
         "s": prof.s,
         "strength_2_weights": gap_weights,
     }
-    if not counting_ok:
+    if violation:
         witnesses["violation"] = violation
     return VerificationReport("thm1.2-1", passed, witnesses)
 

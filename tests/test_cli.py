@@ -76,10 +76,13 @@ def test_pinned_codes_come_only_from_the_store(capsys, tmp_path, monkeypatch):
 _SHAPE = 'expected {name: {"file": FILE, ...}, ...}'
 
 
-# A list, an entry that is not an object, an entry without its file, no JSON.
+# A list, an entry that is not an object, an entry without its file, no JSON,
+# and JSON nested past the parser's recursion limit.
 @pytest.mark.parametrize("index, message", [
     ("[]", _SHAPE), ('{"x": 5}', _SHAPE), ('{"x": {}}', _SHAPE),
     ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    pytest.param("[" * 100_000, "maximum recursion depth exceeded while decoding a JSON "
+                 "array from a unicode string", id="nested"),
 ])
 def test_a_malformed_store_index_is_a_usage_error(capsys, tmp_path, monkeypatch, index,
                                                   message):

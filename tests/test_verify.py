@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from amdesign import designs, gf2core
+from amdesign import designs, gf2core, harmonic
 from amdesign.catalog import builtin, direct_sum
 from amdesign.designs import (
     Design,
@@ -187,6 +187,58 @@ def test_thm_1_2_type1_mutation_sensitivity(type1, c6):
         pts1, cover1, pts2, cover2 = rep.witnesses["violation"]
         assert cover1 != cover2
         assert len(pts1) == len(pts2) == 2
+
+
+def test_thm_1_2_type1_runs_no_design_check_on_its_own_c6(type1, monkeypatch):
+    # Both routes and the complement read the slice's masks: no Design is
+    # built, validated, walked or complemented.
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for module, name in [(designs, "_checked_blocks"), (designs, "_t_design_check"),
+                         (designs, "complement_design"), (harmonic, "delsarte_design_check")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert verify_thm_1_2_type1(type1).passed
+
+
+def test_thm_1_2_type1_fails_a_2_design_that_is_not_c10s_complement(type1, c6):
+    # The C_6 of a permuted copy is a 2-(16,6,8) design of 64 blocks, but not
+    # the complement of type1's C_10.
+    other = support_design(oracles.permuted(type1, random.Random(3).sample(range(16), 16)), 6)
+    assert other != c6
+    rep = verify_thm_1_2_type1(type1, other)
+    w = rep.witnesses
+    assert w["counting_route"] is True and w["harmonic_route"] is True
+    assert w["lambda_2"] == "8" and w["block_count"] == "64"
+    assert w["complement_matches"] is False
+    assert rep.verdict == "fail"
+
+
+def test_thm_1_2_type1_names_no_violation_of_a_2_design(type1, c6):
+    # C_6 twice is a 2-design with lambda_2 = 16: no pair of 2-subsets
+    # covered differently exists to name.
+    rep = verify_thm_1_2_type1(type1, Design(16, c6.blocks * 2))
+    w = rep.witnesses
+    assert (w["lambda_2"], w["block_count"]) == ("16", "128")
+    assert w["counting_route"] is False and w["harmonic_route"] is True
+    assert w["complement_matches"] is False
+    assert "violation" not in w
+
+
+def test_thm_1_2_type1_reports_on_blocks_of_every_point(type1, tmp_path, capsys):
+    # Blocks of all 16 points have empty complements: the report says that
+    # they are not C_10's complement, with exit 1.
+    path = tmp_path / "full.json"
+    path.write_text(oracles.format_design(Design(16, [range(1, 17)] * 3)) + "\n")
+    argv = ["verify", "thm1.2-1", "-b", "type1_16", "-d", str(path), "--format", "json"]
+    assert run(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "fail"
+    assert out["witnesses"] == {
+        "lambda_2": "3", "block_count": "3", "counting_route": False,
+        "harmonic_route": True, "complement_matches": False,
+        "strengths": {"4": "1", "6": "2", "8": "1", "10": "2", "12": "1"},
+        "delta": "1", "s": "2", "strength_2_weights": ["6", "10"]}
 
 
 def test_thm_1_2_fsd_pass(fsd16):
