@@ -187,7 +187,7 @@ def run_subcode(args) -> int:
 
 
 def run_check(args) -> int:
-    # read_design_file's errors in its order, then _t_design_check's.
+    # read_design_file's errors in its order, then _blocks_check's.
     v, k, b, blocks = designs._read_checked(args.design)
     lam, violation = designs._blocks_check(v, k, b, blocks, args.t)
     payload = {"v": v, "k": k, "b": b, "t": args.t, "lambda": lam, "violation": None}
@@ -297,10 +297,11 @@ def run_transform_check(args) -> int:
                 for row in harmonic.harmonic_weight_enumerators(code, basis)]
 
     zs = quotients(c)
-    images = [harmonic.bachoc_transform(z, args.k, c.size, c.n) for z in zs]
-    # A self-dual code is its own dual: its enumerators are read once.
+    # A self-dual code is its own dual: its enumerators are read once. The
+    # dual's walk, and its guard, come before any transform.
     dual_zs = zs if dual_code == c else quotients(dual_code)
-    mismatches = [idx for idx, (image, z) in enumerate(zip(images, dual_zs)) if image != z]
+    mismatches = [idx for idx, (z, dual_z) in enumerate(zip(zs, dual_zs))
+                  if harmonic.bachoc_transform(z, args.k, c.size, c.n) != dual_z]
     count = len(basis)
     payload = {"k": args.k, "functions": count, "mismatches": mismatches}
     print_payload(args, payload, [

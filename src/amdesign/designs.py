@@ -132,18 +132,10 @@ def union(d1: Design, d2: Design) -> Design:
 DESIGN_GUARD = 2_000_000
 
 
-def _t_design_check(
-    d: Design, t: int
-) -> tuple[int | None, tuple[tuple[int, ...], int, tuple[int, ...], int] | None]:
-    """(lambda, violation) from one walk of the b-bit point masks (bit i for
-    block i): exactly one of the two is None. C(v, t) above DESIGN_GUARD
-    raises EnumerationGuardError before anything is allocated."""
-    return _blocks_check(d.v, d.k, d.b, d.blocks, t)
-
-
 def _blocks_check(v: int, k: int, b: int, blocks: Iterable[Sequence[int]], t: int) -> tuple:
-    """_t_design_check of b validated blocks of size k on the points 1..v,
-    in any order, read once after the guard."""
+    """(lambda, violation) of b validated blocks of size k on the points 1..v,
+    in any order: exactly one of the two is None. C(v, t) above DESIGN_GUARD
+    raises EnumerationGuardError before the blocks are read."""
     if t < 0 or t > k:
         raise ValueError("t out of range")
     if t == 0:
@@ -208,14 +200,14 @@ def _cover_walk(incidence: Sequence[int], t: int, every_block: int) -> tuple:
 
 def is_t_design(d: Design, t: int) -> int | None:
     """The constant t-subset coverage count, or None when coverage varies."""
-    return _t_design_check(d, t)[0]
+    return _blocks_check(d.v, d.k, d.b, d.blocks, t)[0]
 
 
 def t_design_violation(
     d: Design, t: int
 ) -> tuple[tuple[int, ...], int, tuple[int, ...], int] | None:
     """First pair of t-subsets with differing coverage, or None for a design."""
-    return _t_design_check(d, t)[1]
+    return _blocks_check(d.v, d.k, d.b, d.blocks, t)[1]
 
 
 def design_strength(d: Design, t_max: int) -> int:

@@ -21,6 +21,7 @@ from .gf2core import (
     dual,
     exact_json,
     is_doubly_even,
+    is_self_orthogonal,
     weight_distribution,
 )
 
@@ -300,7 +301,7 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     for w in (6, 10):
         u = designs.union(designs.support_design(c, w),
                           designs.support_design(dual_code, w))
-        lam, violation = designs._t_design_check(u, 2)
+        lam, violation = designs._blocks_check(u.v, u.k, u.b, u.blocks, 2)
         lambdas[w] = lam
         harmonic_ok = harmonic.delsarte_design_check(u, 2) and harmonic_ok
         if lam is None and "violation" not in witnesses:
@@ -322,10 +323,11 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
         raise PreconditionError("block size: expected k = 6")
     if designs.is_t_design(d, 2) != 8:
         raise PreconditionError("2-design: expected lambda = 8")
-    if not designs.is_self_orthogonal_design(d):
+    # For even k, is_self_orthogonal_design(d) is is_self_orthogonal(c).
+    c = designs.code_from_design(d)
+    if not is_self_orthogonal(c):
         raise PreconditionError("self-orthogonality: odd block intersection found")
 
-    c = designs.code_from_design(d)
     wd = weight_distribution(c)
     word_count = sum(wd.count(w) for w in (0, 6, 10, 16))
     cls = classify(c, wd)

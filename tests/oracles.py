@@ -50,7 +50,7 @@ read_design_file is the reader that parsed the whole file with json.loads,
 one list per block; amdesign.designs scans the file block by block into
 bytes, and hands the text to json.loads only when the scan refuses it.
 run_check is `design check` as it read the file into a Design and walked
-the sorted blocks with _t_design_check, its blocks validated by
+the sorted blocks with _blocks_check, its blocks validated by
 design_blocks; amdesign.designs checks the scanned blocks where they lie
 and sets them into the point masks in file order instead, and must print
 the same stdout and stderr with the same exit code.
@@ -300,7 +300,7 @@ def read_design_file(path):
 
 def run_check(args):
     d = designs.Design(*read_design_file(args.design))
-    lam, violation = designs._t_design_check(d, args.t)
+    lam, violation = designs._blocks_check(d.v, d.k, d.b, d.blocks, args.t)
     payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
                "lambda": lam, "violation": None}
     lines = [f"v={d.v} k={d.k} b={d.b}"]
@@ -347,7 +347,7 @@ def thm_1_1_counting_route(codes):
         d = found[0]
         for e in found[1:]:
             d = designs.union(d, e)
-        lambdas[w], violation = designs._t_design_check(d, 1)
+        lambdas[w], violation = designs._blocks_check(d.v, d.k, d.b, d.blocks, 1)
         if violation and first_violation is None:
             first_violation = (w, violation)
     return lambdas, first_violation

@@ -327,6 +327,23 @@ def test_harmonic_enumerators_slice_each_code_once(monkeypatch, capsys, argv, rc
     assert len(codes) == passes
 
 
+def test_transform_check_refuses_an_unreadable_dual_before_any_transform(
+        monkeypatch, capsys, tmp_path):
+    # The [40,1] repetition code's dual has dimension 39: its guard exits 3
+    # before a single enumerator of the code is transformed.
+    import amdesign.harmonic as harmonic
+
+    def refuse(*args):
+        raise AssertionError("transformed")
+
+    monkeypatch.setattr(harmonic, "bachoc_transform", refuse)
+    path = tmp_path / "rep40.gm"
+    path.write_text("1" * 40 + "\n")
+    assert run(["harmonic", "transform-check", "-g", str(path), "--k", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "resource guard: dimension 39 exceeds the enumeration guard k <= 28\n")
+
+
 @st.composite
 def permuted_sums(draw):
     """A direct sum of i2, d4 and e8 of length at most 16 with its

@@ -178,7 +178,7 @@ def _design_texts(draw):
         v = draw(st.sampled_from([True, 16.0, "16", None, [16]]))
     elif blocks and fault == "size":
         i = draw(st.integers(0, len(blocks) - 1))
-        blocks[i] = draw(st.lists(points, max_size=min(v, 8), unique=True))
+        blocks[i] = draw(st.lists(points, max_size=min(max(v, 0), 8), unique=True))
     elif blocks and blocks[0] and fault == "point":
         block = draw(st.sampled_from(blocks))
         i = draw(st.integers(0, k - 1))

@@ -195,7 +195,7 @@ def test_thm_1_2_type1_runs_no_design_check_on_its_own_c6(type1, monkeypatch):
     def refuse(*args):
         raise AssertionError("called")
 
-    for module, name in [(designs, "_checked_blocks"), (designs, "_t_design_check"),
+    for module, name in [(designs, "_checked_blocks"), (designs, "_blocks_check"),
                          (designs, "complement_design"), (harmonic, "delsarte_design_check")]:
         monkeypatch.setattr(module, name, refuse)
     assert verify_thm_1_2_type1(type1).passed
@@ -323,6 +323,24 @@ def test_thm_1_4_pipeline_preconditions(c6, bent_design):
         verify_thm_1_4_pipeline(drop_block(c6, 0))
     with pytest.raises(PreconditionError, match="odd block intersection"):
         verify_thm_1_4_pipeline(bent_design)
+
+
+def test_thm_1_4_pipeline_reduces_the_design_to_one_basis(monkeypatch, c6):
+    # k = 6 is even, so the blocks' own span is tested for self-orthogonality:
+    # no [17] code of the blocks with a parity point is built beside it.
+    def refuse(*args):
+        raise AssertionError("called")
+
+    real, built = BinaryCode.__init__, []
+
+    def counted(self, n, basis=()):
+        built.append((n, len(basis)))
+        real(self, n, basis)
+
+    monkeypatch.setattr(designs, "is_self_orthogonal_design", refuse)
+    monkeypatch.setattr(BinaryCode, "__init__", counted)
+    assert verify_thm_1_4_pipeline(c6).passed
+    assert [code for code in built if code[1] == c6.b] == [(16, 64)]
 
 
 def test_thm_1_4_pipeline_on_a_design_with_repeated_blocks(biplane):
