@@ -187,11 +187,10 @@ def run_subcode(args) -> int:
 
 
 def run_check(args) -> int:
-    # read_design_file's errors in its order, then _blocks_check's.
-    v, k, b, blocks = designs._read_checked(args.design)
-    lam, violation = designs._blocks_check(v, k, b, blocks, args.t)
-    payload = {"v": v, "k": k, "b": b, "t": args.t, "lambda": lam, "violation": None}
-    lines = [f"v={v} k={k} b={b}"]
+    d = designs.read_design_file(args.design)
+    lam, violation = designs._blocks_check(d, args.t)
+    payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t, "lambda": lam, "violation": None}
+    lines = [f"v={d.v} k={d.k} b={d.b}"]
     if lam is None:
         payload["violation"] = exact_json(violation)
         pts1, c1, pts2, c2 = violation
@@ -217,9 +216,8 @@ def run_from_code(args) -> int:
 
 
 def run_complement(args) -> int:
-    # The complements of the file's checked blocks, with no Design of either.
-    v, k, b, blocks = designs._read_checked(args.design)
-    sys.stdout.writelines(designs.design_json(v, designs._complement_blocks(v, k, b, blocks)))
+    d = designs.complement_design(designs.read_design_file(args.design))
+    sys.stdout.writelines(designs.design_json(d.v, d.blocks))
     return 0
 
 

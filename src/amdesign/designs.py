@@ -39,16 +39,16 @@ class Design(Record):
     """A multiset of equal-size blocks on the point set {1..v}.
 
     Blocks are stored sorted (each block internally and the block list), so
-    equality is multiset equality. A block given as a sorted tuple of plain
-    ints is stored as it is, so a design built from such tuples holds each
-    block once.
+    equality is multiset equality. A block is bytes when v <= 255 (a third
+    of a tuple's memory), else a tuple of plain ints.
     """
 
     __slots__ = ("v", "blocks")
 
-    def __init__(self, v: int, blocks: Sequence[Sequence[int]]) -> None:
+    def __init__(self, v: int, blocks: Iterable[Iterable[int]]) -> None:
         # Checked before int(v), which a malformed point count would break.
-        blocks = tuple(sorted(_checked_blocks(v, blocks)))
+        kind = bytes if _is_int(v) and v <= 255 else tuple
+        blocks = tuple(sorted(map(kind, _checked_blocks(v, blocks))))
         self._set(int(v), blocks)
 
     @property
@@ -67,26 +67,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _checked_blocks(v, blocks: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Each block of a design on the points 1..v as a sorted tuple of plain ints,
-    itself if it is one. The first rule broken raises its ValueError: an integer
-    point count, a positive one, a block at all; then per block integer points,
-    no point twice, the first block's size and points in 1..v."""
+def _checked_blocks(v, blocks: Iterable[Iterable[int]]) -> Iterator[list[int]]:
+    """Each block of a design on the points 1..v as a sorted list of plain
+    ints. The first rule broken raises its ValueError: an integer point
+    count, a positive one; then per block integer points, no point twice,
+    the first block's size and points in 1..v; then a block at all."""
     if not _is_int(v):
         raise ValueError("point count must be an integer")
     if v < 1:
         raise ValueError("point count must be positive")
-    if not blocks:
-        raise ValueError("a design needs at least one block")
     size = None
     for block in blocks:
         if _INT_ONLY.issuperset(map(type, block)):
-            b = tuple(sorted(block))
-            if type(block) is tuple and b == block:
-                b = block
+            b = sorted(block)
         # Int subclasses but bool become plain ints, which JSON prints as numbers.
         elif all(map(_is_int, block)):
-            b = tuple(sorted(map(int, block)))
+            b = sorted(map(int, block))
         else:
             raise ValueError("block points must be integers")
         if len(set(b)) != len(b):
@@ -98,6 +94,8 @@ def _checked_blocks(v, blocks: Sequence[Sequence[int]]) -> Iterator[tuple[int, .
         if not b or b[0] < 1 or b[-1] > v:
             raise ValueError("block point out of range")
         yield b
+    if size is None:
+        raise ValueError("a design needs at least one block")
 
 
 def _block_mask(block: Sequence[int]) -> int:
@@ -114,7 +112,7 @@ def support_design(c: BinaryCode, w: int) -> Design:
     words = codewords_of_weight(c, w)
     if not words:
         raise ValueError(f"no codewords of weight {w}")
-    return Design(c.n, tuple(support(word) for word in words))
+    return Design(c.n, map(support, words))
 
 
 def union(d1: Design, d2: Design) -> Design:
@@ -132,16 +130,16 @@ def union(d1: Design, d2: Design) -> Design:
 DESIGN_GUARD = 2_000_000
 
 
-def _blocks_check(v: int, k: int, b: int, blocks: Iterable[Sequence[int]], t: int) -> tuple:
-    """(lambda, violation) of b validated blocks of size k on the points 1..v,
-    in any order: exactly one of the two is None. C(v, t) above DESIGN_GUARD
-    raises EnumerationGuardError before the blocks are read."""
-    if t < 0 or t > k:
+def _blocks_check(d: Design, t: int) -> tuple:
+    """(lambda, violation) of the blocks of d at strength t: exactly one of
+    the two is None. C(v, t) above DESIGN_GUARD raises EnumerationGuardError
+    before the blocks are read."""
+    if t < 0 or t > d.k:
         raise ValueError("t out of range")
     if t == 0:
-        return b, None
-    _walk_guard(v, t)
-    return _cover_walk(_incidence(v, blocks), t, (1 << b) - 1)
+        return d.b, None
+    _walk_guard(d.v, t)
+    return _cover_walk(_incidence(d.v, d.blocks), t, (1 << d.b) - 1)
 
 
 def _incidence(v: int, blocks: Iterable[Sequence[int]]) -> list[int]:
@@ -200,14 +198,14 @@ def _cover_walk(incidence: Sequence[int], t: int, every_block: int) -> tuple:
 
 def is_t_design(d: Design, t: int) -> int | None:
     """The constant t-subset coverage count, or None when coverage varies."""
-    return _blocks_check(d.v, d.k, d.b, d.blocks, t)[0]
+    return _blocks_check(d, t)[0]
 
 
 def t_design_violation(
     d: Design, t: int
 ) -> tuple[tuple[int, ...], int, tuple[int, ...], int] | None:
     """First pair of t-subsets with differing coverage, or None for a design."""
-    return _blocks_check(d.v, d.k, d.b, d.blocks, t)[1]
+    return _blocks_check(d, t)[1]
 
 
 def design_strength(d: Design, t_max: int) -> int:
@@ -222,21 +220,16 @@ def design_strength(d: Design, t_max: int) -> int:
     return strength
 
 
-def _complement_blocks(v: int, k: int, b: int, blocks: Iterable) -> list:
-    """Sorted complements in 1..v of b checked blocks of size k, each bytes
-    when v <= 255 (as _scan_design holds blocks), else a tuple; v*b above
-    DESIGN_GUARD raises EnumerationGuardError."""
-    if k == v:
-        raise ValueError("complement blocks would be empty")
-    if v * b > DESIGN_GUARD:
-        raise EnumerationGuardError(f"v*b = {v * b} exceeds the design guard {DESIGN_GUARD}")
-    full, kind = set(range(1, v + 1)), bytes if v <= 255 else tuple
-    return sorted(kind(sorted(full - set(x))) for x in blocks)
-
-
 def complement_design(d: Design) -> Design:
-    """Blockwise complement inside the same point set."""
-    return Design(d.v, _complement_blocks(d.v, d.k, d.b, d.blocks))
+    """Blockwise complement inside the same point set; v*b above DESIGN_GUARD
+    raises EnumerationGuardError."""
+    if d.k == d.v:
+        raise ValueError("complement blocks would be empty")
+    if d.v * d.b > DESIGN_GUARD:
+        raise EnumerationGuardError(
+            f"v*b = {d.v * d.b} exceeds the design guard {DESIGN_GUARD}")
+    full = set(range(1, d.v + 1))
+    return Design(d.v, (full.difference(x) for x in d.blocks))
 
 
 def lambda_i(t: int, v: int, k: int, lam: int, i: int) -> int | Fraction:
@@ -464,20 +457,4 @@ def _scan_design(text: str) -> tuple[object, list[bytes]] | None:
 
 
 def read_design_file(path: str | Path) -> Design:
-    v, blocks = _read_blocks(path)
-    # The block list is not shared: each block becomes a tuple in place,
-    # which Design keeps when it is sorted, so no block is held twice.
-    for i, block in enumerate(blocks):
-        blocks[i] = tuple(block)
-    return Design(v, blocks)
-
-
-def _read_checked(path: str | Path) -> tuple:
-    """(v, k, b, blocks) of a design file with no Design: the blocks that
-    _read_blocks gives, in file order, each checked with read_design_file's
-    errors in the same order."""
-    v, blocks = _read_blocks(path)
-    for block in _checked_blocks(v, blocks):
-        pass
-    # Every block has the last one's size.
-    return v, len(block), len(blocks), blocks
+    return Design(*_read_blocks(path))

@@ -163,6 +163,12 @@ def q8() -> HomPoly:
     return X * Y * sextic
 
 
+# gleason_basis refuses a longer length: its n/8 + 1 polynomials of degree
+# up to n cost about n^3 (poly gleason on the [300,1] repetition code takes
+# about 0.2 s at t = 0 and 0.35 s at t = 1; 0.8 s and 1.4 s at n = 512).
+_GLEASON_LENGTH_GUARD = 300
+
+
 def gleason_basis(t: int, n: int) -> list[HomPoly]:
     """Basis of the degree n-2t polynomials fixed (up to the sign character
     (-1)^t) by the transforms p -> 2^(-deg/2) p(x+y, x-y) and p -> p(x, -y).
@@ -170,6 +176,7 @@ def gleason_basis(t: int, n: int) -> list[HomPoly]:
     Even t: (x^2+y^2)^(n/2-t-4i) (x^2 y^2 (x^2-y^2)^2)^i.
     Odd t: the same with t+4 in place of t, each term multiplied by q8.
     Element i has its lowest power of y at y^(2i + t%2), with coefficient 1.
+    An n above _GLEASON_LENGTH_GUARD raises EnumerationGuardError.
     """
     if n < 2 or n % 2:
         raise ValueError("length must be a positive even integer")
@@ -179,6 +186,9 @@ def gleason_basis(t: int, n: int) -> list[HomPoly]:
     top = n // 2 - t - shift
     if top < 0:
         raise ValueError(f"no basis elements exist for t={t}, n={n}")
+    if n > _GLEASON_LENGTH_GUARD:
+        raise EnumerationGuardError(
+            f"length {n} exceeds the Gleason basis guard {_GLEASON_LENGTH_GUARD}")
     s = X**2 + Y**2
     u = X**2 * Y**2 * (X**2 - Y**2) ** 2
     head = q8() if t % 2 else HomPoly(0, (1,))

@@ -301,7 +301,7 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     for w in (6, 10):
         u = designs.union(designs.support_design(c, w),
                           designs.support_design(dual_code, w))
-        lam, violation = designs._blocks_check(u.v, u.k, u.b, u.blocks, 2)
+        lam, violation = designs._blocks_check(u, 2)
         lambdas[w] = lam
         harmonic_ok = harmonic.delsarte_design_check(u, 2) and harmonic_ok
         if lam is None and "violation" not in witnesses:

@@ -49,11 +49,13 @@ off the coefficients, since p(x, -y) negates each odd power of y.
 read_design_file is the reader that parsed the whole file with json.loads,
 one list per block; amdesign.designs scans the file block by block into
 bytes, and hands the text to json.loads only when the scan refuses it.
-run_check is `design check` as it read the file into a Design and walked
-the sorted blocks with _blocks_check, its blocks validated by
-design_blocks; amdesign.designs checks the scanned blocks where they lie
-and sets them into the point masks in file order instead, and must print
-the same stdout and stderr with the same exit code.
+run_check, run_complement and run_intersections are `design check`,
+`design complement` and `design intersections` over that whole-file reader,
+its blocks validated by design_blocks: the check walks them with
+_blocks_check, the complement and the profile are computed on sets.
+amdesign reads the file through its scan into a Design of bytes blocks
+instead, and each command must print the same stdout and stderr with the
+same exit code.
 
 design_to_json is the design as a JSON object for json.dumps, whose C
 encoder keeps one string chunk per number and separator; format_design
@@ -300,7 +302,7 @@ def read_design_file(path):
 
 def run_check(args):
     d = designs.Design(*read_design_file(args.design))
-    lam, violation = designs._blocks_check(d.v, d.k, d.b, d.blocks, args.t)
+    lam, violation = designs._blocks_check(d, args.t)
     payload = {"v": d.v, "k": d.k, "b": d.b, "t": args.t,
                "lambda": lam, "violation": None}
     lines = [f"v={d.v} k={d.k} b={d.b}"]
@@ -313,6 +315,29 @@ def run_check(args):
         lines.append(f"{args.t}-design with lambda = {lam}")
     print_payload(args, payload, lines)
     return 0 if lam is not None else 1
+
+
+def run_complement(args):
+    v, blocks = read_design_file(args.design)
+    if len(blocks[0]) == v:
+        raise ValueError("complement blocks would be empty")
+    if v * len(blocks) > designs.DESIGN_GUARD:
+        raise gf2core.EnumerationGuardError(
+            f"v*b = {v * len(blocks)} exceeds the design guard {designs.DESIGN_GUARD}")
+    full = set(range(1, v + 1))
+    print(json.dumps({"v": v, "blocks": sorted(sorted(full - set(b)) for b in blocks)}))
+    return 0
+
+
+def run_intersections(args):
+    v, blocks = read_design_file(args.design)
+    if not 0 <= args.block < len(blocks):
+        raise ValueError("block index out of range")
+    ref = set(blocks[args.block])
+    counts = Counter(len(ref & set(b)) for b in blocks if set(b) != ref)
+    payload = {"block": args.block, "profile": {str(i): counts[i] for i in sorted(counts)}}
+    print_payload(args, payload, [f"m_{i} = {counts[i]}" for i in sorted(counts)])
+    return 0
 
 
 def design_to_json(d):
@@ -347,7 +372,7 @@ def thm_1_1_counting_route(codes):
         d = found[0]
         for e in found[1:]:
             d = designs.union(d, e)
-        lambdas[w], violation = designs._blocks_check(d.v, d.k, d.b, d.blocks, 1)
+        lambdas[w], violation = designs._blocks_check(d, 1)
         if violation and first_violation is None:
             first_violation = (w, violation)
     return lambdas, first_violation

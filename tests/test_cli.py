@@ -21,7 +21,7 @@ from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
 from amdesign.designs import Design, support_design
 from amdesign.gf2core import code_from_rows, exact_json, format_generator, minimum_distance
-from amdesign.polyring import ALPHA_MAX_GUARD
+from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, HomPoly
 from amdesign.verify import verify_thm_1_2_type1
 
 
@@ -544,6 +544,24 @@ def test_poly_gleason_refuses_a_t_with_no_basis(capsys, t):
     assert capsys.readouterr() == ("", f"error: no basis elements exist for t={t}, n=8\n")
 
 
+@pytest.mark.parametrize("t", [0, 1])
+def test_poly_gleason_refuses_a_length_past_its_guard(monkeypatch, capsys, tmp_path, t):
+    # On the [n,1] repetition code: two past the guard (the next even length)
+    # exits 3 before any basis polynomial is raised to a power.
+    path = tmp_path / "rep.gm"
+    path.write_text("1" * (_GLEASON_LENGTH_GUARD + 2) + "\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(HomPoly, "__pow__", None)
+        assert run(["poly", "gleason", "-g", str(path), "--t", str(t)]) == 3
+    assert capsys.readouterr() == ("", f"resource guard: length {_GLEASON_LENGTH_GUARD + 2} "
+                                       f"exceeds the Gleason basis guard {_GLEASON_LENGTH_GUARD}\n")
+    # At the guard the command runs: at t = 0 the enumerator x^n + y^n is
+    # outside the invariant span, at t = 1 the harmonic one is inside it.
+    path.write_text("1" * _GLEASON_LENGTH_GUARD + "\n")
+    assert run(["poly", "gleason", "-g", str(path), "--t", str(t)]) == (1, 0)[t]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_harmonic_wenum_refuses_a_k_with_no_basis(capsys, fmt):
     # Refused before --index is read: Harm_5(8) has no function to index.
@@ -782,35 +800,69 @@ def _shuffled_designs(draw):
     return {"v": v, "blocks": blocks}
 
 
-def _check_matches_the_oracle(monkeypatch, capsys, path):
+def _matches_the_oracles(monkeypatch, capsys, lines):
+    """Each (argv, command function, oracle) of lines prints the same stdout
+    and stderr, with the same exit code, as with the oracle in its place."""
     import amdesign.commands as commands
 
-    for t in range(4):
-        for fmt in ("text", "json"):
-            argv = ["design", "check", "-d", str(path), "--t", str(t), "--format", fmt]
-            got = (run(argv), *capsys.readouterr())
-            with monkeypatch.context() as patch:
-                patch.setattr(commands, "run_check", oracles.run_check)
-                assert got == (run(argv), *capsys.readouterr()), argv
+    for argv, name, oracle in lines:
+        got = (run(argv), *capsys.readouterr())
+        with monkeypatch.context() as patch:
+            patch.setattr(commands, name, oracle)
+            assert got == (run(argv), *capsys.readouterr()), argv
 
 
-@settings(max_examples=300, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(body=st.one_of(_DESIGN_FILES, _shuffled_designs().map(json.dumps)))
-@example(body=json.dumps({"v": 4, "blocks": [[2, 1], [4, 3], [1, 2], [3, 3]]}))
-@example(body=json.dumps({"v": 4, "blocks": [[4, 3], [2, 1], [3, 1], [4, 2], [1, 4], [3, 2],
-                                             [2, 4], [4, 1], [1, 3], [2, 3], [1, 2], [3, 4]]}))
-def test_design_check_prints_what_the_design_oracle_prints(monkeypatch, capsys, tmp_path,
-                                                           body):
-    path = tmp_path / "design.json"
+def _check_matches_the_oracle(monkeypatch, capsys, path):
+    _matches_the_oracles(monkeypatch, capsys, [
+        (["design", "check", "-d", str(path), "--t", str(t), "--format", fmt],
+         "run_check", oracles.run_check)
+        for t in range(4) for fmt in ("text", "json")])
+
+
+def _complement_and_intersections_match_the_oracles(monkeypatch, capsys, path):
+    _matches_the_oracles(monkeypatch, capsys, [
+        (["design", "complement", "-d", str(path)], "run_complement", oracles.run_complement),
+        *((["design", "intersections", "-d", str(path), *block, "--format", fmt],
+           "run_intersections", oracles.run_intersections)
+          for block in ([], ["--block", "0"], ["--block", "2"]) for fmt in ("text", "json"))])
+
+
+def _write(path, body):
     if isinstance(body, bytes):
         path.write_bytes(body)
     else:
         path.write_text(body)
-    _check_matches_the_oracle(monkeypatch, capsys, path)
+    return path
 
 
-@pytest.mark.parametrize("body", [
+def _on_oracle_bodies(test):
+    """test as a hypothesis test of design file bodies for the commands and
+    their whole-file oracles: any text, and valid designs shuffled, with
+    repeated blocks and one-point swaps."""
+    for blocks in ([[2, 1], [4, 3], [1, 2], [3, 3]],
+                   [[4, 3], [2, 1], [3, 1], [4, 2], [1, 4], [3, 2],
+                    [2, 4], [4, 1], [1, 3], [2, 3], [1, 2], [3, 4]]):
+        test = example(body=json.dumps({"v": 4, "blocks": blocks}))(test)
+    bodies = st.one_of(_DESIGN_FILES, _shuffled_designs().map(json.dumps))
+    return settings(max_examples=300, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])(
+        given(body=bodies)(test))
+
+
+@_on_oracle_bodies
+def test_design_check_prints_what_the_design_oracle_prints(monkeypatch, capsys, tmp_path,
+                                                           body):
+    _check_matches_the_oracle(monkeypatch, capsys, _write(tmp_path / "design.json", body))
+
+
+@_on_oracle_bodies
+def test_design_complement_and_intersections_print_what_their_oracles_print(
+        monkeypatch, capsys, tmp_path, body):
+    _complement_and_intersections_match_the_oracles(
+        monkeypatch, capsys, _write(tmp_path / "design.json", body))
+
+
+_ODD_TEXTS = [
     '{"blocks": [[2, 1], [1, 3], [3, 2]], "v": 3}',            # 'blocks' first
     '{"v": 9, "blocks": [[1, 2], [2, 3], [1, 3]], "v": 3}',     # a repeated key: the last wins
     ' \n{ "v" :3 ,"blocks":[ [ 1 ,2 ],[2,3\t],\r\n[3, 1] ] }\n',  # JSON whitespace
@@ -834,23 +886,19 @@ def test_design_check_prints_what_the_design_oracle_prints(monkeypatch, capsys, 
     json.dumps({"v": 3, "blocks": [[2, 1], [1, 3], [3, 2]]}, indent=2),
     json.dumps({"v": 3, "blocks": [[2, 1], [1, 3], [3, 2]]}, separators=(",", ":")),
     '{"v": 3, "blocks": [[2, 1], [1, 3], [3, 2]]}\u00a0',      # a no-break space after it
-])
+]
+
+
+@pytest.mark.parametrize("body", _ODD_TEXTS)
 def test_design_check_reads_any_text_as_json_loads_does(monkeypatch, capsys, tmp_path, body):
-    path = tmp_path / "design.json"
-    path.write_text(body)
-    _check_matches_the_oracle(monkeypatch, capsys, path)
+    _check_matches_the_oracle(monkeypatch, capsys, _write(tmp_path / "design.json", body))
 
 
-def test_design_check_builds_no_design(monkeypatch, capsys, tmp_path, golay):
-    path = tmp_path / "c12.json"
-    path.write_text(format_design(support_design(golay, 12)) + "\n")
-
-    def refused(*args):
-        raise AssertionError("design check built a Design")
-
-    monkeypatch.setattr(Design, "__init__", refused)
-    assert run(["design", "check", "-d", str(path), "--t", "5"]) == 0
-    assert capsys.readouterr() == ("v=24 k=12 b=2576\n5-design with lambda = 48\n", "")
+@pytest.mark.parametrize("body", _ODD_TEXTS)
+def test_design_complement_and_intersections_read_any_text_as_json_loads_does(
+        monkeypatch, capsys, tmp_path, body):
+    _complement_and_intersections_match_the_oracles(
+        monkeypatch, capsys, _write(tmp_path / "design.json", body))
 
 
 @pytest.mark.parametrize("command", [["check", "--t", "1"], ["complement"]])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -130,29 +131,57 @@ def test_design_validation_matches_the_oracle(tmp_path_factory, inputs):
             assert got == expected
         else:
             d = got[1]
-            assert (d.v, d.blocks) == expected[1]
+            assert (d.v, tuple(map(tuple, d.blocks))) == expected[1]
             # Points are stored as plain ints, whatever int type they came in.
             assert type(d.v) is int
             assert all(type(p) is int for block in d.blocks for p in block)
+            assert {type(block) for block in d.blocks} == {bytes if d.v <= 255 else tuple}
 
 
-def test_design_keeps_sorted_int_tuples():
-    sorted_block, unsorted_block = (1, 2, 9), (9, 1, 2)
-    d = Design(9, [unsorted_block, sorted_block])
-    assert d.blocks == (sorted_block, sorted_block)
-    assert d.blocks[0] is not unsorted_block and d.blocks[1] is sorted_block
-    enum_block = (Point.ONE, Point.TWO, Point.NINE)
-    d = Design(9, [enum_block])
-    assert d.blocks == (sorted_block,) and d.blocks[0] is not enum_block
-    assert [type(p) for p in d.blocks[0]] == [int, int, int]
+def test_design_stores_sorted_blocks_as_bytes_up_to_255_points():
+    d = Design(9, [(9, 1, 2), [1, 2, 9]])
+    assert d.blocks == (b"\x01\x02\x09", b"\x01\x02\x09")
+    assert Design(9, [(Point.ONE, Point.NINE, Point.TWO)]).blocks == (b"\x01\x02\x09",)
+    d = Design(256, [(256, 1, 2), (3, 2, 1)])
+    assert d.blocks == ((1, 2, 3), (1, 2, 256))
 
 
-def test_a_design_with_int_subclass_points_keeps_its_sorted_plain_tuples():
-    plain, other = (1, 2, 9), (2, 3, 4)
-    d = Design(9, [other, (Point.NINE, Point.ONE, Point.TWO), plain])
-    assert d.blocks == (plain, plain, other)
-    assert d.blocks[1] is plain and d.blocks[2] is other
-    assert d.blocks[0] is not plain and [type(p) for p in d.blocks[0]] == [int, int, int]
+def test_a_design_stores_int_subclass_points_as_plain_ints():
+    for v in (9, 300):
+        d = Design(Point.NINE if v == 9 else v, [(2, 3, 4), (Point.NINE, Point.ONE, Point.TWO)])
+        assert type(d.v) is int and tuple(map(tuple, d.blocks)) == ((1, 2, 9), (2, 3, 4))
+        assert [type(p) for block in d.blocks for p in block] == [int] * 6
+
+
+@st.composite
+def _shuffled_blocks(draw, v=st.integers(1, 255)):
+    """A point count drawn from v and blocks of one size on its points, in
+    any order, at times repeated."""
+    v = draw(v)
+    k = draw(st.integers(1, v))
+    block = st.permutations(range(1, v + 1)).map(lambda points: points[:k])
+    blocks = draw(st.lists(block, min_size=1, max_size=6))
+    return v, blocks + draw(st.lists(st.sampled_from(blocks), max_size=3))
+
+
+# Design stores what the oracle validates, as bytes up to v = 255 and as
+# tuples past it.
+@settings(max_examples=200, deadline=None, database=None)
+@given(design=_shuffled_blocks(st.integers(1, 300) | st.integers(250, 260)))
+@example(design=(255, [[255, 1], [2, 3], [1, 255]]))
+@example(design=(256, [[256, 1], [2, 3], [1, 256]]))
+def test_design_stores_the_oracle_blocks_in_the_form_its_point_count_picks(design):
+    v, blocks = design
+    d = Design(v, blocks)
+    assert (d.v, tuple(map(tuple, d.blocks))) == oracles.design_blocks(v, blocks)
+    assert {type(block) for block in d.blocks} == {bytes if v <= 255 else tuple}
+
+
+@pytest.mark.parametrize("v", [255, 256])
+def test_a_design_of_either_block_form_round_trips(v):
+    d = Design(v, [(v, 1), (2, 3)])
+    for again in (pickle.loads(pickle.dumps(d)), eval(repr(d), {"Design": Design})):
+        assert again == d and list(map(type, again.blocks)) == list(map(type, d.blocks))
 
 
 def _traced(expr, golay, setup=""):
@@ -180,13 +209,14 @@ def _traced(expr, golay, setup=""):
 
 
 def test_a_design_holds_its_blocks_once(tmp_path, golay):
-    # Golay C_12: 2576 blocks of 12 points; as tuples they take about 360 KiB.
+    # Golay C_12: 2576 blocks of 12 points. As bytes the design keeps 149 KiB
+    # and peaks at 275; as tuples it kept 378 and peaked at 594.
     peak, retained = _traced("support_design(golay, 12)", golay)
     assert peak < 600 << 10 and retained <= 400 << 10
     path = tmp_path / "c12.json"
     path.write_text(format_design(support_design(golay, 12)) + "\n")
-    # Scanned as bytes, then made tuples, the blocks peak at about 410 KiB;
-    # json.loads' lists alone took 600, lists and tuples together 870.
+    # Scanned as bytes and stored as bytes, the blocks peak at 302 KiB; made
+    # tuples, 487; json.loads' lists alone took 600, lists and tuples 870.
     peak, _ = _traced(f"read_design_file({str(path)!r})", golay)
     assert peak < 700 << 10
 
@@ -219,21 +249,10 @@ _LAYOUTS = {
 }
 
 
-@st.composite
-def _byte_designs(draw):
-    """A point count in 1..255 and blocks of one size on its points, in any
-    order, at times repeated."""
-    v = draw(st.integers(1, 255))
-    k = draw(st.integers(1, v))
-    block = st.permutations(range(1, v + 1)).map(lambda points: points[:k])
-    blocks = draw(st.lists(block, min_size=1, max_size=6))
-    return v, blocks + draw(st.lists(st.sampled_from(blocks), max_size=3))
-
-
 # _scan_design reads exactly the text that design_json and json.dumps write
 # and leaves every other text to json.loads.
 @settings(max_examples=200, deadline=None, database=None)
-@given(design=_byte_designs(), layout=st.sampled_from(["design_json", "json.dumps"]))
+@given(design=_shuffled_blocks(), layout=st.sampled_from(["design_json", "json.dumps"]))
 @example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="indent=2")
 @example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="compact")
 @example(design=(3, [[1, 2], [2, 3], [1, 2]]), layout="blocks first")
@@ -270,8 +289,8 @@ def _traced_command(argv):
 
 def test_design_from_code_streams_its_blocks(tmp_path, golay):
     """design from-code --w 12 on the Golay code holds the 2576 words and one
-    block at a time, not the Design's 2576 tuples (about 360 KiB) nor the
-    117 KB text."""
+    block at a time, not a Design of 2576 blocks nor the 117 KB text, and
+    peaks at 240 KiB."""
     path = tmp_path / "golay.gm"
     path.write_text(format_generator(golay))
     rc, peak = _traced_command(["design", "from-code", "-g", str(path), "--w", "12"])
@@ -280,17 +299,19 @@ def test_design_from_code_streams_its_blocks(tmp_path, golay):
 
 def test_design_check_streams_its_blocks(tmp_path, golay):
     """design check --t 5 on Golay C_12 holds the 117 KB text and each block
-    as 12 bytes, not json.loads' 2576 lists (about 480 KiB)."""
+    as 12 bytes, as scanned and in the Design, and peaks at 308 KiB, not
+    json.loads' 2576 lists (about 480 KiB)."""
     path = tmp_path / "c12.json"
     path.write_text(format_design(support_design(golay, 12)) + "\n")
     rc, peak = _traced_command(["design", "check", "-d", str(path), "--t", "5"])
     assert rc == 0 and peak < 400 << 10
 
 
-def test_design_complement_builds_no_design(tmp_path, golay):
-    """design complement on Golay C_12 holds each block of the file as 12
-    bytes and the 2576 complements as tuples, and peaks at 554 KiB. The
-    Design of the file beside that of its complement peaked at 788."""
+def test_design_complement_holds_its_blocks_as_bytes(tmp_path, golay):
+    """design complement on Golay C_12 holds the Design of the file and that
+    of its complement, each block as 12 bytes, and peaks at 308 KiB. With
+    tuple complements it peaked at 554, and with two Designs of tuples at
+    788."""
     path = tmp_path / "c12.json"
     path.write_text(format_design(support_design(golay, 12)) + "\n")
     rc, peak = _traced_command(["design", "complement", "-d", str(path)])
@@ -316,7 +337,7 @@ def test_design_is_a_sorted_multiset():
     d1 = Design(5, ((3, 1, 2), (4, 5, 1)))
     d2 = Design(5, ((1, 4, 5), (1, 2, 3)))
     assert d1 == d2
-    assert d1.blocks[0] == (1, 2, 3)
+    assert tuple(d1.blocks[0]) == (1, 2, 3)
     doubled = Design(5, ((1, 2, 3), (1, 2, 3)))
     assert doubled.b == 2
     assert doubled != Design(5, ((1, 2, 3),))
@@ -327,7 +348,7 @@ def test_support_design(type1, c6):
     assert c6.v == 16 and c6.k == 6 and c6.b == 64
     d4 = builtin("d4")
     pairs = support_design(d4, 2)
-    assert pairs.blocks == ((1, 2), (3, 4))
+    assert tuple(map(tuple, pairs.blocks)) == ((1, 2), (3, 4))
     with pytest.raises(ValueError):
         support_design(d4, 3)
     with pytest.raises(ValueError):
@@ -339,7 +360,7 @@ def test_union():
     b = Design(5, ((1, 2), (3, 4)))
     u = union(a, b)
     assert u.b == 3
-    assert u.blocks.count((1, 2)) == 2
+    assert u.blocks.count(bytes((1, 2))) == 2
     with pytest.raises(ValueError):
         union(a, Design(6, ((1, 2),)))
     with pytest.raises(ValueError):
@@ -392,7 +413,7 @@ def test_complement_design(type1, c6):
     assert complement_design(c10) == c6
     assert is_t_design(c10, 2) == 24
     one = Design(4, ((1, 3),))
-    assert complement_design(one).blocks == ((2, 4),)
+    assert complement_design(one) == Design(4, ((2, 4),))
 
 
 def test_design_guard(golay):

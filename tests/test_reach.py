@@ -37,7 +37,6 @@ _SHIM = "traced by bench/shim.py, which test_every_traced_name_exists requires"
 ALLOWED = {
     "designs.t_design_violation": _SHIM,
     "designs.design_strength": _SHIM,
-    "designs.complement_design": _SHIM,
     "designs.is_self_orthogonal_design": _SHIM,
     "catalog.pinned_type_i_16": _SHIM,
     "catalog.pinned_even_fsd_16": _SHIM,

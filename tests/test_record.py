@@ -96,7 +96,7 @@ def test_hash_is_the_hash_of_the_fields():
 def test_repr_shows_the_fields():
     assert repr(BinaryCode(3, (0b110, 0b011))) == "BinaryCode(n=3, basis=(5, 6))"
     assert repr(SearchConfig()) == "SearchConfig(seed=0, max_iterations=1000000)"
-    assert repr(Design(2, ((2, 1),))) == "Design(v=2, blocks=((1, 2),))"
+    assert repr(Design(2, ((2, 1),))) == "Design(v=2, blocks=(b'\\x01\\x02',))"
 
 
 def test_binary_code_validates_and_reduces():
@@ -144,7 +144,7 @@ def test_design_validates_and_sorts():
         with pytest.raises(ValueError, match=message):
             Design(v, blocks)
     d = Design(v=4, blocks=[(4, 2), (3, 1), (2, 1)])
-    assert d.blocks == ((1, 2), (1, 3), (2, 4))
+    assert d.blocks == (bytes((1, 2)), bytes((1, 3)), bytes((2, 4)))
 
 
 def test_hom_poly_validates_and_keeps_exact_coefficients():
