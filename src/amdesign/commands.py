@@ -311,22 +311,22 @@ def run_gleason(args) -> int:
     c = read_code(args)
     if args.t < 0:
         raise PreconditionError("t must be nonnegative")
+    # Harm_0(n) is the constants, with the classical enumerator at index 0.
+    if args.t == 0 and args.index != 0:
+        raise PreconditionError(
+            f"index out of range: Harm_0({c.n}) has 1 basis functions")
+    # Refused before --index is read at t >= 1, and before any word is read.
+    gleason = polyring.gleason_basis(args.t, c.n)
     if args.t == 0:
-        # Harm_0(n) is the constants, with the classical enumerator at index 0.
-        if args.index != 0:
-            raise PreconditionError(
-                f"index out of range: Harm_0({c.n}) has 1 basis functions")
         p = polyring.weight_enumerator_poly(weight_distribution(c), c.n)
     else:
-        # A t with no Gleason basis is refused before --index is read.
-        polyring.gleason_basis(args.t, c.n)
         basis = harmonic.harm_basis(c.n, args.t)
         if not 0 <= args.index < len(basis):
             raise PreconditionError(
                 f"index out of range: Harm_{args.t}({c.n}) has {len(basis)} basis functions")
         p = harmonic.zcf(c, basis[args.index])
     try:
-        coeffs = polyring.gleason_decompose(p, args.t, c.n)
+        coeffs = polyring.gleason_decompose(p, gleason)
     except polyring.SpanError as err:
         payload = {"t": args.t, "in_span": False,
                    "residual": [str(x) for x in err.residual.coeffs]}
@@ -391,9 +391,9 @@ def _verify_profile(args):
     # Refused before the code is read and sliced.
     if args.t_cap < 0:
         raise PreconditionError("--t-cap must be nonnegative")
-    prof = verify.strength_profile(read_code(args), args.t_cap)
+    per = verify.strength_profile(read_code(args), args.t_cap)
     return verify.VerificationReport(
-        "profile", True, {"per_weight": prof.per_weight, "delta": prof.delta, "s": prof.s})
+        "profile", True, {"per_weight": per, "delta": min(per.values()), "s": max(per.values())})
 
 
 def run_scenario(args) -> int:

@@ -27,7 +27,6 @@ from .gf2core import (
 
 __all__ = [
     "PreconditionError",
-    "StrengthProfile",
     "VerificationReport",
     "assmus_mattson_check",
     "exact_json",
@@ -60,23 +59,6 @@ class VerificationReport(Record):
         }
 
 
-class StrengthProfile(Record):
-    """Design strength of every nonempty support design C_w, 0 < w < n."""
-
-    __slots__ = ("per_weight",)
-
-    def __init__(self, per_weight: dict) -> None:
-        self._set(per_weight)
-
-    @property
-    def delta(self) -> int:
-        return min(self.per_weight.values())
-
-    @property
-    def s(self) -> int:
-        return max(self.per_weight.values())
-
-
 def _slices(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
     """(incidence, leaves) of the words of the codes, one bit per word: the
     chunks of _weight_leaves, code after code, each above the last. Bit i of
@@ -97,8 +79,9 @@ def _slices(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
     return [0] + masks[:codes[0].n], masks[codes[0].n:]
 
 
-def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
-    """Strength of each C_w up to min(t_cap, w): a block of size w bounds t."""
+def strength_profile(c: BinaryCode, t_cap: int) -> dict[int, int]:
+    """{w: t}, weights ascending: the strength of each nonempty C_w, 0 < w < n,
+    up to min(t_cap, w), since a block of size w bounds t."""
     # Only a code whose basis is empty or the all-ones word alone has no
     # weight strictly between 0 and n: any other is refused before slicing.
     if t_cap < 0 and c.basis not in ((), ((1 << c.n) - 1,)):
@@ -106,7 +89,7 @@ def strength_profile(c: BinaryCode, t_cap: int) -> StrengthProfile:
     return _profile(*_slices([c]), t_cap)
 
 
-def _profile(incidence: list[int], leaves: list[int], t_cap: int) -> StrengthProfile:
+def _profile(incidence: list[int], leaves: list[int], t_cap: int) -> dict[int, int]:
     """strength_profile of the sliced code."""
     per = {}
     for w in range(1, len(incidence) - 1):
@@ -119,7 +102,7 @@ def _profile(incidence: list[int], leaves: list[int], t_cap: int) -> StrengthPro
                 per[w] = t
     if not per:
         raise ValueError("no weights strictly between 0 and n")
-    return StrengthProfile(per)
+    return per
 
 
 def _words(incidence: list[int], mask: int):
@@ -256,9 +239,10 @@ def verify_thm_1_2_type1(
     full = (1 << c.n) - 1
     complement_ok = blocks.bit_count() == leaves[10].bit_count() and (
         sorted(full ^ x for x in _words(points, blocks)) == sorted(_words(incidence, leaves[10])))
-    prof = _profile(incidence, leaves, 3)
-    gap_weights = [w for w, t in prof.per_weight.items() if t >= 2]
-    profile_ok = prof.delta == 1 and prof.s == 2 and gap_weights == [6, 10]
+    per = _profile(incidence, leaves, 3)
+    delta, s = min(per.values()), max(per.values())
+    gap_weights = [w for w, t in per.items() if t >= 2]
+    profile_ok = delta == 1 and s == 2 and gap_weights == [6, 10]
     passed = counting_ok and harmonic_ok and complement_ok and profile_ok
     witnesses = {
         "lambda_2": lam,
@@ -266,9 +250,9 @@ def verify_thm_1_2_type1(
         "counting_route": counting_ok,
         "harmonic_route": harmonic_ok,
         "complement_matches": complement_ok,
-        "strengths": prof.per_weight,
-        "delta": prof.delta,
-        "s": prof.s,
+        "strengths": per,
+        "delta": delta,
+        "s": s,
         "strength_2_weights": gap_weights,
     }
     if violation:
@@ -364,25 +348,25 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
     incidence, leaves = _require_type1_16(c)
     leaves0 = [leaf if w % 4 == 0 else 0 for w, leaf in enumerate(leaves)]
     wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
-    prof0 = _profile(incidence, leaves0, 3)
+    per0 = _profile(incidence, leaves0, 3)
     c0 = code_from_rows(_words(incidence, sum(leaves0)), c.n)
     c0_dual = dual(c0)
-    prof1 = strength_profile(c0_dual, 3)
+    per1 = strength_profile(c0_dual, 3)
     checks = {
         "subcode_dimension": c0.dimension == 7,
         # The words span a doubly-even code of their own number: a subcode.
         "subcode_doubly_even": is_doubly_even(c0) and c0.size == sum(wd0.counts.values()),
         "dual_dimension": c0_dual.dimension == 9,
-        "dual_minimum_distance": min(prof1.per_weight) == 4,
+        "dual_minimum_distance": min(per1) == 4,
         "dual_strength_exceeds_guarantee": all(
-            prof1.per_weight.get(w, 0) >= 2 for w in (6, 10)
+            per1.get(w, 0) >= 2 for w in (6, 10)
         ),
     }
     passed = all(checks.values())
     witnesses = {
         "checks": checks,
         "subcode_weight_distribution": wd0.counts,
-        "subcode_strengths": prof0.per_weight,
-        "dual_strengths": prof1.per_weight,
+        "subcode_strengths": per0,
+        "dual_strengths": per1,
     }
     return VerificationReport("cor1.5", passed, witnesses)

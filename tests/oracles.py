@@ -408,22 +408,22 @@ def verify_cor_1_5(c):
     c0_dual = dual(c0)
     incidence0, leaves0 = verify._slices([c0])
     wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
-    prof0 = verify._profile(incidence0, leaves0, 3)
-    prof1 = verify.strength_profile(c0_dual, 3)
+    per0 = verify._profile(incidence0, leaves0, 3)
+    per1 = verify.strength_profile(c0_dual, 3)
     checks = {
         "subcode_dimension": c0.dimension == 7,
         "subcode_doubly_even": all(w % 4 == 0 for w in wd0.counts),
         "dual_dimension": c0_dual.dimension == 9,
-        "dual_minimum_distance": min(prof1.per_weight) == 4,
+        "dual_minimum_distance": min(per1) == 4,
         "dual_strength_exceeds_guarantee": all(
-            prof1.per_weight.get(w, 0) >= 2 for w in (6, 10)
+            per1.get(w, 0) >= 2 for w in (6, 10)
         ),
     }
     return verify.VerificationReport("cor1.5", all(checks.values()), {
         "checks": checks,
         "subcode_weight_distribution": wd0.counts,
-        "subcode_strengths": prof0.per_weight,
-        "dual_strengths": prof1.per_weight,
+        "subcode_strengths": per0,
+        "dual_strengths": per1,
     })
 
 

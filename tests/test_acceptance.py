@@ -77,13 +77,14 @@ def test_criterion_02_c6_is_a_2_design_both_routes(type1, c6):
 
 
 def test_criterion_03_strength_gap(type1):
-    prof = strength_profile(type1, 3)
-    gap_at = sorted(w for w, t in prof.per_weight.items() if t >= 2)
-    control = strength_profile(builtin("e8+e8"), 2)
-    ok = (prof.delta == 1 and prof.s == 2 and gap_at == [6, 10]
-          and control.delta == control.s)
-    assert _line("03", ok, f"delta={prof.delta} s={prof.s} strength-2 at "
-                        f"{gap_at}; control delta=s={control.delta}")
+    per = strength_profile(type1, 3)
+    delta, s = min(per.values()), max(per.values())
+    gap_at = sorted(w for w, t in per.items() if t >= 2)
+    control = strength_profile(builtin("e8+e8"), 2).values()
+    ok = (delta == 1 and s == 2 and gap_at == [6, 10]
+          and min(control) == max(control))
+    assert _line("03", ok, f"delta={delta} s={s} strength-2 at "
+                        f"{gap_at}; control delta=s={min(control)}")
     assert ok
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -17,11 +18,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import oracles
 from oracles import format_design
 
+from amdesign import gf2core, polyring
 from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
 from amdesign.designs import Design, support_design
 from amdesign.gf2core import code_from_rows, exact_json, format_generator, minimum_distance
-from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, HomPoly
+from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, HomPoly, gleason_basis
 from amdesign.verify import verify_thm_1_2_type1
 
 
@@ -560,6 +562,37 @@ def test_poly_gleason_refuses_a_length_past_its_guard(monkeypatch, capsys, tmp_p
     path.write_text("1" * _GLEASON_LENGTH_GUARD + "\n")
     assert run(["poly", "gleason", "-g", str(path), "--t", str(t)]) == (1, 0)[t]
     assert capsys.readouterr().err == ""
+
+
+def test_poly_gleason_refuses_a_length_past_its_guard_before_a_word_is_read(
+        monkeypatch, capsys, tmp_path):
+    # A random [302,24] code at t = 0: the guard fires before the 2^24 words
+    # of its weight enumerator are walked.
+    rng = random.Random(302)
+    path = tmp_path / "big.gm"
+    path.write_text(format_generator(code_from_rows(
+        [rng.getrandbits(302) for _ in range(24)], 302)))
+
+    def no_walk(c):
+        raise AssertionError("a codeword was read")
+
+    monkeypatch.setattr(gf2core, "iter_codewords", no_walk)
+    assert run(["poly", "gleason", "-g", str(path), "--t", "0"]) == 3
+    assert capsys.readouterr() == ("", "resource guard: length 302 exceeds the Gleason "
+                                       f"basis guard {_GLEASON_LENGTH_GUARD}\n")
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_poly_gleason_builds_one_gleason_basis(monkeypatch, t):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gleason_basis(*args)
+
+    monkeypatch.setattr(polyring, "gleason_basis", counted)
+    assert run(["poly", "gleason", "-b", "type1_16", "--t", str(t)]) == 0
+    assert calls == [(t, 16)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -15,7 +15,7 @@ from amdesign.gf2core import (
     BinaryCode, CodeClass, Record, WeightDistribution, _rref, classify)
 from amdesign.harmonic import HarmonicFunction
 from amdesign.polyring import HomPoly
-from amdesign.verify import StrengthProfile, VerificationReport
+from amdesign.verify import VerificationReport
 
 CLASS_FLAGS = ("even", "doubly_even", "self_orthogonal", "self_dual",
                "formally_self_dual", "type_one", "type_two")
@@ -29,7 +29,6 @@ SAMPLES = [
     HomPoly(degree=1, coeffs=(1, 2)),
     HarmonicFunction(n=5, pairs=((1, 3), (2, 4))),
     VerificationReport(scenario="am", passed=True, witnesses={"t": "1"}),
-    StrengthProfile(per_weight={4: 1, 6: 2}),
     SearchConfig(seed=3, max_iterations=10),
 ]
 
@@ -39,7 +38,7 @@ def _id(x):
 
 
 def test_every_value_class_is_a_record():
-    assert len({type(x) for x in SAMPLES}) == 9
+    assert len({type(x) for x in SAMPLES}) == 8
     assert all(isinstance(x, Record) for x in SAMPLES)
 
 
@@ -76,10 +75,19 @@ def test_equality_goes_by_fields():
     assert SearchConfig() == SearchConfig(0, 1_000_000) != SearchConfig(seed=1)
 
 
+class _Counts(Record):
+    """One field, as WeightDistribution has, in another class."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict) -> None:
+        self._set(counts)
+
+
 def test_instances_of_different_classes_are_never_equal():
     # The same field values in two classes.
-    assert WeightDistribution({4: 1}) != StrengthProfile({4: 1})
-    assert not WeightDistribution({4: 1}) == StrengthProfile({4: 1})
+    assert WeightDistribution({4: 1}) != _Counts({4: 1})
+    assert not WeightDistribution({4: 1}) == _Counts({4: 1})
     assert Design(4, ((1, 2),)) != (4, ((1, 2),))
     assert Record.__eq__(SearchConfig(), (0, 1_000_000)) is NotImplemented
 
@@ -175,11 +183,9 @@ def test_harmonic_function_validates_and_makes_tuples():
     assert hash(f) == hash((4, ((1, 2), (3, 4))))
 
 
-def test_reports_and_profiles_by_keyword():
+def test_reports_by_keyword():
     rep = VerificationReport(scenario="thm1.1", passed=False, witnesses={"w": "6"})
     assert rep.verdict == "fail"
-    prof = StrengthProfile(per_weight={4: 1, 6: 3})
-    assert (prof.delta, prof.s) == (1, 3)
 
 
 def test_search_config_defaults():

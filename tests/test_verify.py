@@ -66,11 +66,11 @@ def test_report_round_trip():
 
 
 def test_strength_profile(type1):
-    prof = strength_profile(type1, 3)
-    assert prof.per_weight == {4: 1, 6: 2, 8: 1, 10: 2, 12: 1}
+    per = strength_profile(type1, 3)
+    assert per == {4: 1, 6: 2, 8: 1, 10: 2, 12: 1}
     # verify_thm_1_2_type1 reads its strength-2 weights off in this order.
-    assert list(prof.per_weight) == [4, 6, 8, 10, 12]
-    assert prof.delta == 1 and prof.s == 2
+    assert list(per) == [4, 6, 8, 10, 12]
+    assert min(per.values()) == 1 and max(per.values()) == 2
     with pytest.raises(ValueError):
         strength_profile(BinaryCode(4), 2)
 
@@ -92,8 +92,8 @@ def test_thm_1_1_on_the_extended_qr_code_of_length_32():
 
 
 def test_strength_profile_no_gap_control():
-    prof = strength_profile(direct_sum(builtin("e8"), builtin("e8")), 2)
-    assert prof.delta == prof.s
+    per = strength_profile(direct_sum(builtin("e8"), builtin("e8")), 2)
+    assert min(per.values()) == max(per.values())
 
 
 def test_assmus_mattson_applicable():
