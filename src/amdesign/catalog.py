@@ -19,6 +19,8 @@ from .gf2core import (
     code_from_strings,
     dual,
     format_generator,
+    is_self_orthogonal,
+    macwilliams,
     mallows_sloane,
     parse_generator_text,
     weight_distribution,
@@ -143,12 +145,9 @@ def search_type_i_16(cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, We
 def search_even_fsd(n: int, d: int,
                     cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, WeightDistribution]:
     """Randomized search for an even formally self-dual [n, n/2, d] code that
-    is not self-dual: the hit and its spectrum.
-
-    Candidates are systematic generator matrices [I | A] whose rows are
-    repaired to even weight; each survivor's spectrum is compared exactly with
-    its dual's. Deterministic given the seed. An (n, d) that no such code
-    has (odd, or above the Mallows-Sloane bound) is refused before searching.
+    is not self-dual: the hit and its spectrum, which MacWilliams maps to
+    itself. Deterministic given the seed. An (n, d) that no such code has
+    (odd, or above the Mallows-Sloane bound) is refused before searching.
 
     A hit contains the all-ones word (it is even, and so is its dual, which
     has its spectrum), and in [I | A] form that word is the sum of all rows:
@@ -176,10 +175,7 @@ def search_even_fsd(n: int, d: int,
         wd = weight_distribution(c)
         if wd.min_nonzero() != d:
             continue
-        cd = dual(c)
-        if c == cd:
-            continue
-        if wd != weight_distribution(cd):
+        if is_self_orthogonal(c) or wd != macwilliams(wd, n, half):
             continue
         return c, wd
     raise SearchBudgetError(

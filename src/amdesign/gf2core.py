@@ -25,6 +25,7 @@ __all__ = [
     "dual",
     "iter_codewords",
     "weight_distribution",
+    "macwilliams",
     "minimum_distance",
     "codewords_of_weight",
     "is_even",
@@ -351,6 +352,27 @@ def weight_distribution(c: BinaryCode) -> WeightDistribution:
         for w, leaf in enumerate(leaves):
             counts[w] += leaf.bit_count()
     return WeightDistribution({w: a for w, a in enumerate(counts) if a})
+
+
+def macwilliams(wd: WeightDistribution, n: int, k: int) -> WeightDistribution:
+    """The spectrum B of the dual of an [n, k] code of spectrum A, checked to
+    be integral: B_j = 2^-k sum_i A_i K_j(i), where (j+1) K_{j+1}(i) =
+    (n-2i) K_j(i) - (n-j+1) K_{j-1}(i)."""
+    if sum(wd.counts.values()) != 1 << k:
+        raise ValueError("weight distribution does not sum to 2^k")
+    if wd.count(0) != 1:
+        raise ValueError("weight distribution must count the zero word once")
+    b = [0] * (n + 1)
+    for i, a in wd.counts.items():
+        last, x = 0, a
+        for j in range(n + 1):
+            b[j] += x
+            last, x = x, ((n - 2 * i) * x - (n - j + 1) * last) // (j + 1)
+    for j, x in enumerate(b):
+        b[j], r = divmod(x, 1 << k)
+        if b[j] < 0 or r:
+            raise ValueError(f"transform is not a weight distribution at w={j}")
+    return WeightDistribution(dict(enumerate(b)))
 
 
 def minimum_distance(c: BinaryCode) -> int:

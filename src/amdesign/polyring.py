@@ -10,6 +10,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .gf2core import EnumerationGuardError, Record, WeightDistribution
+# bench/shim.py traces this name; ROADMAP item 1a deletes the alias.
+from .gf2core import macwilliams as macwilliams_transform_classical  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -25,7 +27,6 @@ __all__ = [
     "ALPHA_MAX_GUARD",
     "vanishing_coefficient_search",
     "weight_enumerator_poly",
-    "macwilliams_transform_classical",
 ]
 
 
@@ -252,23 +253,3 @@ def weight_enumerator_poly(wd: WeightDistribution, n: int) -> HomPoly:
             raise ValueError("weight exceeds the stated length")
         coeffs[w] = a
     return HomPoly(n, tuple(coeffs))
-
-
-def macwilliams_transform_classical(
-    wd: WeightDistribution, n: int, k: int
-) -> WeightDistribution:
-    """Dual weight distribution 2^-k W(x+y, x-y), checked to be integral."""
-    if sum(wd.counts.values()) != 1 << k:
-        raise ValueError("weight distribution does not sum to 2^k")
-    if wd.count(0) != 1:
-        raise ValueError("weight distribution must count the zero word once")
-    transformed = weight_enumerator_poly(wd, n).substitute_sum_diff()
-    size = 1 << k
-    counts: dict[int, int] = {}
-    for w, c in enumerate(transformed.coeffs):
-        q, r = divmod(c, size)
-        if q < 0 or r:
-            raise ValueError(f"transform is not a weight distribution at w={w}")
-        if q:
-            counts[w] = q
-    return WeightDistribution(counts)

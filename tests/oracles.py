@@ -27,6 +27,11 @@ search_even_fsd is the search that counted the spectrum of every candidate;
 amdesign.catalog first drops every candidate that does not contain the
 all-ones word, which every hit contains.
 
+macwilliams is the dual's spectrum 2^-k W(x+y, x-y) read off the expanded
+weight enumerator, as amdesign.polyring computed it; gf2core.macwilliams sums
+A_i K_j(i) by the Krawtchouk recurrence instead, and must give the same
+spectra and the same errors.
+
 substitute_sum_diff expands p(x+y, x-y) by summing binomial products afresh
 for every coefficient of every polynomial; HomPoly.substitute_sum_diff
 multiplies by one cached integer matrix per degree instead.
@@ -80,7 +85,8 @@ weight 0 mod 4.
 
 assmus_mattson_witnesses and transform_mismatches are the Assmus-Mattson
 criterion and the Bachoc transform check that walked dual(c) even when it is
-c; amdesign reads a self-dual code's spectrum and harmonic enumerators once.
+c; amdesign reads the dual's spectrum off the code's by MacWilliams, and a
+self-dual code's harmonic enumerators once.
 
 is_self_orthogonal_design is the test that scanned every pair of blocks for
 an intersection of k mod 2 points, b^2/2 pairs; amdesign.designs tests
@@ -114,7 +120,7 @@ from amdesign.gf2core import (
     iter_codewords, mallows_sloane, support)
 from amdesign.designs import lambda_i
 from amdesign.harmonic import bachoc_transform, harm_basis
-from amdesign.polyring import HomPoly, SpanError, gleason_basis
+from amdesign.polyring import HomPoly, SpanError, gleason_basis, weight_enumerator_poly
 
 
 def pack_row(bits):
@@ -183,6 +189,24 @@ def harmonic_weight_enumerator(c, f):
             continue
         coeffs[w] += f.tilde(support(word))
     return HomPoly(c.n, tuple(coeffs))
+
+
+def macwilliams(wd, n, k):
+    """Dual weight distribution 2^-k W(x+y, x-y), checked to be integral."""
+    if sum(wd.counts.values()) != 1 << k:
+        raise ValueError("weight distribution does not sum to 2^k")
+    if wd.count(0) != 1:
+        raise ValueError("weight distribution must count the zero word once")
+    transformed = weight_enumerator_poly(wd, n).substitute_sum_diff()
+    size = 1 << k
+    counts: dict[int, int] = {}
+    for w, c in enumerate(transformed.coeffs):
+        q, r = divmod(c, size)
+        if q < 0 or r:
+            raise ValueError(f"transform is not a weight distribution at w={w}")
+        if q:
+            counts[w] = q
+    return WeightDistribution(counts)
 
 
 def substitute_sum_diff(p):

@@ -370,8 +370,9 @@ def permuted_sums(draw):
 @example(c=load_code("fsd_16"), t=1, k=2)
 @example(c=builtin("e8+e8"), t=3, k=2)
 def test_am_and_transform_check_match_a_walk_of_the_dual(capsys, tmp_path, c, t, k):
-    """A code equal to its dual is read once; the results are those of an
-    explicit walk of dual(c), self-dual or not."""
+    """am reads the dual's spectrum off the code's, and transform-check reads
+    a code equal to its dual once; the results are those of an explicit walk
+    of dual(c), self-dual or not."""
     path = tmp_path / "c.gm"
     path.write_text(format_generator(c))
     if t < minimum_distance(c):
@@ -385,6 +386,28 @@ def test_am_and_transform_check_match_a_walk_of_the_dual(capsys, tmp_path, c, t,
                                           "--k", str(k), "--format", "json"])
         assert payload["mismatches"] == oracles.transform_mismatches(c, k)
         assert code == (1 if payload["mismatches"] else 0)
+
+
+def test_am_reads_rm_1_6_whose_dual_no_walk_reaches(capsys, tmp_path):
+    """RM(1,6), the [64,7,32] code of the all-ones word and the 6 coordinate
+    functions on 64 points: its dual RM(4,6) has dimension 57, past the
+    enumeration guard, and d = 4, so by Assmus-Mattson C_32 holds 3-designs."""
+    rows = [(1 << 64) - 1] + [sum(1 << x for x in range(64) if x >> i & 1) for i in range(6)]
+    c = code_from_rows(rows, 64)
+    path = tmp_path / "rm1_6.gm"
+    path.write_text(format_generator(c))
+    code, rep = run_json(capsys, ["verify", "am", "-g", str(path), "--t", "3",
+                                  "--format", "json"])
+    witnesses = rep["witnesses"]
+    assert code == 0
+    assert (witnesses["dual_minimum_distance"], witnesses["bound"]) == ("4", "1")
+    assert witnesses["promised_code_weights"] == ["32"]
+    assert run(["verify", "am", "-g", str(path), "--t", "4"]) == 1
+    wd = gf2core.weight_distribution(c)
+    dual_wd = gf2core.macwilliams(wd, 64, 7)
+    assert dual_wd == oracles.macwilliams(wd, 64, 7)
+    # The weight-4 words of the extended Hamming code RM(4,6): 64*63*62/24.
+    assert dual_wd.count(4) == 10416
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

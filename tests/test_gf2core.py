@@ -27,6 +27,7 @@ from amdesign.gf2core import (
     is_even,
     is_self_orthogonal,
     iter_codewords,
+    macwilliams,
     mallows_sloane,
     minimum_distance,
     parse_generator_text,
@@ -208,6 +209,72 @@ def test_weight_distribution_stores_ascending_weights_without_zeros(items):
     wd = WeightDistribution(dict(items))
     assert list(wd.counts.items()) == expected
     assert list(pickle.loads(pickle.dumps(wd)).counts.items()) == expected
+
+
+def test_macwilliams_examples(type1):
+    e8 = builtin("e8")
+    wd8 = weight_distribution(e8)
+    assert macwilliams(wd8, 8, 4) == wd8
+    wd16 = weight_distribution(type1)
+    assert macwilliams(wd16, 16, 8) == wd16
+    zero2 = WeightDistribution({0: 1})
+    assert macwilliams(zero2, 2, 0).counts == {0: 1, 1: 2, 2: 1}
+
+
+def test_macwilliams_matches_enumerated_dual():
+    rng = random.Random(5)
+    seen = 0
+    while seen < 50:
+        n = rng.randrange(2, 13)
+        k = rng.randrange(0, n + 1)
+        c = code_from_rows((rng.getrandbits(n) for _ in range(k)), n)
+        wd = weight_distribution(c)
+        assert macwilliams(wd, n, c.dimension) == weight_distribution(dual(c))
+        seen += 1
+
+
+def test_macwilliams_involution():
+    rng = random.Random(6)
+    for _ in range(20):
+        n = rng.randrange(2, 11)
+        c = code_from_rows((rng.getrandbits(n) for _ in range(n // 2)), n)
+        wd = weight_distribution(c)
+        once = macwilliams(wd, n, c.dimension)
+        assert macwilliams(once, n, n - c.dimension) == wd
+
+
+def test_macwilliams_input_validation():
+    with pytest.raises(ValueError):
+        macwilliams(WeightDistribution({0: 1, 1: 2}), 2, 0)
+    with pytest.raises(ValueError):
+        macwilliams(WeightDistribution({1: 1}), 2, 0)
+    # x^4 + 3x^3y maps to 4x^4 + 10x^3y + ...: 10/4 at w = 1 is not an integer.
+    with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
+        macwilliams(WeightDistribution({0: 1, 1: 3}), 4, 2)
+    # x^2 + 3y^2 maps to 4x^2 - 4xy + 4y^2: -4/4 at w = 1 is a negative count.
+    with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
+        macwilliams(WeightDistribution({0: 1, 2: 3}), 2, 2)
+
+
+@st.composite
+def codes_of_length_at_most_20(draw):
+    """A code spanned by k random rows of length n <= 20, k <= min(n, 14)."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(0, min(n, 14)))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    return code_from_rows(rows, n)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(codes_of_length_at_most_20())
+@example(code_from_rows([], 20))
+@example(code_from_rows([1 << i for i in range(14)], 20))
+@example(builtin("e8+d4+i2"))
+def test_macwilliams_is_the_walked_dual_and_the_enumerator_oracle(c):
+    wd = weight_distribution(c)
+    dual_wd = macwilliams(wd, c.n, c.dimension)
+    assert dual_wd == weight_distribution(dual(c))
+    assert dual_wd == oracles.macwilliams(wd, c.n, c.dimension)
 
 
 def test_minimum_distance(type1):

@@ -1,6 +1,5 @@
-"""Homogeneous exact polynomials, invariant decompositions, MacWilliams."""
+"""Homogeneous exact polynomials and invariant decompositions."""
 
-import random
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -10,12 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
-from amdesign.gf2core import (
-    WeightDistribution,
-    code_from_rows,
-    dual,
-    weight_distribution,
-)
+from amdesign import gf2core, polyring
+from amdesign.gf2core import WeightDistribution, weight_distribution
 from amdesign.catalog import builtin
 from amdesign.polyring import (
     HomPoly,
@@ -24,7 +19,6 @@ from amdesign.polyring import (
     Y,
     gleason_basis,
     gleason_decompose,
-    macwilliams_transform_classical,
     q8,
     vanishing_coefficient_search,
     weight_enumerator_poly,
@@ -208,50 +202,8 @@ def test_weight_enumerator_poly():
         weight_enumerator_poly(WeightDistribution({5: 1}), 4)
 
 
-def test_macwilliams_examples(type1):
-    e8 = builtin("e8")
-    wd8 = weight_distribution(e8)
-    assert macwilliams_transform_classical(wd8, 8, 4) == wd8
-    wd16 = weight_distribution(type1)
-    assert macwilliams_transform_classical(wd16, 16, 8) == wd16
-    zero2 = WeightDistribution({0: 1})
-    assert macwilliams_transform_classical(zero2, 2, 0).counts == {0: 1, 1: 2, 2: 1}
-
-
-def test_macwilliams_matches_enumerated_dual():
-    rng = random.Random(5)
-    seen = 0
-    while seen < 50:
-        n = rng.randrange(2, 13)
-        k = rng.randrange(0, n + 1)
-        c = code_from_rows((rng.getrandbits(n) for _ in range(k)), n)
-        wd = weight_distribution(c)
-        assert macwilliams_transform_classical(wd, n, c.dimension) == \
-            weight_distribution(dual(c))
-        seen += 1
-
-
-def test_macwilliams_involution():
-    rng = random.Random(6)
-    for _ in range(20):
-        n = rng.randrange(2, 11)
-        c = code_from_rows((rng.getrandbits(n) for _ in range(n // 2)), n)
-        wd = weight_distribution(c)
-        once = macwilliams_transform_classical(wd, n, c.dimension)
-        assert macwilliams_transform_classical(once, n, n - c.dimension) == wd
-
-
-def test_macwilliams_input_validation():
-    with pytest.raises(ValueError):
-        macwilliams_transform_classical(WeightDistribution({0: 1, 1: 2}), 2, 0)
-    with pytest.raises(ValueError):
-        macwilliams_transform_classical(WeightDistribution({1: 1}), 2, 0)
-    # x^4 + 3x^3y maps to 4x^4 + 10x^3y + ...: 10/4 at w = 1 is not an integer.
-    with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
-        macwilliams_transform_classical(WeightDistribution({0: 1, 1: 3}), 4, 2)
-    # x^2 + 3y^2 maps to 4x^2 - 4xy + 4y^2: -4/4 at w = 1 is a negative count.
-    with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
-        macwilliams_transform_classical(WeightDistribution({0: 1, 2: 3}), 2, 2)
+def test_the_traced_transform_name_is_the_gf2core_transform():
+    assert polyring.macwilliams_transform_classical is gf2core.macwilliams
 
 
 # sympy oracles for the invariant ring: each side is expanded by sympy from

@@ -43,7 +43,6 @@ ALLOWED = {
     "ratlin.rref": _SHIM,
     "ratlin.solve_columns": _SHIM,
     "ratlin.nullspace": _SHIM,
-    "polyring.macwilliams_transform_classical": _SHIM,
     "harmonic.HarmonicFunction.tilde": _SHIM,
     "catalog.save_code": "the pin API that pins the n=24 codes of ROADMAP item 4",
     "cli.main": ("runs as __main__ and as the amdesign console script, never "

@@ -17,10 +17,9 @@ from amdesign import gf2core
 from amdesign.catalog import builtin
 from amdesign.gf2core import (
     code_from_rows, code_from_strings, codewords_of_weight, doubly_even_subcode, dual,
-    support, weight_distribution)
+    macwilliams, support, weight_distribution)
 from amdesign.harmonic import (
     harm_basis, harmonic_weight_enumerator, harmonic_weight_enumerators)
-from amdesign.polyring import macwilliams_transform_classical
 
 
 def random_code(seed, n, k, all_ones=False, even=False):
@@ -85,7 +84,7 @@ def test_dual_spectrum_is_the_macwilliams_transform(k):
     wd, dual_wd = weight_distribution(c), weight_distribution(dual(c))
     assert sum(wd.counts.values()) == 1 << k
     assert sum(dual_wd.counts.values()) == 1 << (44 - k)
-    assert dual_wd == macwilliams_transform_classical(wd, 44, k)
+    assert dual_wd == macwilliams(wd, 44, k)
 
 
 @settings(max_examples=60, deadline=None, database=None)
