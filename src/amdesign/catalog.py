@@ -11,7 +11,6 @@ from typing import Callable
 
 from .gf2core import (
     BinaryCode,
-    Record,
     SearchBudgetError,
     WeightDistribution,
     _check_guard,
@@ -27,7 +26,6 @@ from .gf2core import (
 )
 
 __all__ = [
-    "SearchConfig",
     "SearchBudgetError",
     "BUILTIN_NAMES",
     "builtin",
@@ -40,15 +38,6 @@ __all__ = [
     "pinned_type_i_16",
     "pinned_even_fsd_16",
 ]
-
-
-class SearchConfig(Record):
-    __slots__ = ("seed", "max_iterations")
-
-    def __init__(self, seed: int = 0, max_iterations: int = 1_000_000) -> None:
-        if max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        self._set(seed, max_iterations)
 
 
 def _i2() -> BinaryCode:
@@ -117,15 +106,19 @@ def _orthonormal_rows(rng: random.Random, m: int) -> list[int] | None:
     return rows
 
 
-def search_type_i_16(cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, WeightDistribution]:
+def search_type_i_16(
+    seed: int = 0, max_iterations: int = 1_000_000
+) -> tuple[BinaryCode, WeightDistribution]:
     """Randomized search for a near-extremal Type I [16,8,4] code: the hit and its spectrum.
 
     Candidates are generator matrices [I | A] with A having orthonormal rows
     over GF(2), which forces self-duality; candidates are filtered for minimum
     distance 4 and a weight not divisible by 4. Deterministic given the seed.
     """
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_iterations):
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be nonnegative")
+    rng = random.Random(seed)
+    for _ in range(max_iterations):
         a_rows = _orthonormal_rows(rng, 8)
         if a_rows is None:
             continue
@@ -138,12 +131,13 @@ def search_type_i_16(cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, We
             continue
         return c, wd
     raise SearchBudgetError(
-        f"no Type I [16,8,4] code found in {cfg.max_iterations} iterations"
+        f"no Type I [16,8,4] code found in {max_iterations} iterations"
     )
 
 
-def search_even_fsd(n: int, d: int,
-                    cfg: SearchConfig = SearchConfig()) -> tuple[BinaryCode, WeightDistribution]:
+def search_even_fsd(
+    n: int, d: int, seed: int = 0, max_iterations: int = 1_000_000
+) -> tuple[BinaryCode, WeightDistribution]:
     """Randomized search for an even formally self-dual [n, n/2, d] code that
     is not self-dual: the hit and its spectrum, which MacWilliams maps to
     itself. Deterministic given the seed. An (n, d) that no such code has
@@ -153,14 +147,16 @@ def search_even_fsd(n: int, d: int,
     has its spectrum), and in [I | A] form that word is the sum of all rows:
     a candidate whose A rows do not XOR to all ones is dropped uncounted.
     """
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be nonnegative")
     mallows_sloane(n, d)
     half = n // 2
-    if cfg.max_iterations:
+    if max_iterations:
         # weight_distribution's guard, checked up front: almost no candidate
         # passes the filter to trip it.
         _check_guard(half)
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_iterations):
+    rng = random.Random(seed)
+    for _ in range(max_iterations):
         a_rows, total = [], 0
         for _ in range(half):
             a = rng.getrandbits(half)
@@ -180,7 +176,7 @@ def search_even_fsd(n: int, d: int,
         return c, wd
     raise SearchBudgetError(
         f"no even formally self-dual [{n},{half},{d}] code found in "
-        f"{cfg.max_iterations} iterations"
+        f"{max_iterations} iterations"
     )
 
 

@@ -15,9 +15,8 @@ import time
 
 from . import catalog, designs, harmonic, polyring, verify
 from .gf2core import (
-    BinaryCode, PreconditionError, WeightDistribution, classify, codewords_of_weight,
-    doubly_even_subcode, dual, exact_json, format_generator, read_generator_file, support,
-    weight_distribution)
+    BinaryCode, PreconditionError, WeightDistribution, classify, doubly_even_subcode, dual,
+    exact_json, format_generator, read_generator_file, weight_distribution)
 
 # Options as (flags, add_argument keywords): the output format, the inputs of
 # the subcommands that read a code or a design, those inputs with the format,
@@ -203,15 +202,8 @@ def run_check(args) -> int:
 
 
 def run_from_code(args) -> int:
-    c, w = read_code(args), args.w
-    if w < 1 or w > c.n:
-        raise ValueError("weight out of range")
-    words = codewords_of_weight(c, w)
-    if not words:
-        raise ValueError(f"no codewords of weight {w}")
-    # Design's block order: by the word read from point 1 on, descending.
-    words.sort(key=lambda x: int(f"{x:0{c.n}b}"[::-1], 2), reverse=True)
-    sys.stdout.writelines(designs.design_json(c.n, map(support, words)))
+    d = designs.support_design(read_code(args), args.w)
+    sys.stdout.writelines(designs.design_json(d.v, d.blocks))
     return 0
 
 
@@ -359,13 +351,12 @@ def _search_payload(args, c: BinaryCode, wd: WeightDistribution) -> int:
 
 
 def run_type1(args) -> int:
-    cfg = catalog.SearchConfig(seed=args.seed, max_iterations=args.max_iterations)
-    return _search_payload(args, *catalog.search_type_i_16(cfg))
+    return _search_payload(args, *catalog.search_type_i_16(args.seed, args.max_iterations))
 
 
 def run_fsd(args) -> int:
-    cfg = catalog.SearchConfig(seed=args.seed, max_iterations=args.max_iterations)
-    return _search_payload(args, *catalog.search_even_fsd(args.n, args.d, cfg))
+    return _search_payload(
+        args, *catalog.search_even_fsd(args.n, args.d, args.seed, args.max_iterations))
 
 
 def _emit_report(args, rep, started: float) -> int:

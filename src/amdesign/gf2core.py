@@ -346,7 +346,11 @@ def _leaf_words(head: tuple[int, ...], offset: int, leaf: int) -> Iterator[int]:
 
 def weight_distribution(c: BinaryCode) -> WeightDistribution:
     """Weight distribution by bit-sliced counting: the popcounts of the
-    weight leaves of every chunk (guard: k <= 28)."""
+    weight leaves of every chunk; for 2k > n, the MacWilliams transform of
+    the dual's (guard: min(k, n - k) <= 28)."""
+    if 2 * c.dimension > c.n:
+        d = dual(c)
+        return macwilliams(weight_distribution(d), c.n, d.dimension)
     counts = [0] * (c.n + 1)
     for _, _, _, leaves in _weight_leaves(c):
         for w, leaf in enumerate(leaves):

@@ -113,7 +113,7 @@ from math import comb
 from pathlib import Path
 
 from amdesign import designs, gf2core, ratlin, verify
-from amdesign.catalog import SearchBudgetError, SearchConfig
+from amdesign.catalog import SearchBudgetError
 from amdesign.commands import print_payload
 from amdesign.gf2core import (
     WeightDistribution, code_from_rows, dual, exact_json, is_doubly_even, is_even,
@@ -634,11 +634,11 @@ def mendelsohn_solve(t, v, k, lam, m, allowed_i, fixed=None, limit=None):
     return solutions
 
 
-def search_even_fsd(n, d, cfg=SearchConfig()):
+def search_even_fsd(n, d, seed=0, max_iterations=1_000_000):
     mallows_sloane(n, d)
     half = n // 2
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_iterations):
+    rng = random.Random(seed)
+    for _ in range(max_iterations):
         a_rows = []
         for _ in range(half):
             a = rng.getrandbits(half)
@@ -658,5 +658,5 @@ def search_even_fsd(n, d, cfg=SearchConfig()):
         return c
     raise SearchBudgetError(
         f"no even formally self-dual [{n},{half},{d}] code found in "
-        f"{cfg.max_iterations} iterations"
+        f"{max_iterations} iterations"
     )

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from amdesign.catalog import SearchConfig, builtin, search_type_i_16
+from amdesign.catalog import builtin, search_type_i_16
 from amdesign.designs import (
     Design,
     code_from_design,
@@ -46,7 +46,7 @@ def _line(num: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_01_type1_search_pipeline():
     started = time.perf_counter()
-    c, spectrum = search_type_i_16(SearchConfig(seed=0, max_iterations=10**6))
+    c, spectrum = search_type_i_16(seed=0, max_iterations=10**6)
     elapsed = time.perf_counter() - started
     assert spectrum == weight_distribution(c)
     wd = spectrum.counts

@@ -107,8 +107,8 @@ _LAYER_CASES = [
     (["code", "info", "-g", "e8.gm"], 0, []),
     (["search", "fsd"], 0, ["catalog"]),
     (["design", "check", "-d", "mutant.json", "--t", "2"], 1, ["designs"]),
-    # the support design is streamed from the code's words, with no Design,
-    # through the design file encoder of designs
+    # the support design is built as one Design by designs.support_design
+    # and streamed through the design file encoder of designs
     (["design", "from-code", "-g", "e8.gm", "--w", "4"], 0, ["designs"]),
     (["verify", "am", "-g", "e8.gm", "--t", "1"], 0, ["verify"]),
     # harmonic enumerators are integer rows: no HomPoly, so no polyring

@@ -11,7 +11,6 @@ import oracles
 from amdesign.catalog import (
     BUILTIN_NAMES,
     SearchBudgetError,
-    SearchConfig,
     builtin,
     data_dir,
     direct_sum,
@@ -80,20 +79,31 @@ def test_search_type1_16():
 
 def test_search_seeds_share_the_spectrum():
     for seed in (1, 2):
-        c, wd = search_type_i_16(SearchConfig(seed=seed))
+        c, wd = search_type_i_16(seed)
         assert wd == weight_distribution(c)
         assert wd.counts == TYPE1_WD
 
 
 def test_search_determinism():
-    c, wd = search_type_i_16(SearchConfig(seed=5))
+    c, wd = search_type_i_16(5)
     assert wd == weight_distribution(c)
-    assert search_type_i_16(SearchConfig(seed=5)) == (c, wd)
+    assert search_type_i_16(5) == (c, wd)
 
 
 def test_search_budget_error():
     with pytest.raises(SearchBudgetError):
-        search_type_i_16(SearchConfig(seed=0, max_iterations=1))
+        search_type_i_16(seed=0, max_iterations=1)
+
+
+@pytest.mark.parametrize("search", [
+    search_type_i_16, lambda **budget: search_even_fsd(16, 4, **budget)],
+    ids=["type1-16", "fsd"])
+def test_searches_reject_a_negative_budget(search):
+    with pytest.raises(SearchBudgetError, match="in 0 iterations"):
+        search(max_iterations=0)
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_iterations must be nonnegative"):
+            search(seed=1, max_iterations=bad)
 
 
 def test_search_fsd_16():
@@ -120,7 +130,7 @@ def test_search_many_seeds_succeed_quickly():
     hits = 0
     for seed in range(100):
         try:
-            c, wd = search_even_fsd(16, 4, SearchConfig(seed=seed, max_iterations=50_000))
+            c, wd = search_even_fsd(16, 4, seed, max_iterations=50_000)
             assert wd == weight_distribution(c)
             hits += 1
         except SearchBudgetError:
@@ -128,9 +138,9 @@ def test_search_many_seeds_succeed_quickly():
     assert hits >= 95
 
 
-def _search_outcome(search, n, d, cfg):
+def _search_outcome(search, n, d, seed, budget):
     try:
-        return search(n, d, cfg)
+        return search(n, d, seed, budget)
     except SearchBudgetError as err:
         return str(err)
 
@@ -142,12 +152,11 @@ def _search_outcome(search, n, d, cfg):
     st.integers(0, 300) | st.just(5000),
 )
 def test_search_even_fsd_matches_the_full_search(seed, nd, budget):
-    cfg = SearchConfig(seed=seed, max_iterations=budget)
-    found = _search_outcome(search_even_fsd, *nd, cfg)
+    found = _search_outcome(search_even_fsd, *nd, seed, budget)
     if isinstance(found, tuple):
         found, wd = found
         assert wd == weight_distribution(found)
-    assert found == _search_outcome(oracles.search_even_fsd, *nd, cfg)
+    assert found == _search_outcome(oracles.search_even_fsd, *nd, seed, budget)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -195,8 +204,8 @@ def test_store_round_trip(tmp_path, monkeypatch):
 
 # The recorded search target -> the search it names.
 _SEARCHES = {
-    "type1-16": lambda prov, cfg: search_type_i_16(cfg),
-    "fsd": lambda prov, cfg: search_even_fsd(prov["n"], prov["d"], cfg),
+    "type1-16": lambda prov: search_type_i_16(prov["seed"]),
+    "fsd": lambda prov: search_even_fsd(prov["n"], prov["d"], prov["seed"]),
 }
 
 
@@ -207,8 +216,7 @@ def test_pinned_codes_are_their_recorded_searches():
     assert searched == {"type1_16", "fsd_16"}
     for name in searched:
         prov = index[name]["provenance"]
-        cfg = SearchConfig(seed=prov["seed"])
-        c, wd = _SEARCHES[prov["target"]](prov, cfg)
+        c, wd = _SEARCHES[prov["target"]](prov)
         assert c == load_code(name), name
         assert wd == weight_distribution(c), name
     assert pinned_type_i_16() == load_code("type1_16")

@@ -22,7 +22,8 @@ from amdesign import gf2core, polyring
 from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
 from amdesign.designs import Design, support_design
-from amdesign.gf2core import code_from_rows, exact_json, format_generator, minimum_distance
+from amdesign.gf2core import (
+    code_from_rows, dual, exact_json, format_generator, minimum_distance)
 from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, HomPoly, gleason_basis
 from amdesign.verify import verify_thm_1_2_type1
 
@@ -228,10 +229,18 @@ def test_code_info_skips_the_dual_when_2k_is_not_n(capsys, tmp_path):
     assert payload["class"]["formally_self_dual"] is False
     assert payload["weight_distribution"] == {
         str(10 * j): comb(4, j) for j in range(5)}
+    # The [30,29] even-weight code: its spectrum is read off its [30,1] dual.
     wide = tmp_path / "n30k29.gm"
     wide.write_text("".join("0" * i + "11" + "0" * (28 - i) + "\n"
                             for i in range(29)))
-    assert run(["code", "info", "-g", str(wide)]) == 3
+    code, payload = run_json(capsys, ["code", "info", "-g", str(wide), "--format", "json"])
+    assert code == 0
+    assert payload["weight_distribution"] == {str(w): comb(30, w) for w in range(0, 31, 2)}
+    # A [58,29] code and its dual are both beyond the guard.
+    square = tmp_path / "n58k29.gm"
+    square.write_text("".join("0" * i + "1" + "0" * 28 + "1" + "0" * (28 - i) + "\n"
+                              for i in range(29)))
+    assert run(["code", "info", "-g", str(square)]) == 3
     assert "resource guard" in capsys.readouterr().err
 
 
@@ -388,12 +397,16 @@ def test_am_and_transform_check_match_a_walk_of_the_dual(capsys, tmp_path, c, t,
         assert code == (1 if payload["mismatches"] else 0)
 
 
+# RM(1,6): the all-ones word and the 6 coordinate functions on 64 points.
+RM_1_6 = code_from_rows(
+    [(1 << 64) - 1] + [sum(1 << x for x in range(64) if x >> i & 1) for i in range(6)], 64)
+
+
 def test_am_reads_rm_1_6_whose_dual_no_walk_reaches(capsys, tmp_path):
     """RM(1,6), the [64,7,32] code of the all-ones word and the 6 coordinate
     functions on 64 points: its dual RM(4,6) has dimension 57, past the
     enumeration guard, and d = 4, so by Assmus-Mattson C_32 holds 3-designs."""
-    rows = [(1 << 64) - 1] + [sum(1 << x for x in range(64) if x >> i & 1) for i in range(6)]
-    c = code_from_rows(rows, 64)
+    c = RM_1_6
     path = tmp_path / "rm1_6.gm"
     path.write_text(format_generator(c))
     code, rep = run_json(capsys, ["verify", "am", "-g", str(path), "--t", "3",
@@ -408,6 +421,22 @@ def test_am_reads_rm_1_6_whose_dual_no_walk_reaches(capsys, tmp_path):
     assert dual_wd == oracles.macwilliams(wd, 64, 7)
     # The weight-4 words of the extended Hamming code RM(4,6): 64*63*62/24.
     assert dual_wd.count(4) == 10416
+
+
+def test_rm_4_6_is_read_off_its_dual(capsys, tmp_path):
+    """RM(4,6), the [64,57,4] dual of RM(1,6): its spectrum is the transform
+    of its dual's 2^7 words, though its own 2^57 are past the guard."""
+    path = tmp_path / "rm4_6.gm"
+    path.write_text(format_generator(dual(RM_1_6)))
+    for command in ("info", "weights"):
+        code, payload = run_json(capsys, ["code", command, "-g", str(path), "--format", "json"])
+        assert code == 0
+        assert payload["weight_distribution"]["4"] == 10416
+    code, rep = run_json(capsys, ["verify", "am", "-g", str(path), "--t", "3",
+                                  "--format", "json"])
+    assert (code, rep["verdict"]) == (0, "pass")
+    assert (rep["witnesses"]["dimension"], rep["witnesses"]["dual_minimum_distance"]) == (
+        "57", "32")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -676,6 +705,13 @@ def test_negative_search_budget_is_usage_error(capsys, argv):
     assert capsys.readouterr().err == "error: max_iterations must be nonnegative\n"
     assert run([*argv[:-1], "0"]) == 3
     assert "found in 0 iterations" in capsys.readouterr().err
+
+
+def test_a_negative_search_budget_is_refused_before_the_length(capsys):
+    assert run(["search", "fsd", "--n", "3", "--max-iterations", "-1"]) == 2
+    assert capsys.readouterr().err == "error: max_iterations must be nonnegative\n"
+    assert run(["search", "fsd", "--n", "3", "--max-iterations", "0"]) == 2
+    assert capsys.readouterr().err == "error: length must be a positive even integer\n"
 
 
 MENDELSOHN = ["design", "mendelsohn", "--t", "2", "--v", "16", "--k", "6",

@@ -42,7 +42,7 @@ from amdesign.designs import (
     t_design_violation,
     union,
 )
-from amdesign.gf2core import EnumerationGuardError, format_generator
+from amdesign.gf2core import EnumerationGuardError, code_from_rows, format_generator
 from amdesign.harmonic import delsarte_design_check
 
 
@@ -288,9 +288,9 @@ def _traced_command(argv):
 
 
 def test_design_from_code_streams_its_blocks(tmp_path, golay):
-    """design from-code --w 12 on the Golay code holds the 2576 words and one
-    block at a time, not a Design of 2576 blocks nor the 117 KB text, and
-    peaks at 240 KiB."""
+    """design from-code --w 12 on the Golay code holds one Design, the
+    support design of its 2576 words with each block as 12 bytes, and writes
+    it a block at a time, not as the 117 KB text: it peaks at 289 KiB."""
     path = tmp_path / "golay.gm"
     path.write_text(format_generator(golay))
     rc, peak = _traced_command(["design", "from-code", "-g", str(path), "--w", "12"])
@@ -318,10 +318,14 @@ def test_design_complement_holds_its_blocks_as_bytes(tmp_path, golay):
     assert rc == 0 and peak < 680 << 10
 
 
-@pytest.mark.parametrize("name", ["golay", "type1", "i2+d4+e8"])
+# rep300 is the [300,1] repetition code, whose one block is a tuple.
+@pytest.mark.parametrize("name", ["golay", "type1", "i2+d4+e8", "rep300"])
 def test_design_from_code_is_the_support_design_at_every_weight(request, tmp_path, capsys,
                                                                    name):
-    c = request.getfixturevalue(name) if name in ("golay", "type1") else builtin(name)
+    if name == "rep300":
+        c = code_from_rows([(1 << 300) - 1], 300)
+    else:
+        c = request.getfixturevalue(name) if name in ("golay", "type1") else builtin(name)
     path = tmp_path / "code.gm"
     path.write_text(format_generator(c))
     for w in range(-1, c.n + 2):

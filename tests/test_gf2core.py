@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from amdesign.gf2core import (
@@ -175,12 +175,13 @@ def test_iter_codewords_gray_order():
 
 
 def test_enumeration_guard():
-    big = code_from_rows([1 << i for i in range(ENUMERATION_GUARD_K + 1)],
-                         ENUMERATION_GUARD_K + 1)
+    k = ENUMERATION_GUARD_K + 1
+    big = code_from_rows([1 << i for i in range(k)], k)
     with pytest.raises(EnumerationGuardError):
         list(iter_codewords(big))
+    # [2k, k]: the code and its dual both exceed the guard.
     with pytest.raises(EnumerationGuardError):
-        weight_distribution(big)
+        weight_distribution(code_from_rows([(1 | 1 << k) << i for i in range(k)], 2 * k))
 
 
 def test_weight_distribution_examples(type1):
@@ -275,6 +276,16 @@ def test_macwilliams_is_the_walked_dual_and_the_enumerator_oracle(c):
     dual_wd = macwilliams(wd, c.n, c.dimension)
     assert dual_wd == weight_distribution(dual(c))
     assert dual_wd == oracles.macwilliams(wd, c.n, c.dimension)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.integers(0, (1 << n) - 1), min_size=n // 2 + 1, max_size=n).map(
+        lambda rows: code_from_rows(rows, n))))
+@example(code_from_rows([1 << i for i in range(20)], 20))
+def test_a_high_rate_spectrum_is_the_word_by_word_count(c):
+    assume(2 * c.dimension > c.n)
+    assert weight_distribution(c) == oracles.weight_distribution(c)
 
 
 def test_minimum_distance(type1):

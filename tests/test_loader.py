@@ -174,14 +174,7 @@ def test_a_deferred_def_once_called_is_the_whole_files(no_cache, monkeypatch, na
         assert _lines(f.__code__) == _lines(g.__code__)
         assert (f.__kwdefaults__, f.__doc__, f.__annotations__, f.__dict__) == (
             g.__kwdefaults__, g.__doc__, g.__annotations__, g.__dict__)
-        if def_name in ("search_type_i_16", "search_even_fsd"):
-            # The package's only defaults made when a def runs: a
-            # SearchConfig, made on the first call from the module's class.
-            ((cfg,), (other,)) = (f.__defaults__, g.__defaults__)
-            assert (type(cfg), type(other)) == (cut.SearchConfig, whole.SearchConfig)
-            assert cfg.fields() == other.fields()
-        else:
-            assert f.__defaults__ == g.__defaults__
+        assert f.__defaults__ == g.__defaults__
 
 
 def test_a_function_in_a_later_run_keeps_its_lines_and_source(no_cache, monkeypatch):

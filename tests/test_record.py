@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from amdesign.catalog import SearchConfig
 from amdesign.cli import run
 from amdesign.designs import Design
 from amdesign.gf2core import (
@@ -20,7 +19,17 @@ from amdesign.verify import VerificationReport
 CLASS_FLAGS = ("even", "doubly_even", "self_orthogonal", "self_dual",
                "formally_self_dual", "type_one", "type_two")
 
-# One keyword-built instance of each class.
+
+class _Budget(Record):
+    """Two fields with defaults, as a search's seed and iteration budget."""
+
+    __slots__ = ("seed", "max_iterations")
+
+    def __init__(self, seed: int = 0, max_iterations: int = 1_000_000) -> None:
+        self._set(seed, max_iterations)
+
+
+# One keyword-built instance of each class, _Budget included.
 SAMPLES = [
     BinaryCode(n=4, basis=(0b0011, 0b0110)),
     WeightDistribution(counts={0: 1, 2: 3}),
@@ -29,7 +38,7 @@ SAMPLES = [
     HomPoly(degree=1, coeffs=(1, 2)),
     HarmonicFunction(n=5, pairs=((1, 3), (2, 4))),
     VerificationReport(scenario="am", passed=True, witnesses={"t": "1"}),
-    SearchConfig(seed=3, max_iterations=10),
+    _Budget(seed=3, max_iterations=10),
 ]
 
 
@@ -72,7 +81,7 @@ def test_equal_to_a_copy_of_its_fields(x):
 def test_equality_goes_by_fields():
     assert BinaryCode(4, (0b0011, 0b0110)) == BinaryCode(4, (0b0101, 0b0011))
     assert BinaryCode(4, (0b0011,)) != BinaryCode(5, (0b0011,))
-    assert SearchConfig() == SearchConfig(0, 1_000_000) != SearchConfig(seed=1)
+    assert _Budget() == _Budget(0, 1_000_000) != _Budget(seed=1)
 
 
 class _Counts(Record):
@@ -89,21 +98,21 @@ def test_instances_of_different_classes_are_never_equal():
     assert WeightDistribution({4: 1}) != _Counts({4: 1})
     assert not WeightDistribution({4: 1}) == _Counts({4: 1})
     assert Design(4, ((1, 2),)) != (4, ((1, 2),))
-    assert Record.__eq__(SearchConfig(), (0, 1_000_000)) is NotImplemented
+    assert Record.__eq__(_Budget(), (0, 1_000_000)) is NotImplemented
 
 
 def test_hash_is_the_hash_of_the_fields():
     a, b = BinaryCode(4, (0b0011, 0b0110)), BinaryCode(4, (0b0101, 0b0011))
     assert hash(a) == hash(b) == hash((4, a.basis))
     assert len({a, b, BinaryCode(4)}) == 2
-    assert hash(SearchConfig(seed=2)) == hash((2, 1_000_000))
+    assert hash(_Budget(seed=2)) == hash((2, 1_000_000))
     with pytest.raises(TypeError):
         hash(WeightDistribution({0: 1}))  # a dict field is unhashable
 
 
 def test_repr_shows_the_fields():
     assert repr(BinaryCode(3, (0b110, 0b011))) == "BinaryCode(n=3, basis=(5, 6))"
-    assert repr(SearchConfig()) == "SearchConfig(seed=0, max_iterations=1000000)"
+    assert repr(_Budget()) == "_Budget(seed=0, max_iterations=1000000)"
     assert repr(Design(2, ((2, 1),))) == "Design(v=2, blocks=(b'\\x01\\x02',))"
 
 
@@ -188,14 +197,7 @@ def test_reports_by_keyword():
     assert rep.verdict == "fail"
 
 
-def test_search_config_defaults():
-    cfg = SearchConfig(max_iterations=5)
+def test_keyword_defaults():
+    cfg = _Budget(max_iterations=5)
     assert (cfg.seed, cfg.max_iterations) == (0, 5)
-    assert SearchConfig().fields() == {"seed": 0, "max_iterations": 1_000_000}
-
-
-def test_search_config_rejects_a_negative_budget():
-    assert SearchConfig(max_iterations=0).max_iterations == 0
-    for bad in (-1, -5):
-        with pytest.raises(ValueError, match="max_iterations must be nonnegative"):
-            SearchConfig(seed=1, max_iterations=bad)
+    assert _Budget().fields() == {"seed": 0, "max_iterations": 1_000_000}

@@ -193,10 +193,11 @@ CONSUMERS = {
 }
 
 
-@pytest.mark.parametrize("consumer, k", [
-    pytest.param(name, k, id=str(k) if name == "weight_distribution" else f"{name}-{k}")
-    for name in CONSUMERS for k in (8, 16, 20, 24)])
-def test_one_walk_of_the_offsets_per_call(monkeypatch, consumer, k):
+@pytest.mark.parametrize("consumer, k, n", [
+    pytest.param(name, k, 40, id=str(k) if name == "weight_distribution" else f"{name}-{k}")
+    for name in CONSUMERS for k in (8, 16, 20, 24)] + [
+    pytest.param("weight_distribution", 24, 48, id="24-n48")])
+def test_one_walk_of_the_offsets_per_call(monkeypatch, consumer, k, n):
     real = gf2core.iter_codewords
     walks, words = [], []
 
@@ -208,9 +209,11 @@ def test_one_walk_of_the_offsets_per_call(monkeypatch, consumer, k):
 
     monkeypatch.setattr(gf2core, "iter_codewords", counted)
     # doubly_even_subcode walks only an even code that is not doubly even.
-    CONSUMERS[consumer](random_code(k, 40, k, even=consumer == "doubly_even_subcode"))
+    CONSUMERS[consumer](random_code(k, n, k, even=consumer == "doubly_even_subcode"))
     assert len(walks) == 1
-    assert len(words) == 1 << max(0, k - 16)
+    # weight_distribution of a code with 2k > n walks its dual.
+    walked = n - k if consumer == "weight_distribution" and 2 * k > n else k
+    assert len(words) == 1 << max(0, walked - 16)
 
 
 def test_weight_distribution_builds_one_chunk_at_a_time():
