@@ -12,7 +12,6 @@ from typing import Callable
 from .gf2core import (
     BinaryCode,
     SearchBudgetError,
-    WeightDistribution,
     _check_guard,
     code_from_rows,
     code_from_strings,
@@ -21,6 +20,7 @@ from .gf2core import (
     is_self_orthogonal,
     macwilliams,
     mallows_sloane,
+    min_nonzero,
     parse_generator_text,
     weight_distribution,
 )
@@ -108,7 +108,7 @@ def _orthonormal_rows(rng: random.Random, m: int) -> list[int] | None:
 
 def search_type_i_16(
     seed: int = 0, max_iterations: int = 1_000_000
-) -> tuple[BinaryCode, WeightDistribution]:
+) -> tuple[BinaryCode, dict[int, int]]:
     """Randomized search for a near-extremal Type I [16,8,4] code: the hit and its spectrum.
 
     Candidates are generator matrices [I | A] with A having orthonormal rows
@@ -125,9 +125,9 @@ def search_type_i_16(
         rows = [(1 << i) | (a << 8) for i, a in enumerate(a_rows)]
         c = code_from_rows(rows, 16)
         wd = weight_distribution(c)
-        if wd.min_nonzero() != 4:
+        if min_nonzero(wd) != 4:
             continue
-        if all(w % 4 == 0 for w in wd.counts):
+        if all(w % 4 == 0 for w in wd):
             continue
         return c, wd
     raise SearchBudgetError(
@@ -137,7 +137,7 @@ def search_type_i_16(
 
 def search_even_fsd(
     n: int, d: int, seed: int = 0, max_iterations: int = 1_000_000
-) -> tuple[BinaryCode, WeightDistribution]:
+) -> tuple[BinaryCode, dict[int, int]]:
     """Randomized search for an even formally self-dual [n, n/2, d] code that
     is not self-dual: the hit and its spectrum, which MacWilliams maps to
     itself. Deterministic given the seed. An (n, d) that no such code has
@@ -169,7 +169,7 @@ def search_even_fsd(
         rows = [(1 << i) | (a << half) for i, a in enumerate(a_rows)]
         c = code_from_rows(rows, n)
         wd = weight_distribution(c)
-        if wd.min_nonzero() != d:
+        if min_nonzero(wd) != d:
             continue
         if is_self_orthogonal(c) or wd != macwilliams(wd, n, half):
             continue

@@ -15,8 +15,8 @@ import time
 
 from . import catalog, designs, harmonic, polyring, verify
 from .gf2core import (
-    BinaryCode, PreconditionError, WeightDistribution, classify, doubly_even_subcode, dual,
-    exact_json, format_generator, read_generator_file, weight_distribution)
+    BinaryCode, PreconditionError, classify, doubly_even_subcode, dual, exact_json,
+    format_generator, min_nonzero, read_generator_file, weight_distribution)
 
 # Options as (flags, add_argument keywords): the output format, the inputs of
 # the subcommands that read a code or a design, those inputs with the format,
@@ -142,23 +142,23 @@ def run_info(args) -> int:
     c = read_code(args)
     wd = weight_distribution(c)
     cls = classify(c, wd)
-    dist = wd.min_nonzero() if c.dimension else None
+    dist = min_nonzero(wd) if c.dimension else None
     payload = {
         "length": c.n,
         "dimension": c.dimension,
         "size": c.size,
         "minimum_distance": dist,
-        "class": cls.fields(),
-        "weight_distribution": {str(w): a for w, a in wd.counts.items()},
+        "class": cls,
+        "weight_distribution": wd,
     }
-    flags = [name for name, value in cls.fields().items() if value is True]
+    flags = [name for name, value in cls.items() if value is True]
     print_payload(args, payload, [
         f"length: {c.n}",
         f"dimension: {c.dimension}",
         f"size: {c.size}",
         f"minimum distance: {dist}",
-        f"class: {', '.join(flags) or 'none'}; extremality: {cls.extremality}",
-        "weights: " + " ".join(f"{w}:{a}" for w, a in wd.counts.items()),
+        f"class: {', '.join(flags) or 'none'}; extremality: {cls['extremality']}",
+        "weights: " + " ".join(f"{w}:{a}" for w, a in wd.items()),
     ])
     return 0
 
@@ -172,9 +172,8 @@ def run_dual(args) -> int:
 
 def run_weights(args) -> int:
     wd = weight_distribution(read_code(args))
-    payload = {"weight_distribution": {str(w): a for w, a in wd.counts.items()}}
-    print_payload(args, payload,
-                  [f"{w} {a}" for w, a in wd.counts.items()])
+    print_payload(args, {"weight_distribution": wd},
+                  [f"{w} {a}" for w, a in wd.items()])
     return 0
 
 
@@ -339,13 +338,13 @@ def run_lemma41(args) -> int:
     return 0
 
 
-def _search_payload(args, c: BinaryCode, wd: WeightDistribution) -> int:
+def _search_payload(args, c: BinaryCode, wd: dict[int, int]) -> int:
     rows = format_generator(c).split()
     print_payload(args, {
         "length": c.n,
         "dimension": c.dimension,
         "rows": rows,
-        "weight_distribution": {str(w): a for w, a in wd.counts.items()},
+        "weight_distribution": wd,
     }, rows)
     return 0
 

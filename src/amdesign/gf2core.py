@@ -17,8 +17,6 @@ __all__ = [
     "Record",
     "exact_json",
     "BinaryCode",
-    "WeightDistribution",
-    "CodeClass",
     "support",
     "code_from_rows",
     "code_from_strings",
@@ -26,6 +24,7 @@ __all__ = [
     "iter_codewords",
     "weight_distribution",
     "macwilliams",
+    "min_nonzero",
     "minimum_distance",
     "codewords_of_weight",
     "is_even",
@@ -75,10 +74,6 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def fields(self) -> dict:
-        """Field name -> value, in declaration order."""
-        return dict(zip(self.__slots__, self._values()))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -88,7 +83,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v!r}" for k, v in self.fields().items())
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({body})"
 
     def __setattr__(self, name, value):
@@ -231,31 +226,6 @@ def iter_codewords(c: BinaryCode) -> Iterator[int]:
         yield word
 
 
-class WeightDistribution(Record):
-    """Exact codeword counts by Hamming weight, weights ascending; zero counts dropped."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict[int, int]) -> None:
-        clean: dict[int, int] = {}
-        for w in sorted(counts):
-            a = counts[w]
-            if w < 0 or a < 0:
-                raise ValueError("weights and counts must be nonnegative")
-            if a:
-                clean[int(w)] = int(a)
-        self._set(clean)
-
-    def count(self, w: int) -> int:
-        return self.counts.get(w, 0)
-
-    def min_nonzero(self) -> int:
-        weights = [w for w in self.counts if w]
-        if not weights:
-            raise ValueError("the zero code has no minimum distance")
-        return min(weights)
-
-
 # _weight_leaves bit-slices this many basis rows into one chunk of 2^16-bit columns.
 _SLICE_K = 16
 
@@ -344,10 +314,10 @@ def _leaf_words(head: tuple[int, ...], offset: int, leaf: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
-def weight_distribution(c: BinaryCode) -> WeightDistribution:
-    """Weight distribution by bit-sliced counting: the popcounts of the
-    weight leaves of every chunk; for 2k > n, the MacWilliams transform of
-    the dual's (guard: min(k, n - k) <= 28)."""
+def weight_distribution(c: BinaryCode) -> dict[int, int]:
+    """The spectrum {w: A_w}, weights ascending and zero counts dropped: the
+    popcounts of the weight leaves of every chunk; for 2k > n, the MacWilliams
+    transform of the dual's (guard: min(k, n - k) <= 28)."""
     if 2 * c.dimension > c.n:
         d = dual(c)
         return macwilliams(weight_distribution(d), c.n, d.dimension)
@@ -355,33 +325,42 @@ def weight_distribution(c: BinaryCode) -> WeightDistribution:
     for _, _, _, leaves in _weight_leaves(c):
         for w, leaf in enumerate(leaves):
             counts[w] += leaf.bit_count()
-    return WeightDistribution({w: a for w, a in enumerate(counts) if a})
+    return {w: a for w, a in enumerate(counts) if a}
 
 
-def macwilliams(wd: WeightDistribution, n: int, k: int) -> WeightDistribution:
+def macwilliams(wd: dict[int, int], n: int, k: int) -> dict[int, int]:
     """The spectrum B of the dual of an [n, k] code of spectrum A, checked to
     be integral: B_j = 2^-k sum_i A_i K_j(i), where (j+1) K_{j+1}(i) =
-    (n-2i) K_j(i) - (n-j+1) K_{j-1}(i)."""
-    if sum(wd.counts.values()) != 1 << k:
+    (n-2i) K_j(i) - (n-j+1) K_{j-1}(i); B is shaped as weight_distribution's."""
+    if any(w < 0 or a < 0 for w, a in wd.items()):
+        raise ValueError("weights and counts must be nonnegative")
+    if sum(wd.values()) != 1 << k:
         raise ValueError("weight distribution does not sum to 2^k")
-    if wd.count(0) != 1:
+    if wd.get(0) != 1:
         raise ValueError("weight distribution must count the zero word once")
     b = [0] * (n + 1)
-    for i, a in wd.counts.items():
+    for i, a in wd.items():
         last, x = 0, a
         for j in range(n + 1):
             b[j] += x
             last, x = x, ((n - 2 * i) * x - (n - j + 1) * last) // (j + 1)
     for j, x in enumerate(b):
-        b[j], r = divmod(x, 1 << k)
-        if b[j] < 0 or r:
+        if x < 0 or x % (1 << k):
             raise ValueError(f"transform is not a weight distribution at w={j}")
-    return WeightDistribution(dict(enumerate(b)))
+    return {j: x >> k for j, x in enumerate(b) if x}
+
+
+def min_nonzero(wd: dict[int, int]) -> int:
+    """The least nonzero weight of a spectrum; the zero code has none."""
+    d = min(filter(None, wd), default=0)
+    if not d:
+        raise ValueError("the zero code has no minimum distance")
+    return d
 
 
 def minimum_distance(c: BinaryCode) -> int:
     """Smallest nonzero codeword weight; the zero code has none."""
-    return weight_distribution(c).min_nonzero()
+    return min_nonzero(weight_distribution(c))
 
 
 def codewords_of_weight(c: BinaryCode, w: int) -> list[int]:
@@ -430,20 +409,10 @@ def mallows_sloane(n: int, d: int) -> str:
     return NEITHER
 
 
-class CodeClass(Record):
-    __slots__ = ("even", "doubly_even", "self_orthogonal", "self_dual",
-                 "formally_self_dual", "type_one", "type_two", "extremality")
-
-    def __init__(self, even: bool, doubly_even: bool, self_orthogonal: bool,
-                 self_dual: bool, formally_self_dual: bool, type_one: bool,
-                 type_two: bool, extremality: str) -> None:
-        self._set(even, doubly_even, self_orthogonal, self_dual,
-                  formally_self_dual, type_one, type_two, extremality)
-
-
-def classify(c: BinaryCode, wd: WeightDistribution | None = None) -> CodeClass:
-    """Structural flags plus extremality placement for even fsd codes; wd,
-    when the caller has it, is c's weight distribution and spares a walk."""
+def classify(c: BinaryCode, wd: dict[int, int] | None = None) -> dict:
+    """Structural flags plus extremality placement for even fsd codes, as
+    {flag: value} in the order `code info` prints them; wd, when the caller
+    has it, is c's weight distribution and spares a walk."""
     even = is_even(c)
     doubly = is_doubly_even(c)
     self_orth = is_self_orthogonal(c)
@@ -452,19 +421,19 @@ def classify(c: BinaryCode, wd: WeightDistribution | None = None) -> CodeClass:
     fsd = self_dual or (2 * c.dimension == c.n
                         and (wd or weight_distribution(c)) == weight_distribution(dual(c)))
     if even and fsd:
-        extremality = mallows_sloane(c.n, wd.min_nonzero() if wd else minimum_distance(c))
+        extremality = mallows_sloane(c.n, min_nonzero(wd) if wd else minimum_distance(c))
     else:
         extremality = NOT_APPLICABLE
-    return CodeClass(
-        even=even,
-        doubly_even=doubly,
-        self_orthogonal=self_orth,
-        self_dual=self_dual,
-        formally_self_dual=fsd,
-        type_one=self_dual and not doubly,
-        type_two=self_dual and doubly,
-        extremality=extremality,
-    )
+    return {
+        "even": even,
+        "doubly_even": doubly,
+        "self_orthogonal": self_orth,
+        "self_dual": self_dual,
+        "formally_self_dual": fsd,
+        "type_one": self_dual and not doubly,
+        "type_two": self_dual and doubly,
+        "extremality": extremality,
+    }
 
 
 def doubly_even_subcode(c: BinaryCode) -> BinaryCode:

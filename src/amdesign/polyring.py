@@ -9,7 +9,7 @@ from math import comb
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .gf2core import EnumerationGuardError, Record, WeightDistribution
+from .gf2core import EnumerationGuardError, Record
 # bench/shim.py traces this name; ROADMAP item 1a deletes the alias.
 from .gf2core import macwilliams as macwilliams_transform_classical  # noqa: F401
 
@@ -245,10 +245,12 @@ def vanishing_coefficient_search(alpha_max: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def weight_enumerator_poly(wd: WeightDistribution, n: int) -> HomPoly:
-    """The enumerator sum A_w x^(n-w) y^w as a degree-n polynomial."""
+def weight_enumerator_poly(wd: dict[int, int], n: int) -> HomPoly:
+    """The enumerator sum A_w x^(n-w) y^w of {w: A_w} as a degree-n polynomial."""
     coeffs = [0] * (n + 1)
-    for w, a in wd.counts.items():
+    for w, a in wd.items():
+        if w < 0:
+            raise ValueError("weights must be nonnegative")
         if w > n:
             raise ValueError("weight exceeds the stated length")
         coeffs[w] = a

@@ -14,7 +14,6 @@ from .gf2core import (
     EnumerationGuardError,
     PreconditionError,
     Record,
-    WeightDistribution,
     _weight_leaves,
     classify,
     code_from_rows,
@@ -23,6 +22,7 @@ from .gf2core import (
     is_doubly_even,
     is_self_orthogonal,
     macwilliams,
+    min_nonzero,
     weight_distribution,
 )
 
@@ -115,6 +115,11 @@ def _words(incidence: list[int], mask: int):
         mask ^= bit
 
 
+def _spectrum(leaves: list[int]) -> dict[int, int]:
+    """The spectrum of the sliced words, as weight_distribution returns one."""
+    return {w: a for w, leaf in enumerate(leaves) if (a := leaf.bit_count())}
+
+
 def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tuple | None]:
     """lambda_1 of the union of the sliced codes' support designs C_w for
     each w, 0 < w < n, where it has a block (None where it is no 1-design),
@@ -136,12 +141,12 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     if t < 1:
         raise PreconditionError("t must be at least 1")
     wd = weight_distribution(c)
-    d = wd.min_nonzero()
+    d = min_nonzero(wd)
     if t >= d:
         raise PreconditionError("t must be less than the minimum distance")
     dual_wd = macwilliams(wd, c.n, c.dimension)
-    d_dual = dual_wd.min_nonzero()
-    small = [w for w in wd.counts if 0 < w <= c.n - t]
+    d_dual = min_nonzero(dual_wd)
+    small = [w for w in wd if 0 < w <= c.n - t]
     applicable = len(small) <= d_dual - t
     witnesses = {
         "t": t,
@@ -156,10 +161,10 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
     }
     if applicable:
         witnesses["promised_code_weights"] = [
-            u for u in wd.counts if d <= u <= c.n - t
+            u for u in wd if d <= u <= c.n - t
         ]
         witnesses["promised_dual_weights"] = [
-            w for w in dual_wd.counts if d_dual <= w <= c.n
+            w for w in dual_wd if d_dual <= w <= c.n
         ]
     return VerificationReport("am", applicable, witnesses)
 
@@ -172,11 +177,11 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
         raise PreconditionError("length must be divisible by 8")
     # Spares classify a walk for d; it reads no spectrum unless 2k = n.
     cls = classify(c, weight_distribution(c) if 2 * c.dimension == c.n else None)
-    if cls.extremality != NEAR_EXTREMAL:
+    if cls["extremality"] != NEAR_EXTREMAL:
         raise PreconditionError("code is not near-extremal")
     # Both routes read one slice of the words of the code, and of its dual
     # in the formally self-dual branch.
-    slices = _slices([c] if cls.self_dual else [c, dual(c)])
+    slices = _slices([c] if cls["self_dual"] else [c, dual(c)])
     lambdas, first_violation = _counting_route(*slices)
     counting_ok = first_violation is None
     sums = harmonic._fold_sums(*slices, harmonic.harm_basis(c.n, 1))
@@ -184,7 +189,7 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
     harmonic_ok = not nonzero
 
     witnesses = {
-        "branch": "self_dual" if cls.self_dual else "formally_self_dual",
+        "branch": "self_dual" if cls["self_dual"] else "formally_self_dual",
         "lambda_1_per_weight": lambdas,
         "counting_route": counting_ok,
         "harmonic_route": harmonic_ok,
@@ -202,10 +207,10 @@ def _require_type1_16(c: BinaryCode) -> tuple[list[int], list[int]]:
     if c.n != 16:
         raise PreconditionError("length must be 16")
     incidence, leaves = _slices([c])
-    cls = classify(c, WeightDistribution(dict(enumerate(map(int.bit_count, leaves)))))
-    if not cls.type_one:
+    cls = classify(c, _spectrum(leaves))
+    if not cls["type_one"]:
         raise PreconditionError("code is not Type I")
-    if cls.extremality != NEAR_EXTREMAL:
+    if cls["extremality"] != NEAR_EXTREMAL:
         raise PreconditionError("code is not near-extremal")
     return incidence, leaves
 
@@ -269,18 +274,18 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     if c.n != 16:
         raise PreconditionError("length must be 16")
     cls = classify(c)
-    if not (cls.even and cls.formally_self_dual):
+    if not (cls["even"] and cls["formally_self_dual"]):
         raise PreconditionError("code is not even formally self-dual")
-    if cls.extremality != NEAR_EXTREMAL:
+    if cls["extremality"] != NEAR_EXTREMAL:
         raise PreconditionError("code is not near-extremal")
     wd = weight_distribution(c)
-    if not (wd.count(6) and wd.count(10)):
+    if not (6 in wd and 10 in wd):
         raise PreconditionError(
             "no weight-6 or weight-10 words: the union designs are empty"
         )
     dual_code = dual(c)
     lambdas, harmonic_ok = {}, True
-    witnesses = {"self_dual": cls.self_dual}
+    witnesses = {"self_dual": cls["self_dual"]}
     for w in (6, 10):
         u = designs.union(designs.support_design(c, w),
                           designs.support_design(dual_code, w))
@@ -312,24 +317,24 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
         raise PreconditionError("self-orthogonality: odd block intersection found")
 
     wd = weight_distribution(c)
-    word_count = sum(wd.count(w) for w in (0, 6, 10, 16))
+    word_count = sum(wd.get(w, 0) for w in (0, 6, 10, 16))
     cls = classify(c, wd)
     steps = {
-        "even_self_orthogonal": cls.even and cls.self_orthogonal,
-        "dual_minimum_distance": macwilliams(wd, c.n, c.dimension).min_nonzero() == 4,
+        "even_self_orthogonal": cls["even"] and cls["self_orthogonal"],
+        "dual_minimum_distance": min_nonzero(macwilliams(wd, c.n, c.dimension)) == 4,
         "count_bound": word_count > 2**7,
-        "self_dual": cls.self_dual,
+        "self_dual": cls["self_dual"],
         # Near-extremal at length 16 means d = 4.
-        "classification": cls.type_one and cls.extremality == NEAR_EXTREMAL,
+        "classification": cls["type_one"] and cls["extremality"] == NEAR_EXTREMAL,
         # Every block of d is a weight-6 word of c = span(d), so d is C_6 as
         # a multiset exactly when it repeats no block and has A_6 blocks.
-        "support_design_match": len(set(d.blocks)) == d.b == wd.count(6),
+        "support_design_match": len(set(d.blocks)) == d.b == wd.get(6, 0),
     }
     passed = all(steps.values())
     witnesses = {
         "steps": steps,
         "dimension": c.dimension,
-        "weight_distribution": wd.counts,
+        "weight_distribution": wd,
         "counted_words_0_6_10_16": word_count,
     }
     if not passed:
@@ -345,7 +350,7 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
     # those weights: C0's spectrum and support designs are read off c's slice.
     incidence, leaves = _require_type1_16(c)
     leaves0 = [leaf if w % 4 == 0 else 0 for w, leaf in enumerate(leaves)]
-    wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
+    wd0 = _spectrum(leaves0)
     per0 = _profile(incidence, leaves0, 3)
     c0 = code_from_rows(_words(incidence, sum(leaves0)), c.n)
     c0_dual = dual(c0)
@@ -353,7 +358,7 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
     checks = {
         "subcode_dimension": c0.dimension == 7,
         # The words span a doubly-even code of their own number: a subcode.
-        "subcode_doubly_even": is_doubly_even(c0) and c0.size == sum(wd0.counts.values()),
+        "subcode_doubly_even": is_doubly_even(c0) and c0.size == sum(wd0.values()),
         "dual_dimension": c0_dual.dimension == 9,
         "dual_minimum_distance": min(per1) == 4,
         "dual_strength_exceeds_guarantee": all(
@@ -363,7 +368,7 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
     passed = all(checks.values())
     witnesses = {
         "checks": checks,
-        "subcode_weight_distribution": wd0.counts,
+        "subcode_weight_distribution": wd0,
         "subcode_strengths": per0,
         "dual_strengths": per1,
     }

@@ -116,11 +116,11 @@ from amdesign import designs, gf2core, ratlin, verify
 from amdesign.catalog import SearchBudgetError
 from amdesign.commands import print_payload
 from amdesign.gf2core import (
-    WeightDistribution, code_from_rows, dual, exact_json, is_doubly_even, is_even,
-    iter_codewords, mallows_sloane, support)
+    code_from_rows, dual, exact_json, is_doubly_even, is_even, iter_codewords,
+    mallows_sloane, support)
 from amdesign.designs import lambda_i
 from amdesign.harmonic import bachoc_transform, harm_basis
-from amdesign.polyring import HomPoly, SpanError, gleason_basis, weight_enumerator_poly
+from amdesign.polyring import HomPoly, SpanError, gleason_basis
 
 
 def pack_row(bits):
@@ -158,7 +158,11 @@ def weight_distribution(c):
     counts = [0] * (c.n + 1)
     for word in iter_codewords(c):
         counts[word.bit_count()] += 1
-    return WeightDistribution({w: a for w, a in enumerate(counts) if a})
+    return {w: a for w, a in enumerate(counts) if a}
+
+
+def min_nonzero(wd):
+    return min(w for w in wd if w)
 
 
 def codewords_of_weight(c, w):
@@ -193,11 +197,12 @@ def harmonic_weight_enumerator(c, f):
 
 def macwilliams(wd, n, k):
     """Dual weight distribution 2^-k W(x+y, x-y), checked to be integral."""
-    if sum(wd.counts.values()) != 1 << k:
+    if sum(wd.values()) != 1 << k:
         raise ValueError("weight distribution does not sum to 2^k")
-    if wd.count(0) != 1:
+    if wd.get(0, 0) != 1:
         raise ValueError("weight distribution must count the zero word once")
-    transformed = weight_enumerator_poly(wd, n).substitute_sum_diff()
+    enumerator = HomPoly(n, tuple(wd.get(w, 0) for w in range(n + 1)))
+    transformed = enumerator.substitute_sum_diff()
     size = 1 << k
     counts: dict[int, int] = {}
     for w, c in enumerate(transformed.coeffs):
@@ -206,7 +211,7 @@ def macwilliams(wd, n, k):
             raise ValueError(f"transform is not a weight distribution at w={w}")
         if q:
             counts[w] = q
-    return WeightDistribution(counts)
+    return counts
 
 
 def substitute_sum_diff(p):
@@ -376,7 +381,7 @@ def strength_profile(c, t_cap):
     """The per-weight strengths of verify.strength_profile."""
     wd = weight_distribution(c)
     per = {}
-    for w in sorted(wd.counts):
+    for w in sorted(wd):
         if 0 < w < c.n:
             per[w] = designs.design_strength(designs.support_design(c, w), min(t_cap, w))
     if not per:
@@ -388,7 +393,7 @@ def thm_1_1_counting_route(codes):
     """(lambda_1 per weight, first (weight, violation)) of the union of the
     codes' support designs C_w, for each 0 < w < n where it has a block."""
     lambdas, first_violation = {}, None
-    spectra = [weight_distribution(c).counts for c in codes]
+    spectra = [weight_distribution(c) for c in codes]
     for w in range(1, codes[0].n):
         found = [designs.support_design(c, w) for c, a in zip(codes, spectra) if w in a]
         if not found:
@@ -414,16 +419,16 @@ def classify(c):
         extremality = mallows_sloane(c.n, gf2core.minimum_distance(c))
     else:
         extremality = gf2core.NOT_APPLICABLE
-    return gf2core.CodeClass(
-        even=even,
-        doubly_even=doubly,
-        self_orthogonal=self_orth,
-        self_dual=self_dual,
-        formally_self_dual=fsd,
-        type_one=self_dual and not doubly,
-        type_two=self_dual and doubly,
-        extremality=extremality,
-    )
+    return {
+        "even": even,
+        "doubly_even": doubly,
+        "self_orthogonal": self_orth,
+        "self_dual": self_dual,
+        "formally_self_dual": fsd,
+        "type_one": self_dual and not doubly,
+        "type_two": self_dual and doubly,
+        "extremality": extremality,
+    }
 
 
 def verify_cor_1_5(c):
@@ -431,12 +436,12 @@ def verify_cor_1_5(c):
     c0 = gf2core.doubly_even_subcode(c)
     c0_dual = dual(c0)
     incidence0, leaves0 = verify._slices([c0])
-    wd0 = WeightDistribution(dict(enumerate(map(int.bit_count, leaves0))))
+    wd0 = {w: leaf.bit_count() for w, leaf in enumerate(leaves0) if leaf}
     per0 = verify._profile(incidence0, leaves0, 3)
     per1 = verify.strength_profile(c0_dual, 3)
     checks = {
         "subcode_dimension": c0.dimension == 7,
-        "subcode_doubly_even": all(w % 4 == 0 for w in wd0.counts),
+        "subcode_doubly_even": all(w % 4 == 0 for w in wd0),
         "dual_dimension": c0_dual.dimension == 9,
         "dual_minimum_distance": min(per1) == 4,
         "dual_strength_exceeds_guarantee": all(
@@ -445,7 +450,7 @@ def verify_cor_1_5(c):
     }
     return verify.VerificationReport("cor1.5", all(checks.values()), {
         "checks": checks,
-        "subcode_weight_distribution": wd0.counts,
+        "subcode_weight_distribution": wd0,
         "subcode_strengths": per0,
         "dual_strengths": per1,
     })
@@ -454,8 +459,8 @@ def verify_cor_1_5(c):
 def assmus_mattson_witnesses(c, t):
     """The witnesses of verify.assmus_mattson_check(c, t), 1 <= t < d."""
     wd, dual_wd = weight_distribution(c), weight_distribution(dual(c))
-    d, d_dual = wd.min_nonzero(), dual_wd.min_nonzero()
-    small = [w for w in sorted(wd.counts) if 0 < w <= c.n - t]
+    d, d_dual = min_nonzero(wd), min_nonzero(dual_wd)
+    small = [w for w in sorted(wd) if 0 < w <= c.n - t]
     witnesses = {
         "t": t,
         "length": c.n,
@@ -468,9 +473,9 @@ def assmus_mattson_witnesses(c, t):
         "applicable": len(small) <= d_dual - t,
     }
     if witnesses["applicable"]:
-        witnesses["promised_code_weights"] = [u for u in sorted(wd.counts)
+        witnesses["promised_code_weights"] = [u for u in sorted(wd)
                                               if d <= u <= c.n - t]
-        witnesses["promised_dual_weights"] = [w for w in sorted(dual_wd.counts)
+        witnesses["promised_dual_weights"] = [w for w in sorted(dual_wd)
                                               if d_dual <= w]
     return witnesses
 
@@ -648,7 +653,7 @@ def search_even_fsd(n, d, seed=0, max_iterations=1_000_000):
         rows = [(1 << i) | (a << half) for i, a in enumerate(a_rows)]
         c = code_from_rows(rows, n)
         wd = gf2core.weight_distribution(c)
-        if wd.min_nonzero() != d:
+        if min_nonzero(wd) != d:
             continue
         cd = dual(c)
         if c == cd:

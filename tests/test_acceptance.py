@@ -49,7 +49,7 @@ def test_criterion_01_type1_search_pipeline():
     c, spectrum = search_type_i_16(seed=0, max_iterations=10**6)
     elapsed = time.perf_counter() - started
     assert spectrum == weight_distribution(c)
-    wd = spectrum.counts
+    wd = spectrum
     c6 = support_design(c, 6)
     lam0 = lambda_i(2, 16, 6, 8, 0)
     ok = elapsed < 60 and wd == TYPE1_WD and c6.b == 64 == lam0

@@ -1,7 +1,10 @@
 """Bitset code arithmetic: construction, duals, weights, classification."""
 
-import pickle
+import contextlib
+import io
+import json
 import random
+from functools import cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,7 +18,6 @@ from amdesign.gf2core import (
     NOT_APPLICABLE,
     BinaryCode,
     EnumerationGuardError,
-    WeightDistribution,
     classify,
     code_from_rows,
     code_from_strings,
@@ -29,6 +31,7 @@ from amdesign.gf2core import (
     iter_codewords,
     macwilliams,
     mallows_sloane,
+    min_nonzero,
     minimum_distance,
     parse_generator_text,
     read_generator_file,
@@ -36,6 +39,7 @@ from amdesign.gf2core import (
     weight_distribution,
 )
 from amdesign.catalog import builtin, load_code
+from amdesign.cli import run
 
 TYPE1_WD = {0: 1, 4: 12, 6: 64, 8: 102, 10: 64, 12: 12, 16: 1}
 E8_WD = {0: 1, 4: 14, 8: 1}
@@ -185,31 +189,20 @@ def test_enumeration_guard():
 
 
 def test_weight_distribution_examples(type1):
-    assert weight_distribution(BinaryCode(4)).counts == {0: 1}
-    assert weight_distribution(builtin("e8")).counts == E8_WD
-    assert weight_distribution(builtin("d4+d4")).counts == D4D4_WD
-    assert weight_distribution(type1).counts == TYPE1_WD
+    assert weight_distribution(BinaryCode(4)) == {0: 1}
+    assert weight_distribution(builtin("e8")) == E8_WD
+    assert weight_distribution(builtin("d4+d4")) == D4D4_WD
+    assert weight_distribution(type1) == TYPE1_WD
 
 
 def test_weight_distribution_methods(type1):
     wd = weight_distribution(type1)
-    assert sum(wd.counts.values()) == type1.size
-    assert wd.count(6) == 64
-    assert wd.count(5) == 0
-    assert wd.min_nonzero() == 4
-    with pytest.raises(ValueError):
-        weight_distribution(BinaryCode(4)).min_nonzero()
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.dictionaries(st.integers(0, 64), st.integers(0, 2**70))
-       .flatmap(lambda d: st.permutations(list(d.items()))))
-def test_weight_distribution_stores_ascending_weights_without_zeros(items):
-    # The spectrum readers iterate counts as stored, with no sort of their own.
-    expected = [(w, a) for w, a in sorted(items) if a]
-    wd = WeightDistribution(dict(items))
-    assert list(wd.counts.items()) == expected
-    assert list(pickle.loads(pickle.dumps(wd)).counts.items()) == expected
+    assert sum(wd.values()) == type1.size
+    assert wd[6] == 64
+    assert 5 not in wd
+    assert min_nonzero(wd) == 4
+    with pytest.raises(ValueError, match="^the zero code has no minimum distance$"):
+        min_nonzero(weight_distribution(BinaryCode(4)))
 
 
 def test_macwilliams_examples(type1):
@@ -218,8 +211,7 @@ def test_macwilliams_examples(type1):
     assert macwilliams(wd8, 8, 4) == wd8
     wd16 = weight_distribution(type1)
     assert macwilliams(wd16, 16, 8) == wd16
-    zero2 = WeightDistribution({0: 1})
-    assert macwilliams(zero2, 2, 0).counts == {0: 1, 1: 2, 2: 1}
+    assert macwilliams({0: 1}, 2, 0) == {0: 1, 1: 2, 2: 1}
 
 
 def test_macwilliams_matches_enumerated_dual():
@@ -245,16 +237,20 @@ def test_macwilliams_involution():
 
 
 def test_macwilliams_input_validation():
-    with pytest.raises(ValueError):
-        macwilliams(WeightDistribution({0: 1, 1: 2}), 2, 0)
-    with pytest.raises(ValueError):
-        macwilliams(WeightDistribution({1: 1}), 2, 0)
+    with pytest.raises(ValueError, match="does not sum to 2"):
+        macwilliams({0: 1, 1: 2}, 2, 0)
+    with pytest.raises(ValueError, match="count the zero word once"):
+        macwilliams({1: 1}, 2, 0)
     # x^4 + 3x^3y maps to 4x^4 + 10x^3y + ...: 10/4 at w = 1 is not an integer.
     with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
-        macwilliams(WeightDistribution({0: 1, 1: 3}), 4, 2)
+        macwilliams({0: 1, 1: 3}, 4, 2)
     # x^2 + 3y^2 maps to 4x^2 - 4xy + 4y^2: -4/4 at w = 1 is a negative count.
     with pytest.raises(ValueError, match="transform is not a weight distribution at w=1"):
-        macwilliams(WeightDistribution({0: 1, 2: 3}), 2, 2)
+        macwilliams({0: 1, 2: 3}, 2, 2)
+    # The sign is checked first: each of these also fails a later check.
+    for wd in ({-1: 1}, {0: 1, 2: -1}, {0: 1, -2: 1, 2: 2}):
+        with pytest.raises(ValueError, match="^weights and counts must be nonnegative$"):
+            macwilliams(wd, 4, 1)
 
 
 @st.composite
@@ -333,22 +329,56 @@ def test_mallows_sloane_bound():
 
 def test_classify_examples(type1):
     e8 = classify(builtin("e8"))
-    assert e8.type_two and not e8.type_one
-    assert e8.self_dual and e8.doubly_even
-    assert e8.extremality == EXTREMAL
+    assert e8["type_two"] and not e8["type_one"]
+    assert e8["self_dual"] and e8["doubly_even"]
+    assert e8["extremality"] == EXTREMAL
 
     dd = classify(builtin("d4+d4"))
-    assert dd.type_one and not dd.type_two
-    assert dd.extremality == NEAR_EXTREMAL
+    assert dd["type_one"] and not dd["type_two"]
+    assert dd["extremality"] == NEAR_EXTREMAL
 
     t1 = classify(type1)
-    assert t1.type_one and t1.self_dual and t1.even and not t1.doubly_even
-    assert t1.formally_self_dual
-    assert t1.extremality == NEAR_EXTREMAL
+    assert t1["type_one"] and t1["self_dual"] and t1["even"] and not t1["doubly_even"]
+    assert t1["formally_self_dual"]
+    assert t1["extremality"] == NEAR_EXTREMAL
 
     odd = classify(code_from_strings(["10"]))
-    assert not odd.even
-    assert odd.extremality == NOT_APPLICABLE
+    assert not odd["even"]
+    assert odd["extremality"] == NOT_APPLICABLE
+
+    assert list(classify(builtin("i2")).items()) == [
+        ("even", True), ("doubly_even", False), ("self_orthogonal", True),
+        ("self_dual", True), ("formally_self_dual", True), ("type_one", True),
+        ("type_two", False), ("extremality", EXTREMAL)]
+
+
+@cache
+def info_class_keys():
+    """The keys of `code info --format json`'s class block, in order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["code", "info", "-b", "type1_16", "--format", "json"]) == 0
+    return list(json.loads(out.getvalue())["class"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(codes_of_length_at_most_20())
+@example(code_from_rows([], 20))
+@example(code_from_rows([1 << i for i in range(14)], 20))
+@example(builtin("e8+d4+i2"))
+@example(builtin("e8+e8"))
+def test_spectra_and_classes_are_plain_dicts(c):
+    # The spectrum readers iterate a spectrum as returned, with no sort of
+    # their own, and code info prints the class as classify orders it.
+    wd = weight_distribution(c)
+    dual_wd = macwilliams(wd, c.n, c.dimension)
+    expected = oracles.weight_distribution(c)
+    for spectrum, oracle in ((wd, expected),
+                             (dual_wd, oracles.macwilliams(expected, c.n, c.dimension))):
+        assert type(spectrum) is dict and spectrum == oracle
+        assert list(spectrum) == sorted(spectrum) and all(spectrum.values())
+    for cls in (classify(c), classify(c, wd)):
+        assert type(cls) is dict and list(cls) == info_class_keys()
 
 
 @st.composite
@@ -377,7 +407,7 @@ def codes_to_classify(draw):
 @example(builtin("e8+e8+e8+e8"))
 @example(code_from_rows([], 4))
 def test_classify_matches_the_three_walk_oracle(c):
-    assert classify(c) == oracles.classify(c)
+    assert list(classify(c).items()) == list(oracles.classify(c).items())
 
 
 def test_doubly_even_subcode(type1):
@@ -387,7 +417,7 @@ def test_doubly_even_subcode(type1):
     assert sub == code_from_strings(["1111"])
     t0 = doubly_even_subcode(type1)
     assert t0.dimension == 7
-    assert weight_distribution(t0).counts == {0: 1, 4: 12, 8: 102, 12: 12, 16: 1}
+    assert weight_distribution(t0) == {0: 1, 4: 12, 8: 102, 12: 12, 16: 1}
     assert code_from_rows(t0.basis + type1.basis, 16) == type1
     with pytest.raises(ValueError):
         doubly_even_subcode(code_from_strings(["10"]))
@@ -401,8 +431,8 @@ def test_self_dual_is_even():
     for _ in range(30):
         c = random_code(rng, n_max=12)
         cls = classify(c)
-        if cls.self_dual:
-            assert cls.even
+        if cls["self_dual"]:
+            assert cls["even"]
             assert dual(c) == c
 
 

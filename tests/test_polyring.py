@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 
 from amdesign import gf2core, polyring
-from amdesign.gf2core import WeightDistribution, weight_distribution
+from amdesign.gf2core import weight_distribution
 from amdesign.catalog import builtin
 from amdesign.polyring import (
     HomPoly,
@@ -196,10 +196,13 @@ def test_vanishing_coefficient_search():
 
 
 def test_weight_enumerator_poly():
-    p = weight_enumerator_poly(WeightDistribution({0: 1, 2: 3}), 4)
+    p = weight_enumerator_poly({0: 1, 2: 3}, 4)
     assert p == X**4 + 3 * X**2 * Y**2
-    with pytest.raises(ValueError):
-        weight_enumerator_poly(WeightDistribution({5: 1}), 4)
+    with pytest.raises(ValueError, match="weight exceeds the stated length"):
+        weight_enumerator_poly({5: 1}, 4)
+    # A negative weight would index the coefficients from the top.
+    with pytest.raises(ValueError, match="nonnegative"):
+        weight_enumerator_poly({0: 1, -1: 3}, 4)
 
 
 def test_the_traced_transform_name_is_the_gf2core_transform():

@@ -82,8 +82,8 @@ def test_dual_spectrum_is_the_macwilliams_transform(k):
     # The walk is too slow here; MacWilliams checks the count on both sides.
     c = random_code(k, 44, k, all_ones=k % 2 == 0)
     wd, dual_wd = weight_distribution(c), weight_distribution(dual(c))
-    assert sum(wd.counts.values()) == 1 << k
-    assert sum(dual_wd.counts.values()) == 1 << (44 - k)
+    assert sum(wd.values()) == 1 << k
+    assert sum(dual_wd.values()) == 1 << (44 - k)
     assert dual_wd == macwilliams(wd, 44, k)
 
 
