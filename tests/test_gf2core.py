@@ -262,6 +262,21 @@ def codes_of_length_at_most_20(draw):
     return code_from_rows(rows, n)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(codes_of_length_at_most_20(), st.randoms(use_true_random=False),
+       st.sets(st.integers(0, 20)))
+def test_weight_distribution_stores_ascending_weights_without_zeros(c, rnd, zeros):
+    # The spectrum readers iterate counts as stored, with no sort of their
+    # own, whatever the order and zero counts of the spectrum macwilliams reads.
+    wd = weight_distribution(c)
+    items = [*wd.items(), *((w, 0) for w in zeros if w <= c.n and w not in wd)]
+    rnd.shuffle(items)
+    dual_wd = macwilliams(dict(items), c.n, c.dimension)
+    assert dual_wd == macwilliams(wd, c.n, c.dimension)
+    for spectrum in (wd, dual_wd):
+        assert list(spectrum.items()) == [(w, a) for w, a in sorted(spectrum.items()) if a]
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(codes_of_length_at_most_20())
 @example(code_from_rows([], 20))

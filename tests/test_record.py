@@ -2,16 +2,22 @@
 immutability, and each class's validation, normalisation and keywords."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
 import pytest
 
+from amdesign.cli import run
 from amdesign.designs import Design
-from amdesign.gf2core import BinaryCode, Record, _rref
+from amdesign.gf2core import (
+    BinaryCode, Record, _rref, classify, macwilliams, weight_distribution)
 from amdesign.harmonic import HarmonicFunction
-from amdesign.polyring import HomPoly
+from amdesign.polyring import HomPoly, weight_enumerator_poly
 from amdesign.verify import VerificationReport
+
+CLASS_FLAGS = ("even", "doubly_even", "self_orthogonal", "self_dual",
+               "formally_self_dual", "type_one", "type_two")
 
 
 class _Budget(Record):
@@ -23,7 +29,25 @@ class _Budget(Record):
         self._set(seed, max_iterations)
 
 
-# One keyword-built instance of each class, _Budget included.
+class _Counts(Record):
+    """One dict field."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict) -> None:
+        self._set(counts)
+
+
+class _Tally(Record):
+    """The same field in another class."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict) -> None:
+        self._set(counts)
+
+
+# One keyword-built instance of each class, the test-local ones included.
 SAMPLES = [
     BinaryCode(n=4, basis=(0b0011, 0b0110)),
     Design(v=4, blocks=((1, 2), (3, 4))),
@@ -31,6 +55,8 @@ SAMPLES = [
     HarmonicFunction(n=5, pairs=((1, 3), (2, 4))),
     VerificationReport(scenario="am", passed=True, witnesses={"t": "1"}),
     _Budget(seed=3, max_iterations=10),
+    _Counts(counts={0: 1, 2: 3}),
+    _Tally(counts={4: 1}),
 ]
 
 
@@ -39,7 +65,7 @@ def _id(x):
 
 
 def test_every_value_class_is_a_record():
-    assert len({type(x) for x in SAMPLES}) == 6
+    assert len({type(x) for x in SAMPLES}) == 8
     assert all(isinstance(x, Record) for x in SAMPLES)
 
 
@@ -78,24 +104,6 @@ def test_equality_goes_by_fields():
     assert _Budget() == _Budget(0, 1_000_000) != _Budget(seed=1)
 
 
-class _Counts(Record):
-    """One dict field."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict) -> None:
-        self._set(counts)
-
-
-class _Tally(Record):
-    """The same field in another class."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict) -> None:
-        self._set(counts)
-
-
 def test_instances_of_different_classes_are_never_equal():
     # The same field values in two classes.
     assert _Tally({4: 1}) != _Counts({4: 1})
@@ -131,6 +139,30 @@ def test_binary_code_validates_and_reduces():
     c = BinaryCode(n=4, basis=rows)
     assert c.basis == tuple(_rref(rows)) and isinstance(c.basis, tuple)
     assert BinaryCode(3).basis == ()
+
+
+def test_weight_distribution_validates_and_sorts():
+    # A spectrum is a plain dict: the functions it enters check its signs,
+    # and the spectra they return are ascending with no zero count.
+    with pytest.raises(ValueError, match="nonnegative"):
+        macwilliams({-1: 1}, 2, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        macwilliams({0: 1, 2: -1}, 2, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        weight_enumerator_poly({0: 1, -1: 1}, 2)
+    wd = weight_distribution(BinaryCode(4, (0b1111, 0b0011)))
+    assert list(wd.items()) == [(0, 1), (2, 2), (4, 1)]
+    assert list(macwilliams({4: 1, 2: 0, 0: 1}, 4, 1).items()) == [(0, 1), (2, 6), (4, 1)]
+
+
+def test_code_class_keywords_and_json_order(capsys):
+    cls = classify(BinaryCode(2, (0b11,)))
+    assert cls == dict(even=True, doubly_even=False, self_orthogonal=True,
+                       self_dual=True, formally_self_dual=True, type_one=True,
+                       type_two=False, extremality="extremal")
+    assert run(["code", "info", "-b", "type1_16", "--format", "json"]) == 0
+    block = json.loads(capsys.readouterr().out)["class"]
+    assert list(block) == list(cls) == [*CLASS_FLAGS, "extremality"]
 
 
 def test_design_validates_and_sorts():
