@@ -140,17 +140,21 @@ def search_even_fsd(
 ) -> tuple[BinaryCode, dict[int, int]]:
     """Randomized search for an even formally self-dual [n, n/2, d] code that
     is not self-dual: the hit and its spectrum, which MacWilliams maps to
-    itself. Deterministic given the seed. An (n, d) that no such code has
-    (odd, or above the Mallows-Sloane bound) is refused before searching.
+    itself. Deterministic given the seed.
 
     A hit contains the all-ones word (it is even, and so is its dual, which
-    has its spectrum), and in [I | A] form that word is the sum of all rows:
-    a candidate whose A rows do not XOR to all ones is dropped uncounted.
+    has its spectrum), the sum of all rows in [I | A] form: a candidate whose
+    A rows do not XOR to all ones is dropped uncounted. An (n, d) with no hit
+    is refused: odd, above the Mallows-Sloane bound, or (2, 2), (4, 2) or
+    (8, 4), where that word makes the code self-dual (i2, d4 or e8, as
+    tests/test_catalog.py checks on every candidate).
     """
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
     mallows_sloane(n, d)
     half = n // 2
+    if (n, d) in {(2, 2), (4, 2), (8, 4)}:
+        raise ValueError(f"every even formally self-dual [{n},{half},{d}] code is self-dual")
     if max_iterations:
         # weight_distribution's guard, checked up front: almost no candidate
         # passes the filter to trip it.

@@ -359,17 +359,16 @@ def run_fsd(args) -> int:
 
 
 def _emit_report(args, rep, started: float) -> int:
-    envelope = rep.to_dict()
-    envelope["timings"] = {"total_ms": (time.perf_counter() - started) * 1000.0}
-    w = rep.witnesses
-    if rep.scenario == "profile":
+    envelope = dict(rep, timings={"total_ms": (time.perf_counter() - started) * 1000.0})
+    w = rep["witnesses"]
+    if rep["scenario"] == "profile":
         lines = ["per weight: " + " ".join(f"{k}:{t}" for k, t in w["per_weight"].items()),
                  f"delta = {w['delta']}, s = {w['s']}"]
     else:
-        lines = [f"scenario: {rep.scenario}", f"verdict: {rep.verdict}",
+        lines = [f"scenario: {rep['scenario']}", f"verdict: {rep['verdict']}",
                  "witnesses: " + json.dumps(w, indent=2)]
     print_payload(args, envelope, lines)
-    return 0 if rep.passed else 1
+    return 0 if rep["verdict"] == "pass" else 1
 
 
 def _verify_thm121(args):
@@ -382,7 +381,7 @@ def _verify_profile(args):
     if args.t_cap < 0:
         raise PreconditionError("--t-cap must be nonnegative")
     per = verify.strength_profile(read_code(args), args.t_cap)
-    return verify.VerificationReport(
+    return verify.report(
         "profile", True, {"per_weight": per, "delta": min(per.values()), "s": max(per.values())})
 
 

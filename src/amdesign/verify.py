@@ -13,7 +13,6 @@ from .gf2core import (
     BinaryCode,
     EnumerationGuardError,
     PreconditionError,
-    Record,
     _weight_leaves,
     classify,
     code_from_rows,
@@ -28,9 +27,9 @@ from .gf2core import (
 
 __all__ = [
     "PreconditionError",
-    "VerificationReport",
     "assmus_mattson_check",
     "exact_json",
+    "report",
     "strength_profile",
     "verify_cor_1_5",
     "verify_thm_1_1",
@@ -40,24 +39,10 @@ __all__ = [
 ]
 
 
-class VerificationReport(Record):
-    """Outcome of one scenario: verdict plus witnesses, rendered by exact_json."""
-
-    __slots__ = ("scenario", "passed", "witnesses")
-
-    def __init__(self, scenario: str, passed: bool, witnesses: dict) -> None:
-        self._set(scenario, passed, exact_json(witnesses))
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-        }
+def report(scenario: str, passed: bool, witnesses: dict) -> dict:
+    """The report a verify command prints, its witnesses made exact by exact_json."""
+    return {"scenario": scenario, "verdict": "pass" if passed else "fail",
+            "witnesses": exact_json(witnesses)}
 
 
 def _slices(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
@@ -134,7 +119,7 @@ def _counting_route(incidence: list[int], leaves: list[int]) -> tuple[dict, tupl
     return lambdas, first_violation
 
 
-def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
+def assmus_mattson_check(c: BinaryCode, t: int) -> dict:
     """Hypothesis test for the classical weight-count criterion: at most
     d_dual - t nonzero weights of C are <= n - t. A pass lists the weights
     whose support designs the criterion promises to be t-designs."""
@@ -166,10 +151,10 @@ def assmus_mattson_check(c: BinaryCode, t: int) -> VerificationReport:
         witnesses["promised_dual_weights"] = [
             w for w in dual_wd if d_dual <= w <= c.n
         ]
-    return VerificationReport("am", applicable, witnesses)
+    return report("am", applicable, witnesses)
 
 
-def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
+def verify_thm_1_1(c: BinaryCode) -> dict:
     """All support designs (self-dual input) or all unions C_w + dual_w
     (formally self-dual input) are 1-designs, cross-checked by the vanishing
     of the degree-1 harmonic weight enumerators."""
@@ -198,7 +183,7 @@ def verify_thm_1_1(c: BinaryCode) -> VerificationReport:
         witnesses["violation_weight"], witnesses["violation"] = first_violation
     if nonzero:
         witnesses["nonzero_enumerator_indices"] = nonzero
-    return VerificationReport("thm1.1", counting_ok and harmonic_ok, witnesses)
+    return report("thm1.1", counting_ok and harmonic_ok, witnesses)
 
 
 def _require_type1_16(c: BinaryCode) -> tuple[list[int], list[int]]:
@@ -215,9 +200,7 @@ def _require_type1_16(c: BinaryCode) -> tuple[list[int], list[int]]:
     return incidence, leaves
 
 
-def verify_thm_1_2_type1(
-    c: BinaryCode, c6: designs.Design | None = None
-) -> VerificationReport:
+def verify_thm_1_2_type1(c: BinaryCode, c6: designs.Design | None = None) -> dict:
     """C_6 is a 2-(16,6,8) design (counting and harmonic routes), C_10 is its
     complement, and the strength gap delta=1 < s=2 sits exactly at w in
     {6, 10}. A substitute block multiset may be supplied for mutation tests."""
@@ -261,10 +244,10 @@ def verify_thm_1_2_type1(
     }
     if violation:
         witnesses["violation"] = violation
-    return VerificationReport("thm1.2-1", passed, witnesses)
+    return report("thm1.2-1", passed, witnesses)
 
 
-def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
+def verify_thm_1_2_fsd(c: BinaryCode) -> dict:
     """Unions C_w + dual_w at w in {6, 10} are 2-designs for near-extremal
     even formally self-dual codes of length 16 (counting and harmonic routes)."""
     if c.n == 64:
@@ -299,10 +282,10 @@ def verify_thm_1_2_fsd(c: BinaryCode) -> VerificationReport:
     witnesses["lambda_2_per_weight"] = lambdas
     witnesses["counting_route"] = counting_ok
     witnesses["harmonic_route"] = harmonic_ok
-    return VerificationReport("thm1.2-2", counting_ok and harmonic_ok, witnesses)
+    return report("thm1.2-2", counting_ok and harmonic_ok, witnesses)
 
 
-def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
+def verify_thm_1_4_pipeline(d: designs.Design) -> dict:
     """Uniqueness pipeline: a self-orthogonal 2-(16,6,8) design generates the
     near-extremal Type I [16,8,4] code and is recovered as its C_6."""
     if d.v != 16:
@@ -339,10 +322,10 @@ def verify_thm_1_4_pipeline(d: designs.Design) -> VerificationReport:
     }
     if not passed:
         witnesses["failing_step"] = next(name for name, ok in steps.items() if not ok)
-    return VerificationReport("thm1.4", passed, witnesses)
+    return report("thm1.4", passed, witnesses)
 
 
-def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
+def verify_cor_1_5(c: BinaryCode) -> dict:
     """The doubly-even subcode C0 of the Type I [16,8,4] code has a [16,9,4]
     dual whose weight-6 and weight-10 support designs are 2-designs, beating
     the t=1 guarantee of the classical criterion."""
@@ -372,4 +355,4 @@ def verify_cor_1_5(c: BinaryCode) -> VerificationReport:
         "subcode_strengths": per0,
         "dual_strengths": per1,
     }
-    return VerificationReport("cor1.5", passed, witnesses)
+    return report("cor1.5", passed, witnesses)

@@ -448,12 +448,13 @@ def verify_cor_1_5(c):
             per1.get(w, 0) >= 2 for w in (6, 10)
         ),
     }
-    return verify.VerificationReport("cor1.5", all(checks.values()), {
-        "checks": checks,
-        "subcode_weight_distribution": wd0,
-        "subcode_strengths": per0,
-        "dual_strengths": per1,
-    })
+    return {"scenario": "cor1.5", "verdict": "pass" if all(checks.values()) else "fail",
+            "witnesses": exact_json({
+                "checks": checks,
+                "subcode_weight_distribution": wd0,
+                "subcode_strengths": per0,
+                "dual_strengths": per1,
+            })}
 
 
 def assmus_mattson_witnesses(c, t):

@@ -116,8 +116,8 @@ def test_criterion_06_one_designs_everywhere(type1, fsd16):
                     ("type1-16", type1),
                     ("fsd-16", fsd16)]:
         rep = verify_thm_1_1(c)
-        reports[name] = (rep.passed, rep.witnesses["counting_route"],
-                         rep.witnesses["harmonic_route"])
+        reports[name] = (rep["verdict"] == "pass", rep["witnesses"]["counting_route"],
+                         rep["witnesses"]["harmonic_route"])
     ok = all(all(flags) for flags in reports.values())
     assert _line("06", ok, "; ".join(
         f"{n}: designs={v[1]} enumerators_zero={v[2]}"
@@ -129,28 +129,28 @@ def test_criterion_07_fsd_unions_are_2_designs(fsd16):
     started = time.perf_counter()
     rep = verify_thm_1_2_fsd(fsd16)
     elapsed = time.perf_counter() - started
-    lambdas = rep.witnesses["lambda_2_per_weight"]
-    ok = rep.passed and elapsed < 10
+    lambdas = rep["witnesses"]["lambda_2_per_weight"]
+    ok = rep["verdict"] == "pass" and elapsed < 10
     assert _line("07", ok, f"lambda_2 per weight {lambdas}, {elapsed:.2f}s")
     assert ok
 
 
 def test_criterion_08_design_to_code_pipeline(type1, c6):
     rep = verify_thm_1_4_pipeline(c6)
-    steps = rep.witnesses["steps"]
+    steps = rep["witnesses"]["steps"]
     recovered = code_from_design(c6)
     assert steps["dual_minimum_distance"] is True
     assert steps["count_bound"] is True
-    ok = rep.passed and recovered == type1
+    ok = rep["verdict"] == "pass" and recovered == type1
     assert _line("08", ok, f"steps {steps}, recovered code equals original: "
                         f"{recovered == type1}")
     assert ok
 
 
 def test_criterion_09_classical_criterion_gap(type1):
-    am = {t: assmus_mattson_check(type1, t).passed for t in (1, 2)}
-    designs_anyway = (verify_thm_1_2_type1(type1).passed
-                      and verify_thm_1_1(type1).passed)
+    am = {t: assmus_mattson_check(type1, t)["verdict"] == "pass" for t in (1, 2)}
+    designs_anyway = (verify_thm_1_2_type1(type1)["verdict"] == "pass"
+                      and verify_thm_1_1(type1)["verdict"] == "pass")
     ok = am == {1: False, 2: False} and designs_anyway
     assert _line("09", ok, f"criterion applicable: {am}; designs verified "
                         f"anyway: {designs_anyway}")
@@ -223,12 +223,12 @@ def test_criterion_11_mutation_sensitivity(type1, c6):
         idx = rng.randrange(c6.b)
         mutated = Design(c6.v, c6.blocks[:idx] + c6.blocks[idx + 1:])
         rep = verify_thm_1_2_type1(type1, mutated)
-        flipped = (not rep.passed
-                   and rep.witnesses["counting_route"] is False
-                   and rep.witnesses.get("violation") is not None)
+        flipped = (rep["verdict"] == "fail"
+                   and rep["witnesses"]["counting_route"] is False
+                   and rep["witnesses"].get("violation") is not None)
         ok = ok and flipped
-        if rep.witnesses.get("violation"):
-            witnesses.append(rep.witnesses["violation"][0])
+        if rep["witnesses"].get("violation"):
+            witnesses.append(rep["witnesses"]["violation"][0])
     assert _line("11", ok, f"5 single-block deletions all flip the counting "
                          f"check; sample witness pairs {witnesses[:3]}")
     assert ok

@@ -1,6 +1,10 @@
 """Builtin constructions, randomized searches, and the pinned-code store."""
 
 import json
+from collections import Counter
+from functools import reduce
+from itertools import product
+from operator import xor
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +29,8 @@ from amdesign.gf2core import (
     classify,
     code_from_rows,
     dual,
+    is_self_orthogonal,
+    mallows_sloane,
     minimum_distance,
     weight_distribution,
 )
@@ -124,6 +130,37 @@ def test_search_fsd_small():
     assert weight_distribution(c) == weight_distribution(dual(c))
     with pytest.raises(ValueError):
         search_even_fsd(7, 2)
+
+
+def test_the_refused_pairs_are_those_no_candidate_hits():
+    """Every candidate search_even_fsd can draw at length n <= 8, [I | A]
+    with each row of A of odd weight and the rows XOR-ing to all ones, is
+    tested as the search tests it, the dual's spectrum counted directly:
+    hits fall at (6, 2) and (8, 2) only, so the other pairs inside the
+    Mallows-Sloane bound can never be hit, and the search refuses them."""
+    hits, pairs = Counter(), set()
+    for n in (2, 4, 6, 8):
+        half = n // 2
+        odd = [a for a in range(1 << half) if a.bit_count() % 2]
+        for a_rows in product(odd, repeat=half):
+            if reduce(xor, a_rows) != (1 << half) - 1:
+                continue
+            c = code_from_rows([(1 << i) | (a << half) for i, a in enumerate(a_rows)], n)
+            wd = weight_distribution(c)
+            if not is_self_orthogonal(c) and wd == weight_distribution(dual(c)):
+                hits[n, minimum_distance(c)] += 1
+        for d in range(2, n + 1, 2):
+            try:
+                mallows_sloane(n, d)
+            except ValueError:
+                continue
+            pairs.add((n, d))
+    assert hits == {(6, 2): 10, (8, 2): 464}
+    refused = pairs - set(hits)
+    assert refused == {(2, 2), (4, 2), (8, 4)}
+    for n, d in refused:
+        with pytest.raises(ValueError, match=rf"\[{n},{n // 2},{d}\] code is self-dual"):
+            search_even_fsd(n, d)
 
 
 def test_search_many_seeds_succeed_quickly():

@@ -18,14 +18,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import oracles
 from oracles import format_design
 
-from amdesign import gf2core, polyring
+from amdesign import gf2core, polyring, verify
 from amdesign.catalog import builtin, load_code
 from amdesign.cli import run
 from amdesign.designs import Design, support_design
 from amdesign.gf2core import (
     code_from_rows, dual, exact_json, format_generator, minimum_distance)
 from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, HomPoly, gleason_basis
-from amdesign.verify import verify_thm_1_2_type1
 
 
 @pytest.fixture()
@@ -179,13 +178,42 @@ def test_verify_pass_and_fail_exit_codes(capsys, type1_file, tmp_path, c6):
     assert "verdict: fail" in out
 
 
-def test_verify_json_round_trips(capsys, type1_file, type1):
-    code, payload = run_json(capsys, [
-        "verify", "thm1.2-1", "-g", type1_file, "--format", "json"])
-    assert code == 0
+def _profile_report(c):
+    per = verify.strength_profile(c, 3)
+    return verify.report("profile", True,
+                         {"per_weight": per, "delta": min(per.values()), "s": max(per.values())})
+
+
+# Each scenario's argv ("@name" stands for the path that fixture name gives)
+# and the report its verifier returns on the same input.
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["am", "-b", "type1_16", "--t", "1"],
+                 lambda fixture: verify.assmus_mattson_check(fixture("type1"), 1), id="am"),
+    pytest.param(["thm1.1", "-b", "type1_16"],
+                 lambda fixture: verify.verify_thm_1_1(fixture("type1")), id="thm1.1"),
+    pytest.param(["thm1.1", "-b", "fsd_16"],
+                 lambda fixture: verify.verify_thm_1_1(fixture("fsd16")), id="thm1.1-fsd"),
+    pytest.param(["thm1.2-1", "-g", "@type1_file"],
+                 lambda fixture: verify.verify_thm_1_2_type1(fixture("type1")), id="thm1.2-1"),
+    pytest.param(["thm1.2-2", "-b", "fsd_16"],
+                 lambda fixture: verify.verify_thm_1_2_fsd(fixture("fsd16")), id="thm1.2-2"),
+    pytest.param(["thm1.4", "-d", "@c6_file"],
+                 lambda fixture: verify.verify_thm_1_4_pipeline(fixture("c6")), id="thm1.4"),
+    pytest.param(["cor1.5", "-b", "type1_16"],
+                 lambda fixture: verify.verify_cor_1_5(fixture("type1")), id="cor1.5"),
+    pytest.param(["profile", "-b", "type1_16"],
+                 lambda fixture: _profile_report(fixture("type1")), id="profile"),
+])
+def test_verify_json_round_trips(capsys, request, argv, expected):
+    fixture = request.getfixturevalue
+    argv = [fixture(a[1:]) if a.startswith("@") else a for a in argv]
+    code, payload = run_json(capsys, ["verify", *argv, "--format", "json"])
     assert "timings" in payload and "total_ms" in payload["timings"]
     payload.pop("timings")
-    assert payload == verify_thm_1_2_type1(type1).to_dict()
+    rep = expected(fixture)
+    assert payload == rep
+    # am at t = 1 fails on type1_16: the exit-1 path.
+    assert code == {"pass": 0, "fail": 1}[rep["verdict"]]
 
 
 def test_verify_precondition_is_usage_error(capsys):
@@ -1045,6 +1073,7 @@ def test_verify_profile_refuses_a_negative_cap_before_slicing(capsys, fmt):
 @pytest.mark.parametrize("argv", [
     ["--n", "16", "--d", "3", "--max-iterations", "50"],   # odd distance
     ["--d", "8"],                                          # above 2*floor(16/8)+2 = 6
+    ["--n", "8", "--d", "4"],                              # e8, self-dual, alone
 ])
 def test_search_fsd_refuses_impossible_distances(capsys, argv):
     assert run(["search", "fsd", *argv]) == 2

@@ -126,11 +126,11 @@ def one_point_swaps(monkeypatch):
 def test_thm_1_1_reports_the_first_failing_weight(type1, monkeypatch):
     broken = one_point_swaps(monkeypatch)
     rep = verify.verify_thm_1_1(type1)
-    assert not rep.passed
-    assert rep.witnesses["lambda_1_per_weight"]["6"] is None
-    assert rep.witnesses["lambda_1_per_weight"]["10"] is None
-    assert rep.witnesses["violation_weight"] == "6"
-    assert rep.witnesses["violation"] == verify.exact_json(
+    assert rep["verdict"] == "fail"
+    assert rep["witnesses"]["lambda_1_per_weight"]["6"] is None
+    assert rep["witnesses"]["lambda_1_per_weight"]["10"] is None
+    assert rep["witnesses"]["violation_weight"] == "6"
+    assert rep["witnesses"]["violation"] == verify.exact_json(
         oracles.t_design_violation(broken[6], 1))
 
 
@@ -138,8 +138,8 @@ def test_thm_1_2_type1_reads_c6_and_c10_off_the_slice(type1, monkeypatch):
     # The code's own C_6 is the slice's: the report equals that of the
     # mutated C_6 given as a substitute, checked against the same C_10.
     broken = one_point_swaps(monkeypatch)
-    own = verify.verify_thm_1_2_type1(type1).to_dict()
-    assert own == verify.verify_thm_1_2_type1(type1, broken[6]).to_dict()
+    own = verify.verify_thm_1_2_type1(type1)
+    assert own == verify.verify_thm_1_2_type1(type1, broken[6])
     assert own["verdict"] == "fail"
     assert own["witnesses"]["lambda_2"] is None
 

@@ -14,7 +14,7 @@ from amdesign.gf2core import (
     BinaryCode, Record, _rref, classify, macwilliams, weight_distribution)
 from amdesign.harmonic import HarmonicFunction
 from amdesign.polyring import HomPoly, weight_enumerator_poly
-from amdesign.verify import VerificationReport
+from amdesign.verify import report
 
 CLASS_FLAGS = ("even", "doubly_even", "self_orthogonal", "self_dual",
                "formally_self_dual", "type_one", "type_two")
@@ -47,13 +47,22 @@ class _Tally(Record):
         self._set(counts)
 
 
+class _Verdict(Record):
+    """Three fields, the last a dict, as a scenario's outcome."""
+
+    __slots__ = ("scenario", "passed", "witnesses")
+
+    def __init__(self, scenario: str, passed: bool, witnesses: dict) -> None:
+        self._set(scenario, passed, witnesses)
+
+
 # One keyword-built instance of each class, the test-local ones included.
 SAMPLES = [
     BinaryCode(n=4, basis=(0b0011, 0b0110)),
     Design(v=4, blocks=((1, 2), (3, 4))),
     HomPoly(degree=1, coeffs=(1, 2)),
     HarmonicFunction(n=5, pairs=((1, 3), (2, 4))),
-    VerificationReport(scenario="am", passed=True, witnesses={"t": "1"}),
+    _Verdict(scenario="am", passed=True, witnesses={"t": "1"}),
     _Budget(seed=3, max_iterations=10),
     _Counts(counts={0: 1, 2: 3}),
     _Tally(counts={4: 1}),
@@ -210,8 +219,10 @@ def test_harmonic_function_validates_and_makes_tuples():
 
 
 def test_reports_by_keyword():
-    rep = VerificationReport(scenario="thm1.1", passed=False, witnesses={"w": "6"})
-    assert rep.verdict == "fail"
+    rep = report(scenario="thm1.1", passed=False, witnesses={"w": "6"})
+    assert rep["verdict"] == "fail"
+    assert report(scenario="thm1.1", passed=True, witnesses=rep["witnesses"]) == dict(
+        rep, verdict="pass")
 
 
 def test_keyword_defaults():

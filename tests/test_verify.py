@@ -21,9 +21,9 @@ from amdesign.gf2core import (
     BinaryCode, EnumerationGuardError, classify, code_from_rows, weight_distribution)
 from amdesign.verify import (
     PreconditionError,
-    VerificationReport,
     assmus_mattson_check,
     exact_json,
+    report,
     strength_profile,
     verify_cor_1_5,
     verify_thm_1_1,
@@ -51,18 +51,21 @@ def test_exact_json():
 
 
 def test_report_round_trip():
-    # A report renders its witnesses with exact_json when it is built.
-    rep = VerificationReport("demo", True, {"lambda": 8, "ratio": Fraction(1, 2)})
-    assert rep.verdict == "pass"
-    obj = rep.to_dict()
-    assert obj == {
+    # report renders its witnesses with exact_json, in the envelope's order.
+    rep = report("demo", True, {"lambda": 8, "ratio": Fraction(1, 2)})
+    assert rep["verdict"] == "pass"
+    assert rep == {
         "scenario": "demo",
         "verdict": "pass",
         "witnesses": {"lambda": "8", "ratio": "1/2"},
     }
-    assert VerificationReport("demo", True, obj["witnesses"]) == rep
-    # __reduce__ rebuilds the report through __init__, from rendered witnesses.
+    assert list(rep) == ["scenario", "verdict", "witnesses"]
+    # Witnesses already rendered give the same dict again.
+    assert report("demo", True, rep["witnesses"]) == rep
     assert pickle.loads(pickle.dumps(rep)) == rep
+    assert report("demo", False, {})["verdict"] == "fail"
+    with pytest.raises(TypeError):
+        report("demo", True, {"ratio": 0.5})
 
 
 def test_strength_profile(type1):
@@ -81,8 +84,8 @@ def test_thm_1_1_on_the_extended_qr_code_of_length_32():
     assert weight_distribution(qr32) == {
         0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1}
     rep = verify_thm_1_1(qr32)
-    assert rep.passed
-    assert rep.witnesses == {
+    assert rep["verdict"] == "pass"
+    assert rep["witnesses"] == {
         "branch": "self_dual",
         "lambda_1_per_weight": {"8": "155", "12": "5208", "16": "18259", "20": "8680",
                                 "24": "465"},
@@ -98,8 +101,8 @@ def test_strength_profile_no_gap_control():
 
 def test_assmus_mattson_applicable():
     rep = assmus_mattson_check(builtin("e8"), 3)
-    assert rep.passed
-    w = rep.witnesses
+    assert rep["verdict"] == "pass"
+    w = rep["witnesses"]
     assert w["applicable"] is True
     assert w["nonzero_weights_at_most_n_minus_t"] == ["4"]
     assert w["promised_code_weights"] == ["4"]
@@ -113,8 +116,8 @@ def test_assmus_mattson_applicable():
 def test_assmus_mattson_not_applicable(type1):
     for t in (1, 2):
         rep = assmus_mattson_check(type1, t)
-        assert not rep.passed
-        w = rep.witnesses
+        assert rep["verdict"] == "fail"
+        w = rep["witnesses"]
         assert w["applicable"] is False
         assert w["nonzero_weights_at_most_n_minus_t"] == \
             ["4", "6", "8", "10", "12"]
@@ -128,18 +131,18 @@ def test_thm_1_1_self_dual_cases(type1):
     for c in (builtin("d4+d4"), builtin("i2+i2+i2+i2"),
               builtin("d4+i2+i2"), type1):
         rep = verify_thm_1_1(c)
-        assert rep.passed
-        assert rep.witnesses["branch"] == "self_dual"
-        assert rep.witnesses["counting_route"] is True
-        assert rep.witnesses["harmonic_route"] is True
+        assert rep["verdict"] == "pass"
+        assert rep["witnesses"]["branch"] == "self_dual"
+        assert rep["witnesses"]["counting_route"] is True
+        assert rep["witnesses"]["harmonic_route"] is True
 
 
 def test_thm_1_1_fsd_case(fsd16):
     rep = verify_thm_1_1(fsd16)
-    assert rep.passed
-    assert rep.witnesses["branch"] == "formally_self_dual"
-    assert rep.witnesses["counting_route"] is True
-    assert rep.witnesses["harmonic_route"] is True
+    assert rep["verdict"] == "pass"
+    assert rep["witnesses"]["branch"] == "formally_self_dual"
+    assert rep["witnesses"]["counting_route"] is True
+    assert rep["witnesses"]["harmonic_route"] is True
 
 
 def test_thm_1_1_preconditions(type1):
@@ -159,8 +162,8 @@ def test_thm_1_1_preconditions(type1):
 
 def test_thm_1_2_type1_pass(type1):
     rep = verify_thm_1_2_type1(type1)
-    assert rep.passed
-    w = rep.witnesses
+    assert rep["verdict"] == "pass"
+    w = rep["witnesses"]
     assert w["lambda_2"] == "8"
     assert w["block_count"] == "64"
     assert w["counting_route"] is True and w["harmonic_route"] is True
@@ -182,9 +185,9 @@ def test_thm_1_2_type1_mutation_sensitivity(type1, c6):
     for _ in range(5):
         mutated = drop_block(c6, rng.randrange(c6.b))
         rep = verify_thm_1_2_type1(type1, mutated)
-        assert not rep.passed
-        assert rep.witnesses["counting_route"] is False
-        pts1, cover1, pts2, cover2 = rep.witnesses["violation"]
+        assert rep["verdict"] == "fail"
+        assert rep["witnesses"]["counting_route"] is False
+        pts1, cover1, pts2, cover2 = rep["witnesses"]["violation"]
         assert cover1 != cover2
         assert len(pts1) == len(pts2) == 2
 
@@ -198,7 +201,7 @@ def test_thm_1_2_type1_runs_no_design_check_on_its_own_c6(type1, monkeypatch):
     for module, name in [(designs, "_checked_blocks"), (designs, "_blocks_check"),
                          (designs, "complement_design"), (harmonic, "delsarte_design_check")]:
         monkeypatch.setattr(module, name, refuse)
-    assert verify_thm_1_2_type1(type1).passed
+    assert verify_thm_1_2_type1(type1)["verdict"] == "pass"
 
 
 def test_thm_1_2_type1_fails_a_2_design_that_is_not_c10s_complement(type1, c6):
@@ -207,18 +210,18 @@ def test_thm_1_2_type1_fails_a_2_design_that_is_not_c10s_complement(type1, c6):
     other = support_design(oracles.permuted(type1, random.Random(3).sample(range(16), 16)), 6)
     assert other != c6
     rep = verify_thm_1_2_type1(type1, other)
-    w = rep.witnesses
+    w = rep["witnesses"]
     assert w["counting_route"] is True and w["harmonic_route"] is True
     assert w["lambda_2"] == "8" and w["block_count"] == "64"
     assert w["complement_matches"] is False
-    assert rep.verdict == "fail"
+    assert rep["verdict"] == "fail"
 
 
 def test_thm_1_2_type1_names_no_violation_of_a_2_design(type1, c6):
     # C_6 twice is a 2-design with lambda_2 = 16: no pair of 2-subsets
     # covered differently exists to name.
     rep = verify_thm_1_2_type1(type1, Design(16, c6.blocks * 2))
-    w = rep.witnesses
+    w = rep["witnesses"]
     assert (w["lambda_2"], w["block_count"]) == ("16", "128")
     assert w["counting_route"] is False and w["harmonic_route"] is True
     assert w["complement_matches"] is False
@@ -243,20 +246,20 @@ def test_thm_1_2_type1_reports_on_blocks_of_every_point(type1, tmp_path, capsys)
 
 def test_thm_1_2_fsd_pass(fsd16):
     rep = verify_thm_1_2_fsd(fsd16)
-    assert rep.passed
-    lambdas = rep.witnesses["lambda_2_per_weight"]
+    assert rep["verdict"] == "pass"
+    lambdas = rep["witnesses"]["lambda_2_per_weight"]
     assert set(lambdas) == {"6", "10"}
     assert all(v is not None for v in lambdas.values())
-    assert rep.witnesses["self_dual"] is False
-    assert rep.witnesses["counting_route"] is rep.witnesses["harmonic_route"] is True
+    assert rep["witnesses"]["self_dual"] is False
+    assert rep["witnesses"]["counting_route"] is rep["witnesses"]["harmonic_route"] is True
 
 
 def test_thm_1_2_fsd_accepts_self_dual(type1):
     rep = verify_thm_1_2_fsd(type1)
-    assert rep.passed
-    assert rep.witnesses["self_dual"] is True
-    assert rep.witnesses["lambda_2_per_weight"] == {"6": "16", "10": "48"}
-    assert rep.witnesses["counting_route"] is rep.witnesses["harmonic_route"] is True
+    assert rep["verdict"] == "pass"
+    assert rep["witnesses"]["self_dual"] is True
+    assert rep["witnesses"]["lambda_2_per_weight"] == {"6": "16", "10": "48"}
+    assert rep["witnesses"]["counting_route"] is rep["witnesses"]["harmonic_route"] is True
 
 
 @pytest.mark.parametrize("mutated", [(6,), (10,), (6, 10)], ids=["6", "10", "6-10"])
@@ -297,8 +300,8 @@ def test_thm_1_2_fsd_preconditions():
 
 def test_thm_1_4_pipeline_pass(type1, c6):
     rep = verify_thm_1_4_pipeline(c6)
-    assert rep.passed
-    steps = rep.witnesses["steps"]
+    assert rep["verdict"] == "pass"
+    steps = rep["witnesses"]["steps"]
     assert steps == {
         "even_self_orthogonal": True,
         "dual_minimum_distance": True,
@@ -307,8 +310,8 @@ def test_thm_1_4_pipeline_pass(type1, c6):
         "classification": True,
         "support_design_match": True,
     }
-    assert rep.witnesses["dimension"] == "8"
-    assert int(rep.witnesses["counted_words_0_6_10_16"]) == 130
+    assert rep["witnesses"]["dimension"] == "8"
+    assert int(rep["witnesses"]["counted_words_0_6_10_16"]) == 130
     # the generated code is the original one
     from amdesign.designs import code_from_design
     assert code_from_design(c6) == type1
@@ -339,7 +342,7 @@ def test_thm_1_4_pipeline_reduces_the_design_to_one_basis(monkeypatch, c6):
 
     monkeypatch.setattr(designs, "is_self_orthogonal_design", refuse)
     monkeypatch.setattr(BinaryCode, "__init__", counted)
-    assert verify_thm_1_4_pipeline(c6).passed
+    assert verify_thm_1_4_pipeline(c6)["verdict"] == "pass"
     assert [code for code in built if code[1] == c6.b] == [(16, 64)]
 
 
@@ -347,11 +350,11 @@ def test_thm_1_4_pipeline_on_a_design_with_repeated_blocks(biplane):
     # Four copies of the 2-(16,6,2) biplane: a self-orthogonal 2-(16,6,8)
     # design whose code has only 16 words of weight 6, one per block.
     rep = verify_thm_1_4_pipeline(Design(16, tuple(4 * biplane)))
-    assert not rep.passed
-    assert rep.witnesses["steps"]["support_design_match"] is False
-    assert rep.witnesses["failing_step"] == "count_bound"
-    assert rep.witnesses["dimension"] == "6"
-    assert rep.witnesses["weight_distribution"] == \
+    assert rep["verdict"] == "fail"
+    assert rep["witnesses"]["steps"]["support_design_match"] is False
+    assert rep["witnesses"]["failing_step"] == "count_bound"
+    assert rep["witnesses"]["dimension"] == "6"
+    assert rep["witnesses"]["weight_distribution"] == \
         {"0": "1", "6": "16", "8": "30", "10": "16", "16": "1"}
 
 
@@ -361,16 +364,16 @@ def test_thm_1_4_pipeline_names_the_first_failing_step(monkeypatch, c6):
 
     monkeypatch.setattr("amdesign.verify.classify", not_type_one)
     rep = verify_thm_1_4_pipeline(c6)
-    assert not rep.passed
-    assert [name for name, ok in rep.witnesses["steps"].items() if not ok] == \
+    assert rep["verdict"] == "fail"
+    assert [name for name, ok in rep["witnesses"]["steps"].items() if not ok] == \
         ["classification"]
-    assert rep.witnesses["failing_step"] == "classification"
+    assert rep["witnesses"]["failing_step"] == "classification"
 
 
 def test_cor_1_5(type1):
     rep = verify_cor_1_5(type1)
-    assert rep.passed
-    w = rep.witnesses
+    assert rep["verdict"] == "pass"
+    w = rep["witnesses"]
     assert all(w["checks"].values())
     assert w["subcode_weight_distribution"] == \
         {"0": "1", "4": "12", "8": "102", "12": "12", "16": "1"}
@@ -383,7 +386,7 @@ def test_cor_1_5(type1):
 
 def test_routes_always_agree(type1, fsd16):
     for c in (builtin("d4+d4"), builtin("d4+i2+i2"), type1, fsd16):
-        w = verify_thm_1_1(c).witnesses
+        w = verify_thm_1_1(c)["witnesses"]
         assert w["counting_route"] == w["harmonic_route"]
 
 
@@ -394,13 +397,13 @@ def test_cor_1_5_matches_the_subcode_walk_oracle(type1):
     for _ in range(8):
         c = oracles.permuted(type1, rng.sample(range(16), 16))
         rep = verify_cor_1_5(c)
-        assert rep.passed
-        assert json.dumps(rep.to_dict()) == json.dumps(oracles.verify_cor_1_5(c).to_dict())
+        assert rep["verdict"] == "pass"
+        assert json.dumps(rep) == json.dumps(oracles.verify_cor_1_5(c))
 
 
 def test_reports_are_deterministic(type1):
     assert verify_thm_1_2_type1(type1) == verify_thm_1_2_type1(type1)
-    assert verify_cor_1_5(type1).to_dict() == verify_cor_1_5(type1).to_dict()
+    assert verify_cor_1_5(type1) == verify_cor_1_5(type1)
 
 
 @pytest.mark.parametrize("argv, walks", [
