@@ -67,11 +67,12 @@ def _at_its_lines(source, start, end):
     return b"\n" * source.count(b"\n", 0, start) + source[start:end]
 
 
-def _define(f, source, start, end, path, flags, args, kwargs):
+def _define(f, source, start, end, path, flags, /, *args, **kwargs):
     """Compiles the def at source[start:end] in a namespace of its own, so
     that the module's binding of the name stands, moves the new function
-    onto the placeholder f, and calls f. A def that does not compile raises
-    the whole file's first error, as the default loader does."""
+    onto the placeholder f (or, for a generator, makes f call it), and
+    calls f. A def that does not compile raises the whole file's first
+    error, as the default loader does."""
     try:
         code = compile(_at_its_lines(source, start, end), path, "exec", flags, True)
     except SyntaxError:
@@ -81,13 +82,19 @@ def _define(f, source, start, end, path, flags, args, kwargs):
     exec(code, f.__globals__, defined)
     new = defined[f.__name__]
     # The __dict__ of a new undecorated function is empty: f keeps its own.
-    for name in ("__code__", "__defaults__", "__kwdefaults__", "__doc__", "__annotations__"):
-        setattr(f, name, getattr(new, name))
+    f.__doc__, f.__annotations__ = new.__doc__, new.__annotations__
+    # Python 3.13 deprecates moving a generator's code (CO_GENERATOR) onto a
+    # plain function: f keeps its own code and calls new.
+    if new.__code__.co_flags & 0x20:
+        f.__kwdefaults__ = {"_deferred": new}
+    else:
+        f.__code__, f.__defaults__, f.__kwdefaults__ = (
+            new.__code__, new.__defaults__, new.__kwdefaults__)
     return f(*args, **kwargs)
 
 
 def _placeholder(*args, _deferred, **kwargs):
-    return _deferred(args, kwargs)
+    return _deferred(*args, **kwargs)
 
 
 class _RunLoader(SourceFileLoader):

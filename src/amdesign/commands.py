@@ -123,8 +123,8 @@ def read_code(args) -> BinaryCode:
         return read_generator_file(args.generator)
     if args.builtin:
         # A "+" composes a direct sum of builtins; no stored name holds one.
-        name = args.builtin
-        if "+" in name or name.strip() in catalog.BUILTIN_NAMES:
+        name = args.builtin.strip()
+        if "+" in name or name in catalog.BUILTIN_NAMES:
             return catalog.builtin(name)
         return catalog.load_code(name)
     raise PreconditionError("a code is required: pass -g FILE or -b NAME")
@@ -276,9 +276,12 @@ def run_wenum(args) -> int:
 def run_transform_check(args) -> int:
     c = read_code(args)
     basis = harmonic.harm_basis(c.n, args.k)
-    # Harm_k(n) is empty for k > n/2: refused before the dual is built.
+    # Harm_k(n) is empty for k > n/2, and bachoc_transform refuses an odd
+    # length: both are refused before the dual is built or a word is read.
     if not basis:
         raise PreconditionError(f"no basis functions exist for k={args.k}, n={c.n}")
+    if c.n % 2:
+        raise PreconditionError("odd length: the 2-power exponents are not integral")
     dual_code = dual(c)
 
     def quotients(code):

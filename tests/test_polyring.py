@@ -66,10 +66,10 @@ def test_substitutions():
 
 
 @st.composite
-def polys(draw, degree=None):
-    """A HomPoly of degree 0..40, or of the given degree, with all-int or
-    all-Fraction coefficients."""
-    d = draw(st.integers(0, 40)) if degree is None else degree
+def polys(draw, degree=None, max_degree=40):
+    """A HomPoly of degree 0..max_degree, or of the given degree, with all-int
+    or all-Fraction coefficients."""
+    d = draw(st.integers(0, max_degree)) if degree is None else degree
     scalars = st.integers(-10**6, 10**6)
     if draw(st.booleans()):
         scalars = st.fractions(max_denominator=1000)
@@ -107,6 +107,17 @@ def test_sum_diff_matrix_matches_sympy(p):
     want = [expanded.coeff_monomial(y**m) for m in range(d + 1)]
     assert p.substitute_sum_diff().coeffs == tuple(
         Fraction(int(w.p), int(w.q)) for w in want)
+
+
+# p(x+y, x-y) taken twice is p(2x, 2y) = 2^d p, far past the degrees above.
+@settings(max_examples=20, deadline=None, database=None)
+@given(polys(max_degree=300))
+@example(HomPoly(300, (1,) * 301))
+@example(HomPoly(300, (0,) * 300 + (Fraction(-3, 7),)))
+def test_the_transform_twice_is_a_power_of_two(p):
+    twice = p.substitute_sum_diff().substitute_sum_diff()
+    assert twice == p * (1 << p.degree)
+    assert _is_int_poly(twice) == _is_int_poly(p)
 
 
 def test_q8_coefficients():
@@ -178,19 +189,18 @@ def test_vanishing_coefficient_search():
     def coeff(alpha, i):
         return sum(
             comb(2, i - j) * (-1) ** j * comb(alpha, j)
-            for j in range(alpha + 1)
-            if 0 <= i - j <= 2
+            for j in range(max(0, i - 2), i + 1)
         )
 
     expected = [
         (a, i)
-        for a in range(16)
+        for a in range(256)
         for i in range((a + 2) // 2 + 1)
         if coeff(a, i) == 0
     ]
-    found = vanishing_coefficient_search(16)
+    found = vanishing_coefficient_search(256)
     assert found == expected
-    assert found == [(2, 1), (7, 3), (14, 6)]
+    assert vanishing_coefficient_search(16) == [(2, 1), (7, 3), (14, 6)]
     with pytest.raises(ValueError):
         vanishing_coefficient_search(0)
 

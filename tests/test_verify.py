@@ -287,15 +287,34 @@ def test_thm_1_2_fsd_fails_both_routes_on_a_mutant_union(monkeypatch, capsys, mu
     assert all(w["lambda_2_per_weight"][str(m)] is None for m in mutated)
 
 
+# The Type I [16,8,2] code i2^8: self-dual, singly even and d = 2, two
+# below the near-extremal distance 4 at length 16.
+I2_8 = "+".join(["i2"] * 8)
+
+
 def test_thm_1_2_fsd_preconditions():
-    with pytest.raises(PreconditionError):
-        verify_thm_1_2_fsd(direct_sum(builtin("e8"), builtin("e8")))  # doubly even
+    # e8+e8 is even, self-dual and near-extremal (d = 4), but holds no word
+    # of weight 6 or 10.
+    with pytest.raises(PreconditionError, match="the union designs are empty"):
+        verify_thm_1_2_fsd(direct_sum(builtin("e8"), builtin("e8")))
     c24 = direct_sum(direct_sum(builtin("e8"), builtin("e8")), builtin("e8"))
-    with pytest.raises(PreconditionError):
-        verify_thm_1_2_fsd(c24)  # wrong length
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(PreconditionError, match="length must be 16"):
+        verify_thm_1_2_fsd(c24)
+    # A [16,2] code of two weight-1 rows is not even.
+    with pytest.raises(PreconditionError, match="code is not even formally self-dual"):
+        verify_thm_1_2_fsd(code_from_rows([1, 2], 16))
+    with pytest.raises(PreconditionError, match="code is not near-extremal"):
+        verify_thm_1_2_fsd(builtin(I2_8))
+    with pytest.raises(EnumerationGuardError, match="length-64 unions"):
         big = code_from_rows([1], 64)
         verify_thm_1_2_fsd(big)  # length-64 branch is gated
+
+
+# _require_type1_16 refuses a Type I code of length 16 below d = 4.
+@pytest.mark.parametrize("scenario", ["thm1.2-1", "cor1.5"])
+def test_a_type_i_16_scenario_refuses_a_code_that_is_not_near_extremal(capsys, scenario):
+    assert run(["verify", scenario, "-b", I2_8]) == 2
+    assert capsys.readouterr() == ("", "error: code is not near-extremal\n")
 
 
 def test_thm_1_4_pipeline_pass(type1, c6):
