@@ -38,6 +38,12 @@ for every coefficient of every polynomial; HomPoly.substitute_sum_diff
 multiplies by its degree's cached columns of gf2core._krawtchouk rows
 instead.
 
+product is the product of two HomPoly, the convolution of their coefficient
+vectors, which HomPoly.__mul__ computed for a HomPoly operand while
+amdesign.polyring built the Gleason basis by multiplying polynomials;
+gleason_basis reads each element off a gf2core._krawtchouk row instead, and
+HomPoly multiplies by exact scalars only.
+
 design_blocks is the validation loop of Design that tested every point with
 a Python-level isinstance call; Design tests the points' types in one set
 operation and falls back to the per-point test only for a block holding
@@ -230,6 +236,14 @@ def substitute_sum_diff(p):
             if s:
                 out[m] += cj * s
     return HomPoly(d, tuple(out))
+
+
+def product(p, q):
+    out = [0] * (p.degree + q.degree + 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return HomPoly(p.degree + q.degree, tuple(out))
 
 
 def gleason_decompose(p, t, n):

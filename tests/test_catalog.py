@@ -69,7 +69,7 @@ def test_direct_sum_properties():
     wa = weight_enumerator_poly(weight_distribution(a), a.n)
     wb = weight_enumerator_poly(weight_distribution(b), b.n)
     ws = weight_enumerator_poly(weight_distribution(s), s.n)
-    assert ws == wa * wb
+    assert ws == oracles.product(wa, wb)
     ee = direct_sum(builtin("e8"), builtin("e8"))
     assert classify(ee)["type_two"]
 

@@ -24,7 +24,7 @@ from amdesign.cli import run
 from amdesign.designs import Design, support_design
 from amdesign.gf2core import (
     code_from_rows, dual, exact_json, format_generator, minimum_distance)
-from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, HomPoly, gleason_basis
+from amdesign.polyring import _GLEASON_LENGTH_GUARD, ALPHA_MAX_GUARD, gleason_basis
 
 
 @pytest.fixture()
@@ -629,11 +629,11 @@ def test_poly_gleason_refuses_a_t_with_no_basis(capsys, t):
 @pytest.mark.parametrize("t", [0, 1])
 def test_poly_gleason_refuses_a_length_past_its_guard(monkeypatch, capsys, tmp_path, t):
     # On the [n,1] repetition code: two past the guard (the next even length)
-    # exits 3 before any basis polynomial is raised to a power.
+    # exits 3 before any Krawtchouk row of the basis is computed.
     path = tmp_path / "rep.gm"
     path.write_text("1" * (_GLEASON_LENGTH_GUARD + 2) + "\n")
     with monkeypatch.context() as patch:
-        patch.setattr(HomPoly, "__pow__", None)
+        patch.setattr(polyring, "_krawtchouk", None)
         assert run(["poly", "gleason", "-g", str(path), "--t", str(t)]) == 3
     assert capsys.readouterr() == ("", f"resource guard: length {_GLEASON_LENGTH_GUARD + 2} "
                                        f"exceeds the Gleason basis guard {_GLEASON_LENGTH_GUARD}\n")
