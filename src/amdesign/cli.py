@@ -8,7 +8,7 @@ error, 3 resource guard tripped.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -87,21 +87,15 @@ def run(argv=None) -> int:
 
 def main() -> None:
     rc = run()
+    # What exit runs, without the module teardown and last collection after it.
+    atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:
                 stream.flush()
         except OSError:
-            # The reader is gone (run() has reported it if stderr was open).
-            # What the buffer holds goes to the null device, so the flush at
-            # exit neither prints "Exception ignored" nor exits 120.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-    # The interpreter's shutdown collection skips frozen objects, so the
-    # cycles of modules, classes and functions go back to the OS with the
-    # process instead of being freed one object at a time. Never in run(),
-    # which tests and tools call many times in one process.
-    gc.freeze()
-    sys.exit(rc)
+            pass  # the reader is gone; run() has reported it if stderr was open
+    os._exit(rc)
 
 
 if __name__ == "__main__":

@@ -328,11 +328,12 @@ def weight_distribution(c: BinaryCode) -> dict[int, int]:
     return {w: a for w, a in enumerate(counts) if a}
 
 
-def _krawtchouk(n: int, i: int) -> tuple[int, ...]:
+def _krawtchouk(n: int, i: int, length: int | None = None) -> tuple[int, ...]:
     """K_0(i), ..., K_n(i) at length n, the coefficients of (x+y)^(n-i) (x-y)^i,
-    by (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i)."""
+    by (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i); only the first
+    `length` of them when a length is given."""
     row, last, x = [], 0, 1
-    for j in range(n + 1):
+    for j in range(n + 1)[:length]:
         row.append(x)
         last, x = x, ((n - 2 * i) * x - (n - j + 1) * last) // (j + 1)
     return tuple(row)

@@ -1,5 +1,6 @@
 """Command-line behavior: payloads, exit codes, JSON round-trips."""
 
+import atexit
 import gc
 import json
 import os
@@ -533,17 +534,31 @@ def test_the_process_entry_matches_run(capsys, monkeypatch, tmp_path, type1, c6,
         code, untimed(out), err)
 
 
-def test_only_the_process_entry_freezes_the_heap(capsys):
-    script = ("import atexit, gc, runpy, sys\n"
-              "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
-              "sys.argv = ['amdesign', 'code', 'info', '-b', 'type1_16']\n"
+# Exits 0, 1, 2 and 3 through cli.main, each with its output ahead of an
+# exit hook's line.
+_EXIT_ARGVS = {
+    "info": ["code", "info", "-b", "type1_16"],
+    "mutant": ["design", "check", "-d", "{mutant}", "--t", "2"],
+    "unknown-code": ["code", "info", "-b", "missing"],
+    "budget": ["search", "fsd", "--max-iterations", "0"],
+}
+
+
+@pytest.mark.parametrize("argv, code", zip(_EXIT_ARGVS.values(), range(4)), ids=_EXIT_ARGVS)
+def test_only_the_process_entry_ends_the_process(capsys, tmp_path, c6, argv, code):
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(format_design(Design(c6.v, c6.blocks[1:])) + "\n")
+    argv = [arg.format(mutant=mutant) for arg in argv]
+    hooks, frozen = atexit._ncallbacks(), gc.get_freeze_count()
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert (atexit._ncallbacks(), gc.get_freeze_count()) == (hooks, frozen)
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'exit hook')\n"
+              f"sys.argv = ['amdesign', *{argv!r}]\n"
               "runpy.run_module('amdesign.cli', run_name='__main__')\n")
     done = python("-c", script)
-    assert (done.returncode, done.stderr) == (0, "True\n")
-    before = gc.get_freeze_count()
-    assert run(["code", "info", "-b", "type1_16"]) == 0
-    capsys.readouterr()
-    assert gc.get_freeze_count() == before
+    assert (done.returncode, done.stdout, done.stderr) == (code, out + "exit hook\n", err)
 
 
 def run_closed(argv, streams, unbuffered=False):
@@ -720,8 +735,28 @@ def test_poly_lemma41(capsys):
     assert payload["pairs"] == [[2, 1], [7, 3], [14, 6]]
 
 
+def _full_row_scan(alpha_max):
+    """The Lemma 4.1 scan as it read whole Krawtchouk rows."""
+    pairs = []
+    for alpha in range(alpha_max):
+        row = gf2core._krawtchouk(alpha + 2, alpha)
+        pairs += ((alpha, i) for i in range((alpha + 2) // 2 + 1) if not row[i])
+    return pairs
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("alpha_max", [1, 16, 256, 1024])
+def test_poly_lemma41_prints_what_whole_rows_give(capsys, monkeypatch, alpha_max, fmt):
+    argv = ["poly", "lemma4.1", "--alpha-max", str(alpha_max), "--format", fmt]
+    assert run(argv) == 0
+    prefixes = capsys.readouterr()
+    monkeypatch.setattr(polyring, "vanishing_coefficient_search", _full_row_scan)
+    assert run(argv) == 0
+    assert capsys.readouterr() == prefixes
+
+
 def test_poly_lemma41_refuses_an_oversize_alpha_max(capsys):
-    # The scan's cost is cubic in --alpha-max: 1024 takes about half a second.
+    # The scan's cost is cubic in --alpha-max: 1024 takes about 0.16 s.
     for alpha_max in (ALPHA_MAX_GUARD + 1, 10**9):
         assert run(["poly", "lemma4.1", "--alpha-max", str(alpha_max)]) == 3
         assert capsys.readouterr() == (

@@ -17,6 +17,7 @@ from amdesign.gf2core import (
     NEITHER,
     NOT_APPLICABLE,
     BinaryCode,
+    _krawtchouk,
     EnumerationGuardError,
     classify,
     code_from_rows,
@@ -234,6 +235,15 @@ def test_macwilliams_involution():
         wd = weight_distribution(c)
         once = macwilliams(wd, n, c.dimension)
         assert macwilliams(once, n, n - c.dimension) == wd
+
+
+def test_a_krawtchouk_prefix_is_the_full_rows_prefix():
+    for n in range(41):
+        for i in range(n + 1):
+            row = _krawtchouk(n, i)
+            assert len(row) == n + 1
+            for length in range(n + 3):
+                assert _krawtchouk(n, i, length) == row[:length]
 
 
 def test_macwilliams_input_validation():
