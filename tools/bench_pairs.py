@@ -35,8 +35,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     """The first quartile, median and third quartile of values."""
     if len(values) == 1:
         return (values[0],) * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
