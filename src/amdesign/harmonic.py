@@ -188,9 +188,9 @@ def bachoc_transform(
         raise ValueError(f"expected degree {n - 2 * k}, got {z.degree}")
     if n % 2:
         raise ValueError("odd length: the 2-power exponents are not integral")
-    scaled = z.substitute_sum_diff() * ((-1) ** k * (1 << k))
-    coeffs = []
-    for c in scaled.coeffs:
+    scale, coeffs = (-1) ** k << k, []
+    for c in z.substitute_sum_diff().coeffs:
+        c *= scale
         q, r = divmod(c, code_size)
         if r:
             from fractions import Fraction

@@ -55,29 +55,6 @@ class HomPoly(Record):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other: "HomPoly") -> "HomPoly":
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HomPoly(
-            self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "HomPoly") -> "HomPoly":
-        return self + other * -1 if isinstance(other, HomPoly) else NotImplemented
-
-    def __mul__(self, other: "int | Fraction") -> "HomPoly":
-        # An exact scalar: an int, or else any numbers.Rational (Fraction).
-        if not isinstance(other, int):
-            import numbers
-
-            if not isinstance(other, numbers.Rational):
-                return NotImplemented
-        return HomPoly(self.degree, tuple(a * other for a in self.coeffs))
-
-    __rmul__ = __mul__
-
     def substitute_sum_diff(self) -> "HomPoly":
         """Return p(x+y, x-y), expanded exactly: the coefficient vector times
         each of the degree's cached Krawtchouk columns."""
@@ -180,12 +157,13 @@ def gleason_decompose(p: HomPoly, basis: list[HomPoly]) -> list[int | Fraction]:
     if p.degree != basis[0].degree:
         raise ValueError(f"expected degree {basis[0].degree}, got {p.degree}")
     odd = basis[0].coeffs.index(1)
-    rest, x = p, []
+    rest, x = p.coeffs, []
     for i, b in enumerate(basis):
-        x.append(rest.coeffs[2 * i + odd])
-        rest = rest - x[-1] * b
-    if not rest.is_zero:
-        raise SpanError("polynomial is outside the basis span", x, rest)
+        a = rest[2 * i + odd]
+        x.append(a)
+        rest = [r - a * c for r, c in zip(rest, b.coeffs)]
+    if any(rest):
+        raise SpanError("polynomial is outside the basis span", x, HomPoly(p.degree, rest))
     return x
 
 

@@ -42,7 +42,7 @@ product is the product of two HomPoly, the convolution of their coefficient
 vectors, which HomPoly.__mul__ computed for a HomPoly operand while
 amdesign.polyring built the Gleason basis by multiplying polynomials;
 gleason_basis reads each element off a gf2core._krawtchouk row instead, and
-HomPoly multiplies by exact scalars only.
+HomPoly has no arithmetic.
 
 design_blocks is the validation loop of Design that tested every point with
 a Python-level isinstance call; Design tests the points' types in one set
@@ -252,18 +252,19 @@ def gleason_decompose(p, t, n):
     basis = gleason_basis(t, n)
     x, consistent = ratlin.solve_columns([b.coeffs for b in basis], p.coeffs)
     if not consistent:
-        approx = HomPoly(p.degree, (0,) * (p.degree + 1))
+        residual = p.coeffs
         for c, b in zip(x, basis):
-            approx = approx + c * b
-        raise SpanError("polynomial is outside the basis span", x, p - approx)
+            residual = [r - c * a for r, a in zip(residual, b.coeffs)]
+        raise SpanError("polynomial is outside the basis span", x,
+                        HomPoly(p.degree, tuple(residual)))
     return x
 
 
 def is_relatively_invariant(p, t):
     if p.degree % 2:
         raise ValueError("degree must be even")
-    sign = (-1) ** t
-    return (p.substitute_sum_diff() == p * (sign << (p.degree // 2))
+    scale = (-1) ** t << p.degree // 2
+    return (p.substitute_sum_diff().coeffs == tuple(c * scale for c in p.coeffs)
             and not any(c for j, c in enumerate(p.coeffs) if (j + t) % 2))
 
 

@@ -67,3 +67,30 @@ def test_pairs_alternate_and_each_has_its_own_seed(monkeypatch, tmp_path, capsys
                      ("parent", "fresh", 3, 2.0), ("change", "fresh", 3, 2.0)]
     out = capsys.readouterr().out
     assert "wall_s" in out and "wins 3/3  within bound 0.25" in out
+    assert out.endswith("\ngain shown on: wall_s\n")
+
+
+def test_a_gain_is_shown_on_every_metric_that_wins_nine_tenths_past_the_spread():
+    parent = [_result(2.0, 100.0) for _ in range(10)]
+    change = [_result(1.0, 120.0) for _ in range(10)]
+    assert bench_pairs.shown_gains(parent, change, _END_TO_END) == "gain shown on: wall_s, speed"
+
+
+# Against a steady parent at 2.0: a tie is no win, so 8 wins and 2 ties show no gain.
+@pytest.mark.parametrize("walls, shown", [([1.0] * 9 + [3.0], "wall_s"),
+                                          ([1.0] * 9 + [2.0], "wall_s"),
+                                          ([1.0] * 8 + [3.0] * 2, "none"),
+                                          ([1.0] * 8 + [2.0] * 2, "none")])
+def test_a_gain_needs_nine_wins_of_ten(walls, shown):
+    parent = [_result(2.0, 1.0) for _ in range(10)]
+    change = [_result(w, 1.0) for w in walls]
+    assert bench_pairs.shown_gains(parent, change, _END_TO_END) == f"gain shown on: {shown}"
+
+
+def test_a_gain_needs_a_difference_past_the_parents_spread():
+    # The parent's quartiles are 3.25 and 7.75: every pair won by 1 is no gain.
+    parent = [_result(w, 1.0) for w in range(1, 11)]
+    change = [_result(w - 1, 1.0) for w in range(1, 11)]
+    assert bench_pairs.shown_gains(parent, change, _END_TO_END) == "gain shown on: none"
+    change = [_result(w - 5, 1.0) for w in range(1, 11)]
+    assert bench_pairs.shown_gains(parent, change, _END_TO_END) == "gain shown on: wall_s"

@@ -659,6 +659,27 @@ def test_poly_gleason_refuses_a_length_past_its_guard(monkeypatch, capsys, tmp_p
     assert capsys.readouterr().err == ""
 
 
+def test_verify_am_refuses_a_length_past_the_macwilliams_guard(monkeypatch, capsys, tmp_path):
+    # The dual of the [n,1] repetition code has 2k > n, so its spectrum is the
+    # MacWilliams transform of the code's: one past the guard exits 3 before
+    # any Krawtchouk row of the transform is computed.
+    guard = gf2core._MACWILLIAMS_LENGTH_GUARD
+    path = tmp_path / "rep.gm"
+    path.write_text("1" * (guard + 1) + "\n")
+
+    def no_row(*args):
+        raise AssertionError("a Krawtchouk row was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2core, "_krawtchouk", no_row)
+        assert run(["verify", "am", "-g", str(path), "--t", "1"]) == 3
+    assert capsys.readouterr() == ("", f"resource guard: length {guard + 1} exceeds "
+                                       f"the MacWilliams transform guard {guard}\n")
+    path.write_text("1" * guard + "\n")
+    assert run(["verify", "am", "-g", str(path), "--t", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_poly_gleason_refuses_a_length_past_its_guard_before_a_word_is_read(
         monkeypatch, capsys, tmp_path):
     # A random [302,24] code at t = 0: the guard fires before the 2^24 words

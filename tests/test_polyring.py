@@ -1,6 +1,6 @@
 """Homogeneous exact polynomials and invariant decompositions."""
 
-from decimal import Decimal
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -26,41 +26,21 @@ def we(c):
     return weight_enumerator_poly(weight_distribution(c), c.n)
 
 
-X, Y = HomPoly(1, (1, 0)), HomPoly(1, (0, 1))
 # q8 = xy(x^6 - 7x^4y^2 + 7x^2y^4 - y^6), the odd-character octic invariant.
 Q8 = HomPoly(8, (0, 1, 0, -7, 0, 7, 0, -1, 0))
 X8_PLUS_Y8 = HomPoly(8, (1, 0, 0, 0, 0, 0, 0, 0, 1))
 
 
-def test_arithmetic():
-    p = HomPoly(5, (0, 0, 5, 0, 0, 0))
-    assert (p - p).is_zero
-    assert (2 * X) == X * 2 == X + X
-    with pytest.raises(ValueError):
-        X + HomPoly(2, (1, 0, 0))
-    with pytest.raises(ValueError):
-        p - X
+def test_a_polynomial_has_no_arithmetic():
+    # Callers combine coefficient vectors; HomPoly holds one.
+    p = HomPoly(1, (1, 2))
+    for a, b in [(p, p), (p, HomPoly(1, (1, 0))), (p, 2), (2, p),
+                 (p, Fraction(1, 3)), (Fraction(1, 3), p)]:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
     with pytest.raises(ValueError):
         HomPoly(2, (1, 0))
-    # Products and powers of polynomials are not operations of HomPoly.
-    with pytest.raises(TypeError):
-        X * Y
-    with pytest.raises(TypeError):
-        X ** 2
-
-
-def test_scalar_products_take_exact_scalars_only():
-    p = HomPoly(2, (1, 0, -3))
-    for scalar, coeffs in [(2, (2, 0, -6)), (True, (1, 0, -3)), (False, (0, 0, 0)),
-                           (Fraction(1, 3), (Fraction(1, 3), 0, -1))]:
-        assert (p * scalar).coeffs == coeffs == (scalar * p).coeffs
-    assert [type(c) for c in (p * 2).coeffs] == [int, int, int]
-    for inexact in (0.5, 2.0, Decimal("0.5"), Decimal(2)):
-        assert p.__mul__(inexact) is NotImplemented
-        with pytest.raises(TypeError):
-            p * inexact
-        with pytest.raises(TypeError):
-            inexact * p
 
 
 def test_substitutions():
@@ -72,10 +52,10 @@ def test_substitutions():
 
 
 @st.composite
-def polys(draw, degree=None, max_degree=40):
-    """A HomPoly of degree 0..max_degree, or of the given degree, with all-int
-    or all-Fraction coefficients."""
-    d = draw(st.integers(0, max_degree)) if degree is None else degree
+def polys(draw, max_degree=40):
+    """A HomPoly of degree 0..max_degree with all-int or all-Fraction
+    coefficients."""
+    d = draw(st.integers(0, max_degree))
     scalars = st.integers(-10**6, 10**6)
     if draw(st.booleans()):
         scalars = st.fractions(max_denominator=1000)
@@ -122,7 +102,7 @@ def test_sum_diff_matrix_matches_sympy(p):
 @example(HomPoly(300, (0,) * 300 + (Fraction(-3, 7),)))
 def test_the_transform_twice_is_a_power_of_two(p):
     twice = p.substitute_sum_diff().substitute_sum_diff()
-    assert twice == p * (1 << p.degree)
+    assert twice.coeffs == tuple(c * (1 << p.degree) for c in p.coeffs)
     assert _is_int_poly(twice) == _is_int_poly(p)
 
 
@@ -156,13 +136,16 @@ def test_gleason_decompose_examples(type1):
     assert gleason_decompose(gleason_basis(1, 10)[0], gleason_basis(1, 10)) == [1]
 
 
+def _combination(coords, basis):
+    """The coefficients of sum_i coords[i] * basis[i]."""
+    return tuple(sum(c * b.coeffs[j] for c, b in zip(coords, basis))
+                 for j in range(basis[0].degree + 1))
+
+
 def test_gleason_decompose_round_trip(type1):
     basis = gleason_basis(0, 16)
     coords = gleason_decompose(we(type1), basis)
-    total = HomPoly(16, (0,) * 17)
-    for c, b in zip(coords, basis):
-        total = total + c * b
-    assert total == we(type1)
+    assert _combination(coords, basis) == we(type1).coeffs
 
 
 def test_gleason_decompose_outside_span():
@@ -171,10 +154,8 @@ def test_gleason_decompose_outside_span():
         gleason_decompose(X8_PLUS_Y8, basis)
     residual = err.value.residual
     assert not residual.is_zero
-    approx = HomPoly(8, (0,) * 9)
-    for c, b in zip(err.value.partial, basis):
-        approx = approx + c * b
-    assert approx + residual == X8_PLUS_Y8
+    approx = _combination(err.value.partial, basis)
+    assert tuple(map(operator.add, approx, residual.coeffs)) == X8_PLUS_Y8.coeffs
 
 
 def test_gleason_decompose_degree_mismatch():
@@ -188,7 +169,7 @@ def test_the_relative_invariance_oracle():
     # Fixed by the sum-difference transform, but odd in y.
     assert not oracles.is_relatively_invariant(HomPoly(2, (1, 2, -1)), 0)
     with pytest.raises(ValueError):
-        oracles.is_relatively_invariant(X + Y, 0)
+        oracles.is_relatively_invariant(HomPoly(1, (1, 1)), 0)
 
 
 def test_vanishing_coefficient_search():
@@ -263,40 +244,6 @@ def _sympy_coeffs(expr, degree):
     return tuple(int(terms.get((degree - j, j), 0)) for j in range(degree + 1))
 
 
-def _sympy_poly(p):
-    """The HomPoly p in sympy's sparse ring of polynomials in x, y over QQ."""
-    sympy = _sympy_ring()[0]
-    ring, QQ = sympy.polys.rings.ring("x,y", sympy.QQ)[0], sympy.QQ
-    return ring.from_dict({(p.degree - j, j): QQ(c.numerator, c.denominator)
-                           for j, c in enumerate(p.coeffs)})
-
-
-def _terms(p):
-    """The nonzero terms of a HomPoly as {(x-degree, y-degree): Fraction}."""
-    return {(p.degree - j, j): Fraction(c) for j, c in enumerate(p.coeffs) if c}
-
-
-@st.composite
-def same_degree_pairs(draw):
-    p = draw(polys())
-    return p, draw(polys(p.degree))
-
-
-# Every operator of HomPoly is sympy's expansion, term by term and exactly.
-@settings(max_examples=40, deadline=None, database=None)
-@given(same_degree_pairs(),
-       st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=1000)))
-@example((HomPoly(0, (7,)), HomPoly(0, (Fraction(-1, 2),))), Fraction(2, 3))
-def test_operators_match_sympy(pair, k):
-    p, q = pair
-    sp, sq = _sympy_poly(p), _sympy_poly(q)
-    sk = _sympy_ring()[0].QQ(k.numerator, k.denominator)
-    for got, want in [(p + q, sp + sq), (p - q, sp - sq), (p * k, sp * sk), (k * p, sk * sp)]:
-        assert got.degree == p.degree
-        assert _terms(got) == {m: Fraction(c.numerator, c.denominator)
-                               for m, c in want.items()}
-
-
 @pytest.mark.parametrize("t", range(6))
 def test_gleason_basis_matches_sympy(t):
     for n in range(2, 65, 2):
@@ -357,10 +304,8 @@ _SPANS_40 = sorted((t, n) for t in range(5) for n in range(2, 41, 2) if _top(t, 
 @example(((2, 4), [0], {0: 1}))
 def test_gleason_decompose_matches_the_elimination_oracle(case):
     (t, n), coords, bump = case
-    p = HomPoly(n - 2 * t, (0,) * (n - 2 * t + 1))
-    for c, b in zip(coords, gleason_basis(t, n)):
-        p = p + c * b
-    p = HomPoly(p.degree, tuple(a + bump.get(j, 0) for j, a in enumerate(p.coeffs)))
+    combination = _combination(coords, gleason_basis(t, n))
+    p = HomPoly(n - 2 * t, tuple(a + bump.get(j, 0) for j, a in enumerate(combination)))
     got, residual = _decompose_or_span_error(gleason_decompose, p, gleason_basis(t, n))
     want, want_residual = _decompose_or_span_error(oracles.gleason_decompose, p, t, n)
     assert got == want

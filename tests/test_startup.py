@@ -351,7 +351,7 @@ def test_no_compile_unit_exceeds_the_token_cap():
     units.update((name, (package / name).read_bytes()) for name in _WHOLE)
     assert len(units) > len(_LAZY) + len(_WHOLE)
     assert len(_LAZY) + len(_WHOLE) == len(list(package.rglob("*.py")))
-    assert "designs mendelsohn_solve" in units and "polyring run 1" in units
+    assert "designs mendelsohn_solve" in units and "commands run 1" in units
     over = {}
     for unit, source in units.items():
         count = sum(tok.type not in _LAYOUT_TOKENS
